@@ -19,12 +19,11 @@ from .scheduling import (
     AdmissionConfig,
     AutoscaleConfig,
     BorrowConfig,
-    PriorityKey,
+    POLICY_KINDS,
     ServiceEstimator,
     admission_decision,
     autoscale_tick,
-    compute_slack,
-    make_priority_key,
+    dispatch_key,
     route_call,
     select_next,
     should_return_borrowed,
@@ -59,11 +58,9 @@ from .workflow import (
     validate_workflow,
 )
 from .workloads import (
-    BaselinePolicy,
     Nl2SqlParams,
     Topology,
     TopologyPreset,
-    baseline_key,
     build_nl2sql,
     build_topology,
     derive_service_estimates,

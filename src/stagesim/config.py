@@ -9,17 +9,18 @@ swept over seeds.
 from __future__ import annotations
 
 import copy
+import dataclasses
+import functools
 import json
+import types
+import typing
 from pathlib import Path
 
-from .dists import Distribution, DistributionError
+from .dists import Distribution
 from .engines import EngineParams
 from .errors import ConfigError
-from .scheduling import AdmissionConfig, AutoscaleConfig, BorrowConfig
 from .simulation import PolicyConfig, SimConfig
 from .workflow import (
-    LLM,
-    TOOL,
     Outcome,
     StageSpec,
     ValidatedWorkflow,
@@ -28,7 +29,6 @@ from .workflow import (
 )
 from .workloads import (
     DEFAULT_ENGINE_PARAMS,
-    DEFAULT_TOOL_CONCURRENCY,
     FIXER,
     GENERATOR,
     Nl2SqlParams,
@@ -37,90 +37,132 @@ from .workloads import (
     build_topology,
 )
 
-_RUN_KEYS = {"workflow", "topology", "policy", "arrivals", "duration", "warmup", "seed", "out_dir"}
-_COMPARE_KEYS = {"base", "cells"}
-_CELL_KEYS = {"name", "overrides"}
-_WORKFLOW_KEYS = {"preset", "params", "inline"}
-_NL2SQL_PARAM_KEYS = {
-    "p_fail",
-    "p_syntax_err",
-    "p_empty_result",
-    "retry_budget",
-    "slo_seconds",
-    "generator_prefix_tokens",
-    "fixer_prefix_tokens",
-    "prompt_tokens",
-    "output_tokens",
-    "executor_service_time",
+# Config keys that are not dataclass fields, by section, with their JSON
+# types; `dict` and `list` values are checked further down.
+_RUN_FIELDS = {
+    "workflow": dict,
+    "topology": dict,
+    "policy": dict,
+    "arrivals": dict,
+    "duration": float,
+    "warmup": float,
+    "seed": int,
+    "out_dir": str,
 }
-_INLINE_KEYS = {"name", "entry_stage", "retry_budget", "slo_seconds", "stages"}
-_STAGE_KEYS = {
-    "stage_id",
-    "kind",
-    "prefix_tokens",
-    "prompt_tokens",
-    "output_tokens",
-    "service_time",
-    "outcomes",
+_ARRIVAL_FIELDS = {"rate": float}
+_COMPARE_FIELDS = {"base": dict, "cells": list}
+_CELL_FIELDS = {"name": str, "overrides": dict}
+_WORKFLOW_FIELDS = {"preset": str, "params": dict, "inline": dict}
+_INLINE_FIELDS = {  # the fields of WorkflowSpec
+    "name": str,
+    "entry_stage": str,
+    "retry_budget": int,
+    "slo_seconds": float,
+    "stages": list,
 }
-_OUTCOME_KEYS = {"label", "prob", "next"}
-_TOPOLOGY_KEYS = {
-    "preset",
-    "mode",
-    "llm_engines",
-    "llm_engines_total",
-    "engine_params",
-    "engine_overrides",
-    "tool_concurrency",
+_STAGE_FIELDS = {
+    "stage_id": str,
+    "kind": str,
+    "prefix_tokens": int,
+    "prompt_tokens": Distribution,
+    "output_tokens": Distribution,
+    "service_time": Distribution,
+    "outcomes": list,
 }
-_ENGINE_KEYS = {"kv_capacity_tokens", "prefill_rate", "base_token_time", "batch_slope", "max_batch"}
-_POLICY_KEYS = {
-    "kind",
-    "use_selectivity",
-    "online_estimates",
-    "ewma_alpha",
-    "service_estimates",
-    "admission",
-    "borrow",
-    "autoscale",
+_OUTCOME_FIELDS = {"label": str, "prob": float, "next": str}
+_TOPOLOGY_FIELDS = {
+    "preset": str,
+    "mode": str,
+    "llm_engines": dict[str, int],
+    "llm_engines_total": int,
+    "engine_params": dict,
+    "engine_overrides": dict[str, dict],
+    "tool_concurrency": int,
 }
-_ADMISSION_KEYS = {"enabled", "max_queue_len"}
-_BORROW_KEYS = {"enabled", "util_low", "util_high", "min_free_kv_tokens"}
-_AUTOSCALE_KEYS = {
-    "enabled",
-    "check_interval",
-    "queue_delay_slo",
-    "scale_out_threshold",
-    "scale_in_threshold",
-    "cooldown",
-    "min_engines",
-    "max_engines",
+# topology keys that set a TopologyPreset field
+_PRESET_FIELDS = {
+    "llm_engines": "engines_per_stage",
+    "llm_engines_total": "total_engines",
+    "tool_concurrency": "tool_concurrency",
 }
-_ARRIVAL_KEYS = {"rate"}
 
 TOPOLOGY_PRESETS = {
     "nl2sql-isolated": {"mode": "isolated", "llm_engines": {GENERATOR: 1, FIXER: 1}},
     "nl2sql-shared": {"mode": "shared", "llm_engines_total": 2},
 }
 
+_TYPE_NAMES = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    dict: "a mapping",
+    list: "a list",
+}
 
-def _require_mapping(obj, path: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"'{path}' must be a mapping")
-    return obj
+
+def _call(path: str, fn, *args, **kwargs):
+    """`fn(*args, **kwargs)`; a ValueError or TypeError it raises on bad
+    input becomes a ConfigError naming `path`."""
+    try:
+        return fn(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"'{path}': {exc}") from exc
 
 
-def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
-    unknown = sorted(set(obj) - allowed)
+def _typed(value, tp, path: str):
+    """`value` checked against the declared type `tp`.
+
+    Booleans are only JSON true/false, and a JSON integer is accepted
+    where a float is declared.  Distributions and nested dataclasses are
+    built from their mappings.
+    """
+    origin = typing.get_origin(tp)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (tp,) = (arg for arg in typing.get_args(tp) if arg is not type(None))
+        return _typed(value, tp, path)
+    if origin is dict:
+        item_tp = typing.get_args(tp)[1]
+        return {k: _typed(v, item_tp, f"{path}.{k}") for k, v in _typed(value, dict, path).items()}
+    if tp is Distribution:
+        return _call(path, Distribution.from_spec, value)
+    if dataclasses.is_dataclass(tp):
+        return _build(tp, value, path)
+    if tp is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if isinstance(value, bool) != (tp is bool) or not isinstance(value, tp):
+        raise ConfigError(f"'{path}' must be {_TYPE_NAMES[tp]}")
+    return value
+
+
+def _fields(types_by_key: dict, obj, path: str, required=()) -> dict:
+    """The keys present in mapping `obj`, each checked against its type;
+    unknown keys are rejected and `required` ones must be present."""
+    obj = _typed(obj, dict, path)
+    unknown = sorted(set(obj) - set(types_by_key))
     if unknown:
         raise ConfigError(f"unknown key '{path}.{unknown[0]}'")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"'{path}' missing '{key}'")
+    return {key: _typed(value, types_by_key[key], f"{path}.{key}") for key, value in obj.items()}
 
 
-def _dist(obj, path: str) -> Distribution:
-    try:
-        return Distribution.from_spec(obj)
-    except DistributionError as exc:
-        raise ConfigError(f"'{path}': {exc}") from exc
+@functools.cache
+def _field_types(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _build(cls, obj, path: str, base=None):
+    """Dataclass `cls` from config mapping `obj`, keyed by its fields; absent
+    fields keep the dataclass default, or `base`'s value when given."""
+    kwargs = _fields(_field_types(cls), obj, path)
+    if base is not None:
+        return _call(path, dataclasses.replace, base, **kwargs)
+    return _call(path, cls, **kwargs)
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -131,7 +173,7 @@ def load_config_file(path: str | Path) -> dict:
         tree = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
-    return _require_mapping(tree, str(p))
+    return _typed(tree, dict, str(p))
 
 
 def is_compare_config(tree: dict) -> bool:
@@ -139,185 +181,84 @@ def is_compare_config(tree: dict) -> bool:
 
 
 def _parse_workflow(obj, path: str) -> ValidatedWorkflow:
-    obj = _require_mapping(obj, path)
-    _check_keys(obj, _WORKFLOW_KEYS, path)
+    obj = _fields(_WORKFLOW_FIELDS, obj, path)
     if ("preset" in obj) == ("inline" in obj):
         raise ConfigError(f"'{path}' needs exactly one of 'preset' or 'inline'")
     if "preset" in obj:
         if obj["preset"] != "nl2sql":
             raise ConfigError(f"unknown workflow preset '{obj['preset']}'")
-        params_obj = _require_mapping(obj.get("params", {}), f"{path}.params")
-        _check_keys(params_obj, _NL2SQL_PARAM_KEYS, f"{path}.params")
-        kwargs = dict(params_obj)
-        for dist_key in ("prompt_tokens", "output_tokens", "executor_service_time"):
-            if dist_key in kwargs:
-                kwargs[dist_key] = _dist(kwargs[dist_key], f"{path}.params.{dist_key}")
+        params_path = f"{path}.params"
+        kwargs = _fields(_field_types(Nl2SqlParams), obj.get("params", {}), params_path)
         if "p_fail" in kwargs and "p_syntax_err" not in kwargs and "p_empty_result" not in kwargs:
             kwargs["p_syntax_err"] = kwargs["p_fail"] / 2.0
             kwargs["p_empty_result"] = kwargs["p_fail"] - kwargs["p_syntax_err"]
-        spec = build_nl2sql(Nl2SqlParams(**kwargs))
+        spec = build_nl2sql(_call(params_path, Nl2SqlParams, **kwargs))
     else:
         spec = _parse_inline_workflow(obj["inline"], f"{path}.inline")
     return validate_workflow(spec)
 
 
 def _parse_inline_workflow(obj, path: str) -> WorkflowSpec:
-    obj = _require_mapping(obj, path)
-    _check_keys(obj, _INLINE_KEYS, path)
-    for key in ("name", "entry_stage", "retry_budget", "slo_seconds", "stages"):
-        if key not in obj:
-            raise ConfigError(f"'{path}' missing '{key}'")
+    obj = _fields(_INLINE_FIELDS, obj, path, required=_INLINE_FIELDS)
     stages = []
     for i, st in enumerate(obj["stages"]):
         spath = f"{path}.stages[{i}]"
-        st = _require_mapping(st, spath)
-        _check_keys(st, _STAGE_KEYS, spath)
-        outcomes = tuple(
-            Outcome(o["label"], float(o["prob"]), o["next"])
-            for o in (_checked_outcome(o, f"{spath}.outcomes[{j}]") for j, o in enumerate(st.get("outcomes", ())))
+        st = _fields(_STAGE_FIELDS, st, spath, required=("stage_id", "kind"))
+        outcomes = []
+        for j, out in enumerate(st.get("outcomes", ())):
+            out = _fields(_OUTCOME_FIELDS, out, f"{spath}.outcomes[{j}]", required=_OUTCOME_FIELDS)
+            outcomes.append(Outcome(out["label"], out["prob"], out["next"]))
+        stages.append(
+            StageSpec(
+                stage_id=st["stage_id"],
+                kind=st["kind"],
+                outcomes=tuple(outcomes),
+                prefix_tokens=st.get("prefix_tokens", 0),
+                prompt_tokens_dist=st.get("prompt_tokens"),
+                output_tokens_dist=st.get("output_tokens"),
+                service_time_dist=st.get("service_time"),
+            )
         )
-        kind = st.get("kind")
-        if kind == LLM:
-            stages.append(
-                StageSpec(
-                    stage_id=st["stage_id"],
-                    kind=LLM,
-                    prefix_tokens=int(st.get("prefix_tokens", 0)),
-                    prompt_tokens_dist=_dist(st.get("prompt_tokens"), f"{spath}.prompt_tokens"),
-                    output_tokens_dist=_dist(st.get("output_tokens"), f"{spath}.output_tokens"),
-                    outcomes=outcomes,
-                )
-            )
-        elif kind == TOOL:
-            stages.append(
-                StageSpec(
-                    stage_id=st["stage_id"],
-                    kind=TOOL,
-                    service_time_dist=_dist(st.get("service_time"), f"{spath}.service_time"),
-                    outcomes=outcomes,
-                )
-            )
-        else:
-            raise ConfigError(f"'{spath}.kind' must be '{LLM}' or '{TOOL}'")
-    return WorkflowSpec(
-        name=obj["name"],
-        stages=tuple(stages),
-        entry_stage=obj["entry_stage"],
-        retry_budget=int(obj["retry_budget"]),
-        slo_seconds=float(obj["slo_seconds"]),
-    )
-
-
-def _checked_outcome(obj, path: str) -> dict:
-    obj = _require_mapping(obj, path)
-    _check_keys(obj, _OUTCOME_KEYS, path)
-    for key in _OUTCOME_KEYS:
-        if key not in obj:
-            raise ConfigError(f"'{path}' missing '{key}'")
-    return obj
-
-
-def _parse_engine_params(obj, path: str, base: EngineParams) -> EngineParams:
-    obj = _require_mapping(obj, path)
-    _check_keys(obj, _ENGINE_KEYS, path)
-    merged = {
-        "kv_capacity_tokens": int(obj.get("kv_capacity_tokens", base.kv_capacity_tokens)),
-        "prefill_rate": float(obj.get("prefill_rate", base.prefill_rate)),
-        "base_token_time": float(obj.get("base_token_time", base.base_token_time)),
-        "batch_slope": float(obj.get("batch_slope", base.batch_slope)),
-        "max_batch": int(obj.get("max_batch", base.max_batch)),
-    }
-    try:
-        return EngineParams(**merged)
-    except ValueError as exc:
-        raise ConfigError(f"'{path}': {exc}") from exc
+    return WorkflowSpec(**(obj | {"stages": tuple(stages)}))
 
 
 def _parse_topology(obj, path: str, vw: ValidatedWorkflow):
-    obj = _require_mapping(obj, path)
-    _check_keys(obj, _TOPOLOGY_KEYS, path)
+    obj = _fields(_TOPOLOGY_FIELDS, obj, path)
     if "preset" in obj:
-        preset_name = obj["preset"]
+        preset_name = obj.pop("preset")
         if preset_name not in TOPOLOGY_PRESETS:
             raise ConfigError(f"unknown topology preset '{preset_name}'")
-        merged = dict(TOPOLOGY_PRESETS[preset_name])
-        merged.update({k: v for k, v in obj.items() if k != "preset"})
-        obj = merged
+        obj = TOPOLOGY_PRESETS[preset_name] | obj
     mode = obj.get("mode")
     if mode not in ("isolated", "shared"):
         raise ConfigError(f"'{path}.mode' must be 'isolated' or 'shared'")
-    engine_params = _parse_engine_params(
-        obj.get("engine_params", {}), f"{path}.engine_params", DEFAULT_ENGINE_PARAMS
+    engine_params = _build(
+        EngineParams, obj.get("engine_params", {}), f"{path}.engine_params", DEFAULT_ENGINE_PARAMS
     )
-    overrides = {}
-    for sid, patch in _require_mapping(obj.get("engine_overrides", {}), f"{path}.engine_overrides").items():
-        overrides[sid] = _parse_engine_params(patch, f"{path}.engine_overrides.{sid}", engine_params)
-    engines_per_stage = {}
-    if mode == "isolated":
-        raw = _require_mapping(obj.get("llm_engines", {}), f"{path}.llm_engines")
-        engines_per_stage = {sid: int(n) for sid, n in raw.items()}
-    total = int(obj.get("llm_engines_total", 0))
-    preset = TopologyPreset(
-        mode=mode,
-        engines_per_stage=engines_per_stage,
-        total_engines=total,
-        engine_params=engine_params,
-        engine_overrides=overrides,
-        tool_concurrency=int(obj.get("tool_concurrency", DEFAULT_TOOL_CONCURRENCY)),
-    )
-    return build_topology(preset, vw)
-
-
-def _parse_policy(obj, path: str) -> PolicyConfig:
-    obj = _require_mapping(obj, path)
-    _check_keys(obj, _POLICY_KEYS, path)
-    admission_obj = _require_mapping(obj.get("admission", {}), f"{path}.admission")
-    _check_keys(admission_obj, _ADMISSION_KEYS, f"{path}.admission")
-    borrow_obj = _require_mapping(obj.get("borrow", {}), f"{path}.borrow")
-    _check_keys(borrow_obj, _BORROW_KEYS, f"{path}.borrow")
-    autoscale_obj = _require_mapping(obj.get("autoscale", {}), f"{path}.autoscale")
-    _check_keys(autoscale_obj, _AUTOSCALE_KEYS, f"{path}.autoscale")
-    estimates = obj.get("service_estimates")
-    if estimates is not None:
-        estimates = {str(k): float(v) for k, v in _require_mapping(estimates, f"{path}.service_estimates").items()}
-    try:
-        return PolicyConfig(
-            kind=obj.get("kind", "slack"),
-            use_selectivity=bool(obj.get("use_selectivity", False)),
-            online_estimates=bool(obj.get("online_estimates", False)),
-            ewma_alpha=float(obj.get("ewma_alpha", 0.2)),
-            service_estimates=estimates,
-            admission=AdmissionConfig(**admission_obj),
-            borrow=BorrowConfig(**borrow_obj),
-            autoscale=AutoscaleConfig(**autoscale_obj),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"'{path}': {exc}") from exc
+    kwargs = {
+        "mode": mode,
+        "engine_params": engine_params,
+        "engine_overrides": {
+            sid: _build(EngineParams, patch, f"{path}.engine_overrides.{sid}", engine_params)
+            for sid, patch in obj.get("engine_overrides", {}).items()
+        },
+    }
+    kwargs.update((_PRESET_FIELDS[key], obj[key]) for key in _PRESET_FIELDS if key in obj)
+    return _call(path, build_topology, TopologyPreset(**kwargs), vw)
 
 
 def build_sim_config(tree: dict, seed_override: int | None = None) -> SimConfig:
     """Turn a run-config tree into a validated SimConfig."""
-    tree = _require_mapping(tree, "config")
-    _check_keys(tree, _RUN_KEYS, "config")
-    for key in ("workflow", "topology", "arrivals", "duration"):
-        if key not in tree:
-            raise ConfigError(f"config missing '{key}'")
+    tree = _fields(_RUN_FIELDS, tree, "config", required=("workflow", "topology", "arrivals", "duration"))
     vw = _parse_workflow(tree["workflow"], "workflow")
     topology = _parse_topology(tree["topology"], "topology", vw)
-    policy = _parse_policy(tree.get("policy", {}), "policy")
-    arrivals = _require_mapping(tree["arrivals"], "arrivals")
-    _check_keys(arrivals, _ARRIVAL_KEYS, "arrivals")
-    if "rate" not in arrivals:
-        raise ConfigError("arrivals missing 'rate'")
-    seed = seed_override if seed_override is not None else int(tree.get("seed", 0))
+    policy = _build(PolicyConfig, tree.get("policy", {}), "policy")
+    arrivals = _fields(_ARRIVAL_FIELDS, tree["arrivals"], "arrivals", required=("rate",))
+    kwargs = {key: tree[key] for key in ("duration", "warmup", "seed") if key in tree}
+    if seed_override is not None:
+        kwargs["seed"] = seed_override
     config = SimConfig(
-        workflow=vw,
-        topology=topology,
-        policy=policy,
-        arrival_rate=float(arrivals["rate"]),
-        duration=float(tree["duration"]),
-        warmup=float(tree.get("warmup", 0.0)),
-        seed=seed,
+        workflow=vw, topology=topology, policy=policy, arrival_rate=arrivals["rate"], **kwargs
     )
     config.validate()
     return config
@@ -335,21 +276,18 @@ def _deep_merge(base: dict, overlay: dict) -> dict:
 
 def build_compare_cells(tree: dict) -> list[tuple[str, dict]]:
     """Expand a compare config into (cell name, run-config tree) pairs."""
-    tree = _require_mapping(tree, "config")
-    _check_keys(tree, _COMPARE_KEYS, "config")
-    base = _require_mapping(tree.get("base", {}), "base")
-    cells_obj = tree.get("cells")
-    if not isinstance(cells_obj, list) or len(cells_obj) < 2:
+    tree = _fields(_COMPARE_FIELDS, tree, "config")
+    base = tree.get("base", {})
+    cells_obj = tree.get("cells", [])
+    if len(cells_obj) < 2:
         raise ConfigError("compare config needs a 'cells' list with at least two entries")
     cells: list[tuple[str, dict]] = []
     names = set()
     for i, cell in enumerate(cells_obj):
-        cell = _require_mapping(cell, f"cells[{i}]")
-        _check_keys(cell, _CELL_KEYS, f"cells[{i}]")
+        cell = _fields(_CELL_FIELDS, cell, f"cells[{i}]")
         name = cell.get("name")
         if not name or name in names:
             raise ConfigError(f"cells[{i}] needs a unique 'name'")
         names.add(name)
-        merged = _deep_merge(base, _require_mapping(cell.get("overrides", {}), f"cells[{i}].overrides"))
-        cells.append((name, merged))
+        cells.append((name, _deep_merge(base, cell.get("overrides", {}))))
     return cells

@@ -123,6 +123,16 @@ class Distribution:
             return self._geometric(u)
         return int(round(self.sample(u)))
 
+    def max_int(self) -> int:
+        """The largest value sample_int can return."""
+        if self.kind == "constant":
+            return int(round(self.value))
+        if self.kind == "uniform":
+            return int(self.high)
+        if self.kind == "geometric":
+            return 1 if self.p >= 1.0 else self.cap
+        return max(int(round(v)) for v in self.values)
+
     def _geometric(self, u: float) -> int:
         if self.p >= 1.0:
             return 1

@@ -1,8 +1,9 @@
 """Stage-local scheduling decisions.
 
-Covers the dispatch ordering (deadline-slack priority keys), prefix
-affinity routing with last-resort LRU eviction, workflow-level admission
-control, idle-engine borrowing between pools, and per-pool autoscaling.
+Covers the dispatch ordering (deadline-slack keys and the FCFS and LAS
+baselines), prefix affinity routing with last-resort LRU eviction,
+workflow-level admission control, idle-engine borrowing between pools,
+and per-pool autoscaling.
 All functions here are pure decisions over explicit inputs; the event
 loop applies their effects.
 """
@@ -13,28 +14,33 @@ import math
 from dataclasses import dataclass
 
 from .engines import EngineState, PendingCall
-from .workflow import RequestState, ValidatedWorkflow, expected_remaining_work
+
+POLICY_KINDS = ("fcfs", "las", "slack")
 
 
-@dataclass(frozen=True)
-class PriorityKey:
-    """Dispatch ordering: ascending slack, then ascending expected service,
-    then (when enabled) descending selectivity, then arrival order."""
+def dispatch_key(
+    kind: str,
+    request_id: int,
+    attained_service: float = 0.0,
+    slack: float = 0.0,
+    expected_service: float = 0.0,
+    selectivity: float | None = None,
+) -> tuple[float, ...]:
+    """Dispatch ordering tuple for a queued call; the smallest goes first.
 
-    slack: float
-    expected_stage_service: float
-    arrival_seq: int
-    selectivity: float | None = None
-
-    def sort_key(self) -> tuple[float, ...]:
-        if self.selectivity is None:
-            return (self.slack, self.expected_stage_service, float(self.arrival_seq))
-        return (
-            self.slack,
-            self.expected_stage_service,
-            -self.selectivity,
-            float(self.arrival_seq),
-        )
+    fcfs orders by arrival; las (least attained service) favors the
+    workflow that has received the least service so far, then arrival;
+    slack orders by ascending slack, then ascending expected stage
+    service, then (when a selectivity is given) descending selectivity,
+    then arrival.  Inputs the kind does not order by may be left out.
+    """
+    if kind == "fcfs":
+        return (float(request_id),)
+    if kind == "las":
+        return (attained_service, float(request_id))
+    if selectivity is None:
+        return (slack, expected_service, float(request_id))
+    return (slack, expected_service, -selectivity, float(request_id))
 
 
 @dataclass(frozen=True)
@@ -86,28 +92,6 @@ class AutoscaleConfig:
             raise ValueError("need 1 <= min_engines <= max_engines")
         if self.cooldown < 0:
             raise ValueError("cooldown must be >= 0")
-
-
-def compute_slack(
-    req: RequestState, now: float, vw: ValidatedWorkflow, estimates: dict[str, float]
-) -> float:
-    """Deadline headroom after accounting for expected remaining work."""
-    return req.deadline - now - expected_remaining_work(req, vw, estimates)
-
-
-def make_priority_key(
-    req: RequestState,
-    now: float,
-    vw: ValidatedWorkflow,
-    estimates: dict[str, float],
-    use_selectivity: bool = False,
-) -> PriorityKey:
-    return PriorityKey(
-        slack=compute_slack(req, now, vw, estimates),
-        expected_stage_service=estimates[req.current_stage],
-        arrival_seq=req.request_id,
-        selectivity=vw.selectivity(req.current_stage) if use_selectivity else None,
-    )
 
 
 def select_next(queue, key_fn):

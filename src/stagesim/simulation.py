@@ -22,9 +22,11 @@ from .scheduling import (
     BorrowConfig,
     BorrowPoolView,
     NEVER_SCALED,
+    POLICY_KINDS,
     ServiceEstimator,
     admission_decision,
     autoscale_tick,
+    dispatch_key,
     route_call,
     route_call_with_eviction,
     select_next,
@@ -113,8 +115,32 @@ class SimConfig:
             raise ConfigError("warmup must be >= 0")
         if self.duration < self.warmup:
             raise ConfigError("duration must be >= warmup")
-        if self.policy.kind not in ("fcfs", "las", "slack"):
+        if self.policy.kind not in POLICY_KINDS:
             raise ConfigError(f"unknown policy kind '{self.policy.kind}'")
+        if not 0.0 < self.policy.ewma_alpha <= 1.0:
+            raise ConfigError("ewma_alpha must be in (0, 1]")
+        self._check_kv_fits()
+
+    def _check_kv_fits(self) -> None:
+        # A call is admitted only whole, so a stage whose worst-case call
+        # outgrows every engine that could serve it would block its queue
+        # forever.  Borrowing lends engines between single-stage LLM pools.
+        llm_pools = [p for p in self.topology.pools if p.kind == LLM]
+        lenders = [p for p in llm_pools if len(p.stage_ids) == 1] if self.policy.borrow.enabled else []
+        for pool in llm_pools:
+            capacity = max(p.engine_params.kv_capacity_tokens for p in (pool, *lenders))
+            for sid in pool.stage_ids:
+                stage = self.workflow.stage(sid)
+                worst = (
+                    stage.prefix_tokens
+                    + stage.prompt_tokens_dist.max_int()
+                    + stage.output_tokens_dist.max_int()
+                )
+                if worst > capacity:
+                    raise ConfigError(
+                        f"stage '{sid}' needs up to {worst} KV tokens, but no engine "
+                        f"that could serve it holds more than {capacity}"
+                    )
 
 
 @dataclass(frozen=True)
@@ -631,22 +657,31 @@ class Simulator:
     # ------------------------------------------------------------------
     # dispatch
 
-    def _call_key(self, call: PendingCall, now: float) -> tuple[float, ...]:
+    def _dispatch_key_fn(self, now: float):
+        """The dispatch key of a queued call at time `now`, valid while no
+        event runs (estimates, attained service and retries stay fixed)."""
         kind = self.policy.kind
-        if kind == "fcfs":
-            return (float(call.request_id),)
-        req = self.requests[call.request_id]
-        if kind == "las":
-            return (req.attained, float(call.request_id))
-        slack = self._slack(req, call.stage_id, now)
-        service = self.estimator.estimate(call.stage_id)
-        if self.policy.use_selectivity:
-            return (slack, service, -self.vw.selectivity(call.stage_id), float(call.request_id))
-        return (slack, service, float(call.request_id))
+        requests = self.requests
+        if kind != "slack":  # fcfs and las need neither slack nor estimates
+            return lambda call: dispatch_key(kind, call.request_id, requests[call.request_id].attained)
+        remaining = self._remaining_table()
+        estimates = self.estimator.estimates()
+        selectivity = self.vw.selectivity if self.policy.use_selectivity else None
 
-    def _slack(self, req: RequestSim, sid: str, now: float) -> float:
-        table = self._remaining_table()
-        return req.state.deadline - now - table[(sid, req.state.retries_used)]
+        def key(call: PendingCall) -> tuple[float, ...]:
+            req = requests[call.request_id]
+            state = req.state
+            sid = call.stage_id
+            return dispatch_key(
+                kind,
+                call.request_id,
+                req.attained,
+                state.deadline - now - remaining[(sid, state.retries_used)],
+                estimates[sid],
+                selectivity(sid) if selectivity else None,
+            )
+
+        return key
 
     def _dispatch_all(self) -> None:
         for pool in self.pools.values():
@@ -655,9 +690,12 @@ class Simulator:
     def _dispatch_pool(self, pool: PoolRuntime) -> None:
         # Strictly in key order: if the most urgent call cannot be placed,
         # the whole queue waits (no overtaking).
+        if not pool.queue:
+            return
+        now = self.clock
+        key_fn = self._dispatch_key_fn(now)
         while pool.queue:
-            now = self.clock
-            call, key, best_waiting = select_next(pool.queue, lambda c: self._call_key(c, now))
+            call, key, best_waiting = select_next(pool.queue, key_fn)
             stage = self.vw.stage(call.stage_id)
             if pool.spec.kind == LLM:
                 engines = self._serving_engines(pool.pool_id)
@@ -697,7 +735,9 @@ class Simulator:
                     time=now,
                     pool=pool.pool_id,
                     request_id=call.request_id,
-                    slack=self._slack(req, call.stage_id, now),
+                    slack=req.state.deadline
+                    - now
+                    - self._remaining_table()[(call.stage_id, req.state.retries_used)],
                     expected_service=self.estimator.estimate(call.stage_id),
                     engine=engine_label,
                     stage_id=call.stage_id,

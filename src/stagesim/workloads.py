@@ -1,4 +1,4 @@
-"""The NL2SQL workload, pool topologies, and baseline dispatch policies.
+"""The NL2SQL workload and pool topologies.
 
 The shipped workflow is a three-stage loop: an LLM generates a candidate
 SQL query, a tool executor runs it, and on syntax errors or empty results
@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from .dists import Distribution
 from .engines import EngineParams, ToolPoolParams
 from .errors import ConfigError
-from .scheduling import PriorityKey
 from .workflow import (
     LLM,
     SUCCESS,
@@ -27,8 +26,6 @@ from .workflow import (
 GENERATOR = "sql_generator"
 EXECUTOR = "sql_executor"
 FIXER = "sql_fixer"
-
-POLICY_KINDS = ("fcfs", "las", "slack")
 
 DEFAULT_ENGINE_PARAMS = EngineParams(
     kv_capacity_tokens=16384,
@@ -165,6 +162,9 @@ def build_topology(preset: TopologyPreset, vw: ValidatedWorkflow) -> Topology:
     pools: list[PoolSpec] = []
 
     if preset.mode == "isolated":
+        unknown = sorted(set(preset.engine_overrides) - {s.stage_id for s in llm_stages})
+        if unknown:
+            raise ConfigError(f"engine override for '{unknown[0]}', which is not an LLM stage")
         for st in llm_stages:
             n = preset.engines_per_stage.get(st.stage_id, 0)
             if n < 1:
@@ -205,36 +205,6 @@ def build_topology(preset: TopologyPreset, vw: ValidatedWorkflow) -> Topology:
             )
         )
     return Topology(mode=preset.mode, pools=tuple(pools))
-
-
-@dataclass(frozen=True)
-class BaselinePolicy:
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in POLICY_KINDS:
-            raise ConfigError(f"unknown policy kind '{self.kind}'")
-
-
-def baseline_key(
-    policy: BaselinePolicy,
-    arrival_seq: int,
-    attained_service: float,
-    priority_key: PriorityKey | None = None,
-) -> tuple[float, ...]:
-    """Dispatch ordering tuple for the given policy.
-
-    fcfs orders by arrival only; las (least attained service) favors the
-    workflow that has received the least service so far; slack delegates to
-    the full deadline-slack priority key.
-    """
-    if policy.kind == "fcfs":
-        return (float(arrival_seq),)
-    if policy.kind == "las":
-        return (attained_service, float(arrival_seq))
-    if priority_key is None:
-        raise ValueError("slack policy needs a PriorityKey")
-    return priority_key.sort_key()
 
 
 def derive_service_estimates(vw: ValidatedWorkflow, topology: Topology) -> dict[str, float]:

@@ -165,6 +165,59 @@ def test_validate_missing_file(tmp_path):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
 
+def inline_tree(edit):
+    tree = bad_mass_tree()
+    edit(tree["workflow"]["inline"])
+    return tree
+
+
+@pytest.mark.parametrize(
+    "tree, path",
+    [
+        (run_config_tree(arrivals={"rate": "fast"}), "arrivals.rate"),
+        (run_config_tree(seed="x"), "config.seed"),
+        (run_config_tree(duration="60"), "config.duration"),
+        (
+            run_config_tree(topology={"preset": "nl2sql-isolated", "llm_engines": {"sql_generator": "two"}}),
+            "topology.llm_engines.sql_generator",
+        ),
+        (run_config_tree(policy={"use_selectivity": "false"}), "policy.use_selectivity"),
+        (run_config_tree(policy={"admission": {"enabled": 1}}), "policy.admission.enabled"),
+        (run_config_tree(policy={"service_estimates": {"sql_fixer": "1"}}), "policy.service_estimates.sql_fixer"),
+        (run_config_tree(topology={"preset": "nl2sql-isolated", "tool_concurrency": 0}), "topology"),
+        (inline_tree(lambda wf: wf.update(stages=5)), "workflow.inline.stages"),
+        (inline_tree(lambda wf: wf["stages"][0].pop("stage_id")), "workflow.inline.stages[0]"),
+        (
+            inline_tree(lambda wf: wf["stages"][0]["outcomes"][0].update(prob="p")),
+            "workflow.inline.stages[0].outcomes[0].prob",
+        ),
+    ],
+    ids=[
+        "rate",
+        "seed",
+        "duration",
+        "llm_engines",
+        "bool_as_string",
+        "bool_as_int",
+        "service_estimate",
+        "tool_concurrency",
+        "stages",
+        "stage_id",
+        "outcome_prob",
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_malformed_values_exit_2(tmp_path, capsys, tree, path, command):
+    argv = [command, write_config(tmp_path, tree)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: "), err
+    assert f"'{path}'" in err, err
+    assert not (tmp_path / "o").exists()
+
+
 def test_validate_compare_config(tmp_path, capsys):
     path = write_config(tmp_path, compare_tree())
     assert main(["validate", path]) == 0
@@ -190,6 +243,26 @@ def test_run_zero_duration(tmp_path, capsys):
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["completed"] == 0
     assert summary["arrivals_admitted"] == 0
+
+
+def test_kv_budget_too_small_for_any_call_exits_2(tmp_path, capsys):
+    # a generator call needs up to 1000 + 300 + 150 = 1450 tokens
+    tree = run_config_tree(
+        topology={"preset": "nl2sql-isolated", "engine_params": {"kv_capacity_tokens": 1200}}
+    )
+    path = write_config(tmp_path, tree)
+    assert main(["validate", path]) == 2
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    assert "1450 KV tokens" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_engine_override_for_non_llm_stage_rejected(tmp_path, capsys):
+    for stage in ("nope", "sql_executor"):
+        topology = {"preset": "nl2sql-isolated", "engine_overrides": {stage: {"max_batch": 2}}}
+        path = write_config(tmp_path, run_config_tree(topology=topology))
+        assert main(["validate", path]) == 2
+        assert f"ConfigError: 'topology': engine override for '{stage}'" in capsys.readouterr().err
 
 
 def test_run_invalid_config_exits_before_simulating(tmp_path):

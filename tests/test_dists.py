@@ -132,3 +132,19 @@ def test_geometric_log_inversion_math():
         assert d.sample_int(u_edge + 1e-12) == k
         assert d.sample_int(u_edge - 1e-12) == k + 1
     assert math.isclose(d.mean(), (1 - (1 - p) ** 50) / p)
+
+
+@pytest.mark.parametrize(
+    "d, largest",
+    [
+        (Distribution.constant(7.6), 8),
+        (Distribution.uniform(50, 150.9), 150),
+        (Distribution.geometric(0.3, cap=6), 6),
+        (Distribution.geometric(1.0, cap=6), 1),
+        (Distribution.empirical([3.0, 9.4, 2.0]), 9),
+    ],
+)
+def test_max_int_is_the_largest_sample_int(d, largest):
+    assert d.max_int() == largest
+    us = [1e-12, 1e-6, 0.001, 0.5, 0.999, 1.0] + [i / 997 for i in range(1, 998)]
+    assert max(d.sample_int(u) for u in us) == largest

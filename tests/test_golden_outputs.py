@@ -1,0 +1,62 @@
+"""Byte-stability pins: short runs whose output digests must never change.
+
+A refactor that claims identical behaviour must keep these digests; a
+deliberate behaviour change updates them and says so.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from helpers import run_config_tree
+from stagesim.cli import main
+
+OUTPUT_FILES = ("summary.json", "kv_usage.csv", "dispatch.csv", "requests.csv")
+
+# name -> (config overlay, sha256 over OUTPUT_FILES)
+GOLDEN_RUNS = {
+    "fcfs": (
+        {"policy": {"kind": "fcfs"}},
+        "2ee40d2bbcca0eacd80ee374d6f1b8aa069aa44ee3cd8cae27f8bb34ad256c22",
+    ),
+    "las": (
+        {"policy": {"kind": "las"}},
+        "592cd8d5af10d6ce5e5afad20c06f23abf572dde3aec4fbbd92537fe8209bfe7",
+    ),
+    "slack": (
+        {"policy": {"kind": "slack"}},
+        "b0f97185128f138085726a5e4e4f0df98fbcc24ba4b791b6fe4ded05f707faf3",
+    ),
+    "shared_borrow_autoscale": (
+        {
+            "topology": {"preset": "nl2sql-shared", "llm_engines_total": 3},
+            "policy": {
+                "kind": "slack",
+                "use_selectivity": True,
+                "online_estimates": True,
+                "borrow": {"enabled": True},
+                "autoscale": {"enabled": True, "max_engines": 4},
+            },
+        },
+        "7ff289663289f21f43ffca19605b7afb92e858cff2ecbac8f1ca4a3dae1de776",
+    ),
+}
+
+
+def output_digest(out_dir) -> str:
+    digest = hashlib.sha256()
+    for name in OUTPUT_FILES:
+        digest.update(name.encode())
+        digest.update((out_dir / name).read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_output_bytes_are_pinned(tmp_path, name):
+    overlay, expected = GOLDEN_RUNS[name]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(run_config_tree(arrivals={"rate": 2.5}, duration=30.0, warmup=3.0, **overlay)))
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--seed", "5", "--out", str(out)]) == 0
+    assert output_digest(out) == expected

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from helpers import engine_params, nl2sql_vw
+import stagesim as ss
+from helpers import engine_params, nl2sql_vw, sim_config
 from stagesim.engines import EngineState, PendingCall
 from stagesim.scheduling import (
     AdmissionConfig,
@@ -10,18 +11,17 @@ from stagesim.scheduling import (
     BorrowConfig,
     BorrowPoolView,
     NEVER_SCALED,
-    PriorityKey,
     ServiceEstimator,
     admission_decision,
     autoscale_tick,
-    compute_slack,
-    make_priority_key,
+    dispatch_key,
     route_call,
     route_call_with_eviction,
     select_next,
     should_return_borrowed,
     try_borrow,
 )
+from stagesim.simulation import RequestSim, Simulator
 from stagesim.workflow import RequestState
 from stagesim.workloads import EXECUTOR, FIXER, GENERATOR
 
@@ -29,55 +29,57 @@ EST = {GENERATOR: 2.0, EXECUTOR: 1.0, FIXER: 1.0}
 
 
 # ----------------------------------------------------------------------
-# slack and priority keys
+# dispatch keys
+
+
+def slack_key(slack, service, request_id, selectivity=None):
+    return dispatch_key("slack", request_id, 0.0, slack, service, selectivity)
+
+
+def simulator_key(vw, estimates, state, now, use_selectivity=False):
+    """The key the Simulator computes for `state`'s queued call at `now`."""
+    policy = ss.PolicyConfig(service_estimates=estimates, use_selectivity=use_selectivity)
+    sim = Simulator(sim_config(vw=vw, policy=policy))
+    sim.requests[state.request_id] = RequestSim(state=state)
+    call = PendingCall(state.request_id, state.current_stage, now)
+    return sim._dispatch_key_fn(now)(call)
 
 
 def test_slack_uses_expected_remaining_work():
     vw = nl2sql_vw(p_fail=0.5, retry_budget=1)
     req = RequestState(0, 0.0, 10.0, GENERATOR)
-    assert compute_slack(req, 0.0, vw, EST) == pytest.approx(6.0)  # 10 - 4.0 of work
+    assert simulator_key(vw, EST, req, 0.0)[0] == pytest.approx(6.0)  # 10 - 4.0 of work
 
 
 def test_slack_zero_and_negative():
     vw = nl2sql_vw(p_fail=0.0)
     req = RequestState(0, 0.0, 5.0, EXECUTOR)
-    assert compute_slack(req, 4.0, vw, EST) == pytest.approx(0.0)
+    assert simulator_key(vw, EST, req, 4.0)[0] == pytest.approx(0.0)
     req2 = RequestState(0, 0.0, 5.0, GENERATOR)
-    assert compute_slack(req2, 9.0, vw, {GENERATOR: 5.0, EXECUTOR: 4.0, FIXER: 1.0}) == pytest.approx(-13.0)
+    heavy = {GENERATOR: 5.0, EXECUTOR: 4.0, FIXER: 1.0}
+    assert simulator_key(vw, heavy, req2, 9.0)[0] == pytest.approx(-13.0)
 
 
 def test_more_urgent_slack_orders_first():
-    a = PriorityKey(slack=2.0, expected_stage_service=1.0, arrival_seq=5)
-    b = PriorityKey(slack=5.0, expected_stage_service=0.1, arrival_seq=1)
-    assert a.sort_key() < b.sort_key()
+    assert slack_key(2.0, 1.0, 5) < slack_key(5.0, 0.1, 1)
 
 
 def test_equal_slack_shorter_service_first():
-    a = PriorityKey(slack=2.0, expected_stage_service=0.5, arrival_seq=5)
-    b = PriorityKey(slack=2.0, expected_stage_service=1.0, arrival_seq=1)
-    assert a.sort_key() < b.sort_key()
+    assert slack_key(2.0, 0.5, 5) < slack_key(2.0, 1.0, 1)
 
 
 def test_full_tie_lower_arrival_first():
-    a = PriorityKey(slack=2.0, expected_stage_service=1.0, arrival_seq=1)
-    b = PriorityKey(slack=2.0, expected_stage_service=1.0, arrival_seq=2)
-    assert a.sort_key() < b.sort_key()
+    assert slack_key(2.0, 1.0, 1) < slack_key(2.0, 1.0, 2)
 
 
 def test_selectivity_orders_descending_when_enabled():
-    a = PriorityKey(2.0, 1.0, 7, selectivity=0.9)
-    b = PriorityKey(2.0, 1.0, 1, selectivity=0.2)
-    assert a.sort_key() < b.sort_key()
+    assert slack_key(2.0, 1.0, 7, selectivity=0.9) < slack_key(2.0, 1.0, 1, selectivity=0.2)
 
 
 def test_keys_form_strict_total_order():
     rng = random.Random(0)
     keys = [
-        PriorityKey(
-            slack=rng.choice([-1.0, 0.0, 2.5, 2.5, 7.0]),
-            expected_stage_service=rng.choice([0.5, 1.0, 1.0]),
-            arrival_seq=i,
-        ).sort_key()
+        slack_key(rng.choice([-1.0, 0.0, 2.5, 2.5, 7.0]), rng.choice([0.5, 1.0, 1.0]), i)
         for i in range(300)
     ]
     # antisymmetry: distinct arrival_seq means no two keys compare equal
@@ -92,15 +94,16 @@ def test_keys_form_strict_total_order():
             assert a < c
 
 
-def test_make_priority_key_gates_selectivity():
+def test_simulator_key_gates_selectivity():
     vw = nl2sql_vw(p_fail=0.4)
     req = RequestState(3, 0.0, 30.0, EXECUTOR)
-    plain = make_priority_key(req, 0.0, vw, EST)
-    assert plain.selectivity is None
-    gated = make_priority_key(req, 0.0, vw, EST, use_selectivity=True)
-    assert gated.selectivity == pytest.approx(0.6)
-    assert gated.arrival_seq == 3
-    assert gated.expected_stage_service == EST[EXECUTOR]
+    plain = simulator_key(vw, EST, req, 0.0)
+    assert len(plain) == 3  # (slack, service, arrival): no selectivity term
+    gated = simulator_key(vw, EST, req, 0.0, use_selectivity=True)
+    assert gated[2] == pytest.approx(-0.6)
+    assert gated[-1] == 3.0
+    assert gated[1] == EST[EXECUTOR]
+    assert gated[0] == plain[0]
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -6,13 +7,24 @@ import stagesim as ss
 from helpers import engine_params, nl2sql_vw, sim_config
 from stagesim.dists import Distribution
 from stagesim.rng import RngStream
+from stagesim.scheduling import dispatch_key
 from stagesim.simulation import (
     EmptySamples,
     Simulator,
     percentile,
     sample_interarrival,
 )
-from stagesim.workflow import LLM, SUCCESS, Outcome, StageSpec, WorkflowSpec, validate_workflow
+from stagesim.workflow import (
+    LLM,
+    SUCCESS,
+    Outcome,
+    RequestState,
+    StageSpec,
+    WorkflowSpec,
+    expected_remaining_work,
+    next_step,
+    validate_workflow,
+)
 from stagesim.workloads import EXECUTOR, FIXER, GENERATOR, TopologyPreset, build_topology
 
 
@@ -220,6 +232,46 @@ def test_dispatch_optimality_in_memory():
     assert checked > 0, "run never had queue contention"
 
 
+@pytest.mark.parametrize(
+    "policy",
+    [
+        ss.PolicyConfig(kind="fcfs"),
+        ss.PolicyConfig(kind="las"),
+        ss.PolicyConfig(kind="slack"),
+        ss.PolicyConfig(kind="slack", use_selectivity=True),
+    ],
+    ids=["fcfs", "las", "slack", "slack_selectivity"],
+)
+def test_recorded_keys_match_dispatch_key(policy):
+    # Replays each request's stage history up to each of its dispatches and
+    # recomputes the key independently, remaining work included.
+    sim = Simulator(sim_config(policy=policy, rate=2.5, duration=30.0, warmup=0.0, seed=12))
+    result = sim.run()
+    vw, estimates = sim.vw, sim.estimator.estimates()
+    dispatched = Counter()
+    contended = 0
+    for rec in result.traces.dispatches:
+        req = sim.requests[rec.request_id]
+        state = RequestState(rec.request_id, req.state.arrival_time, req.state.deadline, vw.entry_stage)
+        attained = 0.0
+        for sid, start, end, label in req.state.stage_history[: dispatched[rec.request_id]]:
+            attained += end - start
+            step = next_step(state, label, vw)
+            state.current_stage, state.retries_used = step.next_stage, step.retries_used
+        dispatched[rec.request_id] += 1
+        assert state.current_stage == rec.stage_id
+        slack = state.deadline - rec.time - expected_remaining_work(state, vw, estimates)
+        selectivity = vw.selectivity(rec.stage_id) if policy.use_selectivity else None
+        expected = dispatch_key(
+            policy.kind, rec.request_id, attained, slack, estimates[rec.stage_id], selectivity
+        )
+        assert rec.key == expected
+        if policy.kind == "slack":
+            assert rec.slack == rec.key[0]
+        contended += rec.best_waiting_key is not None
+    assert contended > 0, "run never had queue contention"
+
+
 def test_changing_tool_distribution_leaves_other_streams_alone():
     base = sim_config(rate=1.5, duration=40.0, warmup=0.0, seed=21)
     sim_a = Simulator(base)
@@ -263,6 +315,24 @@ def test_invalid_configs_rejected():
         sim_config(rate=-1.0).validate()
     with pytest.raises(ss.ConfigError):
         sim_config(duration=1.0, warmup=2.0).validate()
+    with pytest.raises(ss.ConfigError):
+        sim_config(policy=ss.PolicyConfig(online_estimates=True, ewma_alpha=0.0)).validate()
+
+
+def test_kv_budget_that_can_never_fit_a_call_rejected():
+    # nl2sql LLM calls need up to 1000 prefix + 300 prompt + 150 output tokens
+    sim_config(params=engine_params(kv_capacity_tokens=1450)).validate()
+    with pytest.raises(ss.ConfigError, match="sql_generator"):
+        sim_config(params=engine_params(kv_capacity_tokens=1449)).validate()
+    with pytest.raises(ss.ConfigError):
+        sim_config(mode="shared", params=engine_params(kv_capacity_tokens=1449)).validate()
+    # a generator pool too small for its own calls can still be served by
+    # an engine borrowed from the fixer pool, but only with borrowing on
+    small_generator = {GENERATOR: engine_params(kv_capacity_tokens=1200)}
+    with pytest.raises(ss.ConfigError, match="sql_generator"):
+        sim_config(overrides=small_generator).validate()
+    borrow = ss.PolicyConfig(borrow=ss.BorrowConfig(enabled=True))
+    sim_config(overrides=small_generator, policy=borrow).validate()
 
 
 def test_stage_history_recorded_in_order():

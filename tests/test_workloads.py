@@ -1,20 +1,19 @@
 import pytest
 
 import stagesim as ss
-from helpers import engine_params, nl2sql_params, nl2sql_vw, sim_config
+from helpers import engine_params, nl2sql_params, nl2sql_vw, run_config_tree, sim_config
+from stagesim.config import build_sim_config
 from stagesim.dists import Distribution
 from stagesim.errors import ConfigError
-from stagesim.scheduling import PriorityKey
+from stagesim.scheduling import POLICY_KINDS, dispatch_key
 from stagesim.simulation import Simulator
 from stagesim.workflow import FAILURE, LLM, TOOL, validate_workflow
 from stagesim.workloads import (
     EXECUTOR,
     FIXER,
     GENERATOR,
-    BaselinePolicy,
     Nl2SqlParams,
     TopologyPreset,
-    baseline_key,
     build_nl2sql,
     build_topology,
     derive_service_estimates,
@@ -126,30 +125,29 @@ def test_engine_overrides_only_isolated():
 
 
 def test_fcfs_orders_by_arrival():
-    policy = BaselinePolicy("fcfs")
-    assert baseline_key(policy, 3, 9.0) < baseline_key(policy, 7, 0.0)
+    assert dispatch_key("fcfs", 3, 9.0, 0.0, 1.0) < dispatch_key("fcfs", 7, 0.0, -5.0, 0.1)
 
 
 def test_las_orders_by_attained_service():
-    policy = BaselinePolicy("las")
-    assert baseline_key(policy, 9, 0.2) < baseline_key(policy, 1, 1.5)
+    assert dispatch_key("las", 9, 0.2, 5.0, 1.0) < dispatch_key("las", 1, 1.5, -5.0, 0.1)
 
 
 def test_las_tie_breaks_by_arrival():
-    policy = BaselinePolicy("las")
-    assert baseline_key(policy, 1, 0.5) < baseline_key(policy, 2, 0.5)
+    assert dispatch_key("las", 1, 0.5, 5.0, 1.0) < dispatch_key("las", 2, 0.5, -5.0, 0.1)
 
 
 def test_slack_policy_delegates_to_priority_key():
-    key = PriorityKey(slack=1.0, expected_stage_service=0.5, arrival_seq=4)
-    assert baseline_key(BaselinePolicy("slack"), 4, 0.0, key) == key.sort_key()
-    with pytest.raises(ValueError):
-        baseline_key(BaselinePolicy("slack"), 4, 0.0)
+    assert dispatch_key("slack", 4, 9.0, 1.0, 0.5) == (1.0, 0.5, 4.0)
+    assert dispatch_key("slack", 4, 9.0, 1.0, 0.5, selectivity=0.25) == (1.0, 0.5, -0.25, 4.0)
 
 
 def test_unknown_policy_kind_rejected():
+    for kind in POLICY_KINDS:
+        sim_config(policy=ss.PolicyConfig(kind=kind)).validate()
     with pytest.raises(ConfigError):
-        BaselinePolicy("priority")
+        sim_config(policy=ss.PolicyConfig(kind="priority")).validate()
+    with pytest.raises(ConfigError):
+        build_sim_config(run_config_tree(policy={"kind": "priority"}))
 
 
 # ----------------------------------------------------------------------
