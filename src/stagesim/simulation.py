@@ -27,6 +27,7 @@ from .scheduling import (
     admission_decision,
     autoscale_tick,
     dispatch_key,
+    near_tie,
     route_call,
     route_call_with_eviction,
     select_next,
@@ -287,7 +288,13 @@ class PoolRuntime:
     def __init__(self, spec) -> None:
         self.spec = spec
         self.pool_id = spec.pool_id
-        self.queue: list[PendingCall] = []
+        self.queue: dict[int, PendingCall] = {}  # by request id
+        # (static dispatch key, call) per queued call, valid for key version
+        # heap_version; see Simulator._dispatch_pool
+        self.heap: list[tuple[tuple[float, ...], PendingCall]] = []
+        self.heap_version = -1
+        # set when something a blocked dispatch depends on may have changed
+        self.dirty = False
         self.concurrency = spec.tool_params.concurrency if spec.tool_params else 0
         self.busy_slots = 0
         # utilization window (shared by the borrower and the autoscaler)
@@ -374,13 +381,16 @@ class Simulator:
         self.traces = TraceBundle()
         self.audit = AuditLog()
 
+        # Unbound functions: bound methods here would make every finished
+        # Simulator a reference cycle that only the cyclic GC frees.
+        cls = type(self)
         self._handlers = {
-            EVENT_ARRIVAL: self._handle_arrival,
-            EVENT_PREFILL_DONE: self._handle_prefill_done,
-            EVENT_CALL_COMPLETE: self._handle_call_complete,
-            EVENT_TOOL_COMPLETE: self._handle_tool_complete,
-            EVENT_AUTOSCALE_TICK: self._handle_autoscale_tick,
-            EVENT_BORROW_CHECK: self._handle_borrow_check,
+            EVENT_ARRIVAL: cls._handle_arrival,
+            EVENT_PREFILL_DONE: cls._handle_prefill_done,
+            EVENT_CALL_COMPLETE: cls._handle_call_complete,
+            EVENT_TOOL_COMPLETE: cls._handle_tool_complete,
+            EVENT_AUTOSCALE_TICK: cls._handle_autoscale_tick,
+            EVENT_BORROW_CHECK: cls._handle_borrow_check,
         }
 
     # ------------------------------------------------------------------
@@ -429,14 +439,7 @@ class Simulator:
 
     def _remaining_table(self) -> dict[tuple[str, int], float]:
         if self._work_version != self.estimator.version:
-            estimates = self.estimator.estimates()
-            table: dict[tuple[str, int], float] = {}
-            budget = self.vw.retry_budget
-            for sid in self.vw.stage_ids:
-                for retries in range(budget + 1):
-                    state = RequestState(-1, 0.0, 0.0, sid, retries)
-                    table[(sid, retries)] = expected_remaining_work(state, self.vw, estimates)
-            self._work_table = table
+            self._work_table = expected_remaining_work(self.vw, self.estimator.estimates())
             self._work_version = self.estimator.version
         return self._work_table
 
@@ -555,7 +558,10 @@ class Simulator:
         else:
             call = PendingCall(rid, sid, self.clock)
         pool = self.pools[self.stage_pool[sid]]
-        pool.queue.append(call)
+        pool.queue[rid] = call
+        if pool.heap_version == self._key_version():
+            heapq.heappush(pool.heap, (self._dispatch_key_fn(0.0)(call), call))
+        pool.dirty = True
         pool.max_queue_len = max(pool.max_queue_len, len(pool.queue))
         req.enqueue_time = self.clock
 
@@ -575,6 +581,7 @@ class Simulator:
                 f"completion fired with {call.remaining_tokens} tokens left"
             )
         engine.complete_call(call)
+        self.pools[engine.serving_pool].dirty = True
         self._reschedule_completion(engine)
         if engine.lent_to is not None and not engine.batch:
             self._maybe_return(engine)
@@ -585,6 +592,7 @@ class Simulator:
         sid = req.state.current_stage
         pool = self.pools[self.stage_pool[sid]]
         pool.busy_slots -= 1
+        pool.dirty = True
         self._finish_stage(req, sid)
 
     def _find_call(self, engine: EngineState, request_id: int) -> InFlightCall:
@@ -657,9 +665,15 @@ class Simulator:
     # ------------------------------------------------------------------
     # dispatch
 
+    def _key_version(self) -> int:
+        """Changes whenever the static dispatch keys of queued calls do:
+        only slack keys depend on the service estimates."""
+        return self.estimator.version if self.policy.kind == "slack" else 0
+
     def _dispatch_key_fn(self, now: float):
         """The dispatch key of a queued call at time `now`, valid while no
-        event runs (estimates, attained service and retries stay fixed)."""
+        event runs (estimates, attained service and retries stay fixed).
+        At now = 0 it is the static key the pool heaps are ordered by."""
         kind = self.policy.kind
         requests = self.requests
         if kind != "slack":  # fcfs and las need neither slack nor estimates
@@ -684,49 +698,41 @@ class Simulator:
         return key
 
     def _dispatch_all(self) -> None:
+        # A pool whose head was blocked stays blocked until it is marked
+        # dirty: its queue grew, capacity it serves on was freed or added
+        # (call or tool completion, borrow, return, scale event), or the
+        # key version changed and may have brought another call to the head.
+        version = self._key_version()
         for pool in self.pools.values():
-            self._dispatch_pool(pool)
+            if pool.queue and (pool.dirty or pool.heap_version != version):
+                self._dispatch_pool(pool, version)
 
-    def _dispatch_pool(self, pool: PoolRuntime) -> None:
+    def _dispatch_pool(self, pool: PoolRuntime, version: int) -> None:
         # Strictly in key order: if the most urgent call cannot be placed,
         # the whole queue waits (no overtaking).
-        if not pool.queue:
-            return
         now = self.clock
-        key_fn = self._dispatch_key_fn(now)
-        while pool.queue:
-            call, key, best_waiting = select_next(pool.queue, key_fn)
-            stage = self.vw.stage(call.stage_id)
-            if pool.spec.kind == LLM:
-                engines = self._serving_engines(pool.pool_id)
-                placed = route_call(call, stage.prefix_tokens, engines)
-                evictions: list[str] = []
-                if placed is None:
-                    with_evict = route_call_with_eviction(call, stage.prefix_tokens, engines)
-                    if with_evict is None:
-                        break
-                    placed, evictions = with_evict
-                for evict_sid in evictions:
-                    placed.evict_idle_prefix(evict_sid)
-                _, prefill_done = placed.admit(call, stage.prefix_tokens, now)
-                if placed.lent_to is not None:
-                    self.audit.lent_admissions += 1
-                self._schedule(
-                    prefill_done,
-                    EVENT_PREFILL_DONE,
-                    engine_id=placed.engine_id,
-                    request_id=call.request_id,
-                )
-                engine_label = str(placed.engine_id)
-            else:
-                if pool.busy_slots >= pool.concurrency:
-                    break
-                pool.busy_slots += 1
-                stream = self._stream(f"req:{call.request_id}:tool:{call.stage_id}")
-                service = tool_service_time(pool.spec.tool_params, stream)
-                self._schedule(now + service, EVENT_TOOL_COMPLETE, request_id=call.request_id)
-                engine_label = ""
-            pool.queue.remove(call)
+        if pool.heap_version != version:
+            static_key = self._dispatch_key_fn(0.0)
+            pool.heap = [(static_key(call), call) for call in pool.queue.values()]
+            heapq.heapify(pool.heap)
+            pool.heap_version = version
+        # fcfs and las keys do not change with time, so the static ones are exact
+        key_fn = self._dispatch_key_fn(now) if self.policy.kind == "slack" else None
+        pool.dirty = False
+        while pool.heap:
+            call, key, best_waiting = select_next(pool.heap, key_fn, now)
+            engine_label = self._place(pool, call, now)
+            if engine_label is None:
+                # Blocked until marked dirty, unless rounding may let a
+                # near-tied call overtake the head as time passes.
+                pool.dirty = key_fn is not None and near_tie(pool.heap, self.cfg.duration)
+                break
+            if pool.heap[0][1] is call:
+                heapq.heappop(pool.heap)
+            else:  # a near-tied call overtook the static head
+                pool.heap = [entry for entry in pool.heap if entry[1] is not call]
+                heapq.heapify(pool.heap)
+            del pool.queue[call.request_id]
             req = self.requests[call.request_id]
             req.dispatch_time = now
             delay = now - call.enqueue_time
@@ -753,15 +759,52 @@ class Simulator:
                 pool.delay_sum += delay
                 pool.delay_count += 1
 
+    def _place(self, pool: PoolRuntime, call: PendingCall, now: float) -> str | None:
+        """Start `call` on an engine or tool slot of `pool`; returns the
+        engine id for the dispatch record ('' for a tool slot), or None
+        when nothing can take it."""
+        if pool.spec.kind != LLM:
+            if pool.busy_slots >= pool.concurrency:
+                return None
+            pool.busy_slots += 1
+            stream = self._stream(f"req:{call.request_id}:tool:{call.stage_id}")
+            service = tool_service_time(pool.spec.tool_params, stream)
+            self._schedule(now + service, EVENT_TOOL_COMPLETE, request_id=call.request_id)
+            return ""
+        prefix_tokens = self.vw.stage(call.stage_id).prefix_tokens
+        engines = self._serving_engines(pool.pool_id)
+        placed = route_call(call, prefix_tokens, engines)
+        evictions: list[str] = []
+        if placed is None:
+            with_evict = route_call_with_eviction(call, prefix_tokens, engines)
+            if with_evict is None:
+                return None
+            placed, evictions = with_evict
+        for evict_sid in evictions:
+            placed.evict_idle_prefix(evict_sid)
+        _, prefill_done = placed.admit(call, prefix_tokens, now)
+        if placed.lent_to is not None:
+            self.audit.lent_admissions += 1
+        self._schedule(
+            prefill_done,
+            EVENT_PREFILL_DONE,
+            engine_id=placed.engine_id,
+            request_id=call.request_id,
+        )
+        return str(placed.engine_id)
+
     # ------------------------------------------------------------------
     # borrowing and autoscaling
 
     def _maybe_return(self, engine: EngineState) -> None:
-        home_util = self.pools[engine.home_pool].utilization()
-        borrower_util = self.pools[engine.lent_to].utilization()
-        if should_return_borrowed(self.policy.borrow, not engine.batch, home_util, borrower_util):
+        home = self.pools[engine.home_pool]
+        borrower = self.pools[engine.lent_to]
+        if should_return_borrowed(
+            self.policy.borrow, not engine.batch, home.utilization(), borrower.utilization()
+        ):
             self.audit.returns.append((self.clock, engine.engine_id, engine.lent_to))
             engine.lent_to = None
+            home.dirty = borrower.dirty = True
 
     def _borrow_views(self) -> list[BorrowPoolView]:
         views = []
@@ -800,6 +843,7 @@ class Simulator:
             engine_id, lender, borrower = action
             self.engines[engine_id].lent_to = borrower
             self.audit.borrows.append((self.clock, engine_id, lender, borrower))
+            self.pools[lender].dirty = self.pools[borrower].dirty = True
         if not self.policy.autoscale.enabled:
             for pool in self.pools.values():
                 pool.reset_window()
@@ -813,6 +857,7 @@ class Simulator:
             decision = self._pool_scale_decision(pool, cfg)
             if decision:
                 self._apply_scale(pool, decision)
+                pool.dirty = True
                 pool.last_scale_time = self.clock
                 self.audit.scale_events.append((self.clock, pool.pool_id, decision))
             pool.reset_window()
@@ -867,7 +912,7 @@ class Simulator:
         while self._heap and self._heap[0][0] <= duration:
             _, _, ev = heapq.heappop(self._heap)
             self._advance_clock(ev.time)
-            self._handlers[ev.kind](ev)
+            self._handlers[ev.kind](self, ev)
             self._dispatch_all()
             self._check_invariants()
             self._emit_kv_samples()

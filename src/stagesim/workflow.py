@@ -352,13 +352,15 @@ def expected_fixer_invocations(p_fail: float, budget: int) -> float:
 
 
 def expected_remaining_work(
-    state: RequestState, vw: ValidatedWorkflow, service_estimates: dict[str, float]
-) -> float:
-    """Exact expected remaining service time from the current state.
+    vw: ValidatedWorkflow, service_estimates: dict[str, float]
+) -> dict[tuple[str, int], float]:
+    """Exact expected remaining service time from every request position.
 
-    Dynamic programming over (stage, retries_used); finite because every
-    cycle passes a loop edge, which strictly increases retries_used up to
-    the budget.
+    Maps (current stage, retries_used), for every stage and terminal and
+    every retries_used in 0..retry_budget, to the expected service still
+    ahead (0.0 at a terminal).  One dynamic program over (stage,
+    retries_used) with a shared memo; finite because every cycle passes a
+    loop edge, which strictly increases retries_used up to the budget.
     """
     for sid in vw.stage_ids:
         if sid not in service_estimates:
@@ -367,11 +369,12 @@ def expected_remaining_work(
     memo: dict[tuple[str, int], float] = {}
 
     def value(stage_id: str, retries: int) -> float:
-        if is_terminal(stage_id):
-            return 0.0
         key = (stage_id, retries)
         if key in memo:
             return memo[key]
+        if is_terminal(stage_id):
+            memo[key] = 0.0
+            return 0.0
         stage = vw.stage(stage_id)
         total = service_estimates[stage_id]
         for out in stage.outcomes:
@@ -386,4 +389,7 @@ def expected_remaining_work(
         memo[key] = total
         return total
 
-    return value(state.current_stage, state.retries_used)
+    for stage_id in (*vw.stage_ids, *TERMINALS):
+        for retries in range(budget + 1):
+            value(stage_id, retries)
+    return memo

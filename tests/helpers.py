@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
+
 import stagesim as ss
 from stagesim.engines import EngineParams
 from stagesim.workloads import (
@@ -97,3 +99,24 @@ def run_config_tree(**kw) -> dict:
     }
     tree.update(kw)
     return tree
+
+
+def reference_select(queue, key_fn):
+    """Reference dispatch selection: key every queued call and sort.
+
+    Returns (call, key, best_remaining_key), or None on an empty queue, as
+    `stagesim.scheduling.select_next` must for the same calls and keys.
+    """
+    if not queue:
+        return None
+    keyed = sorted(((key_fn(call), call) for call in queue), key=lambda kc: kc[0])
+    best_key, call = keyed[0]
+    remaining = keyed[1][0] if len(keyed) > 1 else None
+    return call, best_key, remaining
+
+
+def static_heap(calls, static_key) -> list:
+    """A pool heap of (static key, call) entries, as the simulator keeps."""
+    heap = [(static_key(call), call) for call in calls]
+    heapq.heapify(heap)
+    return heap

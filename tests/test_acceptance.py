@@ -15,7 +15,7 @@ from stagesim.cli import main
 from stagesim.dists import Distribution
 from stagesim.reporting import replay_dispatch_audit, write_run_outputs
 from stagesim.simulation import Simulator
-from stagesim.workflow import RequestState, expected_fixer_invocations, expected_remaining_work
+from stagesim.workflow import expected_fixer_invocations, expected_remaining_work
 from stagesim.workloads import EXECUTOR, FIXER, GENERATOR
 
 REGISTRY: list[tuple[Simulator, ss.RunResult]] = []
@@ -160,11 +160,10 @@ def test_ac4_retry_expectation_oracles():
                         frontier.append((target, r, prob * out.probability, cost))
             return total
 
+        table = expected_remaining_work(vw, estimates)
         for sid in vw.stage_ids:
             for retries in range(vw.retry_budget + 1):
-                state = RequestState(0, 0.0, 30.0, sid, retries)
-                got = expected_remaining_work(state, vw, estimates)
-                assert abs(got - enumerate_paths(sid, retries)) <= 1e-9
+                assert abs(table[(sid, retries)] - enumerate_paths(sid, retries)) <= 1e-9
 
 
 # ----------------------------------------------------------------------

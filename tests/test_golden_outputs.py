@@ -41,6 +41,11 @@ GOLDEN_RUNS = {
         },
         "7ff289663289f21f43ffca19605b7afb92e858cff2ecbac8f1ca4a3dae1de776",
     ),
+    # the generator queue grows to about 110 calls: dispatch from long queues
+    "overload": (
+        {"arrivals": {"rate": 4.0}, "duration": 60.0},
+        "5b62295d1512319977c9411b1d05829cbad643bb7baf7c3f8d207e767f31c9dc",
+    ),
 }
 
 
@@ -56,7 +61,8 @@ def output_digest(out_dir) -> str:
 def test_output_bytes_are_pinned(tmp_path, name):
     overlay, expected = GOLDEN_RUNS[name]
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(run_config_tree(arrivals={"rate": 2.5}, duration=30.0, warmup=3.0, **overlay)))
+    tree = run_config_tree(**{"arrivals": {"rate": 2.5}, "duration": 30.0, "warmup": 3.0, **overlay})
+    config.write_text(json.dumps(tree))
     out = tmp_path / "out"
     assert main(["run", str(config), "--seed", "5", "--out", str(out)]) == 0
     assert output_digest(out) == expected

@@ -1,0 +1,45 @@
+"""The benchmark's tracing points must exist in the code they trace.
+
+perfbench/tracer.py wraps layer entry points by name (for example
+`stagesim.simulation.select_next`, whose first argument it takes the
+len() of); a name that is gone is only listed as missing and its layer
+reads 0.  This installs the tracer in a fresh process, so its patches
+stay out of this one, and runs one short simulation through it.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from helpers import run_config_tree
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import json, sys
+root, config, out = sys.argv[1:]
+sys.path[:0] = [root + "/perfbench", root + "/src"]
+from tracer import Tracer, install
+tracer = Tracer()
+install(tracer)
+from stagesim.cli import main
+code = main(["run", config, "--out", out])
+print(json.dumps({"code": code, "missing": tracer.missing, "counts": tracer.counts}))
+"""
+
+
+def test_every_tracing_point_is_installed_and_runs(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(run_config_tree(arrivals={"rate": 3.0}, duration=10.0)))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", SCRIPT, str(ROOT), str(config), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert result["missing"] == []
+    assert result["counts"]["select_calls"] > 0

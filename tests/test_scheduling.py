@@ -3,7 +3,7 @@ import random
 import pytest
 
 import stagesim as ss
-from helpers import engine_params, nl2sql_vw, sim_config
+from helpers import engine_params, nl2sql_vw, sim_config, static_heap
 from stagesim.engines import EngineState, PendingCall
 from stagesim.scheduling import (
     AdmissionConfig,
@@ -111,23 +111,38 @@ def test_simulator_key_gates_selectivity():
 
 
 def test_select_next_empty_queue():
-    assert select_next([], lambda c: (0.0,)) is None
+    assert select_next([]) is None
+    assert select_next([], lambda c: (0.0,), 5.0) is None
 
 
 def test_select_next_most_urgent_first():
     queue = [PendingCall(0, "gen", 0.0), PendingCall(1, "gen", 0.0)]
     slacks = {0: 1.0, 1: -3.0}
-    call, key, remaining = select_next(queue, lambda c: (slacks[c.request_id], float(c.request_id)))
+    heap = static_heap(queue, lambda c: (slacks[c.request_id], float(c.request_id)))
+    for key_fn in (None, lambda c: (slacks[c.request_id], float(c.request_id))):
+        call, key, remaining = select_next(heap, key_fn)
+        assert call.request_id == 1
+        assert key == (-3.0, 1.0)
+        assert remaining == (1.0, 0.0)
+        assert len(heap) == 2  # selection never removes
+
+
+def test_select_next_keys_exactly_at_now():
+    # static primary deadline - W; the exact one at now is (deadline - now) - W
+    deadlines = {0: 20.0, 1: 12.0, 2: 30.0}
+    queue = [PendingCall(rid, "gen", 0.0) for rid in deadlines]
+    heap = static_heap(queue, lambda c: (deadlines[c.request_id] - 2.0, float(c.request_id)))
+    call, key, remaining = select_next(heap, lambda c: (deadlines[c.request_id] - 7.0 - 2.0, float(c.request_id)), 7.0)
     assert call.request_id == 1
-    assert key == (-3.0, 1.0)
-    assert remaining == (1.0, 0.0)
-    assert len(queue) == 2  # selection never removes
+    assert key == (3.0, 1.0)
+    assert remaining == (11.0, 0.0)
 
 
 def test_select_next_singleton():
     queue = [PendingCall(4, "gen", 0.0)]
-    call, key, remaining = select_next(queue, lambda c: (float(c.request_id),))
+    call, key, remaining = select_next(static_heap(queue, lambda c: (float(c.request_id),)))
     assert call.request_id == 4
+    assert key == (4.0,)
     assert remaining is None
 
 

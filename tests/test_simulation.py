@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from collections import Counter
 
 import pytest
@@ -260,7 +262,8 @@ def test_recorded_keys_match_dispatch_key(policy):
             state.current_stage, state.retries_used = step.next_stage, step.retries_used
         dispatched[rec.request_id] += 1
         assert state.current_stage == rec.stage_id
-        slack = state.deadline - rec.time - expected_remaining_work(state, vw, estimates)
+        remaining = expected_remaining_work(vw, estimates)[(state.current_stage, state.retries_used)]
+        slack = state.deadline - rec.time - remaining
         selectivity = vw.selectivity(rec.stage_id) if policy.use_selectivity else None
         expected = dispatch_key(
             policy.kind, rec.request_id, attained, slack, estimates[rec.stage_id], selectivity
@@ -301,6 +304,26 @@ def test_online_estimates_stay_deterministic():
     policy = ss.PolicyConfig(online_estimates=True, ewma_alpha=0.3)
     cfg = sim_config(policy=policy, rate=2.0, duration=25.0, warmup=2.0, seed=17)
     assert ss.run(cfg).report == ss.run(cfg).report
+
+
+def test_finished_simulator_is_freed_without_the_cyclic_gc():
+    # Reference counting alone must free a finished simulation, or its
+    # traces and requests pile up between gen-2 collections.
+    policy = ss.PolicyConfig(
+        online_estimates=True,
+        borrow=ss.BorrowConfig(enabled=True),
+        autoscale=ss.AutoscaleConfig(enabled=True, max_engines=3),
+    )
+    sim = Simulator(sim_config(policy=policy, rate=2.0, duration=20.0))
+    gc.collect()
+    gc.disable()
+    try:
+        sim.run()
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_zero_duration_run_is_empty():

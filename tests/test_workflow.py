@@ -342,36 +342,38 @@ EST = {GENERATOR: 2.0, EXECUTOR: 1.0, FIXER: 1.0}
 
 def test_terminal_state_has_no_work():
     vw = nl2sql_vw()
-    assert expected_remaining_work(RequestState(0, 0.0, 1.0, SUCCESS), vw, EST) == 0.0
+    table = expected_remaining_work(vw, EST)
+    for retries in range(vw.retry_budget + 1):
+        assert table[(SUCCESS, retries)] == table[(FAILURE, retries)] == 0.0
 
 
 def test_no_loop_mass():
     vw = nl2sql_vw(p_fail=0.0)
-    st = request(vw, EXECUTOR)
-    assert expected_remaining_work(st, vw, {GENERATOR: 2.0, EXECUTOR: 1.0, FIXER: 1.0}) == 1.0
+    assert expected_remaining_work(vw, {GENERATOR: 2.0, EXECUTOR: 1.0, FIXER: 1.0})[(EXECUTOR, 0)] == 1.0
 
 
 def test_generator_with_one_retry():
     vw = nl2sql_vw(p_fail=0.5, retry_budget=1)
-    st = request(vw, GENERATOR)
     oracle = enum_remaining_work(vw, GENERATOR, 0, EST)
     assert oracle == pytest.approx(4.0, abs=1e-12)
-    assert expected_remaining_work(st, vw, EST) == pytest.approx(4.0, abs=1e-12)
+    assert expected_remaining_work(vw, EST)[(GENERATOR, 0)] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_matches_enumeration_on_default_workflow():
     vw = nl2sql_vw()
+    table = expected_remaining_work(vw, EST)
+    positions = {(sid, r) for sid in (*vw.stage_ids, SUCCESS, FAILURE) for r in range(vw.retry_budget + 1)}
+    assert set(table) == positions
     for sid in vw.stage_ids:
         for retries in range(vw.retry_budget + 1):
-            got = expected_remaining_work(request(vw, sid, retries), vw, EST)
             want = enum_remaining_work(vw, sid, retries, EST)
-            assert got == pytest.approx(want, abs=1e-9)
+            assert table[(sid, retries)] == pytest.approx(want, abs=1e-9)
 
 
 def test_missing_estimate():
     vw = nl2sql_vw()
     with pytest.raises(MissingEstimate):
-        expected_remaining_work(request(vw), vw, {GENERATOR: 1.0})
+        expected_remaining_work(vw, {GENERATOR: 1.0})
 
 
 def test_selectivity_is_terminal_outcome_mass():
