@@ -110,6 +110,8 @@ class EngineState:
         self.batch: list[InFlightCall] = []
         self.kv_used = 0.0  # actual: prefixes + prompts + emitted tokens
         self.kv_reserved = 0  # worst case: prefixes + prompts + full targets
+        self.n_decode = 0  # calls of the batch in the decode phase
+        self.resident_tokens = 0  # sum of the resident prefixes' tokens
         self.decode_epoch = 0  # bumped on every decode-batch composition change
         self.last_advance = 0.0
 
@@ -118,10 +120,14 @@ class EngineState:
         return self.lent_to if self.lent_to is not None else self.home_pool
 
     def resident_prefix_tokens(self) -> int:
-        return sum(p.tokens for p in self.resident.values())
+        """Recount of `resident_tokens`."""
+        tokens = 0
+        for prefix in self.resident.values():
+            tokens += prefix.tokens
+        return tokens
 
     def decode_batch_size(self) -> int:
-        return sum(1 for c in self.batch if c.phase == DECODE)
+        return self.n_decode
 
     def free_kv(self) -> int:
         return self.params.kv_capacity_tokens - self.kv_reserved
@@ -151,6 +157,7 @@ class EngineState:
         else:
             cold_tokens = prefix_tokens
             self.resident[call.stage_id] = ResidentPrefix(prefix_tokens, now)
+            self.resident_tokens += prefix_tokens
             self.kv_used += prefix_tokens
             self.kv_reserved += prefix_tokens
         inflight = InFlightCall(
@@ -167,6 +174,7 @@ class EngineState:
 
     def prefill_finished(self, call: InFlightCall) -> None:
         call.phase = DECODE
+        self.n_decode += 1
         self.decode_epoch += 1
 
     def advance_decode(self, to_time: float) -> None:
@@ -182,25 +190,30 @@ class EngineState:
         self.last_advance = to_time
         if dt == 0.0:
             return
-        b = self.decode_batch_size()
+        b = self.n_decode
         if b == 0:
             return
         per_call = dt / self.params.token_time(b)
+        kv_used = self.kv_used
         for call in self.batch:
             if call.phase != DECODE:
                 continue
-            emitted = min(per_call, call.remaining_tokens)
+            remaining = call.target_output_tokens - call.tokens_emitted
+            emitted = remaining if remaining < per_call else per_call
             call.tokens_emitted += emitted
-            self.kv_used += emitted
+            kv_used += emitted
+        self.kv_used = kv_used
 
     def next_completion(self, now: float) -> tuple[InFlightCall, float] | None:
         """Earliest-finishing decode call (ties: lowest request id) and its
         completion time under the current batch size."""
-        decoding = [c for c in self.batch if c.phase == DECODE]
-        if not decoding:
+        if not self.n_decode:
             return None
-        call = min(decoding, key=lambda c: (c.remaining_tokens, c.request_id))
-        t = now + call.remaining_tokens * self.params.token_time(len(decoding))
+        call = min(
+            (c for c in self.batch if c.phase == DECODE),
+            key=lambda c: (c.remaining_tokens, c.request_id),
+        )
+        t = now + call.remaining_tokens * self.params.token_time(self.n_decode)
         return call, t
 
     def complete_call(self, call: InFlightCall) -> None:
@@ -211,6 +224,8 @@ class EngineState:
         self.kv_used -= call.prompt_tokens + call.target_output_tokens
         self.kv_reserved -= call.prompt_tokens + call.target_output_tokens
         self.batch.remove(call)
+        if call.phase == DECODE:
+            self.n_decode -= 1
         self.decode_epoch += 1
 
     def active_stage_calls(self, stage_id: str) -> int:
@@ -222,6 +237,7 @@ class EngineState:
             raise PrefixInUse(f"stage '{stage_id}' has active calls on engine {self.engine_id}")
         prefix = self.resident.pop(stage_id, None)
         if prefix is not None:
+            self.resident_tokens -= prefix.tokens
             self.kv_used -= prefix.tokens
             self.kv_reserved -= prefix.tokens
 
@@ -235,15 +251,20 @@ class EngineState:
         out.sort()
         return out
 
+    # The recounts below are plain loops: the invariant check runs them for
+    # every engine after every event.
+
     def recomputed_kv_used(self) -> float:
-        return self.resident_prefix_tokens() + sum(
-            c.prompt_tokens + c.tokens_emitted for c in self.batch
-        )
+        used = 0
+        for c in self.batch:
+            used += c.prompt_tokens + c.tokens_emitted
+        return self.resident_prefix_tokens() + used
 
     def recomputed_kv_reserved(self) -> int:
-        return self.resident_prefix_tokens() + sum(
-            c.prompt_tokens + c.target_output_tokens for c in self.batch
-        )
+        reserved = 0
+        for c in self.batch:
+            reserved += c.prompt_tokens + c.target_output_tokens
+        return self.resident_prefix_tokens() + reserved
 
 
 def tool_service_time(params: ToolPoolParams, rng_stream: RngStream) -> float:

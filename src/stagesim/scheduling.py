@@ -194,6 +194,18 @@ def route_call_with_eviction(
     return None
 
 
+def holds_foreign_prefix(stage_id: str, engines: list[EngineState]) -> bool:
+    """Whether any engine holds a resident prefix of a stage other than
+    `stage_id`.  When none does and `route_call` found no engine,
+    `route_call_with_eviction` finds none either: it has nothing to evict,
+    and without evictions its KV test is `can_admit`'s."""
+    for engine in engines:
+        for sid in engine.resident:
+            if sid != stage_id:
+                return True
+    return False
+
+
 def admission_decision(queue_lengths: list[int], cfg: AdmissionConfig) -> bool:
     """True to accept a new workflow arrival.
 

@@ -13,7 +13,7 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from .engines import EngineState, InFlightCall, PendingCall, tool_service_time
+from .engines import DECODE, EngineState, InFlightCall, PendingCall, tool_service_time
 from .errors import ConfigError, InternalInvariantViolation
 from .rng import RngStream
 from .scheduling import (
@@ -27,6 +27,7 @@ from .scheduling import (
     admission_decision,
     autoscale_tick,
     dispatch_key,
+    holds_foreign_prefix,
     near_tie,
     route_call,
     route_call_with_eviction,
@@ -280,6 +281,7 @@ class RequestSim:
     n_stage_calls: int = 0
     done_time: float | None = None
     terminal: str | None = None
+    stream_labels: list[str] = field(default_factory=list)  # in Simulator._streams
 
 
 class PoolRuntime:
@@ -343,7 +345,11 @@ class Simulator:
         self._arrivals = RngStream(config.seed, "arrivals")
 
         self.pools: dict[str, PoolRuntime] = {}
+        self._llm_pool_ids: list[str] = []
+        self._only_stage: dict[str, str | None] = {}  # None: a multi-stage pool
         self.stage_pool: dict[str, str] = {}
+        # _add_engine hands out ids in increasing order and engines are only
+        # ever deleted, so iterating self.engines visits them in id order.
         self.engines: dict[int, EngineState] = {}
         self.retired_engines: dict[int, EngineState] = {}
         self._next_engine_id = 0
@@ -352,11 +358,13 @@ class Simulator:
         for spec in config.topology.pools:
             pool = PoolRuntime(spec)
             self.pools[spec.pool_id] = pool
+            self._only_stage[spec.pool_id] = spec.stage_ids[0] if len(spec.stage_ids) == 1 else None
             for sid in spec.stage_ids:
                 if sid in self.stage_pool:
                     raise ConfigError(f"stage '{sid}' assigned to two pools")
                 self.stage_pool[sid] = spec.pool_id
             if spec.kind == LLM:
+                self._llm_pool_ids.append(spec.pool_id)
                 for _ in range(spec.n_engines):
                     self._add_engine(spec.pool_id, spec.engine_params)
         for sid in self.vw.stage_ids:
@@ -413,29 +421,25 @@ class Simulator:
         ev = Event(time=time, seq=self._seq, kind=kind, **refs)
         heapq.heappush(self._heap, (time, self._seq, ev))
 
-    def _stream(self, label: str) -> RngStream:
+    def _stream(self, req: RequestSim, label: str) -> RngStream:
+        """The request's stream `req:{rid}:{label}`; dropped once the
+        request terminates (see _finish_stage)."""
+        label = f"req:{req.state.request_id}:{label}"
         stream = self._streams.get(label)
         if stream is None:
             stream = RngStream(self.cfg.seed, label)
             self._streams[label] = stream
+            req.stream_labels.append(label)
         return stream
 
-    def _draw(self, label: str) -> float:
-        return self._stream(label).uniform()
+    def _draw(self, req: RequestSim, label: str) -> float:
+        return self._stream(req, label).uniform()
 
     def _serving_engines(self, pool_id: str) -> list[EngineState]:
-        return [
-            self.engines[eid]
-            for eid in sorted(self.engines)
-            if self.engines[eid].serving_pool == pool_id
-        ]
+        return [e for e in self.engines.values() if e.serving_pool == pool_id]
 
     def _home_engines(self, pool_id: str) -> list[EngineState]:
-        return [
-            self.engines[eid]
-            for eid in sorted(self.engines)
-            if self.engines[eid].home_pool == pool_id
-        ]
+        return [e for e in self.engines.values() if e.home_pool == pool_id]
 
     def _remaining_table(self) -> dict[tuple[str, int], float]:
         if self._work_version != self.estimator.version:
@@ -453,75 +457,85 @@ class Simulator:
         if dt <= 0.0:
             self.clock = to_time
             return
-        for pool in self.pools.values():
-            busy, cap = self._pool_busy_capacity(pool)
-            pool.busy_integral += busy * dt
-            pool.capacity_integral += cap * dt
-        for eid in sorted(self.engines):
-            engine = self.engines[eid]
+        # [busy engines, serving engines] per LLM pool, counted in the pass
+        # that advances decode (which changes neither)
+        counts = {pid: [0, 0] for pid in self._llm_pool_ids}
+        warmup = self.cfg.warmup
+        kv_integral = self._kv_integral
+        for eid, engine in self.engines.items():
+            count = counts[engine.serving_pool]
+            count[1] += 1
+            if engine.batch:
+                count[0] += 1
             t0 = engine.last_advance
             kv0 = engine.kv_used
             engine.advance_decode(to_time)
-            self._accumulate_kv(eid, t0, to_time, kv0, engine.kv_used)
+            # trapezoid of the linear kv_used over the part of [t0, to_time]
+            # after warmup
+            start = warmup if warmup > t0 else t0
+            if start < to_time:
+                kv1 = engine.kv_used
+                kv_start = kv0 + (kv1 - kv0) * (start - t0) / (to_time - t0)
+                kv_integral[eid] += 0.5 * (kv_start + kv1) * (to_time - start)
+        for pool in self.pools.values():
+            if pool.spec.kind == LLM:
+                busy, cap = counts[pool.pool_id]
+            else:
+                busy, cap = pool.busy_slots, pool.concurrency
+            pool.busy_integral += busy * dt
+            pool.capacity_integral += cap * dt
         self.clock = to_time
 
-    def _pool_busy_capacity(self, pool: PoolRuntime) -> tuple[int, int]:
-        if pool.spec.kind == LLM:
-            engines = self._serving_engines(pool.pool_id)
-            return sum(1 for e in engines if e.batch), len(engines)
-        return pool.busy_slots, pool.concurrency
-
-    def _accumulate_kv(self, eid: int, t0: float, t1: float, kv0: float, kv1: float) -> None:
-        start = max(t0, self.cfg.warmup)
-        if start >= t1:
-            return
-        if t1 > t0:
-            kv_start = kv0 + (kv1 - kv0) * (start - t0) / (t1 - t0)
-        else:
-            kv_start = kv0
-        self._kv_integral[eid] += 0.5 * (kv_start + kv1) * (t1 - start)
-
     def _emit_kv_samples(self, force: bool = False) -> None:
-        for eid in sorted(self.engines):
-            engine = self.engines[eid]
-            current = (engine.serving_pool, engine.kv_used, engine.resident_prefix_tokens())
-            if force or self._last_kv_sample.get(eid) != current:
-                self._last_kv_sample[eid] = current
-                self.traces.kv_samples.append(
-                    KvSample(self.clock, current[0], eid, current[1], current[2])
-                )
+        last = self._last_kv_sample
+        samples = self.traces.kv_samples
+        for eid, engine in self.engines.items():
+            current = (engine.serving_pool, engine.kv_used, engine.resident_tokens)
+            if force or last.get(eid) != current:
+                last[eid] = current
+                samples.append(KvSample(self.clock, current[0], eid, current[1], current[2]))
 
     def _check_invariants(self) -> None:
-        for eid in sorted(self.engines):
-            e = self.engines[eid]
+        only_stage = self._only_stage
+        for eid, e in self.engines.items():
             cap = e.params.kv_capacity_tokens
+            kv_used = e.kv_used
             if e.kv_reserved > cap:
                 raise InternalInvariantViolation(
                     f"engine {eid}: reserved {e.kv_reserved} exceeds capacity {cap}"
                 )
-            if e.kv_used > cap + _KV_TOL or e.kv_used < -_KV_TOL:
+            if kv_used > cap + _KV_TOL or kv_used < -_KV_TOL:
                 raise InternalInvariantViolation(
-                    f"engine {eid}: kv_used {e.kv_used} outside [0, {cap}]"
+                    f"engine {eid}: kv_used {kv_used} outside [0, {cap}]"
                 )
-            if abs(e.kv_used - e.recomputed_kv_used()) > _KV_TOL:
+            if abs(kv_used - e.recomputed_kv_used()) > _KV_TOL:
                 raise InternalInvariantViolation(
-                    f"engine {eid}: kv_used {e.kv_used} != recomputed {e.recomputed_kv_used()}"
+                    f"engine {eid}: kv_used {kv_used} != recomputed {e.recomputed_kv_used()}"
                 )
             if e.kv_reserved != e.recomputed_kv_reserved():
                 raise InternalInvariantViolation(
                     f"engine {eid}: kv_reserved {e.kv_reserved} != recomputed"
                 )
+            if e.resident_tokens != e.resident_prefix_tokens():
+                raise InternalInvariantViolation(
+                    f"engine {eid}: resident_tokens {e.resident_tokens} != recomputed"
+                )
             if len(e.batch) > e.params.max_batch:
                 raise InternalInvariantViolation(f"engine {eid}: batch over max_batch")
-            pool = self.pools[e.serving_pool]
-            if len(pool.spec.stage_ids) == 1:
-                allowed = pool.spec.stage_ids[0]
-                for call in e.batch:
-                    if call.stage_id != allowed:
-                        raise InternalInvariantViolation(
-                            f"engine {eid}: call of stage '{call.stage_id}' in "
-                            f"single-stage pool '{pool.pool_id}'"
-                        )
+            allowed = only_stage[e.serving_pool]
+            n_decode = 0
+            for call in e.batch:
+                if call.phase == DECODE:
+                    n_decode += 1
+                if allowed is not None and call.stage_id != allowed:
+                    raise InternalInvariantViolation(
+                        f"engine {eid}: call of stage '{call.stage_id}' in "
+                        f"single-stage pool '{e.serving_pool}'"
+                    )
+            if e.n_decode != n_decode:
+                raise InternalInvariantViolation(
+                    f"engine {eid}: n_decode {e.n_decode} != recounted {n_decode}"
+                )
 
     # ------------------------------------------------------------------
     # event handlers
@@ -552,8 +566,8 @@ class Simulator:
         stage = self.vw.stage(sid)
         rid = req.state.request_id
         if stage.kind == LLM:
-            prompt = stage.prompt_tokens_dist.sample_int(self._draw(f"req:{rid}:prompt:{sid}"))
-            output = stage.output_tokens_dist.sample_int(self._draw(f"req:{rid}:output:{sid}"))
+            prompt = stage.prompt_tokens_dist.sample_int(self._draw(req, f"prompt:{sid}"))
+            output = stage.output_tokens_dist.sample_int(self._draw(req, f"output:{sid}"))
             call = PendingCall(rid, sid, self.clock, prompt, output)
         else:
             call = PendingCall(rid, sid, self.clock)
@@ -637,13 +651,17 @@ class Simulator:
         if len(stage.outcomes) == 1:
             label = stage.outcomes[0].label
         else:
-            label = self._pick_outcome(stage, self._draw(f"req:{rid}:outcome:{sid}"))
+            label = self._pick_outcome(stage, self._draw(req, f"outcome:{sid}"))
         req.state.stage_history.append((sid, start, end, label))
         transition = next_step(req.state, label, self.vw)
         if transition.is_done:
             req.state.current_stage = transition.terminal
             req.done_time = end
             req.terminal = transition.terminal
+            # a terminated request draws no more
+            for stream_label in req.stream_labels:
+                del self._streams[stream_label]
+            req.stream_labels.clear()
             latency = end - req.state.arrival_time
             self.traces.requests.append(
                 RequestRecord(
@@ -767,7 +785,7 @@ class Simulator:
             if pool.busy_slots >= pool.concurrency:
                 return None
             pool.busy_slots += 1
-            stream = self._stream(f"req:{call.request_id}:tool:{call.stage_id}")
+            stream = self._stream(self.requests[call.request_id], f"tool:{call.stage_id}")
             service = tool_service_time(pool.spec.tool_params, stream)
             self._schedule(now + service, EVENT_TOOL_COMPLETE, request_id=call.request_id)
             return ""
@@ -776,6 +794,8 @@ class Simulator:
         placed = route_call(call, prefix_tokens, engines)
         evictions: list[str] = []
         if placed is None:
+            if not holds_foreign_prefix(call.stage_id, engines):
+                return None  # the fallback could only fail too
             with_evict = route_call_with_eviction(call, prefix_tokens, engines)
             if with_evict is None:
                 return None
@@ -832,8 +852,7 @@ class Simulator:
         return views
 
     def _handle_borrow_check(self, ev: Event) -> None:
-        for eid in sorted(self.engines):
-            engine = self.engines[eid]
+        for engine in self.engines.values():
             if engine.lent_to is not None and not engine.batch:
                 self._maybe_return(engine)
         while True:

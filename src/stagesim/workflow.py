@@ -134,6 +134,7 @@ class ValidatedWorkflow:
         self._stages = stages
         self._loop_edges = loop_edges
         self._selectivity = selectivity
+        self.remaining_work_plan = _compile_remaining_work(self)
 
     @property
     def name(self) -> str:
@@ -351,6 +352,51 @@ def expected_fixer_invocations(p_fail: float, budget: int) -> float:
     return p_fail * (1.0 - p_fail**budget) / (1.0 - p_fail)
 
 
+def _compile_remaining_work(vw: ValidatedWorkflow) -> tuple:
+    """The remaining-work dynamic program over (stage, retries_used) as a
+    flat plan: one `(key, stage or None at a terminal, ((probability,
+    dependency key), ...))` entry per key, whose expected remaining work is
+    the stage's service plus each probability times its dependency's.
+
+    Entries come in the order a memoised depth-first recursion finishes
+    them, which puts every dependency first; finite because every cycle
+    passes a loop edge, which strictly increases retries_used up to the
+    budget.
+    """
+    budget = vw.retry_budget
+    plan = []
+    seen: set[tuple[str, int]] = set()
+
+    def visit(stage_id: str, retries: int) -> None:
+        key = (stage_id, retries)
+        if key in seen:
+            return
+        if is_terminal(stage_id):
+            seen.add(key)
+            plan.append((key, None, ()))
+            return
+        terms = []
+        for out in vw.stage(stage_id).outcomes:
+            target = out.transition
+            if out.probability == 0.0 or is_terminal(target):
+                continue
+            if vw.is_loop_edge(stage_id, target):
+                if retries >= budget:
+                    continue  # the budget is spent: the edge leads to Failure
+                dep = (target, retries + 1)
+            else:
+                dep = (target, retries)
+            visit(*dep)
+            terms.append((out.probability, dep))
+        seen.add(key)
+        plan.append((key, stage_id, tuple(terms)))
+
+    for stage_id in (*vw.stage_ids, *TERMINALS):
+        for retries in range(budget + 1):
+            visit(stage_id, retries)
+    return tuple(plan)
+
+
 def expected_remaining_work(
     vw: ValidatedWorkflow, service_estimates: dict[str, float]
 ) -> dict[tuple[str, int], float]:
@@ -358,38 +404,19 @@ def expected_remaining_work(
 
     Maps (current stage, retries_used), for every stage and terminal and
     every retries_used in 0..retry_budget, to the expected service still
-    ahead (0.0 at a terminal).  One dynamic program over (stage,
-    retries_used) with a shared memo; finite because every cycle passes a
-    loop edge, which strictly increases retries_used up to the budget.
+    ahead (0.0 at a terminal): the workflow's compiled plan evaluated for
+    these estimates.
     """
     for sid in vw.stage_ids:
         if sid not in service_estimates:
             raise MissingEstimate(sid)
-    budget = vw.retry_budget
-    memo: dict[tuple[str, int], float] = {}
-
-    def value(stage_id: str, retries: int) -> float:
-        key = (stage_id, retries)
-        if key in memo:
-            return memo[key]
-        if is_terminal(stage_id):
-            memo[key] = 0.0
-            return 0.0
-        stage = vw.stage(stage_id)
+    table: dict[tuple[str, int], float] = {}
+    for key, stage_id, terms in vw.remaining_work_plan:
+        if stage_id is None:
+            table[key] = 0.0
+            continue
         total = service_estimates[stage_id]
-        for out in stage.outcomes:
-            target = out.transition
-            if out.probability == 0.0 or is_terminal(target):
-                continue
-            if vw.is_loop_edge(stage_id, target):
-                if retries < budget:
-                    total += out.probability * value(target, retries + 1)
-            else:
-                total += out.probability * value(target, retries)
-        memo[key] = total
-        return total
-
-    for stage_id in (*vw.stage_ids, *TERMINALS):
-        for retries in range(budget + 1):
-            value(stage_id, retries)
-    return memo
+        for prob, dep in terms:
+            total += prob * table[dep]
+        table[key] = total
+    return table

@@ -6,6 +6,7 @@ import heapq
 
 import stagesim as ss
 from stagesim.engines import EngineParams
+from stagesim.workflow import TERMINALS, is_terminal
 from stagesim.workloads import (
     EXECUTOR,
     FIXER,
@@ -120,3 +121,38 @@ def static_heap(calls, static_key) -> list:
     heap = [(static_key(call), call) for call in calls]
     heapq.heapify(heap)
     return heap
+
+
+def reference_remaining_work(vw, service_estimates) -> dict:
+    """Reference remaining-work table: the memoised recursion over
+    (stage, retries_used) that `stagesim.expected_remaining_work` replaces
+    with a compiled plan, which must give the same floats in the same key
+    order."""
+    budget = vw.retry_budget
+    memo: dict[tuple[str, int], float] = {}
+
+    def value(stage_id: str, retries: int) -> float:
+        key = (stage_id, retries)
+        if key in memo:
+            return memo[key]
+        if is_terminal(stage_id):
+            memo[key] = 0.0
+            return 0.0
+        stage = vw.stage(stage_id)
+        total = service_estimates[stage_id]
+        for out in stage.outcomes:
+            target = out.transition
+            if out.probability == 0.0 or is_terminal(target):
+                continue
+            if vw.is_loop_edge(stage_id, target):
+                if retries < budget:
+                    total += out.probability * value(target, retries + 1)
+            else:
+                total += out.probability * value(target, retries)
+        memo[key] = total
+        return total
+
+    for stage_id in (*vw.stage_ids, *TERMINALS):
+        for retries in range(budget + 1):
+            value(stage_id, retries)
+    return memo

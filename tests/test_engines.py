@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import engine_params
 from stagesim.dists import Distribution
@@ -272,6 +274,48 @@ def test_evictable_prefixes_lru_order():
         eng.complete_call(done)
     assert [sid for _, sid, _ in eng.evictable_prefixes("z")] == ["b", "c", "a"]
     assert [sid for _, sid, _ in eng.evictable_prefixes("b")] == ["c", "a"]
+
+
+PREFIXES = {"a": 0, "b": 300, "c": 1000}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["admit", "prefill", "advance", "complete", "evict"]),
+            st.integers(0, 2**16),
+        ),
+        max_size=60,
+    )
+)
+def test_counters_match_recounts_after_every_operation(steps):
+    eng = engine(kv_capacity_tokens=4000, max_batch=4)
+    now = 0.0
+    rid = 0
+    for op, x in steps:
+        stage = sorted(PREFIXES)[x % 3]
+        if op == "admit":
+            c = call(rid, stage, prompt=x % 300, output=1 + x % 200, t=now)
+            if eng.can_admit(c, PREFIXES[stage]):
+                eng.admit(c, PREFIXES[stage], now)
+                rid += 1
+        elif op == "prefill":
+            waiting = [c for c in eng.batch if c.phase != DECODE]
+            if waiting:
+                eng.prefill_finished(waiting[x % len(waiting)])
+        elif op == "advance":
+            now += (x % 100) / 10.0
+            eng.advance_decode(now)
+        elif op == "complete":
+            if eng.batch:
+                eng.complete_call(eng.batch[x % len(eng.batch)])
+        elif not eng.active_stage_calls(stage):
+            eng.evict_idle_prefix(stage)
+        assert eng.decode_batch_size() == sum(1 for c in eng.batch if c.phase == DECODE)
+        assert eng.resident_tokens == sum(p.tokens for p in eng.resident.values())
+        assert eng.kv_reserved == eng.recomputed_kv_reserved()
+        assert eng.kv_used == pytest.approx(eng.recomputed_kv_used(), abs=1e-6)
 
 
 # ----------------------------------------------------------------------

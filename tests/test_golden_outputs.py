@@ -46,6 +46,22 @@ GOLDEN_RUNS = {
         {"arrivals": {"rate": 4.0}, "duration": 60.0},
         "5b62295d1512319977c9411b1d05829cbad643bb7baf7c3f8d207e767f31c9dc",
     ),
+    # autoscaling adds and retires engines, borrowing lends them, and online
+    # estimates rebuild the remaining-work table on every completion
+    "elastic": (
+        {
+            "topology": {"preset": "nl2sql-isolated", "llm_engines": {"sql_generator": 1, "sql_fixer": 3}},
+            "policy": {
+                "kind": "slack",
+                "online_estimates": True,
+                "borrow": {"enabled": True},
+                "autoscale": {"enabled": True, "max_engines": 8},
+            },
+            "arrivals": {"rate": 4.0},
+            "duration": 60.0,
+        },
+        "63db889cafcef243fb804ec5f58d779bba41a1216fe709b457394a5a96a0ee10",
+    ),
 }
 
 

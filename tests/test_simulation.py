@@ -6,10 +6,11 @@ from collections import Counter
 import pytest
 
 import stagesim as ss
+import stagesim.simulation as simulation
 from helpers import engine_params, nl2sql_vw, sim_config
 from stagesim.dists import Distribution
 from stagesim.rng import RngStream
-from stagesim.scheduling import dispatch_key
+from stagesim.scheduling import dispatch_key, holds_foreign_prefix
 from stagesim.simulation import (
     EmptySamples,
     Simulator,
@@ -324,6 +325,67 @@ def test_finished_simulator_is_freed_without_the_cyclic_gc():
         assert ref() is None
     finally:
         gc.enable()
+
+
+ELASTIC_POLICY = ss.PolicyConfig(
+    online_estimates=True,
+    borrow=ss.BorrowConfig(enabled=True),
+    autoscale=ss.AutoscaleConfig(enabled=True, max_engines=8),
+)
+
+
+def test_engines_iterate_in_id_order_through_scale_out_and_in():
+    class OrderChecked(Simulator):
+        def _check_invariants(self) -> None:
+            super()._check_invariants()
+            assert list(self.engines) == sorted(self.engines)
+
+    cfg = sim_config(engines=(1, 3), policy=ELASTIC_POLICY, rate=4.0, duration=60.0, seed=3)
+    audit = OrderChecked(cfg).run().audit
+    decisions = {decision for _, _, decision in audit.scale_events}
+    assert decisions == {-1, 1}
+
+
+def test_only_unfinished_requests_keep_rng_streams():
+    sim = Simulator(sim_config(policy=ELASTIC_POLICY, rate=4.0, duration=40.0, seed=2))
+    result = sim.run()
+    assert len(result.traces.requests) > 50
+    owners = {int(label.split(":")[1]) for label in sim._streams}
+    assert owners, "the run should end with requests in flight"
+    assert all(label.startswith("req:") for label in sim._streams)
+    assert all(sim.requests[rid].terminal is None for rid in owners)
+
+
+@pytest.mark.parametrize(
+    "mode, engines, policy",
+    [
+        ("isolated", (1, 1), ss.PolicyConfig()),  # an overloaded generator pool
+        ("isolated", (1, 3), ELASTIC_POLICY),  # lent engines carry other prefixes
+        ("shared", (1, 1), ss.PolicyConfig()),  # prefixes of every stage
+    ],
+)
+def test_routing_fallback_early_out_agrees_with_the_fallback(monkeypatch, mode, engines, policy):
+    checked = {"skipped": 0, "fallbacks": 0}
+    route_call = simulation.route_call
+
+    def checked_route(call, prefix_tokens, pool_engines):
+        placed = route_call(call, prefix_tokens, pool_engines)
+        if placed is None:
+            fallback = simulation.route_call_with_eviction(call, prefix_tokens, pool_engines)
+            if holds_foreign_prefix(call.stage_id, pool_engines):
+                checked["fallbacks"] += 1
+            else:
+                assert fallback is None
+                checked["skipped"] += 1
+        return placed
+
+    monkeypatch.setattr(simulation, "route_call", checked_route)
+    params = engine_params(kv_capacity_tokens=3200, max_batch=4)
+    cfg = sim_config(mode=mode, engines=engines, params=params, policy=policy, rate=4.0, duration=40.0, seed=4)
+    ss.run(cfg)
+    assert checked["skipped"] > 0
+    if mode == "shared":
+        assert checked["fallbacks"] > 0
 
 
 def test_zero_duration_run_is_empty():

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import nl2sql_vw
+from helpers import nl2sql_vw, reference_remaining_work
 from stagesim.dists import Distribution
 from stagesim.workflow import (
     FAILURE,
@@ -118,23 +120,29 @@ def test_unbounded_cycle():
         validate_workflow(bad)
 
 
-def test_budget_gated_cycle_is_accepted():
-    spec = make_spec(
+def gated_cycle_spec():
+    return make_spec(
         [
             llm_stage("a", [Outcome("go", 1.0, "b")]),
             tool_stage("b", [Outcome("ok", 0.5, SUCCESS), Outcome("retry", 0.5, "c")]),
             llm_stage("c", [Outcome("fixed", 1.0, "b")]),
         ],
     )
-    vw = validate_workflow(spec)
+
+
+def self_loop_spec():
+    return make_spec(
+        [llm_stage("a", [Outcome("again", 0.5, "a"), Outcome("done", 0.5, SUCCESS)])]
+    )
+
+
+def test_budget_gated_cycle_is_accepted():
+    vw = validate_workflow(gated_cycle_spec())
     assert vw.loop_edges == frozenset({("b", "c")})
 
 
 def test_self_loop_is_budget_gated():
-    spec = make_spec(
-        [llm_stage("a", [Outcome("again", 0.5, "a"), Outcome("done", 0.5, SUCCESS)])]
-    )
-    vw = validate_workflow(spec)
+    vw = validate_workflow(self_loop_spec())
     assert vw.loop_edges == frozenset({("a", "a")})
 
 
@@ -381,3 +389,27 @@ def test_selectivity_is_terminal_outcome_mass():
     assert vw.selectivity(EXECUTOR) == pytest.approx(0.7)
     assert vw.selectivity(GENERATOR) == 0.0
     assert vw.selectivity(FIXER) == 0.0
+
+
+PLAN_WORKFLOWS = {
+    "nl2sql": lambda: nl2sql_vw(),
+    "nl2sql_budget_0": lambda: nl2sql_vw(retry_budget=0),
+    "nl2sql_budget_5_p_0.9": lambda: nl2sql_vw(p_fail=0.9, retry_budget=5),
+    "nl2sql_no_failures": lambda: nl2sql_vw(p_fail=0.0),
+    # two loop edges of different mass into the fixer: their terms must be
+    # added in outcome order
+    "nl2sql_uneven_failures": lambda: nl2sql_vw(p_fail=0.45, p_syntax_err=0.1),
+    "gated_cycle": lambda: validate_workflow(gated_cycle_spec()),
+    "self_loop": lambda: validate_workflow(self_loop_spec()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_WORKFLOWS))
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.lists(st.floats(0.0, 1e4, allow_nan=False), min_size=3, max_size=3))
+def test_compiled_plan_matches_memo_recursion_exactly(name, values):
+    vw = PLAN_WORKFLOWS[name]()
+    estimates = dict(zip(vw.stage_ids, values))
+    # the same floats, for the same keys, in the same order
+    want = reference_remaining_work(vw, estimates)
+    assert list(expected_remaining_work(vw, estimates).items()) == list(want.items())
