@@ -67,7 +67,7 @@ class ToolPoolParams:
             raise ValueError("tool concurrency must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingCall:
     """A stage call waiting in a pool queue."""
 
@@ -78,7 +78,7 @@ class PendingCall:
     target_output_tokens: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class InFlightCall:
     request_id: int
     stage_id: str
@@ -92,7 +92,7 @@ class InFlightCall:
         return self.target_output_tokens - self.tokens_emitted
 
 
-@dataclass
+@dataclass(slots=True)
 class ResidentPrefix:
     tokens: int
     last_used: float
@@ -101,11 +101,30 @@ class ResidentPrefix:
 class EngineState:
     """One engine: resident prefixes, an active batch, and KV accounting."""
 
+    __slots__ = (
+        "engine_id",
+        "params",
+        "home_pool",
+        "_lent_to",
+        "serving_pool",
+        "resident",
+        "batch",
+        "kv_used",
+        "kv_reserved",
+        "n_decode",
+        "resident_tokens",
+        "decode_epoch",
+        "last_advance",
+    )
+
     def __init__(self, engine_id: int, params: EngineParams, home_pool: str) -> None:
         self.engine_id = engine_id
         self.params = params
         self.home_pool = home_pool
-        self.lent_to: str | None = None
+        self._lent_to: str | None = None
+        # the pool it serves: lent_to while lent, else home_pool; a plain
+        # attribute because every per-event sweep reads it
+        self.serving_pool = home_pool
         self.resident: dict[str, ResidentPrefix] = {}
         self.batch: list[InFlightCall] = []
         self.kv_used = 0.0  # actual: prefixes + prompts + emitted tokens
@@ -116,8 +135,15 @@ class EngineState:
         self.last_advance = 0.0
 
     @property
-    def serving_pool(self) -> str:
-        return self.lent_to if self.lent_to is not None else self.home_pool
+    def lent_to(self) -> str | None:
+        """The pool this engine is lent to, or None while it serves at home."""
+        return self._lent_to
+
+    @lent_to.setter
+    def lent_to(self, pool_id: str | None) -> None:
+        # the one place a borrow or a return changes serving_pool
+        self._lent_to = pool_id
+        self.serving_pool = pool_id if pool_id is not None else self.home_pool
 
     def resident_prefix_tokens(self) -> int:
         """Recount of `resident_tokens`."""
@@ -255,16 +281,22 @@ class EngineState:
     # every engine after every event.
 
     def recomputed_kv_used(self) -> float:
+        resident = 0
+        for prefix in self.resident.values():
+            resident += prefix.tokens
         used = 0
         for c in self.batch:
             used += c.prompt_tokens + c.tokens_emitted
-        return self.resident_prefix_tokens() + used
+        return resident + used
 
     def recomputed_kv_reserved(self) -> int:
+        resident = 0
+        for prefix in self.resident.values():
+            resident += prefix.tokens
         reserved = 0
         for c in self.batch:
             reserved += c.prompt_tokens + c.target_output_tokens
-        return self.resident_prefix_tokens() + reserved
+        return resident + reserved
 
 
 def tool_service_time(params: ToolPoolParams, rng_stream: RngStream) -> float:

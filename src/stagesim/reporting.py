@@ -7,6 +7,7 @@ two runs of the same config produce identical bytes.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +36,36 @@ def _writer(handle):
     return csv.writer(handle, lineterminator="\n")
 
 
+class _CsvCells(dict):
+    """Text cell -> the cell as `_writer` writes it, quoted where needed;
+    computed once per distinct value."""
+
+    def __missing__(self, text: str) -> str:
+        if text:  # a lone empty field would be written as ""
+            buffer = io.StringIO()
+            _writer(buffer).writerow((text,))
+            cell = buffer.getvalue()[:-1]
+        else:
+            cell = text
+        self[text] = cell
+        return cell
+
+
+def write_kv_usage(samples, handle) -> None:
+    """kv_usage.csv, byte for byte as `_writer` and `_f` would write it.
+
+    The trace has a row per engine whose KV changed at each event, so rows
+    are formatted directly and streamed rather than passed through
+    csv.writer one call at a time, or joined into one string.
+    """
+    handle.write("time,pool,engine,kv_used_tokens,resident_prefix_tokens\n")
+    cells = _CsvCells()
+    handle.writelines(
+        f"{time:.9f},{cells[pool]},{engine_id},{kv_used:.9f},{resident}\n"
+        for time, pool, engine_id, kv_used, resident in samples
+    )
+
+
 def write_run_outputs(result: RunResult, out_dir: str | Path) -> dict[str, Path]:
     """Write summary.json plus the three trace CSVs; returns the paths."""
     out = Path(out_dir)
@@ -51,10 +82,7 @@ def write_run_outputs(result: RunResult, out_dir: str | Path) -> dict[str, Path]
     )
 
     with paths["kv_usage"].open("w") as handle:
-        rows = _writer(handle)
-        rows.writerow(["time", "pool", "engine", "kv_used_tokens", "resident_prefix_tokens"])
-        for s in result.traces.kv_samples:
-            rows.writerow([_f(s.time), s.pool, s.engine_id, _f(s.kv_used), s.resident_prefix_tokens])
+        write_kv_usage(result.traces.kv_samples, handle)
 
     with paths["dispatch"].open("w") as handle:
         rows = _writer(handle)

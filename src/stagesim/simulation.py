@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .engines import DECODE, EngineState, InFlightCall, PendingCall, tool_service_time
 from .errors import ConfigError, InternalInvariantViolation
@@ -78,8 +79,9 @@ def sample_interarrival(stream: RngStream, rate: float) -> float:
     return -math.log(stream.uniform()) / rate
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """A scheduled event; the heap orders events as tuples, by (time, seq)."""
+
     time: float
     seq: int
     kind: str
@@ -145,8 +147,11 @@ class SimConfig:
                     )
 
 
-@dataclass(frozen=True)
-class KvSample:
+# Trace records are NamedTuples: the loop builds one per sample, dispatch
+# and finished request, and a tuple is cheaper to build than a dataclass.
+
+
+class KvSample(NamedTuple):
     time: float
     pool: str
     engine_id: int
@@ -154,8 +159,7 @@ class KvSample:
     resident_prefix_tokens: int
 
 
-@dataclass(frozen=True)
-class DispatchRecord:
+class DispatchRecord(NamedTuple):
     time: float
     pool: str
     request_id: int
@@ -168,8 +172,7 @@ class DispatchRecord:
     best_waiting_key: tuple[float, ...] | None
 
 
-@dataclass(frozen=True)
-class RequestRecord:
+class RequestRecord(NamedTuple):
     request_id: int
     arrival: float
     done: float
@@ -324,6 +327,11 @@ class PoolRuntime:
         self.window_dispatches = 0
         self.window_delay_violations = 0
 
+    def tool_slots_full(self) -> bool:
+        """A tool pool with every slot busy: none of its queued calls can
+        start until a tool completion or a scale-out frees a slot."""
+        return self.spec.kind != LLM and self.busy_slots >= self.concurrency
+
     def violation_fraction(self) -> float:
         if self.window_dispatches == 0:
             return 0.0
@@ -340,7 +348,7 @@ class Simulator:
         self.policy = config.policy
         self.clock = 0.0
         self._seq = 0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[Event] = []
         self._streams: dict[str, RngStream] = {}
         self._arrivals = RngStream(config.seed, "arrivals")
 
@@ -412,14 +420,15 @@ class Simulator:
         self._next_engine_id += 1
         return engine
 
-    def _schedule(self, time: float, kind: str, **refs) -> None:
+    def _schedule(
+        self, time: float, kind: str, engine_id: int = -1, request_id: int = -1, epoch: int = -1
+    ) -> None:
         if time < self.clock - 1e-12:
             raise InternalInvariantViolation(
                 f"event '{kind}' scheduled at {time} before clock {self.clock}"
             )
         self._seq += 1
-        ev = Event(time=time, seq=self._seq, kind=kind, **refs)
-        heapq.heappush(self._heap, (time, self._seq, ev))
+        heapq.heappush(self._heap, Event(time, self._seq, kind, engine_id, request_id, epoch))
 
     def _stream(self, req: RequestSim, label: str) -> RngStream:
         """The request's stream `req:{rid}:{label}`; dropped once the
@@ -469,7 +478,10 @@ class Simulator:
                 count[0] += 1
             t0 = engine.last_advance
             kv0 = engine.kv_used
-            engine.advance_decode(to_time)
+            if engine.n_decode:
+                engine.advance_decode(to_time)
+            else:  # nothing decodes, so kv_used stays kv0
+                engine.last_advance = to_time
             # trapezoid of the linear kv_used over the part of [t0, to_time]
             # after warmup
             start = warmup if warmup > t0 else t0
@@ -508,9 +520,10 @@ class Simulator:
                 raise InternalInvariantViolation(
                     f"engine {eid}: kv_used {kv_used} outside [0, {cap}]"
                 )
-            if abs(kv_used - e.recomputed_kv_used()) > _KV_TOL:
+            recomputed = e.recomputed_kv_used()
+            if abs(kv_used - recomputed) > _KV_TOL:
                 raise InternalInvariantViolation(
-                    f"engine {eid}: kv_used {kv_used} != recomputed {e.recomputed_kv_used()}"
+                    f"engine {eid}: kv_used {kv_used} != recomputed {recomputed}"
                 )
             if e.kv_reserved != e.recomputed_kv_reserved():
                 raise InternalInvariantViolation(
@@ -720,9 +733,11 @@ class Simulator:
         # dirty: its queue grew, capacity it serves on was freed or added
         # (call or tool completion, borrow, return, scale event), or the
         # key version changed and may have brought another call to the head.
+        # A full tool pool is left dirty, with its heap as it is, until a
+        # slot frees: whatever its head, it could not be placed.
         version = self._key_version()
         for pool in self.pools.values():
-            if pool.queue and (pool.dirty or pool.heap_version != version):
+            if pool.queue and (pool.dirty or pool.heap_version != version) and not pool.tool_slots_full():
                 self._dispatch_pool(pool, version)
 
     def _dispatch_pool(self, pool: PoolRuntime, version: int) -> None:
@@ -782,7 +797,7 @@ class Simulator:
         engine id for the dispatch record ('' for a tool slot), or None
         when nothing can take it."""
         if pool.spec.kind != LLM:
-            if pool.busy_slots >= pool.concurrency:
+            if pool.tool_slots_full():
                 return None
             pool.busy_slots += 1
             stream = self._stream(self.requests[call.request_id], f"tool:{call.stage_id}")
@@ -929,7 +944,7 @@ class Simulator:
             self._schedule(interval, EVENT_BORROW_CHECK)
 
         while self._heap and self._heap[0][0] <= duration:
-            _, _, ev = heapq.heappop(self._heap)
+            ev = heapq.heappop(self._heap)
             self._advance_clock(ev.time)
             self._handlers[ev.kind](self, ev)
             self._dispatch_all()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import heapq
 
 import stagesim as ss
@@ -156,3 +157,17 @@ def reference_remaining_work(vw, service_estimates) -> dict:
         for retries in range(budget + 1):
             value(stage_id, retries)
     return memo
+
+
+def reference_write_kv_usage(samples, handle) -> None:
+    """Reference kv_usage.csv writer: one csv.writer row per sample, floats
+    with 9 decimals, as `stagesim.reporting.write_kv_usage` replaces with
+    pre-formatted rows that must match it byte for byte."""
+
+    def f9(x: float) -> str:
+        return f"{x:.9f}"
+
+    rows = csv.writer(handle, lineterminator="\n")
+    rows.writerow(["time", "pool", "engine", "kv_used_tokens", "resident_prefix_tokens"])
+    for s in samples:
+        rows.writerow([f9(s.time), s.pool, s.engine_id, f9(s.kv_used), s.resident_prefix_tokens])

@@ -10,6 +10,7 @@ from stagesim.engines import (
     DECODE,
     AdmitWithoutCapacity,
     EngineState,
+    InFlightCall,
     PendingCall,
     PrefixInUse,
     ToolPoolParams,
@@ -316,6 +317,17 @@ def test_counters_match_recounts_after_every_operation(steps):
         assert eng.resident_tokens == sum(p.tokens for p in eng.resident.values())
         assert eng.kv_reserved == eng.recomputed_kv_reserved()
         assert eng.kv_used == pytest.approx(eng.recomputed_kv_used(), abs=1e-6)
+
+
+def test_state_objects_reject_unknown_attributes():
+    # slotted: a misspelt attribute raises instead of adding a new one
+    for obj, typo in (
+        (engine(), "kv_usd"),
+        (InFlightCall(0, "gen", 10, 10), "tokens_emited"),
+        (call(), "enqueue_tme"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(obj, typo, 1)
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,34 @@ from stagesim.cli import main
 
 OUTPUT_FILES = ("summary.json", "kv_usage.csv", "dispatch.csv", "requests.csv")
 
+QUOTED_LLM = 'write, "v1" sql'
+QUOTED_TOOL = 'run "it", now'
+QUOTED_WORKFLOW = {
+    "name": "quoted",
+    "entry_stage": QUOTED_LLM,
+    "retry_budget": 1,
+    "slo_seconds": 6.0,
+    "stages": [
+        {
+            "stage_id": QUOTED_LLM,
+            "kind": "llm",
+            "prefix_tokens": 400,
+            "prompt_tokens": {"kind": "uniform", "low": 50, "high": 300},
+            "output_tokens": {"kind": "uniform", "low": 20, "high": 120},
+            "outcomes": [{"label": "ok", "prob": 1.0, "next": QUOTED_TOOL}],
+        },
+        {
+            "stage_id": QUOTED_TOOL,
+            "kind": "tool",
+            "service_time": {"kind": "uniform", "low": 0.2, "high": 1.5},
+            "outcomes": [
+                {"label": "ok", "prob": 0.7, "next": "Success"},
+                {"label": "retry", "prob": 0.3, "next": QUOTED_LLM},
+            ],
+        },
+    ],
+}
+
 # name -> (config overlay, sha256 over OUTPUT_FILES)
 GOLDEN_RUNS = {
     "fcfs": (
@@ -61,6 +89,15 @@ GOLDEN_RUNS = {
             "duration": 60.0,
         },
         "63db889cafcef243fb804ec5f58d779bba41a1216fe709b457394a5a96a0ee10",
+    ),
+    # stage ids with a comma, a quote and a space: the `pool:…` and stage
+    # cells of kv_usage.csv and dispatch.csv must be quoted
+    "quoted_ids": (
+        {
+            "workflow": {"inline": QUOTED_WORKFLOW},
+            "topology": {"mode": "isolated", "llm_engines": {QUOTED_LLM: 2}, "tool_concurrency": 2},
+        },
+        "f58eca96e3ea5023324173b21febbe0828feffd4fb308a6f5702fde2ab422209",
     ),
 }
 

@@ -163,12 +163,17 @@ def _placeable(sim: Simulator, pool, call) -> bool:
 class CheckedSimulator(Simulator):
     """Asserts, after every dispatch pass, that no queued pool has a
     reference head that could be placed, and counts the pools a pass
-    skipped."""
+    skipped and the dirty pools it skipped because all their tool slots
+    were busy."""
 
     skipped = 0
+    gated = 0
 
     def _dispatch_all(self) -> None:
         self.skipped += sum(1 for pool in self.pools.values() if pool.queue)
+        self.gated += sum(
+            1 for pool in self.pools.values() if pool.queue and pool.dirty and pool.tool_slots_full()
+        )
         super()._dispatch_all()
         key_fn = self._dispatch_key_fn(self.clock)
         for pool in self.pools.values():
@@ -216,6 +221,9 @@ POLICIES = {
         engines=(1, 2),
         policy=ss.PolicyConfig(autoscale=AutoscaleConfig(enabled=True, max_engines=4)),
     ),
+    # the executor queue waits on its one slot while online estimates
+    # change its keys: the full pool is skipped, not re-keyed
+    "tool_full_online": dict(tool_concurrency=1, policy=ss.PolicyConfig(online_estimates=True)),
 }
 
 
@@ -241,6 +249,8 @@ def test_every_dispatch_matches_full_sort(monkeypatch, name):
         assert result.audit.borrows and result.audit.returns
     if name == "autoscale":
         assert result.audit.scale_events
+    if name == "tool_full_online":
+        assert sim.gated > 0, "no dirty tool pool waited on a busy slot"
     assert len(checked) >= len(result.traces.dispatches) > 0
     assert any(checked), "no selection ever had a second queued call"
     assert sim.skipped > 0, "no dispatch pass skipped a blocked pool"

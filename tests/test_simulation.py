@@ -346,6 +346,19 @@ def test_engines_iterate_in_id_order_through_scale_out_and_in():
     assert decisions == {-1, 1}
 
 
+def test_serving_pool_follows_every_borrow_and_return():
+    class ServingChecked(Simulator):
+        def _check_invariants(self) -> None:
+            super()._check_invariants()
+            for e in self.engines.values():
+                assert e.serving_pool == (e.lent_to if e.lent_to is not None else e.home_pool)
+
+    cfg = sim_config(engines=(1, 3), policy=ELASTIC_POLICY, rate=4.0, duration=60.0, seed=3)
+    audit = ServingChecked(cfg).run().audit
+    assert audit.borrows and audit.returns and audit.lent_admissions
+    assert {decision for _, _, decision in audit.scale_events} == {-1, 1}
+
+
 def test_only_unfinished_requests_keep_rng_streams():
     sim = Simulator(sim_config(policy=ELASTIC_POLICY, rate=4.0, duration=40.0, seed=2))
     result = sim.run()
