@@ -52,7 +52,6 @@ from .workflow import (
     ValidatedWorkflow,
     WorkflowSpec,
     WorkflowValidationError,
-    expected_fixer_invocations,
     expected_remaining_work,
     next_step,
     validate_workflow,

@@ -281,22 +281,16 @@ class EngineState:
     # every engine after every event.
 
     def recomputed_kv_used(self) -> float:
-        resident = 0
-        for prefix in self.resident.values():
-            resident += prefix.tokens
         used = 0
         for c in self.batch:
             used += c.prompt_tokens + c.tokens_emitted
-        return resident + used
+        return self.resident_prefix_tokens() + used
 
     def recomputed_kv_reserved(self) -> int:
-        resident = 0
-        for prefix in self.resident.values():
-            resident += prefix.tokens
         reserved = 0
         for c in self.batch:
             reserved += c.prompt_tokens + c.target_output_tokens
-        return resident + reserved
+        return self.resident_prefix_tokens() + reserved
 
 
 def tool_service_time(params: ToolPoolParams, rng_stream: RngStream) -> float:

@@ -10,7 +10,6 @@ loop applies their effects.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -34,6 +33,8 @@ def dispatch_key(
     slack orders by ascending slack, then ascending expected stage
     service, then (when a selectivity is given) descending selectivity,
     then arrival.  Inputs the kind does not order by may be left out.
+    The simulator passes slack at time 0, deadline - W, so no key changes
+    while its call waits.
     """
     if kind == "fcfs":
         return (float(request_id),)
@@ -95,64 +96,23 @@ class AutoscaleConfig:
             raise ValueError("cooldown must be >= 0")
 
 
-def tie_window(primary: float, now: float) -> float:
-    """Gap between two static slack primaries below which their exact keys
-    at `now` may order either way.
+def select_next(heap):
+    """Most urgent pending call, read from a pool's heap.
 
-    The static primary is s = fl(deadline - W); the exact one at `now`,
-    fl(fl(deadline - now) - W), differs from s - now by at most about
-    3 * 2**-53 * (|s| + |now| + W).  The window is wider than twice that
-    for any remaining work W below about 1e5 * (1 + |s| + |now|).
-    """
-    return 1e-9 * (1.0 + abs(primary) + abs(now))
+    `heap` is a heapq list of (dispatch key, call) entries, one per queued
+    call.  Every policy's key stays fixed while its call waits (slack keys
+    by deadline - W, which in exact arithmetic orders calls as the slack
+    deadline - now - W does), so the heap head is the call a full sort of
+    the queue picks and the best waiting key is the smaller of the head's
+    children.
 
-
-def select_next(heap, key_fn=None, now: float = 0.0):
-    """Most urgent pending call, read from a heap of static keys.
-
-    `heap` is a heapq list of (static key, call) entries, one per queued
-    call; a call's static key is its dispatch key at time 0.  With
-    `key_fn` None the static keys are the exact ones (fcfs and las keys do
-    not change while a call waits).  Otherwise `key_fn(call)` is the exact
-    key at `now`, whose first element is the static one minus `now` up to
-    rounding (slack = deadline - W - now): entries are visited in static
-    order without changing the heap, and only those whose static primary
-    lies within `tie_window` of the second-smallest one are keyed at
-    `now`.  The choice is the one a full sort of the exact keys makes.
-
-    Returns (call, key, best_remaining_key) or None on an empty heap; the
+    Returns (call, key, best_waiting_key) or None on an empty heap; the
     caller removes the call only after engine admission succeeds.
     """
     if not heap:
         return None
-    if key_fn is None:
-        second = min(heap[1:3], default=None)
-        return heap[0][1], heap[0][0], None if second is None else second[0]
-    candidates = []
-    frontier = [(heap[0][0], 0)]
-    limit = math.inf
-    while frontier and frontier[0][0][0] <= limit:
-        static, i = heapq.heappop(frontier)
-        candidates.append(heap[i][1])
-        if len(candidates) == 2:
-            limit = static[0] + tie_window(static[0], now)
-        for child in (2 * i + 1, 2 * i + 2):
-            if child < len(heap):
-                heapq.heappush(frontier, (heap[child][0], child))
-    keyed = sorted(((key_fn(call), call) for call in candidates), key=lambda kc: kc[0])
-    best_key, call = keyed[0]
-    remaining = keyed[1][0] if len(keyed) > 1 else None
-    return call, best_key, remaining
-
-
-def near_tie(heap, until: float) -> bool:
-    """Whether, at some time up to `until`, a call other than the static
-    head of a slack heap may come first in exact key order."""
-    if len(heap) < 2:
-        return False
-    head = heap[0][0][0]
-    second = min(heap[1:3])[0][0]
-    return second - head <= tie_window(second, until)
+    second = min(heap[1:3], default=None)
+    return heap[0][1], heap[0][0], None if second is None else second[0]
 
 
 def route_call(

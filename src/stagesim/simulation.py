@@ -29,7 +29,6 @@ from .scheduling import (
     autoscale_tick,
     dispatch_key,
     holds_foreign_prefix,
-    near_tie,
     route_call,
     route_call_with_eviction,
     select_next,
@@ -294,11 +293,12 @@ class PoolRuntime:
         self.spec = spec
         self.pool_id = spec.pool_id
         self.queue: dict[int, PendingCall] = {}  # by request id
-        # (static dispatch key, call) per queued call, valid for key version
+        # (dispatch key, call) per queued call, valid for key version
         # heap_version; see Simulator._dispatch_pool
         self.heap: list[tuple[tuple[float, ...], PendingCall]] = []
         self.heap_version = -1
-        # set when something a blocked dispatch depends on may have changed
+        # set when something a blocked dispatch depends on may have changed;
+        # a blocked pool is skipped until then
         self.dirty = False
         self.concurrency = spec.tool_params.concurrency if spec.tool_params else 0
         self.busy_slots = 0
@@ -390,6 +390,8 @@ class Simulator:
         )
         self._work_table: dict[tuple[str, int], float] = {}
         self._work_version = -1
+        self._key_fn = None
+        self._key_fn_version = -1
 
         self.requests: dict[int, RequestSim] = {}
         self._next_rid = 0
@@ -587,7 +589,7 @@ class Simulator:
         pool = self.pools[self.stage_pool[sid]]
         pool.queue[rid] = call
         if pool.heap_version == self._key_version():
-            heapq.heappush(pool.heap, (self._dispatch_key_fn(0.0)(call), call))
+            heapq.heappush(pool.heap, (self._dispatch_key_fn()(call), call))
         pool.dirty = True
         pool.max_queue_len = max(pool.max_queue_len, len(pool.queue))
         req.enqueue_time = self.clock
@@ -701,10 +703,19 @@ class Simulator:
         only slack keys depend on the service estimates."""
         return self.estimator.version if self.policy.kind == "slack" else 0
 
-    def _dispatch_key_fn(self, now: float):
-        """The dispatch key of a queued call at time `now`, valid while no
-        event runs (estimates, attained service and retries stay fixed).
-        At now = 0 it is the static key the pool heaps are ordered by."""
+    def _dispatch_key_fn(self):
+        """The dispatch key of a queued call, the one the pool heaps are
+        ordered by; built once per key version, which it stays valid for."""
+        version = self._key_version()
+        if self._key_fn_version != version:
+            self._key_fn = self._build_dispatch_key_fn()
+            self._key_fn_version = version
+        return self._key_fn
+
+    def _build_dispatch_key_fn(self):
+        # The closure must not hold self (see the handler table).  Keys do
+        # not change while a call waits: slack keys order by deadline - W,
+        # which in exact arithmetic orders calls as deadline - now - W does.
         kind = self.policy.kind
         requests = self.requests
         if kind != "slack":  # fcfs and las need neither slack nor estimates
@@ -721,7 +732,7 @@ class Simulator:
                 kind,
                 call.request_id,
                 req.attained,
-                state.deadline - now - remaining[(sid, state.retries_used)],
+                state.deadline - remaining[(sid, state.retries_used)],
                 estimates[sid],
                 selectivity(sid) if selectivity else None,
             )
@@ -745,26 +756,18 @@ class Simulator:
         # the whole queue waits (no overtaking).
         now = self.clock
         if pool.heap_version != version:
-            static_key = self._dispatch_key_fn(0.0)
-            pool.heap = [(static_key(call), call) for call in pool.queue.values()]
+            key_fn = self._dispatch_key_fn()
+            pool.heap = [(key_fn(call), call) for call in pool.queue.values()]
             heapq.heapify(pool.heap)
             pool.heap_version = version
-        # fcfs and las keys do not change with time, so the static ones are exact
-        key_fn = self._dispatch_key_fn(now) if self.policy.kind == "slack" else None
         pool.dirty = False
+        remaining = self._remaining_table()
         while pool.heap:
-            call, key, best_waiting = select_next(pool.heap, key_fn, now)
+            call, key, best_waiting = select_next(pool.heap)
             engine_label = self._place(pool, call, now)
             if engine_label is None:
-                # Blocked until marked dirty, unless rounding may let a
-                # near-tied call overtake the head as time passes.
-                pool.dirty = key_fn is not None and near_tie(pool.heap, self.cfg.duration)
-                break
-            if pool.heap[0][1] is call:
-                heapq.heappop(pool.heap)
-            else:  # a near-tied call overtook the static head
-                pool.heap = [entry for entry in pool.heap if entry[1] is not call]
-                heapq.heapify(pool.heap)
+                break  # blocked until marked dirty
+            heapq.heappop(pool.heap)
             del pool.queue[call.request_id]
             req = self.requests[call.request_id]
             req.dispatch_time = now
@@ -774,9 +777,7 @@ class Simulator:
                     time=now,
                     pool=pool.pool_id,
                     request_id=call.request_id,
-                    slack=req.state.deadline
-                    - now
-                    - self._remaining_table()[(call.stage_id, req.state.retries_used)],
+                    slack=req.state.deadline - now - remaining[(call.stage_id, req.state.retries_used)],
                     expected_service=self.estimator.estimate(call.stage_id),
                     engine=engine_label,
                     stage_id=call.stage_id,

@@ -340,18 +340,6 @@ def next_step(state: RequestState, outcome: str, vw: ValidatedWorkflow) -> Trans
     return Transition(target, None, state.retries_used)
 
 
-def expected_fixer_invocations(p_fail: float, budget: int) -> float:
-    """Expected number of fix-loop entries when each attempt fails with
-    probability p_fail independently and at most `budget` fixes happen."""
-    if not 0.0 <= p_fail <= 1.0:
-        raise ValueError("p_fail must be in [0, 1]")
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-    if p_fail >= 1.0:
-        return float(budget)
-    return p_fail * (1.0 - p_fail**budget) / (1.0 - p_fail)
-
-
 def _compile_remaining_work(vw: ValidatedWorkflow) -> tuple:
     """The remaining-work dynamic program over (stage, retries_used) as a
     flat plan: one `(key, stage or None at a terminal, ((probability,

@@ -124,6 +124,19 @@ def static_heap(calls, static_key) -> list:
     return heap
 
 
+def expected_fixer_invocations(p_fail: float, budget: int) -> float:
+    """Expected number of fix-loop entries when each attempt fails with
+    probability p_fail independently and at most `budget` fixes happen; a
+    closed-form oracle for the tests."""
+    if not 0.0 <= p_fail <= 1.0:
+        raise ValueError("p_fail must be in [0, 1]")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
+    if p_fail >= 1.0:
+        return float(budget)
+    return p_fail * (1.0 - p_fail**budget) / (1.0 - p_fail)
+
+
 def reference_remaining_work(vw, service_estimates) -> dict:
     """Reference remaining-work table: the memoised recursion over
     (stage, retries_used) that `stagesim.expected_remaining_work` replaces

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 import stagesim as ss
-from helpers import engine_params, nl2sql_vw, sim_config
+from helpers import engine_params, expected_fixer_invocations, nl2sql_vw, sim_config
 from stagesim.cli import main
 from stagesim.dists import Distribution
 from stagesim.reporting import replay_dispatch_audit, write_run_outputs
 from stagesim.simulation import Simulator
-from stagesim.workflow import expected_fixer_invocations, expected_remaining_work
+from stagesim.workflow import expected_remaining_work
 from stagesim.workloads import EXECUTOR, FIXER, GENERATOR
 
 REGISTRY: list[tuple[Simulator, ss.RunResult]] = []

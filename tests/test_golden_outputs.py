@@ -54,7 +54,7 @@ GOLDEN_RUNS = {
     ),
     "slack": (
         {"policy": {"kind": "slack"}},
-        "b0f97185128f138085726a5e4e4f0df98fbcc24ba4b791b6fe4ded05f707faf3",
+        "2c3bbdc9e40d1ca19b0435b430f8d18fc088a6b0c751364fbe7ef3dd340df55f",
     ),
     "shared_borrow_autoscale": (
         {
@@ -67,12 +67,12 @@ GOLDEN_RUNS = {
                 "autoscale": {"enabled": True, "max_engines": 4},
             },
         },
-        "7ff289663289f21f43ffca19605b7afb92e858cff2ecbac8f1ca4a3dae1de776",
+        "23cc5dd815a92ce28be0895241454860340049750906215d3c6a965268c9792c",
     ),
     # the generator queue grows to about 110 calls: dispatch from long queues
     "overload": (
         {"arrivals": {"rate": 4.0}, "duration": 60.0},
-        "5b62295d1512319977c9411b1d05829cbad643bb7baf7c3f8d207e767f31c9dc",
+        "2ce04f6646145763cafa83540a4652c3e5863e44849efe8be8c128d85aee7836",
     ),
     # autoscaling adds and retires engines, borrowing lends them, and online
     # estimates rebuild the remaining-work table on every completion
@@ -88,7 +88,7 @@ GOLDEN_RUNS = {
             "arrivals": {"rate": 4.0},
             "duration": 60.0,
         },
-        "63db889cafcef243fb804ec5f58d779bba41a1216fe709b457394a5a96a0ee10",
+        "50514ea49b1915fc78086e0450c8766583faa53e023aae9e1fda2115bb886da2",
     ),
     # stage ids with a comma, a quote and a space: the `pool:…` and stage
     # cells of kv_usage.csv and dispatch.csv must be quoted
@@ -97,7 +97,7 @@ GOLDEN_RUNS = {
             "workflow": {"inline": QUOTED_WORKFLOW},
             "topology": {"mode": "isolated", "llm_engines": {QUOTED_LLM: 2}, "tool_concurrency": 2},
         },
-        "f58eca96e3ea5023324173b21febbe0828feffd4fb308a6f5702fde2ab422209",
+        "f4e3982e07cd5f155142cfa4342089182b1ddd3cddd106c0711d4c1ba1bb6377",
     ),
 }
 

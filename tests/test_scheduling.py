@@ -36,28 +36,30 @@ def slack_key(slack, service, request_id, selectivity=None):
     return dispatch_key("slack", request_id, 0.0, slack, service, selectivity)
 
 
-def simulator_key(vw, estimates, state, now, use_selectivity=False):
-    """The key the Simulator computes for `state`'s queued call at `now`."""
+def simulator_key(vw, estimates, state, use_selectivity=False):
+    """The dispatch key the Simulator computes for `state`'s queued call:
+    under slack it orders by deadline - W, the slack at time 0."""
     policy = ss.PolicyConfig(service_estimates=estimates, use_selectivity=use_selectivity)
     sim = Simulator(sim_config(vw=vw, policy=policy))
     sim.requests[state.request_id] = RequestSim(state=state)
-    call = PendingCall(state.request_id, state.current_stage, now)
-    return sim._dispatch_key_fn(now)(call)
+    call = PendingCall(state.request_id, state.current_stage, 0.0)
+    return sim._dispatch_key_fn()(call)
 
 
 def test_slack_uses_expected_remaining_work():
     vw = nl2sql_vw(p_fail=0.5, retry_budget=1)
     req = RequestState(0, 0.0, 10.0, GENERATOR)
-    assert simulator_key(vw, EST, req, 0.0)[0] == pytest.approx(6.0)  # 10 - 4.0 of work
+    assert simulator_key(vw, EST, req)[0] == pytest.approx(6.0)  # 10 - 4.0 of work
 
 
 def test_slack_zero_and_negative():
+    # the slack at `now` is the key's deadline - W minus now
     vw = nl2sql_vw(p_fail=0.0)
     req = RequestState(0, 0.0, 5.0, EXECUTOR)
-    assert simulator_key(vw, EST, req, 4.0)[0] == pytest.approx(0.0)
+    assert simulator_key(vw, EST, req)[0] - 4.0 == pytest.approx(0.0)
     req2 = RequestState(0, 0.0, 5.0, GENERATOR)
     heavy = {GENERATOR: 5.0, EXECUTOR: 4.0, FIXER: 1.0}
-    assert simulator_key(vw, heavy, req2, 9.0)[0] == pytest.approx(-13.0)
+    assert simulator_key(vw, heavy, req2)[0] - 9.0 == pytest.approx(-13.0)
 
 
 def test_more_urgent_slack_orders_first():
@@ -97,9 +99,9 @@ def test_keys_form_strict_total_order():
 def test_simulator_key_gates_selectivity():
     vw = nl2sql_vw(p_fail=0.4)
     req = RequestState(3, 0.0, 30.0, EXECUTOR)
-    plain = simulator_key(vw, EST, req, 0.0)
+    plain = simulator_key(vw, EST, req)
     assert len(plain) == 3  # (slack, service, arrival): no selectivity term
-    gated = simulator_key(vw, EST, req, 0.0, use_selectivity=True)
+    gated = simulator_key(vw, EST, req, use_selectivity=True)
     assert gated[2] == pytest.approx(-0.6)
     assert gated[-1] == 3.0
     assert gated[1] == EST[EXECUTOR]
@@ -112,30 +114,17 @@ def test_simulator_key_gates_selectivity():
 
 def test_select_next_empty_queue():
     assert select_next([]) is None
-    assert select_next([], lambda c: (0.0,), 5.0) is None
 
 
 def test_select_next_most_urgent_first():
     queue = [PendingCall(0, "gen", 0.0), PendingCall(1, "gen", 0.0)]
     slacks = {0: 1.0, 1: -3.0}
     heap = static_heap(queue, lambda c: (slacks[c.request_id], float(c.request_id)))
-    for key_fn in (None, lambda c: (slacks[c.request_id], float(c.request_id))):
-        call, key, remaining = select_next(heap, key_fn)
-        assert call.request_id == 1
-        assert key == (-3.0, 1.0)
-        assert remaining == (1.0, 0.0)
-        assert len(heap) == 2  # selection never removes
-
-
-def test_select_next_keys_exactly_at_now():
-    # static primary deadline - W; the exact one at now is (deadline - now) - W
-    deadlines = {0: 20.0, 1: 12.0, 2: 30.0}
-    queue = [PendingCall(rid, "gen", 0.0) for rid in deadlines]
-    heap = static_heap(queue, lambda c: (deadlines[c.request_id] - 2.0, float(c.request_id)))
-    call, key, remaining = select_next(heap, lambda c: (deadlines[c.request_id] - 7.0 - 2.0, float(c.request_id)), 7.0)
+    call, key, remaining = select_next(heap)
     assert call.request_id == 1
-    assert key == (3.0, 1.0)
-    assert remaining == (11.0, 0.0)
+    assert key == (-3.0, 1.0)
+    assert remaining == (1.0, 0.0)
+    assert len(heap) == 2  # selection never removes
 
 
 def test_select_next_singleton():

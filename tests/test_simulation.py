@@ -264,14 +264,13 @@ def test_recorded_keys_match_dispatch_key(policy):
         dispatched[rec.request_id] += 1
         assert state.current_stage == rec.stage_id
         remaining = expected_remaining_work(vw, estimates)[(state.current_stage, state.retries_used)]
-        slack = state.deadline - rec.time - remaining
+        # the key orders by deadline - W; the slack column is taken at dispatch
         selectivity = vw.selectivity(rec.stage_id) if policy.use_selectivity else None
         expected = dispatch_key(
-            policy.kind, rec.request_id, attained, slack, estimates[rec.stage_id], selectivity
+            policy.kind, rec.request_id, attained, state.deadline - remaining, estimates[rec.stage_id], selectivity
         )
         assert rec.key == expected
-        if policy.kind == "slack":
-            assert rec.slack == rec.key[0]
+        assert rec.slack == state.deadline - rec.time - remaining
         contended += rec.best_waiting_key is not None
     assert contended > 0, "run never had queue contention"
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import nl2sql_vw, reference_remaining_work
+from helpers import expected_fixer_invocations, nl2sql_vw, reference_remaining_work
 from stagesim.dists import Distribution
 from stagesim.workflow import (
     FAILURE,
@@ -23,7 +23,6 @@ from stagesim.workflow import (
     UnreachableStage,
     UnreachableTerminal,
     WorkflowSpec,
-    expected_fixer_invocations,
     expected_remaining_work,
     next_step,
     validate_workflow,
