@@ -252,6 +252,12 @@ class EngineState:
         self.batch.remove(call)
         if call.phase == DECODE:
             self.n_decode -= 1
+        if not self.n_decode:
+            # Nothing decodes, so kv_used is a whole number of tokens: recount
+            # it, dropping the float residue of adding and releasing emitted
+            # tokens, lest routing ties between idle engines (`route_call`
+            # orders by kv_used) turn on how decode was split into segments.
+            self.kv_used = float(self.resident_tokens + sum(c.prompt_tokens for c in self.batch))
         self.decode_epoch += 1
 
     def active_stage_calls(self, stage_id: str) -> int:
@@ -278,19 +284,20 @@ class EngineState:
         return out
 
     # The recounts below are plain loops: the invariant check runs them for
-    # every engine after every event.
+    # every engine after every event.  `prefix_tokens` is
+    # `resident_prefix_tokens()`, which the caller recounts once for both.
 
-    def recomputed_kv_used(self) -> float:
+    def recomputed_kv_used(self, prefix_tokens: int) -> float:
         used = 0
         for c in self.batch:
             used += c.prompt_tokens + c.tokens_emitted
-        return self.resident_prefix_tokens() + used
+        return prefix_tokens + used
 
-    def recomputed_kv_reserved(self) -> int:
+    def recomputed_kv_reserved(self, prefix_tokens: int) -> int:
         reserved = 0
         for c in self.batch:
             reserved += c.prompt_tokens + c.target_output_tokens
-        return self.resident_prefix_tokens() + reserved
+        return prefix_tokens + reserved
 
 
 def tool_service_time(params: ToolPoolParams, rng_stream: RngStream) -> float:

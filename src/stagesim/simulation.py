@@ -522,18 +522,19 @@ class Simulator:
                 raise InternalInvariantViolation(
                     f"engine {eid}: kv_used {kv_used} outside [0, {cap}]"
                 )
-            recomputed = e.recomputed_kv_used()
+            prefix_tokens = e.resident_prefix_tokens()
+            if e.resident_tokens != prefix_tokens:
+                raise InternalInvariantViolation(
+                    f"engine {eid}: resident_tokens {e.resident_tokens} != recomputed"
+                )
+            recomputed = e.recomputed_kv_used(prefix_tokens)
             if abs(kv_used - recomputed) > _KV_TOL:
                 raise InternalInvariantViolation(
                     f"engine {eid}: kv_used {kv_used} != recomputed {recomputed}"
                 )
-            if e.kv_reserved != e.recomputed_kv_reserved():
+            if e.kv_reserved != e.recomputed_kv_reserved(prefix_tokens):
                 raise InternalInvariantViolation(
                     f"engine {eid}: kv_reserved {e.kv_reserved} != recomputed"
-                )
-            if e.resident_tokens != e.resident_prefix_tokens():
-                raise InternalInvariantViolation(
-                    f"engine {eid}: resident_tokens {e.resident_tokens} != recomputed"
                 )
             if len(e.batch) > e.params.max_batch:
                 raise InternalInvariantViolation(f"engine {eid}: batch over max_batch")
@@ -601,9 +602,7 @@ class Simulator:
         self._reschedule_completion(engine)
 
     def _handle_call_complete(self, ev: Event) -> None:
-        engine = self.engines.get(ev.engine_id)
-        if engine is None or ev.epoch != engine.decode_epoch:
-            return  # stale: batch composition changed since scheduling
+        engine = self.engines[ev.engine_id]  # run() skipped it if superseded
         call = self._find_call(engine, ev.request_id)
         if call.remaining_tokens > _KV_TOL:
             raise InternalInvariantViolation(
@@ -944,8 +943,16 @@ class Simulator:
         if self.policy.borrow.enabled and interval <= duration:
             self._schedule(interval, EVENT_BORROW_CHECK)
 
+        engines = self.engines
         while self._heap and self._heap[0][0] <= duration:
             ev = heapq.heappop(self._heap)
+            if ev.kind == EVENT_CALL_COMPLETE:
+                engine = engines.get(ev.engine_id)
+                if engine is None or ev.epoch != engine.decode_epoch:
+                    # superseded: the engine's decode batch changed (or the
+                    # engine retired) since it was scheduled, so it changes
+                    # no state and the clock does not move to it
+                    continue
             self._advance_clock(ev.time)
             self._handlers[ev.kind](self, ev)
             self._dispatch_all()

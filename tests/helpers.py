@@ -7,6 +7,14 @@ import heapq
 
 import stagesim as ss
 from stagesim.engines import EngineParams
+from stagesim.simulation import (
+    EVENT_ARRIVAL,
+    EVENT_AUTOSCALE_TICK,
+    EVENT_BORROW_CHECK,
+    EVENT_CALL_COMPLETE,
+    KvSample,
+    RunResult,
+)
 from stagesim.workflow import TERMINALS, is_terminal
 from stagesim.workloads import (
     EXECUTOR,
@@ -184,3 +192,57 @@ def reference_write_kv_usage(samples, handle) -> None:
     rows.writerow(["time", "pool", "engine", "kv_used_tokens", "resident_prefix_tokens"])
     for s in samples:
         rows.writerow([f9(s.time), s.pool, s.engine_id, f9(s.kv_used), s.resident_prefix_tokens])
+
+
+class SupersededCompletionsReference(ss.Simulator):
+    """Reference event loop that processes superseded completions as
+    `Simulator.run` did before it skipped them: every popped event advances
+    the clock and is followed by a dispatch pass, the invariant check and
+    KV sampling, and a superseded completion's handler does nothing.
+
+    After `run()`, `superseded` counts the superseded completions popped,
+    and `processed_kv` holds the KV rows taken at processed events only:
+    the rows sampled during them, plus a row per live engine after each.
+    """
+
+    def run(self) -> RunResult:
+        self.superseded = 0
+        self.processed_kv: list[KvSample] = []
+        samples = self.traces.kv_samples
+        duration = self.cfg.duration
+        first = ss.sample_interarrival(self._arrivals, self.cfg.arrival_rate)
+        if first <= duration:
+            self._schedule(first, EVENT_ARRIVAL)
+        interval = self.policy.autoscale.check_interval
+        if self.policy.autoscale.enabled and interval <= duration:
+            self._schedule(interval, EVENT_AUTOSCALE_TICK)
+        if self.policy.borrow.enabled and interval <= duration:
+            self._schedule(interval, EVENT_BORROW_CHECK)
+
+        while self._heap and self._heap[0][0] <= duration:
+            ev = heapq.heappop(self._heap)
+            engine = self.engines.get(ev.engine_id)
+            superseded = ev.kind == EVENT_CALL_COMPLETE and (
+                engine is None or ev.epoch != engine.decode_epoch
+            )
+            first_row = len(samples)
+            self._advance_clock(ev.time)
+            if superseded:
+                self.superseded += 1
+            else:
+                self._handlers[ev.kind](self, ev)
+            self._dispatch_all()
+            self._check_invariants()
+            self._emit_kv_samples()
+            if not superseded:
+                self.processed_kv.extend(samples[first_row:])
+                self.processed_kv.extend(
+                    KvSample(self.clock, e.serving_pool, eid, e.kv_used, e.resident_tokens)
+                    for eid, e in self.engines.items()
+                )
+
+        self._advance_clock(duration)
+        first_row = len(samples)
+        self._emit_kv_samples(force=True)
+        self.processed_kv.extend(samples[first_row:])
+        return RunResult(self._build_report(), self.traces, self.audit)

@@ -234,11 +234,11 @@ def test_accounting_recompute_matches():
     a = start_decode(eng, call(rid=0, prompt=100, output=400), prefix=700)
     eng.admit(call(rid=1, stage="fix", prompt=50, output=60), 300, 0.0)
     eng.advance_decode(1.5)
-    assert eng.kv_used == pytest.approx(eng.recomputed_kv_used(), abs=1e-9)
-    assert eng.kv_reserved == eng.recomputed_kv_reserved()
+    assert eng.kv_used == pytest.approx(eng.recomputed_kv_used(eng.resident_prefix_tokens()), abs=1e-9)
+    assert eng.kv_reserved == eng.recomputed_kv_reserved(eng.resident_prefix_tokens())
     eng.complete_call(a)
-    assert eng.kv_used == pytest.approx(eng.recomputed_kv_used(), abs=1e-9)
-    assert eng.kv_reserved == eng.recomputed_kv_reserved()
+    assert eng.kv_used == pytest.approx(eng.recomputed_kv_used(eng.resident_prefix_tokens()), abs=1e-9)
+    assert eng.kv_reserved == eng.recomputed_kv_reserved(eng.resident_prefix_tokens())
 
 
 # ----------------------------------------------------------------------
@@ -315,8 +315,8 @@ def test_counters_match_recounts_after_every_operation(steps):
             eng.evict_idle_prefix(stage)
         assert eng.decode_batch_size() == sum(1 for c in eng.batch if c.phase == DECODE)
         assert eng.resident_tokens == sum(p.tokens for p in eng.resident.values())
-        assert eng.kv_reserved == eng.recomputed_kv_reserved()
-        assert eng.kv_used == pytest.approx(eng.recomputed_kv_used(), abs=1e-6)
+        assert eng.kv_reserved == eng.recomputed_kv_reserved(eng.resident_prefix_tokens())
+        assert eng.kv_used == pytest.approx(eng.recomputed_kv_used(eng.resident_prefix_tokens()), abs=1e-6)
 
 
 def test_state_objects_reject_unknown_attributes():

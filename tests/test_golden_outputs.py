@@ -1,7 +1,10 @@
 """Byte-stability pins: short runs whose output digests must never change.
 
 A refactor that claims identical behaviour must keep these digests; a
-deliberate behaviour change updates them and says so.
+deliberate behaviour change updates them and says so.  Each run also pins
+its popped-event count, `_seq - len(_heap)` after the run: the benchmark's
+`events` denominator, which counts superseded completions although the loop
+skips them.
 """
 
 import hashlib
@@ -9,8 +12,10 @@ import json
 
 import pytest
 
+import stagesim.cli
 from helpers import run_config_tree
 from stagesim.cli import main
+from stagesim.simulation import Simulator
 
 OUTPUT_FILES = ("summary.json", "kv_usage.csv", "dispatch.csv", "requests.csv")
 
@@ -42,19 +47,22 @@ QUOTED_WORKFLOW = {
     ],
 }
 
-# name -> (config overlay, sha256 over OUTPUT_FILES)
+# name -> (config overlay, sha256 over OUTPUT_FILES, popped events)
 GOLDEN_RUNS = {
     "fcfs": (
         {"policy": {"kind": "fcfs"}},
-        "2ee40d2bbcca0eacd80ee374d6f1b8aa069aa44ee3cd8cae27f8bb34ad256c22",
+        "e23637630d491f3b15f2429709e0769f4dd958557d20168114b36d17990cbb7a",
+        535,
     ),
     "las": (
         {"policy": {"kind": "las"}},
-        "592cd8d5af10d6ce5e5afad20c06f23abf572dde3aec4fbbd92537fe8209bfe7",
+        "0f1204f6561b54c4993c8c57aa841472a02585ceaf2535c24ecb1d08dfe3e5e8",
+        533,
     ),
     "slack": (
         {"policy": {"kind": "slack"}},
-        "2c3bbdc9e40d1ca19b0435b430f8d18fc088a6b0c751364fbe7ef3dd340df55f",
+        "13a9c1616386d62d8ef8962c1da3dff8e3256b980973cb80a9cb633bc763c63a",
+        535,
     ),
     "shared_borrow_autoscale": (
         {
@@ -67,12 +75,14 @@ GOLDEN_RUNS = {
                 "autoscale": {"enabled": True, "max_engines": 4},
             },
         },
-        "23cc5dd815a92ce28be0895241454860340049750906215d3c6a965268c9792c",
+        "5d24f293b7f50d0b512a9085cf30e6248b461824bdb1623f629a8310950d1c96",
+        608,
     ),
     # the generator queue grows to about 110 calls: dispatch from long queues
     "overload": (
         {"arrivals": {"rate": 4.0}, "duration": 60.0},
-        "2ce04f6646145763cafa83540a4652c3e5863e44849efe8be8c128d85aee7836",
+        "fd911fa5533d725e503e7be53179949e1bab824b20ca773d93a3cc646659a7d4",
+        1240,
     ),
     # autoscaling adds and retires engines, borrowing lends them, and online
     # estimates rebuild the remaining-work table on every completion
@@ -88,7 +98,8 @@ GOLDEN_RUNS = {
             "arrivals": {"rate": 4.0},
             "duration": 60.0,
         },
-        "50514ea49b1915fc78086e0450c8766583faa53e023aae9e1fda2115bb886da2",
+        "47b3c1b51366c5b3ce316ec0d20a65e5fea004194d1d33546947072373fb9845",
+        2080,
     ),
     # stage ids with a comma, a quote and a space: the `pool:…` and stage
     # cells of kv_usage.csv and dispatch.csv must be quoted
@@ -97,7 +108,8 @@ GOLDEN_RUNS = {
             "workflow": {"inline": QUOTED_WORKFLOW},
             "topology": {"mode": "isolated", "llm_engines": {QUOTED_LLM: 2}, "tool_concurrency": 2},
         },
-        "f4e3982e07cd5f155142cfa4342089182b1ddd3cddd106c0711d4c1ba1bb6377",
+        "ba27cd64a2dfca79d74fd5c6603490d4502833663afe07733b1c400c40bae350",
+        413,
     ),
 }
 
@@ -111,11 +123,21 @@ def output_digest(out_dir) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
-def test_output_bytes_are_pinned(tmp_path, name):
-    overlay, expected = GOLDEN_RUNS[name]
+def test_output_bytes_are_pinned(tmp_path, monkeypatch, name):
+    overlay, expected, expected_popped = GOLDEN_RUNS[name]
+    popped = []
+
+    class CountingSimulator(Simulator):
+        def run(self):
+            result = super().run()
+            popped.append(self._seq - len(self._heap))
+            return result
+
+    monkeypatch.setattr(stagesim.cli, "Simulator", CountingSimulator)
     config = tmp_path / "config.json"
     tree = run_config_tree(**{"arrivals": {"rate": 2.5}, "duration": 30.0, "warmup": 3.0, **overlay})
     config.write_text(json.dumps(tree))
     out = tmp_path / "out"
     assert main(["run", str(config), "--seed", "5", "--out", str(out)]) == 0
     assert output_digest(out) == expected
+    assert popped == [expected_popped]

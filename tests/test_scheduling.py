@@ -172,6 +172,26 @@ def test_route_tie_breaks_lowest_engine_id():
     assert chosen is a
 
 
+def test_idle_engines_tie_however_their_decode_was_segmented():
+    # the same call decoded in three segments on engine 5 and in one on
+    # engine 7: adding the fractional segments up leaves a float residue
+    # unless completion recounts the KV of an engine that stops decoding
+    def decoded(eid, segment_ends):
+        eng = EngineState(eid, engine_params(), "p")
+        inflight = eng.admit(PendingCall(0, "gen", 0.0, 100, 37), 1000, 0.0)[0]
+        eng.prefill_finished(inflight)
+        for t in segment_ends:
+            eng.advance_decode(t)
+        eng.complete_call(inflight)
+        return eng
+
+    segmented = decoded(5, [1 / 30, 2 / 30, 10.0])
+    whole = decoded(7, [10.0])
+    assert segmented.kv_used == whole.kv_used == 1000
+    chosen = route_call(PendingCall(1, "gen", 0.0, 10, 10), 1000, [whole, segmented])
+    assert chosen is segmented
+
+
 def test_route_none_admissible():
     full = _engine(1, capacity=10)
     assert route_call(PendingCall(0, "gen", 0.0, 100, 100), 0, [full]) is None

@@ -1,0 +1,148 @@
+"""Superseded completions are skipped when popped, before the clock moves.
+
+Every change to a decode batch schedules a new `call_complete` for the
+engine; the one scheduled before it is superseded (its epoch is old, or
+its engine retired).  `Simulator.run` drops such an event as soon as it is
+popped.  `SupersededCompletionsReference` processes it as the loop once
+did, and the differential test below requires both loops to make the same
+decisions: a skipped event only stops decode progress from being split at
+its time, which moves floats by a few ulps.
+"""
+
+import bisect
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import stagesim as ss
+from helpers import SupersededCompletionsReference, sim_config
+from stagesim.engines import PendingCall
+from stagesim.reporting import REQUESTS_CSV, write_run_outputs
+from stagesim.simulation import EVENT_CALL_COMPLETE
+
+TOL = 1e-6
+
+
+def assert_dispatches_match(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.pool, g.request_id, g.engine, g.stage_id) == (w.pool, w.request_id, w.engine, w.stage_id)
+        for name in ("time", "slack", "expected_service", "queue_delay"):
+            assert getattr(g, name) == pytest.approx(getattr(w, name), abs=TOL), name
+        for gk, wk in ((g.key, w.key), (g.best_waiting_key, w.best_waiting_key)):
+            assert (gk is None) == (wk is None)
+            if gk is not None:
+                assert gk == pytest.approx(wk, abs=TOL)
+
+
+def assert_kv_rows_taken_at_processed_events(got, reference):
+    """Every row of `got` equals, to TOL, a reference row of the same
+    engine, pool and resident prefix tokens taken at a processed event."""
+    by_engine: dict[tuple, list[tuple[float, float]]] = {}
+    for r in reference:
+        by_engine.setdefault((r.engine_id, r.pool, r.resident_prefix_tokens), []).append((r.time, r.kv_used))
+    for rows in by_engine.values():
+        rows.sort()
+    for s in got:
+        rows = by_engine.get((s.engine_id, s.pool, s.resident_prefix_tokens), [])
+        lo = bisect.bisect_left(rows, (s.time - TOL, -math.inf))
+        hi = bisect.bisect_right(rows, (s.time + TOL, math.inf))
+        assert any(abs(kv - s.kv_used) <= TOL for _, kv in rows[lo:hi]), s
+
+
+def requests_csv(result) -> bytes:
+    with tempfile.TemporaryDirectory() as out:
+        write_run_outputs(result, out)
+        return (Path(out) / REQUESTS_CSV).read_bytes()
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(
+    mode=st.sampled_from(["isolated", "shared"]),
+    kind=st.sampled_from(sorted(ss.POLICY_KINDS)),
+    online=st.booleans(),
+    borrow=st.booleans(),
+    autoscale=st.booleans(),
+    rate=st.sampled_from([1.0, 2.5, 4.0]),
+    duration=st.sampled_from([20.0, 40.0]),
+    engines=st.sampled_from([(1, 2), (1, 3), (2, 2)]),
+    seed=st.integers(0, 10_000),
+)
+def test_skipping_superseded_completions_keeps_every_decision(
+    mode, kind, online, borrow, autoscale, rate, duration, engines, seed
+):
+    policy = ss.PolicyConfig(
+        kind=kind,
+        online_estimates=online,
+        borrow=ss.BorrowConfig(enabled=borrow),
+        autoscale=ss.AutoscaleConfig(enabled=autoscale, max_engines=4),
+    )
+    config = sim_config(mode=mode, engines=engines, policy=policy, rate=rate, duration=duration, warmup=2.0, seed=seed)
+    reference = SupersededCompletionsReference(config)
+    want = reference.run()
+    sim = ss.Simulator(config)
+    got = sim.run()
+
+    assert reference.superseded > 0
+    # both loops pop the same events, superseded ones included
+    assert sim._seq - len(sim._heap) == reference._seq - len(reference._heap)
+    assert requests_csv(got) == requests_csv(want)
+    assert_dispatches_match(got.traces.dispatches, want.traces.dispatches)
+    assert_kv_rows_taken_at_processed_events(got.traces.kv_samples, reference.processed_kv)
+    # the reference also samples at superseded completions
+    assert len(got.traces.kv_samples) < len(want.traces.kv_samples)
+
+
+class ClockRecorder:
+    """Records every (clock, target, pool integrals) the clock advance sees."""
+
+    def _advance_clock(self, to_time):
+        integrals = [(p.busy_integral, p.capacity_integral) for p in self.pools.values()]
+        self.advances.append((self.clock, to_time, integrals))
+        super()._advance_clock(to_time)
+
+
+class Skipping(ClockRecorder, ss.Simulator):
+    pass
+
+
+class Processing(ClockRecorder, SupersededCompletionsReference):
+    pass
+
+
+def run_with_superseded_completions(cls):
+    """Engine 0 decodes a call that outlasts the run; the only events due
+    before the end are a superseded completion for it (an old epoch) and
+    one for an engine that does not exist."""
+    # an arrival rate this low draws its first arrival long after the end
+    sim = cls(sim_config(rate=1e-9, duration=2.0, warmup=0.0))
+    sim.advances = []
+    engine = sim.engines[0]
+    stage = sim._only_stage[engine.serving_pool]
+    call = PendingCall(0, stage, 0.0, 100, 1000)
+    inflight, _ = engine.admit(call, sim.vw.stage(stage).prefix_tokens, 0.0)
+    engine.prefill_finished(inflight)
+    sim._reschedule_completion(engine)  # 20 s of decode: after the end
+    sim._schedule(1.0, EVENT_CALL_COMPLETE, engine_id=0, request_id=0, epoch=engine.decode_epoch - 1)
+    sim._schedule(1.5, EVENT_CALL_COMPLETE, engine_id=99, request_id=0, epoch=0)
+    sim.run()
+    return sim
+
+
+def test_superseded_completion_leaves_clock_integrals_and_kv_trace_untouched():
+    sim = run_with_superseded_completions(Skipping)
+    # the clock goes straight from 0 to the end, with the integrals as
+    # they were at 0 until then, and the KV trace has only the end rows
+    assert [(clock, to) for clock, to, _ in sim.advances] == [(0.0, 2.0)]
+    assert sim.advances[0][2] == [(0.0, 0.0)] * len(sim.pools)
+    assert {s.time for s in sim.traces.kv_samples} == {2.0}
+    assert sim._seq - len(sim._heap) == 2  # both were still popped
+
+    processing = run_with_superseded_completions(Processing)
+    assert [to for _, to, _ in processing.advances] == [1.0, 1.5, 2.0]
+    assert 1.0 in {s.time for s in processing.traces.kv_samples}
+    assert processing.superseded == 2
