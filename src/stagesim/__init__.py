@@ -7,7 +7,6 @@ from .engines import (
     AdmitWithoutCapacity,
     EngineParams,
     EngineState,
-    InFlightCall,
     PendingCall,
     PrefixInUse,
     ToolPoolParams,

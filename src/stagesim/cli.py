@@ -52,12 +52,8 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _load(path: str) -> dict:
-    return load_config_file(path)
-
-
 def cmd_validate(args) -> int:
-    tree = _load(args.config)
+    tree = load_config_file(args.config)
     if is_compare_config(tree):
         cells = build_compare_cells(tree)
         for name, cell_tree in cells:
@@ -70,7 +66,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    tree = _load(args.config)
+    tree = load_config_file(args.config)
     if is_compare_config(tree):
         raise ConfigError("this is a compare config; use the 'compare' subcommand")
     config = build_sim_config(tree, seed_override=args.seed)
@@ -92,7 +88,7 @@ def _check_fair_cells(configs) -> None:
 
 
 def cmd_compare(args) -> int:
-    tree = _load(args.config)
+    tree = load_config_file(args.config)
     if not is_compare_config(tree):
         raise ConfigError("this is a run config; use the 'run' subcommand")
     seeds = parse_seeds(args.seeds)

@@ -15,7 +15,7 @@ cost and does not count toward the decode batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dists import Distribution
 from .rng import RngStream
@@ -69,21 +69,13 @@ class ToolPoolParams:
 
 @dataclass(slots=True)
 class PendingCall:
-    """A stage call waiting in a pool queue."""
+    """A stage call, from its pool queue until it leaves its engine's batch."""
 
     request_id: int
     stage_id: str
     enqueue_time: float
     prompt_tokens: int = 0
     target_output_tokens: int = 0
-
-
-@dataclass(slots=True)
-class InFlightCall:
-    request_id: int
-    stage_id: str
-    prompt_tokens: int
-    target_output_tokens: int
     tokens_emitted: float = 0.0
     phase: str = PREFILL
 
@@ -126,7 +118,7 @@ class EngineState:
         # attribute because every per-event sweep reads it
         self.serving_pool = home_pool
         self.resident: dict[str, ResidentPrefix] = {}
-        self.batch: list[InFlightCall] = []
+        self.batch: list[PendingCall] = []
         self.kv_used = 0.0  # actual: prefixes + prompts + emitted tokens
         self.kv_reserved = 0  # worst case: prefixes + prompts + full targets
         self.n_decode = 0  # calls of the batch in the decode phase
@@ -171,8 +163,8 @@ class EngineState:
             return False
         return self.kv_reserved + self.kv_demand(call, prefix_tokens) <= self.params.kv_capacity_tokens
 
-    def admit(self, call: PendingCall, prefix_tokens: int, now: float) -> tuple[InFlightCall, float]:
-        """Admit a call; returns the in-flight record and its prefill-done time."""
+    def admit(self, call: PendingCall, prefix_tokens: int, now: float) -> float:
+        """Admit a call into the batch; returns its prefill-done time."""
         if not self.can_admit(call, prefix_tokens):
             raise AdmitWithoutCapacity(
                 f"engine {self.engine_id} cannot admit request {call.request_id} stage {call.stage_id}"
@@ -186,19 +178,12 @@ class EngineState:
             self.resident_tokens += prefix_tokens
             self.kv_used += prefix_tokens
             self.kv_reserved += prefix_tokens
-        inflight = InFlightCall(
-            request_id=call.request_id,
-            stage_id=call.stage_id,
-            prompt_tokens=call.prompt_tokens,
-            target_output_tokens=call.target_output_tokens,
-        )
-        self.batch.append(inflight)
+        self.batch.append(call)
         self.kv_used += call.prompt_tokens
         self.kv_reserved += call.prompt_tokens + call.target_output_tokens
-        prefill_done = now + (call.prompt_tokens + cold_tokens) / self.params.prefill_rate
-        return inflight, prefill_done
+        return now + (call.prompt_tokens + cold_tokens) / self.params.prefill_rate
 
-    def prefill_finished(self, call: InFlightCall) -> None:
+    def prefill_finished(self, call: PendingCall) -> None:
         call.phase = DECODE
         self.n_decode += 1
         self.decode_epoch += 1
@@ -230,7 +215,7 @@ class EngineState:
             kv_used += emitted
         self.kv_used = kv_used
 
-    def next_completion(self, now: float) -> tuple[InFlightCall, float] | None:
+    def next_completion(self, now: float) -> tuple[PendingCall, float] | None:
         """Earliest-finishing decode call (ties: lowest request id) and its
         completion time under the current batch size."""
         if not self.n_decode:
@@ -242,7 +227,7 @@ class EngineState:
         t = now + call.remaining_tokens * self.params.token_time(self.n_decode)
         return call, t
 
-    def complete_call(self, call: InFlightCall) -> None:
+    def complete_call(self, call: PendingCall) -> None:
         """Release a finished call's tokens and drop it from the batch."""
         snap = call.target_output_tokens - call.tokens_emitted
         call.tokens_emitted = float(call.target_output_tokens)

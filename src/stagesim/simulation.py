@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .engines import DECODE, EngineState, InFlightCall, PendingCall, tool_service_time
+from .engines import DECODE, EngineState, PendingCall, tool_service_time
 from .errors import ConfigError, InternalInvariantViolation
 from .rng import RngStream
 from .scheduling import (
@@ -42,6 +42,7 @@ from .workflow import (
     StageSpec,
     ValidatedWorkflow,
     expected_remaining_work,
+    is_terminal,
     next_step,
 )
 from .workloads import Topology, derive_service_estimates
@@ -278,11 +279,7 @@ class RunResult:
 class RequestSim:
     state: RequestState
     attained: float = 0.0
-    enqueue_time: float = 0.0
     dispatch_time: float = 0.0
-    n_stage_calls: int = 0
-    done_time: float | None = None
-    terminal: str | None = None
     stream_labels: list[str] = field(default_factory=list)  # in Simulator._streams
 
 
@@ -395,7 +392,9 @@ class Simulator:
 
         self.requests: dict[int, RequestSim] = {}
         self._next_rid = 0
-        self.rejected_times: list[float] = []
+        # arrivals at or after warmup, the ones the report counts
+        self.admitted = 0
+        self.rejected = 0
         self.traces = TraceBundle()
         self.audit = AuditLog()
 
@@ -564,10 +563,12 @@ class Simulator:
         if t_next <= self.cfg.duration:
             self._schedule(t_next, EVENT_ARRIVAL)
 
+        counted = ev.time >= self.cfg.warmup
         queue_lengths = [len(p.queue) for p in self.pools.values()]
         if not admission_decision(queue_lengths, self.policy.admission):
-            self.rejected_times.append(ev.time)
+            self.rejected += counted
             return
+        self.admitted += counted
         state = RequestState(
             request_id=rid,
             arrival_time=ev.time,
@@ -593,7 +594,6 @@ class Simulator:
             heapq.heappush(pool.heap, (self._dispatch_key_fn()(call), call))
         pool.dirty = True
         pool.max_queue_len = max(pool.max_queue_len, len(pool.queue))
-        req.enqueue_time = self.clock
 
     def _handle_prefill_done(self, ev: Event) -> None:
         engine = self.engines[ev.engine_id]
@@ -623,7 +623,7 @@ class Simulator:
         pool.dirty = True
         self._finish_stage(req, sid)
 
-    def _find_call(self, engine: EngineState, request_id: int) -> InFlightCall:
+    def _find_call(self, engine: EngineState, request_id: int) -> PendingCall:
         for call in engine.batch:
             if call.request_id == request_id:
                 return call
@@ -659,7 +659,6 @@ class Simulator:
         rid = req.state.request_id
         start, end = req.dispatch_time, self.clock
         req.attained += end - start
-        req.n_stage_calls += 1
         self.estimator.observe(sid, end - start)
         stage = self.vw.stage(sid)
         if len(stage.outcomes) == 1:
@@ -670,8 +669,6 @@ class Simulator:
         transition = next_step(req.state, label, self.vw)
         if transition.is_done:
             req.state.current_stage = transition.terminal
-            req.done_time = end
-            req.terminal = transition.terminal
             # a terminated request draws no more
             for stream_label in req.stream_labels:
                 del self._streams[stream_label]
@@ -686,7 +683,7 @@ class Simulator:
                     latency=latency,
                     violated_slo=latency > self.vw.slo_seconds,
                     retries_used=req.state.retries_used,
-                    n_stage_calls=req.n_stage_calls,
+                    n_stage_calls=len(req.state.stage_history),
                 )
             )
         else:
@@ -817,7 +814,7 @@ class Simulator:
             placed, evictions = with_evict
         for evict_sid in evictions:
             placed.evict_idle_prefix(evict_sid)
-        _, prefill_done = placed.admit(call, prefix_tokens, now)
+        prefill_done = placed.admit(call, prefix_tokens, now)
         if placed.lent_to is not None:
             self.audit.lent_admissions += 1
         self._schedule(
@@ -967,32 +964,31 @@ class Simulator:
         warmup = self.cfg.warmup
         duration = self.cfg.duration
         window = duration - warmup
-        admitted = completed = failed = in_flight = violations = 0
+        # outcomes from the records requests.csv is written from
+        completed = failed = violations = 0
         latencies: list[float] = []
-        for rid in sorted(self.requests):
-            req = self.requests[rid]
-            if req.state.arrival_time < warmup:
+        for rec in self.traces.requests:
+            if rec.arrival < warmup:
                 continue  # simulated, excluded from metrics
-            admitted += 1
-            if req.terminal is None:
-                in_flight += 1
-                continue
-            latency = req.done_time - req.state.arrival_time
-            if latency > self.vw.slo_seconds:
+            if rec.violated_slo:
                 violations += 1
-            if req.terminal == SUCCESS:
+            if rec.outcome == SUCCESS:
                 completed += 1
-                latencies.append(latency)
+                latencies.append(rec.latency)
             else:
                 failed += 1
-        rejected = sum(1 for t in self.rejected_times if t >= warmup)
+        in_flight = sum(
+            1
+            for req in self.requests.values()
+            if req.state.arrival_time >= warmup and not is_terminal(req.state.current_stage)
+        )
         finished = completed + failed
         all_engines = {**self.retired_engines, **self.engines}
         return MetricsReport(
-            arrivals_admitted=admitted,
+            arrivals_admitted=self.admitted,
             completed=completed,
             failed_budget=failed,
-            rejected=rejected,
+            rejected=self.rejected,
             in_flight_at_end=in_flight,
             latency_p50=percentile(latencies, 50) if latencies else 0.0,
             latency_p95=percentile(latencies, 95) if latencies else 0.0,

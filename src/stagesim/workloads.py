@@ -147,7 +147,6 @@ class TopologyPreset:
     engine_params: EngineParams = DEFAULT_ENGINE_PARAMS
     engine_overrides: dict[str, EngineParams] = field(default_factory=dict)
     tool_concurrency: int = DEFAULT_TOOL_CONCURRENCY
-    tool_service_override: Distribution | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in ("isolated", "shared"):
@@ -195,13 +194,12 @@ def build_topology(preset: TopologyPreset, vw: ValidatedWorkflow) -> Topology:
         )
 
     for st in tool_stages:
-        dist = preset.tool_service_override or st.service_time_dist
         pools.append(
             PoolSpec(
                 pool_id=f"pool:{st.stage_id}",
                 kind=TOOL,
                 stage_ids=(st.stage_id,),
-                tool_params=ToolPoolParams(preset.tool_concurrency, dist),
+                tool_params=ToolPoolParams(preset.tool_concurrency, st.service_time_dist),
             )
         )
     return Topology(mode=preset.mode, pools=tuple(pools))

@@ -10,7 +10,6 @@ from stagesim.engines import (
     DECODE,
     AdmitWithoutCapacity,
     EngineState,
-    InFlightCall,
     PendingCall,
     PrefixInUse,
     ToolPoolParams,
@@ -28,9 +27,9 @@ def call(rid=0, stage="gen", prompt=0, output=0, t=0.0) -> PendingCall:
 
 
 def start_decode(eng, c, prefix=0, now=0.0):
-    inflight, _ = eng.admit(c, prefix, now)
-    eng.prefill_finished(inflight)
-    return inflight
+    eng.admit(c, prefix, now)
+    eng.prefill_finished(c)
+    return c
 
 
 # ----------------------------------------------------------------------
@@ -56,7 +55,8 @@ def test_kv_demand_zero_call():
 
 def test_can_admit_capacity_bound():
     eng = engine(kv_capacity_tokens=4096)
-    zero = eng.admit(call(stage="other"), 4000, 0.0)[0]
+    zero = call(stage="other")
+    eng.admit(zero, 4000, 0.0)
     eng.complete_call(zero)  # prefix stays resident: 4000 tokens used
     assert eng.kv_used == 4000
     assert not eng.can_admit(call(rid=1, stage="gen", prompt=100, output=50), 0)
@@ -91,13 +91,13 @@ def test_admission_reserves_full_output():
 def test_admit_warm_prefill_time():
     eng = engine(prefill_rate=1000.0)
     eng.admit(call(rid=0, stage="gen"), 800, 0.0)
-    _, done = eng.admit(call(rid=1, stage="gen", prompt=200), 800, 5.0)
+    done = eng.admit(call(rid=1, stage="gen", prompt=200), 800, 5.0)
     assert done == pytest.approx(5.2)
 
 
 def test_admit_cold_prefix_charged_to_prefill():
     eng = engine(prefill_rate=1000.0)
-    _, done = eng.admit(call(prompt=200), 800, 0.0)
+    done = eng.admit(call(prompt=200), 800, 0.0)
     assert done == pytest.approx(1.0)
     assert eng.kv_used == 1000  # prefix + prompt
     assert eng.kv_reserved == 1000
@@ -106,7 +106,7 @@ def test_admit_cold_prefix_charged_to_prefill():
 def test_admit_zero_prompt_warm_is_immediate():
     eng = engine()
     eng.admit(call(rid=0), 500, 0.0)
-    _, done = eng.admit(call(rid=1), 500, 3.0)
+    done = eng.admit(call(rid=1), 500, 3.0)
     assert done == 3.0
 
 
@@ -271,7 +271,8 @@ def test_evict_prefix_in_use():
 def test_evictable_prefixes_lru_order():
     eng = engine()
     for rid, (stage, t) in enumerate([("a", 3.0), ("b", 1.0), ("c", 2.0)]):
-        done = eng.admit(call(rid=rid, stage=stage), 100, t)[0]
+        done = call(rid=rid, stage=stage)
+        eng.admit(done, 100, t)
         eng.complete_call(done)
     assert [sid for _, sid, _ in eng.evictable_prefixes("z")] == ["b", "c", "a"]
     assert [sid for _, sid, _ in eng.evictable_prefixes("b")] == ["c", "a"]
@@ -323,7 +324,7 @@ def test_state_objects_reject_unknown_attributes():
     # slotted: a misspelt attribute raises instead of adding a new one
     for obj, typo in (
         (engine(), "kv_usd"),
-        (InFlightCall(0, "gen", 10, 10), "tokens_emited"),
+        (call(), "tokens_emited"),
         (call(), "enqueue_tme"),
     ):
         with pytest.raises(AttributeError):

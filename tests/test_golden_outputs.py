@@ -101,6 +101,17 @@ GOLDEN_RUNS = {
         "47b3c1b51366c5b3ce316ec0d20a65e5fea004194d1d33546947072373fb9845",
         2080,
     ),
+    # queue-cap rejections both before the warmup and after it (12 and 49),
+    # so the report's warmup-gated admitted and rejected counts are pinned
+    "admission": (
+        {
+            "policy": {"kind": "slack", "admission": {"enabled": True, "max_queue_len": 5}},
+            "arrivals": {"rate": 4.0},
+            "warmup": 10.0,
+        },
+        "1b1b2c61357397bcd67e01bc4d442ef4a9068c1b1757728b6b19d15334ef5546",
+        585,
+    ),
     # stage ids with a comma, a quote and a space: the `pool:…` and stage
     # cells of kv_usage.csv and dispatch.csv must be quoted
     "quoted_ids": (

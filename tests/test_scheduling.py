@@ -142,11 +142,13 @@ def test_select_next_singleton():
 def _engine(eid, warm=False, kv=0, capacity=10000, max_batch=8):
     eng = EngineState(eid, engine_params(kv_capacity_tokens=capacity, max_batch=max_batch), "p")
     if warm:
-        done = eng.admit(PendingCall(99, "gen", 0.0), 0, 0.0)[0]
+        done = PendingCall(99, "gen", 0.0)
+        eng.admit(done, 0, 0.0)
         eng.complete_call(done)
         eng.resident["gen"].tokens = 0
     if kv:
-        done = eng.admit(PendingCall(98, "pad", 0.0), kv, 0.0)[0]
+        done = PendingCall(98, "pad", 0.0)
+        eng.admit(done, kv, 0.0)
         eng.complete_call(done)
     return eng
 
@@ -178,7 +180,8 @@ def test_idle_engines_tie_however_their_decode_was_segmented():
     # unless completion recounts the KV of an engine that stops decoding
     def decoded(eid, segment_ends):
         eng = EngineState(eid, engine_params(), "p")
-        inflight = eng.admit(PendingCall(0, "gen", 0.0, 100, 37), 1000, 0.0)[0]
+        inflight = PendingCall(0, "gen", 0.0, 100, 37)
+        eng.admit(inflight, 1000, 0.0)
         eng.prefill_finished(inflight)
         for t in segment_ends:
             eng.advance_decode(t)
@@ -213,7 +216,8 @@ def test_route_affinity_dominance_property():
 def test_route_with_eviction_frees_lru_prefixes():
     eng = EngineState(1, engine_params(kv_capacity_tokens=1000), "p")
     for rid, (stage, tokens, t) in enumerate([("a", 400, 2.0), ("b", 400, 1.0)]):
-        done = eng.admit(PendingCall(rid, stage, t), tokens, t)[0]
+        done = PendingCall(rid, stage, t)
+        eng.admit(done, tokens, t)
         eng.complete_call(done)
     call = PendingCall(9, "gen", 0.0, 200, 200)
     assert route_call(call, 0, [eng]) is None
@@ -230,7 +234,8 @@ def test_route_with_eviction_respects_batch_bound():
 
 def test_route_with_eviction_gives_up_when_not_enough():
     eng = EngineState(1, engine_params(kv_capacity_tokens=300), "p")
-    done = eng.admit(PendingCall(0, "a", 0.0), 100, 0.0)[0]
+    done = PendingCall(0, "a", 0.0)
+    eng.admit(done, 100, 0.0)
     eng.complete_call(done)
     assert route_call_with_eviction(PendingCall(1, "gen", 0.0, 200, 200), 0, [eng]) is None
 

@@ -124,8 +124,8 @@ def run_with_superseded_completions(cls):
     engine = sim.engines[0]
     stage = sim._only_stage[engine.serving_pool]
     call = PendingCall(0, stage, 0.0, 100, 1000)
-    inflight, _ = engine.admit(call, sim.vw.stage(stage).prefix_tokens, 0.0)
-    engine.prefill_finished(inflight)
+    engine.admit(call, sim.vw.stage(stage).prefix_tokens, 0.0)
+    engine.prefill_finished(call)
     sim._reschedule_completion(engine)  # 20 s of decode: after the end
     sim._schedule(1.0, EVENT_CALL_COMPLETE, engine_id=0, request_id=0, epoch=engine.decode_epoch - 1)
     sim._schedule(1.5, EVENT_CALL_COMPLETE, engine_id=99, request_id=0, epoch=0)
