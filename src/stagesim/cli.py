@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .config import (
     build_compare_cells,
@@ -29,7 +30,7 @@ from .reporting import (
     write_comparison_outputs,
     write_run_outputs,
 )
-from .simulation import Simulator
+from .simulation import SimConfig, Simulator
 from .workflow import WorkflowValidationError
 
 EXIT_OK = 0
@@ -40,13 +41,20 @@ EXIT_RUNTIME = 3
 def parse_seeds(text: str) -> list[int]:
     """Accept 'A..B' ranges and comma lists, e.g. '1..10' or '3,5,9'."""
     text = text.strip()
+
+    def seed(part: str) -> int:
+        try:
+            return int(part)
+        except ValueError:
+            raise ConfigError(f"seed '{part.strip()}' in '{text}' is not an integer") from None
+
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = seed(lo_s), seed(hi_s)
         if hi < lo:
             raise ConfigError(f"empty seed range '{text}'")
         return list(range(lo, hi + 1))
-    seeds = [int(part) for part in text.split(",") if part.strip()]
+    seeds = [seed(part) for part in text.split(",") if part.strip()]
     if not seeds:
         raise ConfigError(f"no seeds in '{text}'")
     return seeds
@@ -55,10 +63,7 @@ def parse_seeds(text: str) -> list[int]:
 def cmd_validate(args) -> int:
     tree = load_config_file(args.config)
     if is_compare_config(tree):
-        cells = build_compare_cells(tree)
-        for name, cell_tree in cells:
-            build_sim_config(cell_tree)
-        print(f"ok: {len(cells)} cells valid")
+        print(f"ok: {len(_compare_configs(tree))} cells valid")
     else:
         build_sim_config(tree)
         print("ok")
@@ -87,20 +92,26 @@ def _check_fair_cells(configs) -> None:
         raise ConfigError(f"cells have unequal tool concurrency: {slots}")
 
 
+def _compare_configs(tree: dict) -> list[tuple[str, SimConfig]]:
+    """Each cell's name and config, built once and checked to compare
+    cells on equal resources."""
+    configs = [(name, build_sim_config(cell_tree)) for name, cell_tree in build_compare_cells(tree)]
+    _check_fair_cells(configs)
+    return configs
+
+
 def cmd_compare(args) -> int:
     tree = load_config_file(args.config)
     if not is_compare_config(tree):
         raise ConfigError("this is a run config; use the 'run' subcommand")
     seeds = parse_seeds(args.seeds)
-    cells = build_compare_cells(tree)
-    configs = [(name, build_sim_config(cell_tree)) for name, cell_tree in cells]
-    _check_fair_cells(configs)
+    configs = _compare_configs(tree)
 
     results: list[CellResult] = []
-    for name, cell_tree in cells:
+    for name, config in configs:
         for seed in seeds:
-            config = build_sim_config(cell_tree, seed_override=seed)
-            results.append(CellResult(name, seed, Simulator(config).run().report))
+            report = Simulator(replace(config, seed=seed)).run().report
+            results.append(CellResult(name, seed, report))
     out_dir = args.out or tree.get("base", {}).get("out_dir") or "out"
     paths = write_comparison_outputs(results, out_dir)
     print(format_comparison_table(aggregate_comparison(results)))

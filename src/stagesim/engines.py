@@ -97,7 +97,6 @@ class EngineState:
         "engine_id",
         "params",
         "home_pool",
-        "_lent_to",
         "serving_pool",
         "resident",
         "batch",
@@ -113,9 +112,8 @@ class EngineState:
         self.engine_id = engine_id
         self.params = params
         self.home_pool = home_pool
-        self._lent_to: str | None = None
-        # the pool it serves: lent_to while lent, else home_pool; a plain
-        # attribute because every per-event sweep reads it
+        # the pool it serves: home_pool, or the borrower's while lent; a
+        # borrow or a return assigns it
         self.serving_pool = home_pool
         self.resident: dict[str, ResidentPrefix] = {}
         self.batch: list[PendingCall] = []
@@ -129,13 +127,8 @@ class EngineState:
     @property
     def lent_to(self) -> str | None:
         """The pool this engine is lent to, or None while it serves at home."""
-        return self._lent_to
-
-    @lent_to.setter
-    def lent_to(self, pool_id: str | None) -> None:
-        # the one place a borrow or a return changes serving_pool
-        self._lent_to = pool_id
-        self.serving_pool = pool_id if pool_id is not None else self.home_pool
+        serving = self.serving_pool
+        return None if serving == self.home_pool else serving
 
     def resident_prefix_tokens(self) -> int:
         """Recount of `resident_tokens`."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from .engines import DECODE, EngineState, PendingCall, tool_service_time
@@ -220,29 +220,15 @@ class MetricsReport:
     arrival_rate: float
 
     def to_dict(self) -> dict:
-        def r9(x: float) -> float:
-            return round(x, 9)
+        """Every field by name: numbers rounded to 9 places, mappings
+        sorted by key."""
 
-        return {
-            "arrivals_admitted": self.arrivals_admitted,
-            "completed": self.completed,
-            "failed_budget": self.failed_budget,
-            "rejected": self.rejected,
-            "in_flight_at_end": self.in_flight_at_end,
-            "latency_p50": r9(self.latency_p50),
-            "latency_p95": r9(self.latency_p95),
-            "latency_p99": r9(self.latency_p99),
-            "throughput": r9(self.throughput),
-            "slo_violation_rate": r9(self.slo_violation_rate),
-            "queue_delay_mean": {k: r9(v) for k, v in sorted(self.queue_delay_mean.items())},
-            "kv_used_mean": {k: r9(v) for k, v in sorted(self.kv_used_mean.items())},
-            "max_queue_len": dict(sorted(self.max_queue_len.items())),
-            "end_queue_len": dict(sorted(self.end_queue_len.items())),
-            "seed": self.seed,
-            "duration": r9(self.duration),
-            "warmup": r9(self.warmup),
-            "arrival_rate": r9(self.arrival_rate),
-        }
+        def plain(value):
+            if isinstance(value, dict):
+                return {k: plain(v) for k, v in sorted(value.items())}
+            return round(value, 9)
+
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
     def summary_line(self) -> str:
         return (
@@ -289,10 +275,10 @@ class PoolRuntime:
     def __init__(self, spec) -> None:
         self.spec = spec
         self.pool_id = spec.pool_id
-        self.queue: dict[int, PendingCall] = {}  # by request id
-        # (dispatch key, call) per queued call, valid for key version
-        # heap_version; see Simulator._dispatch_pool
-        self.heap: list[tuple[tuple[float, ...], PendingCall]] = []
+        # the queue: (dispatch key, call) per queued call, keys valid for key
+        # version heap_version; a call that enters a stale heap waits with
+        # key None until Simulator._dispatch_pool rebuilds it
+        self.heap: list[tuple[tuple[float, ...] | None, PendingCall]] = []
         self.heap_version = -1
         # set when something a blocked dispatch depends on may have changed;
         # a blocked pool is skipped until then
@@ -387,8 +373,6 @@ class Simulator:
         )
         self._work_table: dict[tuple[str, int], float] = {}
         self._work_version = -1
-        self._key_fn = None
-        self._key_fn_version = -1
 
         self.requests: dict[int, RequestSim] = {}
         self._next_rid = 0
@@ -564,7 +548,7 @@ class Simulator:
             self._schedule(t_next, EVENT_ARRIVAL)
 
         counted = ev.time >= self.cfg.warmup
-        queue_lengths = [len(p.queue) for p in self.pools.values()]
+        queue_lengths = [len(p.heap) for p in self.pools.values()]
         if not admission_decision(queue_lengths, self.policy.admission):
             self.rejected += counted
             return
@@ -589,11 +573,12 @@ class Simulator:
         else:
             call = PendingCall(rid, sid, self.clock)
         pool = self.pools[self.stage_pool[sid]]
-        pool.queue[rid] = call
         if pool.heap_version == self._key_version():
-            heapq.heappush(pool.heap, (self._dispatch_key_fn()(call), call))
+            heapq.heappush(pool.heap, (self._dispatch_key(call), call))
+        else:  # keyed with the rest when _dispatch_pool rebuilds the heap
+            pool.heap.append((None, call))
         pool.dirty = True
-        pool.max_queue_len = max(pool.max_queue_len, len(pool.queue))
+        pool.max_queue_len = max(pool.max_queue_len, len(pool.heap))
 
     def _handle_prefill_done(self, ev: Event) -> None:
         engine = self.engines[ev.engine_id]
@@ -699,41 +684,25 @@ class Simulator:
         only slack keys depend on the service estimates."""
         return self.estimator.version if self.policy.kind == "slack" else 0
 
-    def _dispatch_key_fn(self):
-        """The dispatch key of a queued call, the one the pool heaps are
-        ordered by; built once per key version, which it stays valid for."""
-        version = self._key_version()
-        if self._key_fn_version != version:
-            self._key_fn = self._build_dispatch_key_fn()
-            self._key_fn_version = version
-        return self._key_fn
-
-    def _build_dispatch_key_fn(self):
-        # The closure must not hold self (see the handler table).  Keys do
-        # not change while a call waits: slack keys order by deadline - W,
-        # which in exact arithmetic orders calls as deadline - now - W does.
+    def _dispatch_key(self, call: PendingCall) -> tuple[float, ...]:
+        """The key the pool heaps order a queued call by, valid for the
+        current key version.  Keys do not change while a call waits: slack
+        keys order by deadline - W, which in exact arithmetic orders calls
+        as deadline - now - W does."""
         kind = self.policy.kind
-        requests = self.requests
+        req = self.requests[call.request_id]
         if kind != "slack":  # fcfs and las need neither slack nor estimates
-            return lambda call: dispatch_key(kind, call.request_id, requests[call.request_id].attained)
-        remaining = self._remaining_table()
-        estimates = self.estimator.estimates()
-        selectivity = self.vw.selectivity if self.policy.use_selectivity else None
-
-        def key(call: PendingCall) -> tuple[float, ...]:
-            req = requests[call.request_id]
-            state = req.state
-            sid = call.stage_id
-            return dispatch_key(
-                kind,
-                call.request_id,
-                req.attained,
-                state.deadline - remaining[(sid, state.retries_used)],
-                estimates[sid],
-                selectivity(sid) if selectivity else None,
-            )
-
-        return key
+            return dispatch_key(kind, call.request_id, req.attained)
+        state = req.state
+        sid = call.stage_id
+        return dispatch_key(
+            kind,
+            call.request_id,
+            req.attained,
+            state.deadline - self._remaining_table()[(sid, state.retries_used)],
+            self.estimator.estimate(sid),
+            self.vw.selectivity(sid) if self.policy.use_selectivity else None,
+        )
 
     def _dispatch_all(self) -> None:
         # A pool whose head was blocked stays blocked until it is marked
@@ -744,7 +713,7 @@ class Simulator:
         # slot frees: whatever its head, it could not be placed.
         version = self._key_version()
         for pool in self.pools.values():
-            if pool.queue and (pool.dirty or pool.heap_version != version) and not pool.tool_slots_full():
+            if pool.heap and (pool.dirty or pool.heap_version != version) and not pool.tool_slots_full():
                 self._dispatch_pool(pool, version)
 
     def _dispatch_pool(self, pool: PoolRuntime, version: int) -> None:
@@ -752,8 +721,8 @@ class Simulator:
         # the whole queue waits (no overtaking).
         now = self.clock
         if pool.heap_version != version:
-            key_fn = self._dispatch_key_fn()
-            pool.heap = [(key_fn(call), call) for call in pool.queue.values()]
+            key = self._dispatch_key
+            pool.heap = [(key(call), call) for _, call in pool.heap]
             heapq.heapify(pool.heap)
             pool.heap_version = version
         pool.dirty = False
@@ -764,7 +733,6 @@ class Simulator:
             if engine_label is None:
                 break  # blocked until marked dirty
             heapq.heappop(pool.heap)
-            del pool.queue[call.request_id]
             req = self.requests[call.request_id]
             req.dispatch_time = now
             delay = now - call.enqueue_time
@@ -835,7 +803,7 @@ class Simulator:
             self.policy.borrow, not engine.batch, home.utilization(), borrower.utilization()
         ):
             self.audit.returns.append((self.clock, engine.engine_id, engine.lent_to))
-            engine.lent_to = None
+            engine.serving_pool = engine.home_pool
             home.dirty = borrower.dirty = True
 
     def _borrow_views(self) -> list[BorrowPoolView]:
@@ -856,7 +824,7 @@ class Simulator:
                 BorrowPoolView(
                     pool_id=pool.pool_id,
                     utilization=pool.utilization(),
-                    queue_len=len(pool.queue),
+                    queue_len=len(pool.heap),
                     idle_engines=idle,
                     prefix_tokens=self.vw.stage(pool.spec.stage_ids[0]).prefix_tokens,
                 )
@@ -872,7 +840,7 @@ class Simulator:
             if action is None:
                 break
             engine_id, lender, borrower = action
-            self.engines[engine_id].lent_to = borrower
+            self.engines[engine_id].serving_pool = borrower
             self.audit.borrows.append((self.clock, engine_id, lender, borrower))
             self.pools[lender].dirty = self.pools[borrower].dirty = True
         if not self.policy.autoscale.enabled:
@@ -1004,7 +972,7 @@ class Simulator:
                 for eid in sorted(all_engines)
             },
             max_queue_len={p.pool_id: p.max_queue_len for p in self.pools.values()},
-            end_queue_len={p.pool_id: len(p.queue) for p in self.pools.values()},
+            end_queue_len={p.pool_id: len(p.heap) for p in self.pools.values()},
             seed=self.cfg.seed,
             duration=duration,
             warmup=warmup,

@@ -143,6 +143,15 @@ def test_parse_seeds_forms():
     assert parse_seeds("3,5,9") == [3, 5, 9]
     with pytest.raises(ConfigError):
         parse_seeds("9..3")
+    for text, bad in [("1..x", "x"), ("y..3", "y"), ("1,a", "a"), ("2.5", "2.5")]:
+        with pytest.raises(ConfigError, match=f"'{bad}'"):
+            parse_seeds(text)
+
+
+def test_compare_malformed_seeds_exit_2(tmp_path, capsys):
+    path = write_config(tmp_path, compare_tree())
+    assert main(["compare", path, "--seeds", "1..x", "--out", str(tmp_path / "x")]) == 2
+    assert "'x'" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -314,13 +323,23 @@ def test_compare_single_seed_min_equals_max(tmp_path):
             assert agg["min"] == agg["max"] == agg["mean"], metric
 
 
-def test_compare_unequal_engine_totals_rejected(tmp_path):
+def unequal_engine_totals_tree():
     tree = compare_tree()
     tree["cells"][1]["overrides"] = {
         "topology": {"preset": "nl2sql-shared", "llm_engines_total": 3}
     }
-    path = write_config(tmp_path, tree)
+    return tree
+
+
+def test_compare_unequal_engine_totals_rejected(tmp_path):
+    path = write_config(tmp_path, unequal_engine_totals_tree())
     assert main(["compare", path, "--seeds", "1..2", "--out", str(tmp_path / "x")]) == 2
+
+
+def test_validate_rejects_what_compare_rejects(tmp_path, capsys):
+    path = write_config(tmp_path, unequal_engine_totals_tree())
+    assert main(["validate", path]) == 2
+    assert "unequal engine totals" in capsys.readouterr().err
 
 
 def test_compare_rejects_run_config(tmp_path):

@@ -32,6 +32,17 @@ def start_decode(eng, c, prefix=0, now=0.0):
     return c
 
 
+def test_lent_to_is_derived_from_the_serving_pool():
+    eng = engine()
+    assert eng.lent_to is None
+    eng.serving_pool = "pool:y"  # a borrow
+    assert eng.lent_to == "pool:y"
+    eng.serving_pool = eng.home_pool  # a return
+    assert eng.lent_to is None
+    with pytest.raises(AttributeError):
+        eng.lent_to = "pool:y"
+
+
 # ----------------------------------------------------------------------
 # kv demand and admission
 

@@ -9,9 +9,14 @@ skips them.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stagesim
 import stagesim.cli
 from helpers import run_config_tree
 from stagesim.cli import main
@@ -125,6 +130,15 @@ GOLDEN_RUNS = {
 }
 
 
+def golden_config(tmp_path, name):
+    """Write golden case `name`'s run config; returns its path."""
+    overlay = GOLDEN_RUNS[name][0]
+    config = tmp_path / "config.json"
+    tree = run_config_tree(**{"arrivals": {"rate": 2.5}, "duration": 30.0, "warmup": 3.0, **overlay})
+    config.write_text(json.dumps(tree))
+    return config
+
+
 def output_digest(out_dir) -> str:
     digest = hashlib.sha256()
     for name in OUTPUT_FILES:
@@ -135,7 +149,7 @@ def output_digest(out_dir) -> str:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_output_bytes_are_pinned(tmp_path, monkeypatch, name):
-    overlay, expected, expected_popped = GOLDEN_RUNS[name]
+    _, expected, expected_popped = GOLDEN_RUNS[name]
     popped = []
 
     class CountingSimulator(Simulator):
@@ -145,10 +159,25 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch, name):
             return result
 
     monkeypatch.setattr(stagesim.cli, "Simulator", CountingSimulator)
-    config = tmp_path / "config.json"
-    tree = run_config_tree(**{"arrivals": {"rate": 2.5}, "duration": 30.0, "warmup": 3.0, **overlay})
-    config.write_text(json.dumps(tree))
     out = tmp_path / "out"
-    assert main(["run", str(config), "--seed", "5", "--out", str(out)]) == 0
+    assert main(["run", str(golden_config(tmp_path, name)), "--seed", "5", "--out", str(out)]) == 0
     assert output_digest(out) == expected
     assert popped == [expected_popped]
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "12345"])
+def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path, hash_seed):
+    # str hashing, and with it set and dict-of-set iteration order, varies
+    # with PYTHONHASHSEED; the pinned bytes must not
+    config = golden_config(tmp_path, "elastic")
+    out = tmp_path / "out"
+    src = str(Path(stagesim.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "stagesim.cli", "run", str(config), "--seed", "5", "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert output_digest(out) == GOLDEN_RUNS["elastic"][1]

@@ -27,7 +27,7 @@ from stagesim.scheduling import (
     select_next,
 )
 from stagesim.simulation import Simulator
-from stagesim.workflow import LLM
+from stagesim.workflow import LLM, is_terminal
 
 # ----------------------------------------------------------------------
 # select_next on generated queues
@@ -93,26 +93,47 @@ def _placeable(sim: Simulator, pool, call) -> bool:
     )
 
 
+def _queued(heap) -> list[PendingCall]:
+    return [call for _, call in heap]
+
+
 class CheckedSimulator(Simulator):
     """Asserts, after every dispatch pass, that no queued pool has a
-    reference head that could be placed, and counts the pools a pass
-    skipped and the dirty pools it skipped because all their tool slots
-    were busy."""
+    reference head that could be placed, and after every event that each
+    live request's stage call is held exactly once; counts the pools a
+    pass skipped, the dirty pools it skipped because all their tool slots
+    were busy, and the events checked."""
 
     skipped = 0
     gated = 0
+    conserved = 0
 
     def _dispatch_all(self) -> None:
-        self.skipped += sum(1 for pool in self.pools.values() if pool.queue)
+        self.skipped += sum(1 for pool in self.pools.values() if pool.heap)
         self.gated += sum(
-            1 for pool in self.pools.values() if pool.queue and pool.dirty and pool.tool_slots_full()
+            1 for pool in self.pools.values() if pool.heap and pool.dirty and pool.tool_slots_full()
         )
         super()._dispatch_all()
-        key_fn = self._dispatch_key_fn()
         for pool in self.pools.values():
-            if pool.queue:
-                head = reference_select(list(pool.queue.values()), key_fn)[0]
+            if pool.heap:
+                head = reference_select(_queued(pool.heap), self._dispatch_key)[0]
                 assert not _placeable(self, pool, head), f"{pool.pool_id} left placeable at {self.clock}"
+
+    def _check_invariants(self) -> None:
+        # A live request's one stage call waits in its pool's heap, runs in
+        # an engine's batch, or holds a tool slot.
+        super()._check_invariants()
+        held = 0
+        for pool in self.pools.values():
+            queued = _queued(pool.heap)
+            rids = {call.request_id for call in queued}
+            assert len(rids) == len(queued), f"{pool.pool_id} holds a request twice"
+            assert all(self.stage_pool[call.stage_id] == pool.pool_id for call in queued)
+            held += len(queued) + pool.busy_slots
+        held += sum(len(engine.batch) for engine in self.engines.values())
+        live = sum(1 for req in self.requests.values() if not is_terminal(req.state.current_stage))
+        assert held == live, f"{held} stage calls held for {live} live requests at {self.clock}"
+        self.conserved += 1
 
     def _dispatch_pool(self, pool, version) -> None:
         self.skipped -= 1
@@ -168,9 +189,10 @@ def test_every_dispatch_matches_full_sort(monkeypatch, name):
 
     def checked_select_next(heap):
         got = select_next(heap)
-        pool = next(p for p in sim.pools.values() if p.heap is heap)
-        assert sorted(id(c) for _, c in heap) == sorted(id(c) for c in pool.queue.values())
-        want = reference_select(list(pool.queue.values()), sim._dispatch_key_fn())
+        assert any(pool.heap is heap for pool in sim.pools.values())
+        # the heap is current: no call waits unkeyed or with a stale key
+        assert all(key == sim._dispatch_key(call) for key, call in heap)
+        want = reference_select(_queued(heap), sim._dispatch_key)
         assert got[0] is want[0]
         assert got[1:] == want[1:]
         checked.append(got[2] is not None)
@@ -187,3 +209,4 @@ def test_every_dispatch_matches_full_sort(monkeypatch, name):
     assert len(checked) >= len(result.traces.dispatches) > 0
     assert any(checked), "no selection ever had a second queued call"
     assert sim.skipped > 0, "no dispatch pass skipped a blocked pool"
+    assert sim.conserved >= len(result.traces.requests) > 0

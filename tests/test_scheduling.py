@@ -43,7 +43,7 @@ def simulator_key(vw, estimates, state, use_selectivity=False):
     sim = Simulator(sim_config(vw=vw, policy=policy))
     sim.requests[state.request_id] = RequestSim(state=state)
     call = PendingCall(state.request_id, state.current_stage, 0.0)
-    return sim._dispatch_key_fn()(call)
+    return sim._dispatch_key(call)
 
 
 def test_slack_uses_expected_remaining_work():

@@ -347,11 +347,16 @@ def test_engines_iterate_in_id_order_through_scale_out_and_in():
 
 
 def test_serving_pool_follows_every_borrow_and_return():
+    # after every event, an engine serves the borrower of its last borrow
+    # while that borrow is unreturned, and its home pool otherwise
     class ServingChecked(Simulator):
         def _check_invariants(self) -> None:
             super()._check_invariants()
-            for e in self.engines.values():
-                assert e.serving_pool == (e.lent_to if e.lent_to is not None else e.home_pool)
+            lent = Counter(eid for _, eid, _, _ in self.audit.borrows)
+            lent.subtract(eid for _, eid, _ in self.audit.returns)
+            borrower = {eid: pool for _, eid, _, pool in self.audit.borrows}
+            for eid, e in self.engines.items():
+                assert e.serving_pool == (borrower[eid] if lent[eid] else e.home_pool)
 
     cfg = sim_config(engines=(1, 3), policy=ELASTIC_POLICY, rate=4.0, duration=60.0, seed=3)
     audit = ServingChecked(cfg).run().audit
