@@ -42,7 +42,6 @@ from .workflow import (
     StageSpec,
     ValidatedWorkflow,
     expected_remaining_work,
-    is_terminal,
     next_step,
 )
 from .workloads import Topology, derive_service_estimates
@@ -123,6 +122,25 @@ class SimConfig:
             raise ConfigError(f"unknown policy kind '{self.policy.kind}'")
         if not 0.0 < self.policy.ewma_alpha <= 1.0:
             raise ConfigError("ewma_alpha must be in (0, 1]")
+        stage_ids = self.workflow.stage_ids
+        pooled = [sid for pool in self.topology.pools for sid in pool.stage_ids]
+        for sid in stage_ids:
+            if pooled.count(sid) != 1:
+                raise ConfigError(f"stage '{sid}' is in {pooled.count(sid)} pools, not 1")
+        stray = sorted(set(pooled) - set(stage_ids))
+        if stray:
+            raise ConfigError(f"pools serve stages {stray} not in the workflow")
+        estimates = self.policy.service_estimates  # None: the Simulator derives them
+        if estimates is not None:
+            missing = [sid for sid in stage_ids if sid not in estimates]
+            unknown = sorted(set(estimates) - set(stage_ids))
+            if missing or unknown:
+                raise ConfigError(
+                    f"'policy.service_estimates' missing stages {missing}, unknown stages {unknown}"
+                )
+            for sid, value in estimates.items():
+                if not (math.isfinite(value) and value >= 0.0):
+                    raise ConfigError(f"'policy.service_estimates.{sid}' must be finite and >= 0")
         self._check_kv_fits()
 
     def _check_kv_fits(self) -> None:
@@ -266,7 +284,7 @@ class RequestSim:
     state: RequestState
     attained: float = 0.0
     dispatch_time: float = 0.0
-    stream_labels: list[str] = field(default_factory=list)  # in Simulator._streams
+    streams: dict[str, RngStream] = field(default_factory=dict)
 
 
 class PoolRuntime:
@@ -332,7 +350,6 @@ class Simulator:
         self.clock = 0.0
         self._seq = 0
         self._heap: list[Event] = []
-        self._streams: dict[str, RngStream] = {}
         self._arrivals = RngStream(config.seed, "arrivals")
 
         self.pools: dict[str, PoolRuntime] = {}
@@ -342,8 +359,8 @@ class Simulator:
         # _add_engine hands out ids in increasing order and engines are only
         # ever deleted, so iterating self.engines visits them in id order.
         self.engines: dict[int, EngineState] = {}
-        self.retired_engines: dict[int, EngineState] = {}
         self._next_engine_id = 0
+        # an entry per engine ever added: all that a retired engine leaves
         self._kv_integral: dict[int, float] = {}
         self._last_kv_sample: dict[int, tuple[str, float, int]] = {}
         for spec in config.topology.pools:
@@ -351,29 +368,23 @@ class Simulator:
             self.pools[spec.pool_id] = pool
             self._only_stage[spec.pool_id] = spec.stage_ids[0] if len(spec.stage_ids) == 1 else None
             for sid in spec.stage_ids:
-                if sid in self.stage_pool:
-                    raise ConfigError(f"stage '{sid}' assigned to two pools")
                 self.stage_pool[sid] = spec.pool_id
             if spec.kind == LLM:
                 self._llm_pool_ids.append(spec.pool_id)
                 for _ in range(spec.n_engines):
                     self._add_engine(spec.pool_id, spec.engine_params)
-        for sid in self.vw.stage_ids:
-            if sid not in self.stage_pool:
-                raise ConfigError(f"stage '{sid}' has no pool in the topology")
 
-        means = config.policy.service_estimates or derive_service_estimates(
-            self.vw, config.topology
-        )
-        missing = [sid for sid in self.vw.stage_ids if sid not in means]
-        if missing:
-            raise ConfigError(f"service estimates missing stages {missing}")
+        means = config.policy.service_estimates
+        if means is None:
+            means = derive_service_estimates(self.vw, config.topology)
         self.estimator = ServiceEstimator(
             means, online=config.policy.online_estimates, alpha=config.policy.ewma_alpha
         )
         self._work_table: dict[tuple[str, int], float] = {}
         self._work_version = -1
 
+        # live requests only: a request leaves when it terminates, and its
+        # RequestRecord is all that outlives it
         self.requests: dict[int, RequestSim] = {}
         self._next_rid = 0
         # arrivals at or after warmup, the ones the report counts
@@ -416,14 +427,11 @@ class Simulator:
         heapq.heappush(self._heap, Event(time, self._seq, kind, engine_id, request_id, epoch))
 
     def _stream(self, req: RequestSim, label: str) -> RngStream:
-        """The request's stream `req:{rid}:{label}`; dropped once the
-        request terminates (see _finish_stage)."""
-        label = f"req:{req.state.request_id}:{label}"
-        stream = self._streams.get(label)
+        """The request's own stream `req:{rid}:{label}`."""
+        stream = req.streams.get(label)
         if stream is None:
-            stream = RngStream(self.cfg.seed, label)
-            self._streams[label] = stream
-            req.stream_labels.append(label)
+            rid = req.state.request_id
+            stream = req.streams[label] = RngStream(self.cfg.seed, f"req:{rid}:{label}")
         return stream
 
     def _draw(self, req: RequestSim, label: str) -> float:
@@ -654,10 +662,7 @@ class Simulator:
         transition = next_step(req.state, label, self.vw)
         if transition.is_done:
             req.state.current_stage = transition.terminal
-            # a terminated request draws no more
-            for stream_label in req.stream_labels:
-                del self._streams[stream_label]
-            req.stream_labels.clear()
+            del self.requests[rid]
             latency = end - req.state.arrival_time
             self.traces.requests.append(
                 RequestRecord(
@@ -888,7 +893,6 @@ class Simulator:
                     if e.lent_to is None and not e.batch
                 ]
                 victim = max(idle, key=lambda e: e.engine_id)
-                self.retired_engines[victim.engine_id] = victim
                 del self.engines[victim.engine_id]
                 self._last_kv_sample.pop(victim.engine_id, None)
         else:
@@ -945,13 +949,8 @@ class Simulator:
                 latencies.append(rec.latency)
             else:
                 failed += 1
-        in_flight = sum(
-            1
-            for req in self.requests.values()
-            if req.state.arrival_time >= warmup and not is_terminal(req.state.current_stage)
-        )
+        in_flight = sum(1 for req in self.requests.values() if req.state.arrival_time >= warmup)
         finished = completed + failed
-        all_engines = {**self.retired_engines, **self.engines}
         return MetricsReport(
             arrivals_admitted=self.admitted,
             completed=completed,
@@ -969,7 +968,7 @@ class Simulator:
             },
             kv_used_mean={
                 str(eid): (self._kv_integral[eid] / window if window > 0 else 0.0)
-                for eid in sorted(all_engines)
+                for eid in sorted(self._kv_integral)
             },
             max_queue_len={p.pool_id: p.max_queue_len for p in self.pools.values()},
             end_queue_len={p.pool_id: len(p.heap) for p in self.pools.values()},

@@ -194,6 +194,26 @@ def reference_write_kv_usage(samples, handle) -> None:
         rows.writerow([f9(s.time), s.pool, s.engine_id, f9(s.kv_used), s.resident_prefix_tokens])
 
 
+class RetainingSimulator(ss.Simulator):
+    """A Simulator that also keeps what the simulator drops: `all_requests`
+    holds every admitted request, finished ones with their whole stage
+    history, and `all_engines` every engine ever added, retired ones too."""
+
+    def __init__(self, config: ss.SimConfig) -> None:
+        self.all_requests: dict = {}
+        self.all_engines: dict = {}
+        super().__init__(config)
+
+    def _enter_stage(self, req) -> None:
+        self.all_requests[req.state.request_id] = req
+        super()._enter_stage(req)
+
+    def _add_engine(self, pool_id: str, params):
+        engine = super()._add_engine(pool_id, params)
+        self.all_engines[engine.engine_id] = engine
+        return engine
+
+
 class SupersededCompletionsReference(ss.Simulator):
     """Reference event loop that processes superseded completions as
     `Simulator.run` did before it skipped them: every popped event advances

@@ -10,19 +10,18 @@ import numpy as np
 import pytest
 
 import stagesim as ss
-from helpers import engine_params, expected_fixer_invocations, nl2sql_vw, sim_config
+from helpers import RetainingSimulator, engine_params, expected_fixer_invocations, nl2sql_vw, sim_config
 from stagesim.cli import main
 from stagesim.dists import Distribution
 from stagesim.reporting import replay_dispatch_audit, write_run_outputs
-from stagesim.simulation import Simulator
 from stagesim.workflow import expected_remaining_work
 from stagesim.workloads import EXECUTOR, FIXER, GENERATOR
 
-REGISTRY: list[tuple[Simulator, ss.RunResult]] = []
+REGISTRY: list[tuple[RetainingSimulator, ss.RunResult]] = []
 
 
 def run_and_register(cfg: ss.SimConfig) -> ss.RunResult:
-    sim = Simulator(cfg)
+    sim = RetainingSimulator(cfg)
     result = sim.run()
     REGISTRY.append((sim, result))
     return result
@@ -342,7 +341,7 @@ def test_ac5_conservation_and_capacity_on_all_runs():
             )
             caps = {
                 eid: eng.params.kv_capacity_tokens
-                for eid, eng in {**sim.retired_engines, **sim.engines}.items()
+                for eid, eng in sim.all_engines.items()
             }
             for sample in result.traces.kv_samples:
                 assert sample.kv_used <= caps[sample.engine_id] + 1e-6

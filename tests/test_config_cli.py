@@ -7,6 +7,9 @@ from stagesim.cli import main, parse_seeds
 from stagesim.config import build_compare_cells, build_sim_config, load_config_file
 from stagesim.errors import ConfigError
 from stagesim.simulation import SCALAR_METRICS
+from stagesim.workloads import EXECUTOR, FIXER, GENERATOR
+
+ESTIMATES = {GENERATOR: 1.0, EXECUTOR: 0.5, FIXER: 1.0}
 
 
 def write_config(tmp_path, tree, name="config.json"):
@@ -193,6 +196,12 @@ def inline_tree(edit):
         (run_config_tree(policy={"use_selectivity": "false"}), "policy.use_selectivity"),
         (run_config_tree(policy={"admission": {"enabled": 1}}), "policy.admission.enabled"),
         (run_config_tree(policy={"service_estimates": {"sql_fixer": "1"}}), "policy.service_estimates.sql_fixer"),
+        (run_config_tree(policy={"service_estimates": {GENERATOR: 1.0}}), "policy.service_estimates"),
+        (run_config_tree(policy={"service_estimates": ESTIMATES | {"typo": 3.0}}), "policy.service_estimates"),
+        (
+            run_config_tree(policy={"service_estimates": ESTIMATES | {FIXER: -1.0}}),
+            f"policy.service_estimates.{FIXER}",
+        ),
         (run_config_tree(topology={"preset": "nl2sql-isolated", "tool_concurrency": 0}), "topology"),
         (inline_tree(lambda wf: wf.update(stages=5)), "workflow.inline.stages"),
         (inline_tree(lambda wf: wf["stages"][0].pop("stage_id")), "workflow.inline.stages[0]"),
@@ -209,6 +218,9 @@ def inline_tree(edit):
         "bool_as_string",
         "bool_as_int",
         "service_estimate",
+        "service_estimates_missing_stage",
+        "service_estimates_unknown_stage",
+        "service_estimate_negative",
         "tool_concurrency",
         "stages",
         "stage_id",

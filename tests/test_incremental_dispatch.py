@@ -99,14 +99,24 @@ def _queued(heap) -> list[PendingCall]:
 
 class CheckedSimulator(Simulator):
     """Asserts, after every dispatch pass, that no queued pool has a
-    reference head that could be placed, and after every event that each
-    live request's stage call is held exactly once; counts the pools a
-    pass skipped, the dirty pools it skipped because all their tool slots
-    were busy, and the events checked."""
+    reference head that could be placed, and after every event that
+    `requests` holds exactly the admitted requests that have no
+    RequestRecord yet and that each one's stage call is held exactly once;
+    counts the pools a pass skipped, the dirty pools it skipped because all
+    their tool slots were busy, and the events checked."""
 
     skipped = 0
     gated = 0
     conserved = 0
+
+    def __init__(self, config) -> None:
+        self.unfinished: set[int] = set()  # admitted, no RequestRecord yet
+        self.recorded = 0  # RequestRecords already taken out of unfinished
+        super().__init__(config)
+
+    def _enter_stage(self, req) -> None:
+        self.unfinished.add(req.state.request_id)
+        super()._enter_stage(req)
 
     def _dispatch_all(self) -> None:
         self.skipped += sum(1 for pool in self.pools.values() if pool.heap)
@@ -131,8 +141,13 @@ class CheckedSimulator(Simulator):
             assert all(self.stage_pool[call.stage_id] == pool.pool_id for call in queued)
             held += len(queued) + pool.busy_slots
         held += sum(len(engine.batch) for engine in self.engines.values())
-        live = sum(1 for req in self.requests.values() if not is_terminal(req.state.current_stage))
+        live = len(self.requests)
         assert held == live, f"{held} stage calls held for {live} live requests at {self.clock}"
+        records = self.traces.requests
+        self.unfinished.difference_update(rec.request_id for rec in records[self.recorded :])
+        self.recorded = len(records)
+        assert self.requests.keys() == self.unfinished, f"requests is not the live map at {self.clock}"
+        assert not any(is_terminal(req.state.current_stage) for req in self.requests.values())
         self.conserved += 1
 
     def _dispatch_pool(self, pool, version) -> None:

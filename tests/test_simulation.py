@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -7,7 +8,7 @@ import pytest
 
 import stagesim as ss
 import stagesim.simulation as simulation
-from helpers import engine_params, nl2sql_vw, sim_config
+from helpers import RetainingSimulator, engine_params, nl2sql_vw, sim_config
 from stagesim.dists import Distribution
 from stagesim.rng import RngStream
 from stagesim.scheduling import dispatch_key, holds_foreign_prefix
@@ -215,10 +216,10 @@ def test_kv_samples_respect_capacity():
 
 def test_warmup_requests_simulated_but_excluded():
     cfg = sim_config(rate=2.0, duration=30.0, warmup=10.0, seed=4)
-    sim = Simulator(cfg)
+    sim = RetainingSimulator(cfg)
     result = sim.run()
-    pre = [r for r in sim.requests.values() if r.state.arrival_time < 10.0]
-    post = [r for r in sim.requests.values() if r.state.arrival_time >= 10.0]
+    pre = [r for r in sim.all_requests.values() if r.state.arrival_time < 10.0]
+    post = [r for r in sim.all_requests.values() if r.state.arrival_time >= 10.0]
     assert pre, "some requests must arrive during warmup"
     assert result.report.arrivals_admitted == len(post)
     # warmup traffic still ran through the engines
@@ -249,13 +250,13 @@ def test_dispatch_optimality_in_memory():
 def test_recorded_keys_match_dispatch_key(policy):
     # Replays each request's stage history up to each of its dispatches and
     # recomputes the key independently, remaining work included.
-    sim = Simulator(sim_config(policy=policy, rate=2.5, duration=30.0, warmup=0.0, seed=12))
+    sim = RetainingSimulator(sim_config(policy=policy, rate=2.5, duration=30.0, warmup=0.0, seed=12))
     result = sim.run()
     vw, estimates = sim.vw, sim.estimator.estimates()
     dispatched = Counter()
     contended = 0
     for rec in result.traces.dispatches:
-        req = sim.requests[rec.request_id]
+        req = sim.all_requests[rec.request_id]
         state = RequestState(rec.request_id, req.state.arrival_time, req.state.deadline, vw.entry_stage)
         attained = 0.0
         for sid, start, end, label in req.state.stage_history[: dispatched[rec.request_id]]:
@@ -278,16 +279,16 @@ def test_recorded_keys_match_dispatch_key(policy):
 
 def test_changing_tool_distribution_leaves_other_streams_alone():
     base = sim_config(rate=1.5, duration=40.0, warmup=0.0, seed=21)
-    sim_a = Simulator(base)
+    sim_a = RetainingSimulator(base)
     res_a = sim_a.run()
 
     slow_vw = nl2sql_vw(executor_service_time=Distribution.constant(1.5))
     slow = sim_config(vw=slow_vw, rate=1.5, duration=40.0, warmup=0.0, seed=21)
-    sim_b = Simulator(slow)
+    sim_b = RetainingSimulator(slow)
     res_b = sim_b.run()
 
-    arrivals_a = {rid: r.state.arrival_time for rid, r in sim_a.requests.items()}
-    arrivals_b = {rid: r.state.arrival_time for rid, r in sim_b.requests.items()}
+    arrivals_a = {rid: r.state.arrival_time for rid, r in sim_a.all_requests.items()}
+    arrivals_b = {rid: r.state.arrival_time for rid, r in sim_b.all_requests.items()}
     assert arrivals_a == arrivals_b
 
     done_a = {r.request_id: r for r in res_a.traces.requests}
@@ -368,10 +369,14 @@ def test_only_unfinished_requests_keep_rng_streams():
     sim = Simulator(sim_config(policy=ELASTIC_POLICY, rate=4.0, duration=40.0, seed=2))
     result = sim.run()
     assert len(result.traces.requests) > 50
-    owners = {int(label.split(":")[1]) for label in sim._streams}
-    assert owners, "the run should end with requests in flight"
-    assert all(label.startswith("req:") for label in sim._streams)
-    assert not any(is_terminal(sim.requests[rid].state.current_stage) for rid in owners)
+    assert sim.requests, "the run should end with requests in flight"
+    finished = {rec.request_id for rec in result.traces.requests}
+    for rid, req in sim.requests.items():
+        assert rid not in finished
+        assert not is_terminal(req.state.current_stage)
+        assert req.streams
+        for label, stream in req.streams.items():
+            assert stream.label == f"req:{rid}:{label}"
 
 
 @pytest.mark.parametrize(
@@ -420,6 +425,23 @@ def test_invalid_configs_rejected():
         sim_config(duration=1.0, warmup=2.0).validate()
     with pytest.raises(ss.ConfigError):
         sim_config(policy=ss.PolicyConfig(online_estimates=True, ewma_alpha=0.0)).validate()
+    # {} does not mean "derive the estimates": that is None
+    with pytest.raises(ss.ConfigError, match="'policy.service_estimates' missing stages"):
+        sim_config(policy=ss.PolicyConfig(service_estimates={})).validate()
+
+
+def test_every_stage_needs_exactly_one_pool():
+    cfg = sim_config()
+    pools = cfg.topology.pools
+    ghost = dataclasses.replace(pools[0], stage_ids=(*pools[0].stage_ids, "ghost"))
+    for broken, message in (
+        (pools[1:], f"stage '{pools[0].stage_ids[0]}' is in 0 pools"),
+        (pools + pools[:1], f"stage '{pools[0].stage_ids[0]}' is in 2 pools"),
+        ((ghost, *pools[1:]), r"pools serve stages \['ghost'\] not in the workflow"),
+    ):
+        bad = dataclasses.replace(cfg, topology=dataclasses.replace(cfg.topology, pools=broken))
+        with pytest.raises(ss.ConfigError, match=message):
+            bad.validate()
 
 
 def test_kv_budget_that_can_never_fit_a_call_rejected():
@@ -440,9 +462,9 @@ def test_kv_budget_that_can_never_fit_a_call_rejected():
 
 def test_stage_history_recorded_in_order():
     cfg = sim_config(rate=1.0, duration=30.0, warmup=0.0, seed=2)
-    sim = Simulator(cfg)
+    sim = RetainingSimulator(cfg)
     sim.run()
-    histories = [r.state.stage_history for r in sim.requests.values() if is_terminal(r.state.current_stage)]
+    histories = [r.state.stage_history for r in sim.all_requests.values() if is_terminal(r.state.current_stage)]
     assert histories
     for history in histories:
         assert history[0][0] == GENERATOR

@@ -1,12 +1,11 @@
 import pytest
 
 import stagesim as ss
-from helpers import engine_params, nl2sql_params, nl2sql_vw, run_config_tree, sim_config
+from helpers import RetainingSimulator, engine_params, nl2sql_params, nl2sql_vw, run_config_tree, sim_config
 from stagesim.config import build_sim_config
 from stagesim.dists import Distribution
 from stagesim.errors import ConfigError
 from stagesim.scheduling import POLICY_KINDS, dispatch_key
-from stagesim.simulation import Simulator
 from stagesim.workflow import FAILURE, LLM, TOOL, validate_workflow
 from stagesim.workloads import (
     EXECUTOR,
@@ -185,13 +184,13 @@ def test_derived_estimates_use_pool_overrides():
 
 
 def test_paired_topologies_see_identical_randomness():
-    iso_sim = Simulator(sim_config(mode="isolated", rate=1.5, duration=40.0, warmup=0.0, seed=33))
+    iso_sim = RetainingSimulator(sim_config(mode="isolated", rate=1.5, duration=40.0, warmup=0.0, seed=33))
     iso = iso_sim.run()
-    shared_sim = Simulator(sim_config(mode="shared", rate=1.5, duration=40.0, warmup=0.0, seed=33))
+    shared_sim = RetainingSimulator(sim_config(mode="shared", rate=1.5, duration=40.0, warmup=0.0, seed=33))
     shared = shared_sim.run()
 
-    assert {r.state.arrival_time for r in iso_sim.requests.values()} == {
-        r.state.arrival_time for r in shared_sim.requests.values()
+    assert {r.state.arrival_time for r in iso_sim.all_requests.values()} == {
+        r.state.arrival_time for r in shared_sim.all_requests.values()
     }
     done_iso = {r.request_id: r for r in iso.traces.requests}
     done_shared = {r.request_id: r for r in shared.traces.requests}
