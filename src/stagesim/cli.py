@@ -113,8 +113,9 @@ def cmd_compare(args) -> int:
             report = Simulator(replace(config, seed=seed)).run().report
             results.append(CellResult(name, seed, report))
     out_dir = args.out or tree.get("base", {}).get("out_dir") or "out"
-    paths = write_comparison_outputs(results, out_dir)
-    print(format_comparison_table(aggregate_comparison(results)))
+    summary = aggregate_comparison(results)
+    paths = write_comparison_outputs(results, summary, out_dir)
+    print(format_comparison_table(summary))
     print(f"wrote {paths['csv'].parent}")
     return EXIT_OK
 

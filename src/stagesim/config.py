@@ -20,13 +20,7 @@ from .dists import Distribution
 from .engines import EngineParams
 from .errors import ConfigError
 from .simulation import PolicyConfig, SimConfig
-from .workflow import (
-    Outcome,
-    StageSpec,
-    ValidatedWorkflow,
-    WorkflowSpec,
-    validate_workflow,
-)
+from .workflow import ValidatedWorkflow, WorkflowSpec, validate_workflow
 from .workloads import (
     DEFAULT_ENGINE_PARAMS,
     FIXER,
@@ -53,38 +47,6 @@ _ARRIVAL_FIELDS = {"rate": float}
 _COMPARE_FIELDS = {"base": dict, "cells": list}
 _CELL_FIELDS = {"name": str, "overrides": dict}
 _WORKFLOW_FIELDS = {"preset": str, "params": dict, "inline": dict}
-_INLINE_FIELDS = {  # the fields of WorkflowSpec
-    "name": str,
-    "entry_stage": str,
-    "retry_budget": int,
-    "slo_seconds": float,
-    "stages": list,
-}
-_STAGE_FIELDS = {
-    "stage_id": str,
-    "kind": str,
-    "prefix_tokens": int,
-    "prompt_tokens": Distribution,
-    "output_tokens": Distribution,
-    "service_time": Distribution,
-    "outcomes": list,
-}
-_OUTCOME_FIELDS = {"label": str, "prob": float, "next": str}
-_TOPOLOGY_FIELDS = {
-    "preset": str,
-    "mode": str,
-    "llm_engines": dict[str, int],
-    "llm_engines_total": int,
-    "engine_params": dict,
-    "engine_overrides": dict[str, dict],
-    "tool_concurrency": int,
-}
-# topology keys that set a TopologyPreset field
-_PRESET_FIELDS = {
-    "llm_engines": "engines_per_stage",
-    "llm_engines_total": "total_engines",
-    "tool_concurrency": "tool_concurrency",
-}
 
 TOPOLOGY_PRESETS = {
     "nl2sql-isolated": {"mode": "isolated", "llm_engines": {GENERATOR: 1, FIXER: 1}},
@@ -114,8 +76,8 @@ def _typed(value, tp, path: str):
     """`value` checked against the declared type `tp`.
 
     Booleans are only JSON true/false, and a JSON integer is accepted
-    where a float is declared.  Distributions and nested dataclasses are
-    built from their mappings.
+    where a float is declared.  A `tuple[X, ...]` is read from a list,
+    and distributions and nested dataclasses from their mappings.
     """
     origin = typing.get_origin(tp)
     if origin in (typing.Union, types.UnionType):  # X | None
@@ -126,6 +88,9 @@ def _typed(value, tp, path: str):
     if origin is dict:
         item_tp = typing.get_args(tp)[1]
         return {k: _typed(v, item_tp, f"{path}.{k}") for k, v in _typed(value, dict, path).items()}
+    if origin is tuple:
+        item_tp = typing.get_args(tp)[0]
+        return tuple(_typed(v, item_tp, f"{path}[{i}]") for i, v in enumerate(_typed(value, list, path)))
     if tp is Distribution:
         return _call(path, Distribution.from_spec, value)
     if dataclasses.is_dataclass(tp):
@@ -156,10 +121,21 @@ def _field_types(cls) -> dict:
     return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
 
 
-def _build(cls, obj, path: str, base=None):
-    """Dataclass `cls` from config mapping `obj`, keyed by its fields; absent
-    fields keep the dataclass default, or `base`'s value when given."""
-    kwargs = _fields(_field_types(cls), obj, path)
+@functools.cache
+def _required_fields(cls) -> tuple:
+    missing = dataclasses.MISSING
+    return tuple(
+        f.name for f in dataclasses.fields(cls) if f.default is missing and f.default_factory is missing
+    )
+
+
+def _build(cls, obj, path: str, base=None, **built):
+    """Dataclass `cls` from config mapping `obj`, keyed by its fields, plus
+    the already built field values `built`.  An absent field keeps `base`'s
+    value when `base` is given, else its default; one with no default is
+    required."""
+    required = () if base is not None else [key for key in _required_fields(cls) if key not in built]
+    kwargs = _fields(_field_types(cls), obj, path, required) | built
     if base is not None:
         return _call(path, dataclasses.replace, base, **kwargs)
     return _call(path, cls, **kwargs)
@@ -187,64 +163,31 @@ def _parse_workflow(obj, path: str) -> ValidatedWorkflow:
     if "preset" in obj:
         if obj["preset"] != "nl2sql":
             raise ConfigError(f"unknown workflow preset '{obj['preset']}'")
-        params_path = f"{path}.params"
-        kwargs = _fields(_field_types(Nl2SqlParams), obj.get("params", {}), params_path)
-        if "p_fail" in kwargs and "p_syntax_err" not in kwargs and "p_empty_result" not in kwargs:
-            kwargs["p_syntax_err"] = kwargs["p_fail"] / 2.0
-            kwargs["p_empty_result"] = kwargs["p_fail"] - kwargs["p_syntax_err"]
-        spec = build_nl2sql(_call(params_path, Nl2SqlParams, **kwargs))
+        spec = build_nl2sql(_build(Nl2SqlParams, obj.get("params", {}), f"{path}.params"))
     else:
-        spec = _parse_inline_workflow(obj["inline"], f"{path}.inline")
+        spec = _build(WorkflowSpec, obj["inline"], f"{path}.inline")
     return validate_workflow(spec)
 
 
-def _parse_inline_workflow(obj, path: str) -> WorkflowSpec:
-    obj = _fields(_INLINE_FIELDS, obj, path, required=_INLINE_FIELDS)
-    stages = []
-    for i, st in enumerate(obj["stages"]):
-        spath = f"{path}.stages[{i}]"
-        st = _fields(_STAGE_FIELDS, st, spath, required=("stage_id", "kind"))
-        outcomes = []
-        for j, out in enumerate(st.get("outcomes", ())):
-            out = _fields(_OUTCOME_FIELDS, out, f"{spath}.outcomes[{j}]", required=_OUTCOME_FIELDS)
-            outcomes.append(Outcome(out["label"], out["prob"], out["next"]))
-        stages.append(
-            StageSpec(
-                stage_id=st["stage_id"],
-                kind=st["kind"],
-                outcomes=tuple(outcomes),
-                prefix_tokens=st.get("prefix_tokens", 0),
-                prompt_tokens_dist=st.get("prompt_tokens"),
-                output_tokens_dist=st.get("output_tokens"),
-                service_time_dist=st.get("service_time"),
-            )
-        )
-    return WorkflowSpec(**(obj | {"stages": tuple(stages)}))
-
-
 def _parse_topology(obj, path: str, vw: ValidatedWorkflow):
-    obj = _fields(_TOPOLOGY_FIELDS, obj, path)
+    """The topology section: a TopologyPreset from its fields, over the
+    named `preset`'s fields if one is given.  `engine_params` patches
+    DEFAULT_ENGINE_PARAMS, and each of `engine_overrides` patches
+    `engine_params`."""
+    obj = dict(_typed(obj, dict, path))
     if "preset" in obj:
-        preset_name = obj.pop("preset")
+        preset_name = _typed(obj.pop("preset"), str, f"{path}.preset")
         if preset_name not in TOPOLOGY_PRESETS:
             raise ConfigError(f"unknown topology preset '{preset_name}'")
         obj = TOPOLOGY_PRESETS[preset_name] | obj
-    mode = obj.get("mode")
-    if mode not in ("isolated", "shared"):
-        raise ConfigError(f"'{path}.mode' must be 'isolated' or 'shared'")
-    engine_params = _build(
-        EngineParams, obj.get("engine_params", {}), f"{path}.engine_params", DEFAULT_ENGINE_PARAMS
-    )
-    kwargs = {
-        "mode": mode,
-        "engine_params": engine_params,
-        "engine_overrides": {
-            sid: _build(EngineParams, patch, f"{path}.engine_overrides.{sid}", engine_params)
-            for sid, patch in obj.get("engine_overrides", {}).items()
-        },
+    params_path, overrides_path = f"{path}.engine_params", f"{path}.engine_overrides"
+    params = _build(EngineParams, obj.pop("engine_params", {}), params_path, DEFAULT_ENGINE_PARAMS)
+    overrides = {
+        sid: _build(EngineParams, patch, f"{overrides_path}.{sid}", params)
+        for sid, patch in _typed(obj.pop("engine_overrides", {}), dict, overrides_path).items()
     }
-    kwargs.update((_PRESET_FIELDS[key], obj[key]) for key in _PRESET_FIELDS if key in obj)
-    return _call(path, build_topology, TopologyPreset(**kwargs), vw)
+    preset = _build(TopologyPreset, obj, path, engine_params=params, engine_overrides=overrides)
+    return _call(path, build_topology, preset, vw)
 
 
 def build_sim_config(tree: dict, seed_override: int | None = None) -> SimConfig:

@@ -204,7 +204,9 @@ def aggregate_comparison(results: list[CellResult]) -> dict:
     return {"cells": cells, "aggregate": aggregate, "wins": wins}
 
 
-def write_comparison_outputs(results: list[CellResult], out_dir: str | Path) -> dict[str, Path]:
+def write_comparison_outputs(results: list[CellResult], summary: dict, out_dir: str | Path) -> dict[str, Path]:
+    """Write comparison.csv from `results` and comparison.json from their
+    `summary`, `aggregate_comparison(results)`, plus each run's report."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {"csv": out / COMPARISON_CSV, "json": out / COMPARISON_JSON}
@@ -215,11 +217,8 @@ def write_comparison_outputs(results: list[CellResult], out_dir: str | Path) -> 
         for cell, seed, metric, value in comparison_rows(results):
             rows.writerow([cell, seed, metric, _f(value)])
 
-    summary = aggregate_comparison(results)
-    summary["reports"] = {
-        res.cell + ":" + str(res.seed): res.report.to_dict() for res in results
-    }
-    paths["json"].write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    reports = {res.cell + ":" + str(res.seed): res.report.to_dict() for res in results}
+    paths["json"].write_text(json.dumps(summary | {"reports": reports}, indent=2, sort_keys=True) + "\n")
     return paths
 
 

@@ -116,8 +116,8 @@ class SimConfig:
             raise ConfigError("arrival rate must be positive")
         if self.warmup < 0:
             raise ConfigError("warmup must be >= 0")
-        if self.duration < self.warmup:
-            raise ConfigError("duration must be >= warmup")
+        if self.duration <= self.warmup:  # else no arrival is ever measured
+            raise ConfigError("'config.duration' must be > 'config.warmup'")
         if self.policy.kind not in POLICY_KINDS:
             raise ConfigError(f"unknown policy kind '{self.policy.kind}'")
         if not 0.0 < self.policy.ewma_alpha <= 1.0:
@@ -155,8 +155,8 @@ class SimConfig:
                 stage = self.workflow.stage(sid)
                 worst = (
                     stage.prefix_tokens
-                    + stage.prompt_tokens_dist.max_int()
-                    + stage.output_tokens_dist.max_int()
+                    + stage.prompt_tokens.max_int()
+                    + stage.output_tokens.max_int()
                 )
                 if worst > capacity:
                     raise ConfigError(
@@ -575,8 +575,8 @@ class Simulator:
         stage = self.vw.stage(sid)
         rid = req.state.request_id
         if stage.kind == LLM:
-            prompt = stage.prompt_tokens_dist.sample_int(self._draw(req, f"prompt:{sid}"))
-            output = stage.output_tokens_dist.sample_int(self._draw(req, f"output:{sid}"))
+            prompt = stage.prompt_tokens.sample_int(self._draw(req, f"prompt:{sid}"))
+            output = stage.output_tokens.sample_int(self._draw(req, f"output:{sid}"))
             call = PendingCall(rid, sid, self.clock, prompt, output)
         else:
             call = PendingCall(rid, sid, self.clock)
@@ -640,10 +640,10 @@ class Simulator:
         cum = 0.0
         chosen = None
         for out in stage.outcomes:
-            if out.probability <= 0.0:
+            if out.prob <= 0.0:
                 continue
             chosen = out  # the last positive-mass outcome absorbs rounding residue
-            cum += out.probability
+            cum += out.prob
             if u <= cum:
                 break
         return chosen.label

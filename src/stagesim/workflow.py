@@ -68,8 +68,8 @@ class Outcome:
     """One possible result of running a stage and where it leads."""
 
     label: str
-    probability: float
-    transition: str  # stage_id, or Success / Failure
+    prob: float
+    next: str  # stage_id, or Success / Failure
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,9 @@ class StageSpec:
     kind: str  # LLM or TOOL
     outcomes: tuple[Outcome, ...]
     prefix_tokens: int = 0
-    prompt_tokens_dist: Distribution | None = None
-    output_tokens_dist: Distribution | None = None
-    service_time_dist: Distribution | None = None
+    prompt_tokens: Distribution | None = None
+    output_tokens: Distribution | None = None
+    service_time: Distribution | None = None
 
 
 @dataclass(frozen=True)
@@ -183,21 +183,21 @@ def _check_stage_shapes(spec: WorkflowSpec) -> dict[str, StageSpec]:
         if st.kind == LLM:
             if st.prefix_tokens < 0:
                 raise InvalidStage(f"LLM stage '{st.stage_id}' has negative prefix")
-            if st.service_time_dist is not None:
+            if st.service_time is not None:
                 raise InvalidStage(f"LLM stage '{st.stage_id}' must not carry a service-time distribution")
-            if st.prompt_tokens_dist is None or st.output_tokens_dist is None:
+            if st.prompt_tokens is None or st.output_tokens is None:
                 raise InvalidStage(f"LLM stage '{st.stage_id}' needs prompt and output token distributions")
         elif st.kind == TOOL:
-            if st.service_time_dist is None:
+            if st.service_time is None:
                 raise InvalidStage(f"tool stage '{st.stage_id}' needs a service-time distribution")
-            if st.prefix_tokens != 0 or st.prompt_tokens_dist is not None or st.output_tokens_dist is not None:
+            if st.prefix_tokens != 0 or st.prompt_tokens is not None or st.output_tokens is not None:
                 raise InvalidStage(f"tool stage '{st.stage_id}' must have zero token fields")
         else:
             raise InvalidStage(f"stage '{st.stage_id}' has unknown kind '{st.kind}'")
         for out in st.outcomes:
-            if out.probability < 0.0:
+            if out.prob < 0.0:
                 raise ProbabilityMassError(f"stage '{st.stage_id}' outcome '{out.label}' has negative probability")
-        mass = sum(o.probability for o in st.outcomes)
+        mass = sum(o.prob for o in st.outcomes)
         if abs(mass - 1.0) > _MASS_TOL:
             raise ProbabilityMassError(f"stage '{st.stage_id}' outcome probabilities sum to {mass!r}, not 1.0")
         labels = [o.label for o in st.outcomes]
@@ -217,13 +217,13 @@ def _adjacency(stages: dict[str, StageSpec]) -> dict[str, set[str]]:
     adj: dict[str, set[str]] = {sid: set() for sid in stages}
     for st in stages.values():
         for out in st.outcomes:
-            if is_terminal(out.transition):
+            if is_terminal(out.next):
                 continue
-            if out.transition not in stages:
+            if out.next not in stages:
                 raise DanglingTransition(
-                    f"stage '{st.stage_id}' outcome '{out.label}' targets unknown stage '{out.transition}'"
+                    f"stage '{st.stage_id}' outcome '{out.label}' targets unknown stage '{out.next}'"
                 )
-            adj[st.stage_id].add(out.transition)
+            adj[st.stage_id].add(out.next)
     return adj
 
 
@@ -305,14 +305,14 @@ def validate_workflow(spec: WorkflowSpec) -> ValidatedWorkflow:
     if unreachable:
         raise UnreachableStage(f"stages not reachable from entry: {unreachable}")
     success_reachable = any(
-        out.transition == SUCCESS for sid in reachable for out in stages[sid].outcomes
+        out.next == SUCCESS for sid in reachable for out in stages[sid].outcomes
     )
     if not success_reachable:
         raise UnreachableTerminal("terminal Success is not reachable from the entry stage")
 
     loop_edges = _loop_edges(spec, stages, adj)
     selectivity = {
-        sid: sum(o.probability for o in st.outcomes if is_terminal(o.transition))
+        sid: sum(o.prob for o in st.outcomes if is_terminal(o.next))
         for sid, st in stages.items()
     }
     return ValidatedWorkflow(spec, stages, loop_edges, selectivity)
@@ -330,7 +330,7 @@ def next_step(state: RequestState, outcome: str, vw: ValidatedWorkflow) -> Trans
     chosen = next((o for o in stage.outcomes if o.label == outcome), None)
     if chosen is None:
         raise UnknownOutcome(f"stage '{stage.stage_id}' has no outcome '{outcome}'")
-    target = chosen.transition
+    target = chosen.next
     if is_terminal(target):
         return Transition(None, target, state.retries_used)
     if vw.is_loop_edge(stage.stage_id, target):
@@ -365,8 +365,8 @@ def _compile_remaining_work(vw: ValidatedWorkflow) -> tuple:
             return
         terms = []
         for out in vw.stage(stage_id).outcomes:
-            target = out.transition
-            if out.probability == 0.0 or is_terminal(target):
+            target = out.next
+            if out.prob == 0.0 or is_terminal(target):
                 continue
             if vw.is_loop_edge(stage_id, target):
                 if retries >= budget:
@@ -375,7 +375,7 @@ def _compile_remaining_work(vw: ValidatedWorkflow) -> tuple:
             else:
                 dep = (target, retries)
             visit(*dep)
-            terms.append((out.probability, dep))
+            terms.append((out.prob, dep))
         seen.add(key)
         plan.append((key, stage_id, tuple(terms)))
 

@@ -52,11 +52,16 @@ def _default_executor_service() -> Distribution:
 
 @dataclass(frozen=True)
 class Nl2SqlParams:
-    """Desk-scale defaults; every field is config-overridable."""
+    """Desk-scale defaults; every field is config-overridable.
+
+    `p_fail` splits into `p_syntax_err` and `p_empty_result`: a split field
+    left as None is the rest of `p_fail` when the other is given, and half
+    of it when neither is.
+    """
 
     p_fail: float = 0.5
-    p_syntax_err: float = 0.25
-    p_empty_result: float = 0.25
+    p_syntax_err: float | None = None
+    p_empty_result: float | None = None
     retry_budget: int = 3
     slo_seconds: float = 30.0
     generator_prefix_tokens: int = 1000
@@ -68,6 +73,11 @@ class Nl2SqlParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_fail <= 1.0:
             raise ConfigError("p_fail must be in [0, 1]")
+        if self.p_syntax_err is None:
+            rest = self.p_fail / 2.0 if self.p_empty_result is None else self.p_fail - self.p_empty_result
+            object.__setattr__(self, "p_syntax_err", rest)
+        if self.p_empty_result is None:
+            object.__setattr__(self, "p_empty_result", self.p_fail - self.p_syntax_err)
         if self.p_syntax_err < 0.0 or self.p_empty_result < 0.0:
             raise ConfigError("failure split probabilities must be >= 0")
         if abs(self.p_syntax_err + self.p_empty_result - self.p_fail) > 1e-9:
@@ -85,14 +95,14 @@ def build_nl2sql(params: Nl2SqlParams | None = None) -> WorkflowSpec:
             stage_id=GENERATOR,
             kind=LLM,
             prefix_tokens=p.generator_prefix_tokens,
-            prompt_tokens_dist=p.prompt_tokens,
-            output_tokens_dist=p.output_tokens,
+            prompt_tokens=p.prompt_tokens,
+            output_tokens=p.output_tokens,
             outcomes=(Outcome("generated", 1.0, EXECUTOR),),
         ),
         StageSpec(
             stage_id=EXECUTOR,
             kind=TOOL,
-            service_time_dist=p.executor_service_time,
+            service_time=p.executor_service_time,
             outcomes=(
                 Outcome("success", 1.0 - p.p_fail, SUCCESS),
                 Outcome("syntax_err", p.p_syntax_err, FIXER),
@@ -103,8 +113,8 @@ def build_nl2sql(params: Nl2SqlParams | None = None) -> WorkflowSpec:
             stage_id=FIXER,
             kind=LLM,
             prefix_tokens=p.fixer_prefix_tokens,
-            prompt_tokens_dist=p.prompt_tokens,
-            output_tokens_dist=p.output_tokens,
+            prompt_tokens=p.prompt_tokens,
+            output_tokens=p.output_tokens,
             outcomes=(Outcome("fixed", 1.0, EXECUTOR),),
         ),
     )
@@ -142,8 +152,8 @@ class Topology:
 @dataclass(frozen=True)
 class TopologyPreset:
     mode: str
-    engines_per_stage: dict[str, int] = field(default_factory=dict)  # isolated
-    total_engines: int = 0  # shared
+    llm_engines: dict[str, int] = field(default_factory=dict)  # isolated
+    llm_engines_total: int = 0  # shared
     engine_params: EngineParams = DEFAULT_ENGINE_PARAMS
     engine_overrides: dict[str, EngineParams] = field(default_factory=dict)
     tool_concurrency: int = DEFAULT_TOOL_CONCURRENCY
@@ -165,7 +175,7 @@ def build_topology(preset: TopologyPreset, vw: ValidatedWorkflow) -> Topology:
         if unknown:
             raise ConfigError(f"engine override for '{unknown[0]}', which is not an LLM stage")
         for st in llm_stages:
-            n = preset.engines_per_stage.get(st.stage_id, 0)
+            n = preset.llm_engines.get(st.stage_id, 0)
             if n < 1:
                 raise ConfigError(f"isolated pool for stage '{st.stage_id}' needs >= 1 engine")
             params = preset.engine_overrides.get(st.stage_id, preset.engine_params)
@@ -179,7 +189,7 @@ def build_topology(preset: TopologyPreset, vw: ValidatedWorkflow) -> Topology:
                 )
             )
     else:
-        if preset.total_engines < 1:
+        if preset.llm_engines_total < 1:
             raise ConfigError("shared topology needs >= 1 engine")
         if preset.engine_overrides:
             raise ConfigError("per-stage engine overrides require isolated mode")
@@ -188,7 +198,7 @@ def build_topology(preset: TopologyPreset, vw: ValidatedWorkflow) -> Topology:
                 pool_id="pool:llm",
                 kind=LLM,
                 stage_ids=tuple(s.stage_id for s in llm_stages),
-                n_engines=preset.total_engines,
+                n_engines=preset.llm_engines_total,
                 engine_params=preset.engine_params,
             )
         )
@@ -199,7 +209,7 @@ def build_topology(preset: TopologyPreset, vw: ValidatedWorkflow) -> Topology:
                 pool_id=f"pool:{st.stage_id}",
                 kind=TOOL,
                 stage_ids=(st.stage_id,),
-                tool_params=ToolPoolParams(preset.tool_concurrency, st.service_time_dist),
+                tool_params=ToolPoolParams(preset.tool_concurrency, st.service_time),
             )
         )
     return Topology(mode=preset.mode, pools=tuple(pools))
@@ -221,8 +231,8 @@ def derive_service_estimates(vw: ValidatedWorkflow, topology: Topology) -> dict[
         if st.kind == LLM:
             params = params_by_stage[st.stage_id]
             estimates[st.stage_id] = (
-                st.prompt_tokens_dist.mean() / params.prefill_rate
-                + st.output_tokens_dist.mean() * params.base_token_time
+                st.prompt_tokens.mean() / params.prefill_rate
+                + st.output_tokens.mean() * params.base_token_time
             )
         else:
             estimates[st.stage_id] = tool_by_stage[st.stage_id].service_time_dist.mean()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import heapq
 
 import stagesim as ss
@@ -17,6 +18,7 @@ from stagesim.simulation import (
 )
 from stagesim.workflow import TERMINALS, is_terminal
 from stagesim.workloads import (
+    DEFAULT_ENGINE_PARAMS,
     EXECUTOR,
     FIXER,
     GENERATOR,
@@ -29,26 +31,12 @@ from stagesim.workloads import (
 STAGES = (GENERATOR, EXECUTOR, FIXER)
 
 
-def nl2sql_params(p_fail: float = 0.5, **kw) -> Nl2SqlParams:
-    kw.setdefault("p_syntax_err", p_fail / 2.0)
-    kw.setdefault("p_empty_result", p_fail - kw["p_syntax_err"])
-    return Nl2SqlParams(p_fail=p_fail, **kw)
-
-
 def nl2sql_vw(p_fail: float = 0.5, **kw) -> ss.ValidatedWorkflow:
-    return ss.validate_workflow(build_nl2sql(nl2sql_params(p_fail, **kw)))
+    return ss.validate_workflow(build_nl2sql(Nl2SqlParams(p_fail=p_fail, **kw)))
 
 
 def engine_params(**kw) -> EngineParams:
-    base = dict(
-        kv_capacity_tokens=16384,
-        prefill_rate=5000.0,
-        base_token_time=0.02,
-        batch_slope=0.1,
-        max_batch=8,
-    )
-    base.update(kw)
-    return EngineParams(**base)
+    return dataclasses.replace(DEFAULT_ENGINE_PARAMS, **kw)
 
 
 def topology(vw, mode: str = "isolated", engines=(1, 1), params=None, overrides=None, tool_concurrency: int = 4):
@@ -56,7 +44,7 @@ def topology(vw, mode: str = "isolated", engines=(1, 1), params=None, overrides=
     if mode == "isolated":
         preset = TopologyPreset(
             mode=mode,
-            engines_per_stage={GENERATOR: engines[0], FIXER: engines[1]},
+            llm_engines={GENERATOR: engines[0], FIXER: engines[1]},
             engine_params=params,
             engine_overrides=overrides or {},
             tool_concurrency=tool_concurrency,
@@ -64,7 +52,7 @@ def topology(vw, mode: str = "isolated", engines=(1, 1), params=None, overrides=
     else:
         preset = TopologyPreset(
             mode=mode,
-            total_engines=sum(engines),
+            llm_engines_total=sum(engines),
             engine_params=params,
             tool_concurrency=tool_concurrency,
         )
@@ -163,14 +151,14 @@ def reference_remaining_work(vw, service_estimates) -> dict:
         stage = vw.stage(stage_id)
         total = service_estimates[stage_id]
         for out in stage.outcomes:
-            target = out.transition
-            if out.probability == 0.0 or is_terminal(target):
+            target = out.next
+            if out.prob == 0.0 or is_terminal(target):
                 continue
             if vw.is_loop_edge(stage_id, target):
                 if retries < budget:
-                    total += out.probability * value(target, retries + 1)
+                    total += out.prob * value(target, retries + 1)
             else:
-                total += out.probability * value(target, retries)
+                total += out.prob * value(target, retries)
         memo[key] = total
         return total
 

@@ -145,18 +145,18 @@ def test_ac4_retry_expectation_oracles():
                 stage = vw.stage(stage_id)
                 cost += estimates[stage_id]
                 for out in stage.outcomes:
-                    if out.probability == 0.0:
+                    if out.prob == 0.0:
                         continue
-                    target = out.transition
+                    target = out.next
                     if target in ("Success", "Failure"):
-                        frontier.append((target, r, prob * out.probability, cost))
+                        frontier.append((target, r, prob * out.prob, cost))
                     elif vw.is_loop_edge(stage_id, target):
                         if r >= vw.retry_budget:
-                            frontier.append(("Failure", r, prob * out.probability, cost))
+                            frontier.append(("Failure", r, prob * out.prob, cost))
                         else:
-                            frontier.append((target, r + 1, prob * out.probability, cost))
+                            frontier.append((target, r + 1, prob * out.prob, cost))
                     else:
-                        frontier.append((target, r, prob * out.probability, cost))
+                        frontier.append((target, r, prob * out.prob, cost))
             return total
 
         table = expected_remaining_work(vw, estimates)

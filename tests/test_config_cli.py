@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +109,15 @@ def test_inline_workflow_parses():
     assert config.workflow.stage_ids == ("a",)
 
 
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Config files\n", 1)[1]
+    example = re.search(r"```json\n(.*?)\n```", section, re.DOTALL).group(1)
+    config = build_sim_config(json.loads(example))
+    assert config.topology.mode == "isolated"
+    assert config.seed == 42
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(ConfigError):
         build_sim_config(run_config_tree(workflow={"preset": "nl2sql2"}))
@@ -189,6 +200,7 @@ def inline_tree(edit):
         (run_config_tree(arrivals={"rate": "fast"}), "arrivals.rate"),
         (run_config_tree(seed="x"), "config.seed"),
         (run_config_tree(duration="60"), "config.duration"),
+        (run_config_tree(duration=10.0, warmup=10.0), "config.duration"),
         (
             run_config_tree(topology={"preset": "nl2sql-isolated", "llm_engines": {"sql_generator": "two"}}),
             "topology.llm_engines.sql_generator",
@@ -214,6 +226,7 @@ def inline_tree(edit):
         "rate",
         "seed",
         "duration",
+        "duration_equals_warmup",
         "llm_engines",
         "bool_as_string",
         "bool_as_int",
@@ -259,11 +272,11 @@ def test_run_twice_is_byte_identical(tmp_path):
 
 
 def test_run_zero_duration(tmp_path, capsys):
+    # nothing arrives after the warmup, so the report could only be zeros
     path = write_config(tmp_path, run_config_tree(duration=0.0, warmup=0.0))
-    assert main(["run", path, "--out", str(tmp_path / "o")]) == 0
-    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
-    assert summary["completed"] == 0
-    assert summary["arrivals_admitted"] == 0
+    assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("ConfigError: 'config.duration' must be > 'config.warmup'")
+    assert not (tmp_path / "o").exists()
 
 
 def test_kv_budget_too_small_for_any_call_exits_2(tmp_path, capsys):

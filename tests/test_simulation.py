@@ -103,8 +103,8 @@ def single_stage_config(duration, rate, seed, prompt=200, output=100, prefix=0):
                 stage_id="only",
                 kind=LLM,
                 prefix_tokens=prefix,
-                prompt_tokens_dist=Distribution.constant(prompt),
-                output_tokens_dist=Distribution.constant(output),
+                prompt_tokens=Distribution.constant(prompt),
+                output_tokens=Distribution.constant(output),
                 outcomes=(Outcome("done", 1.0, SUCCESS),),
             ),
         ),
@@ -113,7 +113,7 @@ def single_stage_config(duration, rate, seed, prompt=200, output=100, prefix=0):
         slo_seconds=30.0,
     )
     vw = validate_workflow(spec)
-    preset = TopologyPreset(mode="isolated", engines_per_stage={"only": 1})
+    preset = TopologyPreset(mode="isolated", llm_engines={"only": 1})
     return ss.SimConfig(
         workflow=vw,
         topology=build_topology(preset, vw),
@@ -412,10 +412,10 @@ def test_routing_fallback_early_out_agrees_with_the_fallback(monkeypatch, mode, 
 
 
 def test_zero_duration_run_is_empty():
+    # a run with no time after the warmup could only report zeros
     cfg = sim_config(rate=1.0, duration=0.0, warmup=0.0, seed=1)
-    report = ss.run(cfg).report
-    assert report.arrivals_admitted == 0
-    assert report.completed == 0
+    with pytest.raises(ss.ConfigError, match="'config.duration' must be > 'config.warmup'"):
+        ss.run(cfg)
 
 
 def test_invalid_configs_rejected():

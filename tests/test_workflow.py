@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import random
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import expected_fixer_invocations, nl2sql_vw, reference_remaining_work
+from stagesim.config import build_sim_config
 from stagesim.dists import Distribution
 from stagesim.workflow import (
     FAILURE,
@@ -39,14 +42,14 @@ def llm_stage(sid, outcomes, prefix=0):
         stage_id=sid,
         kind=LLM,
         prefix_tokens=prefix,
-        prompt_tokens_dist=PROMPT,
-        output_tokens_dist=OUTPUT,
+        prompt_tokens=PROMPT,
+        output_tokens=OUTPUT,
         outcomes=tuple(outcomes),
     )
 
 
 def tool_stage(sid, outcomes):
-    return StageSpec(stage_id=sid, kind=TOOL, service_time_dist=SERVICE, outcomes=tuple(outcomes))
+    return StageSpec(stage_id=sid, kind=TOOL, service_time=SERVICE, outcomes=tuple(outcomes))
 
 
 def make_spec(stages, entry="a", budget=3):
@@ -154,9 +157,9 @@ def test_self_loop_is_budget_gated():
                 StageSpec(
                     stage_id="a",
                     kind=LLM,
-                    prompt_tokens_dist=PROMPT,
-                    output_tokens_dist=OUTPUT,
-                    service_time_dist=SERVICE,
+                    prompt_tokens=PROMPT,
+                    output_tokens=OUTPUT,
+                    service_time=SERVICE,
                     outcomes=(Outcome("x", 1.0, SUCCESS),),
                 )
             ]
@@ -167,8 +170,8 @@ def test_self_loop_is_budget_gated():
                 StageSpec(
                     stage_id="a",
                     kind=TOOL,
-                    service_time_dist=SERVICE,
-                    prompt_tokens_dist=PROMPT,
+                    service_time=SERVICE,
+                    prompt_tokens=PROMPT,
                     outcomes=(Outcome("x", 1.0, SUCCESS),),
                 )
             ]
@@ -247,7 +250,7 @@ def test_retries_never_exceed_budget():
         st = request(vw)
         while True:
             stage = vw.stage(st.current_stage)
-            labels = [o.label for o in stage.outcomes if o.probability > 0]
+            labels = [o.label for o in stage.outcomes if o.prob > 0]
             tr = next_step(st, rng.choice(labels), vw)
             assert tr.retries_used <= vw.retry_budget
             if tr.is_done:
@@ -329,18 +332,18 @@ def enum_remaining_work(vw, stage_id, retries, estimates):
         stage = vw.stage(sid)
         cost += estimates[sid]
         for out in stage.outcomes:
-            if out.probability == 0.0:
+            if out.prob == 0.0:
                 continue
-            target = out.transition
+            target = out.next
             if target in (SUCCESS, FAILURE):
-                frontier.append((target, r, prob * out.probability, cost))
+                frontier.append((target, r, prob * out.prob, cost))
             elif vw.is_loop_edge(sid, target):
                 if r >= vw.retry_budget:
-                    frontier.append((FAILURE, r, prob * out.probability, cost))
+                    frontier.append((FAILURE, r, prob * out.prob, cost))
                 else:
-                    frontier.append((target, r + 1, prob * out.probability, cost))
+                    frontier.append((target, r + 1, prob * out.prob, cost))
             else:
-                frontier.append((target, r, prob * out.probability, cost))
+                frontier.append((target, r, prob * out.prob, cost))
     return total
 
 
@@ -412,3 +415,27 @@ def test_compiled_plan_matches_memo_recursion_exactly(name, values):
     # the same floats, for the same keys, in the same order
     want = reference_remaining_work(vw, estimates)
     assert list(expected_remaining_work(vw, estimates).items()) == list(want.items())
+
+
+def to_config(value):
+    """`value` as config JSON, field by field: dataclasses as mappings keyed
+    by their field names, distributions by their spec, tuples as lists."""
+    if isinstance(value, Distribution):
+        return value.to_spec()
+    if dataclasses.is_dataclass(value):
+        return {f.name: to_config(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [to_config(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_WORKFLOWS))
+def test_inline_workflow_keys_are_field_names(name):
+    spec = PLAN_WORKFLOWS[name]().spec
+    tree = {
+        "workflow": {"inline": json.loads(json.dumps(to_config(spec)))},
+        "topology": {"mode": "shared", "llm_engines_total": 1},
+        "arrivals": {"rate": 1.0},
+        "duration": 10.0,
+    }
+    assert build_sim_config(tree).workflow.spec == spec

@@ -1,7 +1,7 @@
 import pytest
 
 import stagesim as ss
-from helpers import RetainingSimulator, engine_params, nl2sql_params, nl2sql_vw, run_config_tree, sim_config
+from helpers import RetainingSimulator, engine_params, nl2sql_vw, run_config_tree, sim_config
 from stagesim.config import build_sim_config
 from stagesim.dists import Distribution
 from stagesim.errors import ConfigError
@@ -37,6 +37,25 @@ def test_failure_split_must_sum_to_p_fail():
         Nl2SqlParams(p_fail=0.5, p_syntax_err=0.4, p_empty_result=0.2)
 
 
+def nl2sql_tree_spec(params):
+    return build_sim_config(run_config_tree(workflow={"preset": "nl2sql", "params": params})).workflow.spec
+
+
+def test_failure_split_defaults_to_the_rest_of_p_fail():
+    # the library and the config split p_fail by one rule: half each when
+    # neither split is given, the rest of p_fail when one is
+    halves = Nl2SqlParams(p_fail=0.3)
+    assert halves.p_syntax_err == halves.p_empty_result == 0.3 / 2
+    assert build_nl2sql(halves) == nl2sql_tree_spec({"p_fail": 0.3})
+    rest = Nl2SqlParams(p_fail=0.3, p_syntax_err=0.1)
+    assert rest.p_empty_result == 0.3 - 0.1
+    assert build_nl2sql(rest) == nl2sql_tree_spec({"p_fail": 0.3, "p_syntax_err": 0.1})
+    assert Nl2SqlParams(p_empty_result=0.4).p_syntax_err == 0.5 - 0.4
+    assert Nl2SqlParams() == Nl2SqlParams(p_syntax_err=0.25, p_empty_result=0.25)
+    with pytest.raises(ConfigError):
+        Nl2SqlParams(p_fail=0.3, p_syntax_err=0.4)
+
+
 def test_p_fail_zero_never_reaches_fixer():
     cfg = sim_config(vw=nl2sql_vw(p_fail=0.0), rate=2.0, duration=30.0, warmup=0.0, seed=3)
     result = ss.run(cfg)
@@ -63,7 +82,7 @@ def test_budget_zero_always_fail_one_executor_attempt():
 def test_isolated_topology_layout():
     vw = nl2sql_vw()
     topo = build_topology(
-        TopologyPreset(mode="isolated", engines_per_stage={GENERATOR: 1, FIXER: 1}), vw
+        TopologyPreset(mode="isolated", llm_engines={GENERATOR: 1, FIXER: 1}), vw
     )
     ids = [p.pool_id for p in topo.pools]
     assert ids == [f"pool:{GENERATOR}", f"pool:{FIXER}", f"pool:{EXECUTOR}"]
@@ -74,7 +93,7 @@ def test_isolated_topology_layout():
 
 def test_shared_topology_layout():
     vw = nl2sql_vw()
-    topo = build_topology(TopologyPreset(mode="shared", total_engines=2), vw)
+    topo = build_topology(TopologyPreset(mode="shared", llm_engines_total=2), vw)
     llm_pools = [p for p in topo.pools if p.kind == LLM]
     assert len(llm_pools) == 1
     assert set(llm_pools[0].stage_ids) == {GENERATOR, FIXER}
@@ -84,17 +103,17 @@ def test_shared_topology_layout():
 def test_zero_engine_pool_rejected():
     vw = nl2sql_vw()
     with pytest.raises(ConfigError):
-        build_topology(TopologyPreset(mode="isolated", engines_per_stage={GENERATOR: 1}), vw)
+        build_topology(TopologyPreset(mode="isolated", llm_engines={GENERATOR: 1}), vw)
     with pytest.raises(ConfigError):
-        build_topology(TopologyPreset(mode="shared", total_engines=0), vw)
+        build_topology(TopologyPreset(mode="shared", llm_engines_total=0), vw)
 
 
 def test_tool_pool_identical_across_modes():
     vw = nl2sql_vw()
     iso = build_topology(
-        TopologyPreset(mode="isolated", engines_per_stage={GENERATOR: 1, FIXER: 1}), vw
+        TopologyPreset(mode="isolated", llm_engines={GENERATOR: 1, FIXER: 1}), vw
     )
-    shared = build_topology(TopologyPreset(mode="shared", total_engines=2), vw)
+    shared = build_topology(TopologyPreset(mode="shared", llm_engines_total=2), vw)
     tool_iso = next(p for p in iso.pools if p.kind == TOOL)
     tool_shared = next(p for p in shared.pools if p.kind == TOOL)
     assert tool_iso == tool_shared
@@ -106,7 +125,7 @@ def test_engine_overrides_only_isolated():
     topo = build_topology(
         TopologyPreset(
             mode="isolated",
-            engines_per_stage={GENERATOR: 1, FIXER: 1},
+            llm_engines={GENERATOR: 1, FIXER: 1},
             engine_overrides=override,
         ),
         vw,
@@ -115,7 +134,7 @@ def test_engine_overrides_only_isolated():
     assert fixer_pool.engine_params.base_token_time == 0.08
     with pytest.raises(ConfigError):
         build_topology(
-            TopologyPreset(mode="shared", total_engines=2, engine_overrides=override), vw
+            TopologyPreset(mode="shared", llm_engines_total=2, engine_overrides=override), vw
         )
 
 
@@ -156,7 +175,7 @@ def test_unknown_policy_kind_rejected():
 def test_derived_estimates():
     vw = nl2sql_vw()
     topo = build_topology(
-        TopologyPreset(mode="isolated", engines_per_stage={GENERATOR: 1, FIXER: 1}), vw
+        TopologyPreset(mode="isolated", llm_engines={GENERATOR: 1, FIXER: 1}), vw
     )
     est = derive_service_estimates(vw, topo)
     # prompt mean 200 at 5000 tok/s plus output mean 100 at 0.02 s/tok
@@ -170,7 +189,7 @@ def test_derived_estimates_use_pool_overrides():
     topo = build_topology(
         TopologyPreset(
             mode="isolated",
-            engines_per_stage={GENERATOR: 1, FIXER: 1},
+            llm_engines={GENERATOR: 1, FIXER: 1},
             engine_overrides={FIXER: engine_params(base_token_time=0.08)},
         ),
         vw,
