@@ -9,8 +9,6 @@ from .engines import (
     EngineState,
     PendingCall,
     PrefixInUse,
-    ToolPoolParams,
-    tool_service_time,
 )
 from .errors import ConfigError, InternalInvariantViolation
 from .rng import RngStream, stream_uniform

@@ -145,8 +145,12 @@ def load_config_file(path: str | Path) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
+
+    def non_finite(literal: str):
+        raise ConfigError(f"config file {p} holds {literal}; every number must be finite")
+
     try:
-        tree = json.loads(p.read_text())
+        tree = json.loads(p.read_text(), parse_constant=non_finite)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
     return _typed(tree, dict, str(p))

@@ -133,6 +133,17 @@ class Distribution:
             return 1 if self.p >= 1.0 else self.cap
         return max(int(round(v)) for v in self.values)
 
+    def min_value(self) -> float:
+        """The infimum of sample; when it is >= 0, neither sample nor
+        sample_int can return a negative value."""
+        if self.kind == "constant":
+            return self.value
+        if self.kind == "uniform":
+            return self.low
+        if self.kind == "geometric":
+            return 1.0
+        return min(self.values)
+
     def _geometric(self, u: float) -> int:
         if self.p >= 1.0:
             return 1

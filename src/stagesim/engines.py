@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dists import Distribution
-from .rng import RngStream
 
 PREFILL = "prefill"
 DECODE = "decode"
@@ -41,30 +39,21 @@ class EngineParams:
     max_batch: int
 
     def __post_init__(self) -> None:
-        if self.kv_capacity_tokens <= 0:
+        # written so that NaN fails each check
+        if not self.kv_capacity_tokens > 0:
             raise ValueError("kv_capacity_tokens must be positive")
-        if self.prefill_rate <= 0:
+        if not self.prefill_rate > 0:
             raise ValueError("prefill_rate must be positive")
-        if self.base_token_time <= 0:
+        if not self.base_token_time > 0:
             raise ValueError("base_token_time must be positive")
-        if self.batch_slope < 0:
+        if not self.batch_slope >= 0:
             raise ValueError("batch_slope must be >= 0")
-        if self.max_batch < 1:
+        if not self.max_batch >= 1:
             raise ValueError("max_batch must be >= 1")
 
     def token_time(self, batch_size: int) -> float:
         """Per-token seconds at the given decode batch size."""
         return self.base_token_time * (1.0 + self.batch_slope * (batch_size - 1))
-
-
-@dataclass(frozen=True)
-class ToolPoolParams:
-    concurrency: int
-    service_time_dist: Distribution
-
-    def __post_init__(self) -> None:
-        if self.concurrency < 1:
-            raise ValueError("tool concurrency must be >= 1")
 
 
 @dataclass(slots=True)
@@ -276,8 +265,3 @@ class EngineState:
         for c in self.batch:
             reserved += c.prompt_tokens + c.target_output_tokens
         return prefix_tokens + reserved
-
-
-def tool_service_time(params: ToolPoolParams, rng_stream: RngStream) -> float:
-    """One service-time sample from the pool's distribution."""
-    return params.service_time_dist.sample(rng_stream.uniform())

@@ -12,7 +12,14 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .simulation import SCALAR_METRICS, MetricsReport, RunResult
+from .simulation import (
+    SCALAR_METRICS,
+    DispatchRecord,
+    KvSample,
+    MetricsReport,
+    RequestRecord,
+    RunResult,
+)
 
 KV_CSV = "kv_usage.csv"
 DISPATCH_CSV = "dispatch.csv"
@@ -22,28 +29,20 @@ COMPARISON_CSV = "comparison.csv"
 COMPARISON_JSON = "comparison.json"
 
 
-def _f(x: float) -> str:
-    return f"{x:.9f}"
-
-
 def _key_str(key: tuple[float, ...] | None) -> str:
     if key is None:
         return ""
-    return "|".join(_f(k) for k in key)
-
-
-def _writer(handle):
-    return csv.writer(handle, lineterminator="\n")
+    return "|".join(f"{k:.9f}" for k in key)
 
 
 class _CsvCells(dict):
-    """Text cell -> the cell as `_writer` writes it, quoted where needed;
-    computed once per distinct value."""
+    """Text cell -> the cell as csv.writer writes it within a row, quoted
+    where needed; computed once per distinct value."""
 
     def __missing__(self, text: str) -> str:
         if text:  # a lone empty field would be written as ""
             buffer = io.StringIO()
-            _writer(buffer).writerow((text,))
+            csv.writer(buffer, lineterminator="\n").writerow((text,))
             cell = buffer.getvalue()[:-1]
         else:
             cell = text
@@ -51,78 +50,66 @@ class _CsvCells(dict):
         return cell
 
 
-def write_kv_usage(samples, handle) -> None:
-    """kv_usage.csv, byte for byte as `_writer` and `_f` would write it.
+# The one quoter of every text cell: pool, engine label, stage, outcome and
+# cell names, which come from the config and the engine ids, so it stays
+# small.
+_cell = _CsvCells()
 
-    The trace has a row per engine whose KV changed at each event, so rows
-    are formatted directly and streamed rather than passed through
-    csv.writer one call at a time, or joined into one string.
-    """
-    handle.write("time,pool,engine,kv_used_tokens,resident_prefix_tokens\n")
-    cells = _CsvCells()
-    handle.writelines(
-        f"{time:.9f},{cells[pool]},{engine_id},{kv_used:.9f},{resident}\n"
-        for time, pool, engine_id, kv_used, resident in samples
+# Each row kind has one formatter returning its finished line, byte for
+# byte what csv.writer(lineterminator="\n") writes for the row with every
+# float formatted with 9 decimals.  A row is one f-string rather than a
+# csv.writer call: kv_usage.csv alone has a row per engine whose KV changed
+# at each event.
+KV_HEADER = "time,pool,engine,kv_used_tokens,resident_prefix_tokens\n"
+DISPATCH_HEADER = (
+    "time,pool,request,slack,expected_service,engine,stage,queue_delay,key,best_waiting_key\n"
+)
+REQUESTS_HEADER = "request,arrival,done,outcome,latency,violated_slo\n"
+COMPARISON_HEADER = "cell,seed,metric,value\n"
+
+
+def kv_line(sample: KvSample) -> str:
+    time, pool, engine_id, kv_used, resident = sample
+    return f"{time:.9f},{_cell[pool]},{engine_id},{kv_used:.9f},{resident}\n"
+
+
+def dispatch_line(d: DispatchRecord) -> str:
+    return (
+        f"{d.time:.9f},{_cell[d.pool]},{d.request_id},{d.slack:.9f},{d.expected_service:.9f},"
+        f"{_cell[d.engine]},{_cell[d.stage_id]},{d.queue_delay:.9f},"
+        f"{_key_str(d.key)},{_key_str(d.best_waiting_key)}\n"
     )
+
+
+def request_line(r: RequestRecord) -> str:
+    return (
+        f"{r.request_id},{r.arrival:.9f},{r.done:.9f},{_cell[r.outcome]},"
+        f"{r.latency:.9f},{int(r.violated_slo)}\n"
+    )
+
+
+def comparison_line(cell: str, seed: int, metric: str, value: float) -> str:
+    return f"{_cell[cell]},{seed},{metric},{value:.9f}\n"
 
 
 def write_run_outputs(result: RunResult, out_dir: str | Path) -> dict[str, Path]:
     """Write summary.json plus the three trace CSVs; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "summary": out / SUMMARY_JSON,
-        "kv_usage": out / KV_CSV,
-        "dispatch": out / DISPATCH_CSV,
-        "requests": out / REQUESTS_CSV,
-    }
-
+    paths = {"summary": out / SUMMARY_JSON}
     paths["summary"].write_text(
         json.dumps(result.report.to_dict(), indent=2, sort_keys=True) + "\n"
     )
-
-    with paths["kv_usage"].open("w") as handle:
-        write_kv_usage(result.traces.kv_samples, handle)
-
-    with paths["dispatch"].open("w") as handle:
-        rows = _writer(handle)
-        rows.writerow(
-            [
-                "time",
-                "pool",
-                "request",
-                "slack",
-                "expected_service",
-                "engine",
-                "stage",
-                "queue_delay",
-                "key",
-                "best_waiting_key",
-            ]
-        )
-        for d in result.traces.dispatches:
-            rows.writerow(
-                [
-                    _f(d.time),
-                    d.pool,
-                    d.request_id,
-                    _f(d.slack),
-                    _f(d.expected_service),
-                    d.engine,
-                    d.stage_id,
-                    _f(d.queue_delay),
-                    _key_str(d.key),
-                    _key_str(d.best_waiting_key),
-                ]
-            )
-
-    with paths["requests"].open("w") as handle:
-        rows = _writer(handle)
-        rows.writerow(["request", "arrival", "done", "outcome", "latency", "violated_slo"])
-        for r in result.traces.requests:
-            rows.writerow(
-                [r.request_id, _f(r.arrival), _f(r.done), r.outcome, _f(r.latency), int(r.violated_slo)]
-            )
+    traces = result.traces
+    for name, file_name, header, records, line in (
+        ("kv_usage", KV_CSV, KV_HEADER, traces.kv_samples, kv_line),
+        ("dispatch", DISPATCH_CSV, DISPATCH_HEADER, traces.dispatches, dispatch_line),
+        ("requests", REQUESTS_CSV, REQUESTS_HEADER, traces.requests, request_line),
+    ):
+        paths[name] = out / file_name
+        with paths[name].open("w") as handle:
+            handle.write(header)
+            handle.writelines(map(line, records))
     return paths
 
 
@@ -150,15 +137,6 @@ class CellResult:
     cell: str
     seed: int
     report: MetricsReport
-
-
-def comparison_rows(results: list[CellResult]) -> list[tuple[str, int, str, float]]:
-    rows = []
-    for res in results:
-        report = res.report.to_dict()
-        for metric in SCALAR_METRICS:
-            rows.append((res.cell, res.seed, metric, float(report[metric])))
-    return rows
 
 
 def aggregate_comparison(results: list[CellResult]) -> dict:
@@ -211,13 +189,14 @@ def write_comparison_outputs(results: list[CellResult], summary: dict, out_dir: 
     out.mkdir(parents=True, exist_ok=True)
     paths = {"csv": out / COMPARISON_CSV, "json": out / COMPARISON_JSON}
 
+    reports = {}
     with paths["csv"].open("w") as handle:
-        rows = _writer(handle)
-        rows.writerow(["cell", "seed", "metric", "value"])
-        for cell, seed, metric, value in comparison_rows(results):
-            rows.writerow([cell, seed, metric, _f(value)])
-
-    reports = {res.cell + ":" + str(res.seed): res.report.to_dict() for res in results}
+        handle.write(COMPARISON_HEADER)
+        for res in results:
+            report = reports[f"{res.cell}:{res.seed}"] = res.report.to_dict()
+            handle.writelines(
+                comparison_line(res.cell, res.seed, metric, report[metric]) for metric in SCALAR_METRICS
+            )
     paths["json"].write_text(json.dumps(summary | {"reports": reports}, indent=2, sort_keys=True) + "\n")
     return paths
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
-from .engines import DECODE, EngineState, PendingCall, tool_service_time
+from .engines import DECODE, EngineState, PendingCall
 from .errors import ConfigError, InternalInvariantViolation
 from .rng import RngStream
 from .scheduling import (
@@ -112,16 +112,20 @@ class SimConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.arrival_rate <= 0:
-            raise ConfigError("arrival rate must be positive")
-        if self.warmup < 0:
-            raise ConfigError("warmup must be >= 0")
+        # an event at a NaN time would end the run at once, and an infinite
+        # duration would never end it
+        if not (math.isfinite(self.arrival_rate) and self.arrival_rate > 0):
+            raise ConfigError("'arrivals.rate' must be finite and positive")
+        if not (math.isfinite(self.warmup) and self.warmup >= 0):
+            raise ConfigError("'config.warmup' must be finite and >= 0")
+        if not math.isfinite(self.duration):
+            raise ConfigError("'config.duration' must be finite")
         if self.duration <= self.warmup:  # else no arrival is ever measured
             raise ConfigError("'config.duration' must be > 'config.warmup'")
         if self.policy.kind not in POLICY_KINDS:
-            raise ConfigError(f"unknown policy kind '{self.policy.kind}'")
+            raise ConfigError(f"'policy.kind': unknown policy kind '{self.policy.kind}'")
         if not 0.0 < self.policy.ewma_alpha <= 1.0:
-            raise ConfigError("ewma_alpha must be in (0, 1]")
+            raise ConfigError("'policy.ewma_alpha' must be in (0, 1]")
         stage_ids = self.workflow.stage_ids
         pooled = [sid for pool in self.topology.pools for sid in pool.stage_ids]
         for sid in stage_ids:
@@ -301,7 +305,7 @@ class PoolRuntime:
         # set when something a blocked dispatch depends on may have changed;
         # a blocked pool is skipped until then
         self.dirty = False
-        self.concurrency = spec.tool_params.concurrency if spec.tool_params else 0
+        self.concurrency = spec.concurrency
         self.busy_slots = 0
         # utilization window (shared by the borrower and the autoscaler)
         self.busy_integral = 0.0
@@ -771,7 +775,7 @@ class Simulator:
                 return None
             pool.busy_slots += 1
             stream = self._stream(self.requests[call.request_id], f"tool:{call.stage_id}")
-            service = tool_service_time(pool.spec.tool_params, stream)
+            service = self.vw.stage(call.stage_id).service_time.sample(stream.uniform())
             self._schedule(now + service, EVENT_TOOL_COMPLETE, request_id=call.request_id)
             return ""
         prefix_tokens = self.vw.stage(call.stage_id).prefix_tokens

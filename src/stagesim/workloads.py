@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dists import Distribution
-from .engines import EngineParams, ToolPoolParams
+from .engines import EngineParams
 from .errors import ConfigError
 from .workflow import (
     LLM,
@@ -134,7 +134,7 @@ class PoolSpec:
     stage_ids: tuple[str, ...]
     n_engines: int = 0
     engine_params: EngineParams | None = None
-    tool_params: ToolPoolParams | None = None
+    concurrency: int = 0  # tool slots
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ class Topology:
         return sum(p.n_engines for p in self.pools if p.kind == LLM)
 
     def tool_concurrency_total(self) -> int:
-        return sum(p.tool_params.concurrency for p in self.pools if p.kind == TOOL)
+        return sum(p.concurrency for p in self.pools if p.kind == TOOL)
 
 
 @dataclass(frozen=True)
@@ -161,6 +161,8 @@ class TopologyPreset:
     def __post_init__(self) -> None:
         if self.mode not in ("isolated", "shared"):
             raise ConfigError(f"unknown topology mode '{self.mode}'")
+        if self.tool_concurrency < 1:
+            raise ConfigError("tool_concurrency must be >= 1")
 
 
 def build_topology(preset: TopologyPreset, vw: ValidatedWorkflow) -> Topology:
@@ -209,7 +211,7 @@ def build_topology(preset: TopologyPreset, vw: ValidatedWorkflow) -> Topology:
                 pool_id=f"pool:{st.stage_id}",
                 kind=TOOL,
                 stage_ids=(st.stage_id,),
-                tool_params=ToolPoolParams(preset.tool_concurrency, st.service_time),
+                concurrency=preset.tool_concurrency,
             )
         )
     return Topology(mode=preset.mode, pools=tuple(pools))
@@ -218,14 +220,9 @@ def build_topology(preset: TopologyPreset, vw: ValidatedWorkflow) -> Topology:
 def derive_service_estimates(vw: ValidatedWorkflow, topology: Topology) -> dict[str, float]:
     """Mean per-stage service seconds implied by the distributions and the
     serving pool's engine speed (batch-of-one, warm prefix)."""
-    params_by_stage: dict[str, EngineParams] = {}
-    tool_by_stage: dict[str, ToolPoolParams] = {}
-    for pool in topology.pools:
-        for sid in pool.stage_ids:
-            if pool.kind == LLM:
-                params_by_stage[sid] = pool.engine_params
-            else:
-                tool_by_stage[sid] = pool.tool_params
+    params_by_stage = {
+        sid: pool.engine_params for pool in topology.pools if pool.kind == LLM for sid in pool.stage_ids
+    }
     estimates: dict[str, float] = {}
     for st in vw.spec.stages:
         if st.kind == LLM:
@@ -235,5 +232,5 @@ def derive_service_estimates(vw: ValidatedWorkflow, topology: Topology) -> dict[
                 + st.output_tokens.mean() * params.base_token_time
             )
         else:
-            estimates[st.stage_id] = tool_by_stage[st.stage_id].service_time_dist.mean()
+            estimates[st.stage_id] = st.service_time.mean()
     return estimates

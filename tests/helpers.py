@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import heapq
+import io
 
 import stagesim as ss
 from stagesim.engines import EngineParams
@@ -168,18 +169,68 @@ def reference_remaining_work(vw, service_estimates) -> dict:
     return memo
 
 
-def reference_write_kv_usage(samples, handle) -> None:
-    """Reference kv_usage.csv writer: one csv.writer row per sample, floats
-    with 9 decimals, as `stagesim.reporting.write_kv_usage` replaces with
-    pre-formatted rows that must match it byte for byte."""
+def _f9(x: float) -> str:
+    return f"{x:.9f}"
 
-    def f9(x: float) -> str:
-        return f"{x:.9f}"
 
+def _key9(key) -> str:
+    return "" if key is None else "|".join(_f9(k) for k in key)
+
+
+# Reference csv rows, by output file: the header and a function from one
+# record to its csv.writer cells, floats with 9 decimals.  The comparison
+# record is (cell, seed, metric, value).  `stagesim.reporting` formats each
+# row kind directly instead, and must match these byte for byte.
+REFERENCE_ROWS = {
+    "kv_usage.csv": (
+        ("time", "pool", "engine", "kv_used_tokens", "resident_prefix_tokens"),
+        lambda s: (_f9(s.time), s.pool, s.engine_id, _f9(s.kv_used), s.resident_prefix_tokens),
+    ),
+    "dispatch.csv": (
+        (
+            "time",
+            "pool",
+            "request",
+            "slack",
+            "expected_service",
+            "engine",
+            "stage",
+            "queue_delay",
+            "key",
+            "best_waiting_key",
+        ),
+        lambda d: (
+            _f9(d.time),
+            d.pool,
+            d.request_id,
+            _f9(d.slack),
+            _f9(d.expected_service),
+            d.engine,
+            d.stage_id,
+            _f9(d.queue_delay),
+            _key9(d.key),
+            _key9(d.best_waiting_key),
+        ),
+    ),
+    "requests.csv": (
+        ("request", "arrival", "done", "outcome", "latency", "violated_slo"),
+        lambda r: (r.request_id, _f9(r.arrival), _f9(r.done), r.outcome, _f9(r.latency), int(r.violated_slo)),
+    ),
+    "comparison.csv": (
+        ("cell", "seed", "metric", "value"),
+        lambda row: (row[0], row[1], row[2], _f9(float(row[3]))),
+    ),
+}
+
+
+def reference_csv(file_name: str, records) -> str:
+    """`file_name`'s text for `records`, one csv.writer row per record."""
+    header, cells = REFERENCE_ROWS[file_name]
+    handle = io.StringIO(newline="")
     rows = csv.writer(handle, lineterminator="\n")
-    rows.writerow(["time", "pool", "engine", "kv_used_tokens", "resident_prefix_tokens"])
-    for s in samples:
-        rows.writerow([f9(s.time), s.pool, s.engine_id, f9(s.kv_used), s.resident_prefix_tokens])
+    rows.writerow(header)
+    rows.writerows(map(cells, records))
+    return handle.getvalue()
 
 
 class RetainingSimulator(ss.Simulator):

@@ -215,6 +215,10 @@ def inline_tree(edit):
             f"policy.service_estimates.{FIXER}",
         ),
         (run_config_tree(topology={"preset": "nl2sql-isolated", "tool_concurrency": 0}), "topology"),
+        (run_config_tree(warmup=-1.0), "config.warmup"),
+        (run_config_tree(arrivals={"rate": 0.0}), "arrivals.rate"),
+        (run_config_tree(policy={"kind": "edf"}), "policy.kind"),
+        (run_config_tree(policy={"ewma_alpha": 0.0}), "policy.ewma_alpha"),
         (inline_tree(lambda wf: wf.update(stages=5)), "workflow.inline.stages"),
         (inline_tree(lambda wf: wf["stages"][0].pop("stage_id")), "workflow.inline.stages[0]"),
         (
@@ -235,6 +239,10 @@ def inline_tree(edit):
         "service_estimates_unknown_stage",
         "service_estimate_negative",
         "tool_concurrency",
+        "warmup_negative",
+        "rate_zero",
+        "policy_kind",
+        "ewma_alpha",
         "stages",
         "stage_id",
         "outcome_prob",
@@ -249,6 +257,52 @@ def test_malformed_values_exit_2(tmp_path, capsys, tree, path, command):
     err = capsys.readouterr().err
     assert err.startswith("ConfigError: "), err
     assert f"'{path}'" in err, err
+    assert not (tmp_path / "o").exists()
+
+
+NAN, INF = float("nan"), float("inf")
+NON_FINITE = {
+    "rate_nan": run_config_tree(arrivals={"rate": NAN}),
+    "rate_inf": run_config_tree(arrivals={"rate": INF}),
+    "duration_nan": run_config_tree(duration=NAN),
+    "duration_inf": run_config_tree(duration=INF),
+    "warmup_nan": run_config_tree(warmup=NAN),
+    "warmup_minus_inf": run_config_tree(warmup=-INF),
+    "prefill_rate_nan": run_config_tree(
+        topology={"preset": "nl2sql-isolated", "engine_params": {"prefill_rate": NAN}}
+    ),
+}
+
+
+# json.dumps writes these floats as the NaN, Infinity and -Infinity literals
+# that Python's json reader accepts; never run them, since an infinite
+# duration or rate would not end
+@pytest.mark.parametrize("tree", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_numbers_rejected(tmp_path, capsys, tree):
+    assert main(["validate", write_config(tmp_path, tree)]) == 2
+    assert capsys.readouterr().err.startswith("ConfigError: ")
+    with pytest.raises(ConfigError):
+        build_sim_config(tree)
+
+
+NEGATIVE_DISTRIBUTIONS = {
+    "prompt_tokens": {"prompt_tokens": {"kind": "uniform", "low": -300, "high": -100}},
+    "executor_service_time": {"executor_service_time": {"kind": "uniform", "low": -1.0, "high": -0.5}},
+}
+
+
+@pytest.mark.parametrize("params", NEGATIVE_DISTRIBUTIONS.values(), ids=NEGATIVE_DISTRIBUTIONS.keys())
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_negative_distribution_exits_2(tmp_path, capsys, params, command):
+    # such a draw used to schedule an event before the clock (exit 3)
+    tree = run_config_tree(workflow={"preset": "nl2sql", "params": params})
+    argv = [command, write_config(tmp_path, tree)]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("InvalidStage: "), err
+    assert "can sample below 0" in err, err
     assert not (tmp_path / "o").exists()
 
 

@@ -12,10 +12,10 @@ from stagesim.engines import (
     EngineState,
     PendingCall,
     PrefixInUse,
-    ToolPoolParams,
-    tool_service_time,
 )
+from stagesim.errors import ConfigError
 from stagesim.rng import RngStream
+from stagesim.workloads import TopologyPreset
 
 
 def engine(**kw) -> EngineState:
@@ -346,29 +346,31 @@ def test_state_objects_reject_unknown_attributes():
 # tool executors
 
 
+def tool_service(dist: Distribution, stream: RngStream) -> float:
+    """A tool call's service time, drawn as Simulator._place draws it."""
+    return dist.sample(stream.uniform())
+
+
 def test_tool_service_constant():
-    params = ToolPoolParams(2, Distribution.constant(0.3))
-    assert tool_service_time(params, RngStream(1, "tool")) == 0.3
+    assert tool_service(Distribution.constant(0.3), RngStream(1, "tool")) == 0.3
 
 
 def test_tool_service_degenerate_uniform():
-    params = ToolPoolParams(2, Distribution.uniform(0.1, 0.1))
-    assert tool_service_time(params, RngStream(1, "tool")) == pytest.approx(0.1)
+    assert tool_service(Distribution.uniform(0.1, 0.1), RngStream(1, "tool")) == pytest.approx(0.1)
 
 
 def test_tool_service_deterministic_across_runs():
-    params = ToolPoolParams(2, Distribution.uniform(0.0, 1.0))
-    first = [tool_service_time(params, s) for s in [RngStream(5, "tool")] for _ in range(4)]
+    dist = Distribution.uniform(0.0, 1.0)
     stream_a = RngStream(5, "tool")
     stream_b = RngStream(5, "tool")
-    a = [tool_service_time(params, stream_a) for _ in range(4)]
-    b = [tool_service_time(params, stream_b) for _ in range(4)]
+    a = [tool_service(dist, stream_a) for _ in range(4)]
+    b = [tool_service(dist, stream_b) for _ in range(4)]
     assert a == b
 
 
 def test_tool_concurrency_validated():
-    with pytest.raises(ValueError):
-        ToolPoolParams(0, Distribution.constant(0.1))
+    with pytest.raises(ConfigError):
+        TopologyPreset(mode="isolated", tool_concurrency=0)
 
 
 def test_engine_params_validated():

@@ -1,38 +1,108 @@
-"""The streamed kv_usage.csv writer against the csv.writer reference."""
+"""Every output row formatter against the csv.writer reference, through the
+write paths `stagesim run` and `stagesim compare` use."""
 
-import io
 import math
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_write_kv_usage
-from stagesim.reporting import write_kv_usage
-from stagesim.simulation import KvSample
+from helpers import reference_csv
+from stagesim.reporting import CellResult, write_comparison_outputs, write_run_outputs
+from stagesim.simulation import (
+    SCALAR_METRICS,
+    AuditLog,
+    DispatchRecord,
+    KvSample,
+    MetricsReport,
+    RequestRecord,
+    RunResult,
+    TraceBundle,
+)
 
 FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-10, -1e-10, 5e-10, 1e12, -1e12, 0.1, 2.5e-9, math.inf, -math.inf, math.nan]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
-# pool ids as the topology builds them, plus ones that must be quoted
-POOLS = st.one_of(
-    st.sampled_from(["pool:llm", "pool:sql_generator", 'pool:write, "v1" sql', "", " ", ",", '"', "a\nb", "a\rb"]),
+# ids as the simulator writes them, plus ones that must be quoted
+TEXT = st.one_of(
+    st.sampled_from(
+        ["pool:llm", "pool:sql_generator", 'pool:write, "v1" sql', "3", "success", "", " ", ",", '"', "a\nb", "a\rb"]
+    ),
     st.text(max_size=12),
 )
-SAMPLES = st.lists(
-    st.builds(KvSample, FLOATS, POOLS, st.integers(0, 10**6), FLOATS, st.integers(0, 10**9)),
+INTS = st.integers(0, 10**9)
+KEYS = st.lists(FLOATS, max_size=4).map(tuple)
+SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
+
+KV_SAMPLES = st.lists(st.builds(KvSample, FLOATS, TEXT, INTS, FLOATS, INTS), max_size=20)
+DISPATCHES = st.lists(
+    st.builds(
+        DispatchRecord, FLOATS, TEXT, INTS, FLOATS, FLOATS, TEXT, TEXT, FLOATS, KEYS, st.none() | KEYS
+    ),
     max_size=20,
 )
+REQUESTS = st.lists(
+    st.builds(RequestRecord, INTS, FLOATS, FLOATS, TEXT, FLOATS, st.booleans(), INTS, INTS),
+    max_size=20,
+)
+REPORTS = st.builds(
+    MetricsReport,
+    *([INTS] * 5),
+    *([FLOATS] * 5),
+    *([st.just({})] * 4),
+    INTS,
+    FLOATS,
+    FLOATS,
+    FLOATS,
+)
+CELL_RESULTS = st.lists(st.builds(CellResult, TEXT, INTS, REPORTS), max_size=6)
+EMPTY_REPORT = MetricsReport(0, 0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, {}, {}, {}, {}, 1, 10.0, 0.0, 1.0)
 
 
-def written(writer, samples) -> str:
-    handle = io.StringIO(newline="")
-    writer(samples, handle)
-    return handle.getvalue()
+def read(path: Path) -> str:
+    with path.open(newline="") as handle:
+        return handle.read()
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(SAMPLES)
+def run_output(file_name: str, **traces) -> str:
+    result = RunResult(EMPTY_REPORT, TraceBundle(**traces), AuditLog())
+    with tempfile.TemporaryDirectory() as out:
+        write_run_outputs(result, out)
+        return read(Path(out) / file_name)
+
+
+@SETTINGS
+@given(KV_SAMPLES)
 def test_kv_usage_writer_matches_csv_writer(samples):
-    assert written(write_kv_usage, samples) == written(reference_write_kv_usage, samples)
+    written = run_output("kv_usage.csv", kv_samples=samples)
+    assert written == reference_csv("kv_usage.csv", samples)
 
+
+@SETTINGS
+@given(DISPATCHES)
+def test_dispatch_writer_matches_csv_writer(dispatches):
+    written = run_output("dispatch.csv", dispatches=dispatches)
+    assert written == reference_csv("dispatch.csv", dispatches)
+
+
+@SETTINGS
+@given(REQUESTS)
+def test_requests_writer_matches_csv_writer(requests):
+    written = run_output("requests.csv", requests=requests)
+    assert written == reference_csv("requests.csv", requests)
+
+
+@SETTINGS
+@given(CELL_RESULTS)
+def test_comparison_writer_matches_csv_writer(results):
+    rows = [
+        (res.cell, res.seed, metric, res.report.to_dict()[metric])
+        for res in results
+        for metric in SCALAR_METRICS
+    ]
+    with tempfile.TemporaryDirectory() as out:
+        write_comparison_outputs(results, {}, out)
+        written = read(Path(out) / "comparison.csv")
+    assert written == reference_csv("comparison.csv", rows)
