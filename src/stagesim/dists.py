@@ -133,9 +133,14 @@ class Distribution:
             return 1 if self.p >= 1.0 else self.cap
         return max(int(round(v)) for v in self.values)
 
+    def min_int(self) -> int:
+        """The smallest value sample_int can return."""
+        if self.kind == "uniform":  # sample_int truncates it, and rounds the others
+            return int(self.low)
+        return int(round(self.min_value()))
+
     def min_value(self) -> float:
-        """The infimum of sample; when it is >= 0, neither sample nor
-        sample_int can return a negative value."""
+        """The infimum of sample."""
         if self.kind == "constant":
             return self.value
         if self.kind == "uniform":

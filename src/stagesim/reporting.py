@@ -12,14 +12,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .simulation import (
-    SCALAR_METRICS,
-    DispatchRecord,
-    KvSample,
-    MetricsReport,
-    RequestRecord,
-    RunResult,
-)
+from .simulation import SCALAR_METRICS, DispatchRecord, KvSample, MetricsReport, RequestRecord, RunResult
 
 KV_CSV = "kv_usage.csv"
 DISPATCH_CSV = "dispatch.csv"
@@ -51,8 +44,9 @@ class _CsvCells(dict):
 
 
 # The one quoter of every text cell: pool, engine label, stage, outcome and
-# cell names, which come from the config and the engine ids, so it stays
-# small.
+# cell names.  It is never cleared, so it grows with every distinct text
+# cell the process writes; a run's cells come from its config and engine
+# ids, so it stays small.
 _cell = _CsvCells()
 
 # Each row kind has one formatter returning its finished line, byte for

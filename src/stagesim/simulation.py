@@ -134,6 +134,9 @@ class SimConfig:
         stray = sorted(set(pooled) - set(stage_ids))
         if stray:
             raise ConfigError(f"pools serve stages {stray} not in the workflow")
+        for pool in self.topology.pools:
+            if pool.kind != LLM and pool.concurrency < 1:  # its calls would never dispatch
+                raise ConfigError(f"tool pool '{pool.pool_id}' needs concurrency >= 1")
         estimates = self.policy.service_estimates  # None: the Simulator derives them
         if estimates is not None:
             missing = [sid for sid in stage_ids if sid not in estimates]

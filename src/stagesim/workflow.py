@@ -9,6 +9,7 @@ request provably terminates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .dists import Distribution
@@ -171,12 +172,16 @@ class ValidatedWorkflow:
         return self._selectivity[stage_id]
 
 
-def _check_non_negative(st: StageSpec, **dists: Distribution) -> None:
+def _check_non_negative(st: StageSpec, name: str, whole: bool = False) -> None:
     # a negative token count or service time would schedule an event
-    # before the clock
-    for name, dist in dists.items():
-        if not dist.min_value() >= 0.0:  # NaN fails too
-            raise InvalidStage(f"stage '{st.stage_id}': '{name}' can sample below 0")
+    # before the clock; token counts are whole draws (sample_int), which
+    # truncate or round
+    dist: Distribution = getattr(st, name)
+    lowest = dist.min_value()
+    if whole and math.isfinite(lowest):
+        lowest = dist.min_int()
+    if not lowest >= 0.0:  # NaN fails too
+        raise InvalidStage(f"stage '{st.stage_id}': '{name}' can sample below 0")
 
 
 def _check_stage_shapes(spec: WorkflowSpec) -> dict[str, StageSpec]:
@@ -195,13 +200,14 @@ def _check_stage_shapes(spec: WorkflowSpec) -> dict[str, StageSpec]:
                 raise InvalidStage(f"LLM stage '{st.stage_id}' must not carry a service-time distribution")
             if st.prompt_tokens is None or st.output_tokens is None:
                 raise InvalidStage(f"LLM stage '{st.stage_id}' needs prompt and output token distributions")
-            _check_non_negative(st, prompt_tokens=st.prompt_tokens, output_tokens=st.output_tokens)
+            _check_non_negative(st, "prompt_tokens", whole=True)
+            _check_non_negative(st, "output_tokens", whole=True)
         elif st.kind == TOOL:
             if st.service_time is None:
                 raise InvalidStage(f"tool stage '{st.stage_id}' needs a service-time distribution")
             if st.prefix_tokens != 0 or st.prompt_tokens is not None or st.output_tokens is not None:
                 raise InvalidStage(f"tool stage '{st.stage_id}' must have zero token fields")
-            _check_non_negative(st, service_time=st.service_time)
+            _check_non_negative(st, "service_time")
         else:
             raise InvalidStage(f"stage '{st.stage_id}' has unknown kind '{st.kind}'")
         for out in st.outcomes:

@@ -306,6 +306,17 @@ def test_negative_distribution_exits_2(tmp_path, capsys, params, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "tokens",
+    [{"kind": "uniform", "low": -0.5, "high": 10}, {"kind": "constant", "value": -0.4}],
+    ids=["uniform_truncates_to_0", "constant_rounds_to_0"],
+)
+def test_token_distribution_with_non_negative_integer_draws_accepted(tmp_path, tokens):
+    # token counts are drawn with sample_int, so only its lowest value counts
+    tree = run_config_tree(workflow={"preset": "nl2sql", "params": {"prompt_tokens": tokens}})
+    assert main(["validate", write_config(tmp_path, tree)]) == 0
+
+
 def test_validate_compare_config(tmp_path, capsys):
     path = write_config(tmp_path, compare_tree())
     assert main(["validate", path]) == 0

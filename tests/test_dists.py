@@ -148,3 +148,22 @@ def test_max_int_is_the_largest_sample_int(d, largest):
     assert d.max_int() == largest
     us = [1e-12, 1e-6, 0.001, 0.5, 0.999, 1.0] + [i / 997 for i in range(1, 998)]
     assert max(d.sample_int(u) for u in us) == largest
+
+
+@pytest.mark.parametrize(
+    "d, smallest, infimum",
+    [
+        (Distribution.constant(-0.4), 0, -0.4),
+        (Distribution.constant(-0.6), -1, -0.6),
+        (Distribution.uniform(-0.5, 10), 0, -0.5),
+        (Distribution.uniform(-300, -100), -300, -300.0),
+        (Distribution.geometric(0.3, cap=6), 1, 1.0),
+        (Distribution.empirical([3.0, -0.4, 2.0]), 0, -0.4),
+    ],
+)
+def test_min_int_is_the_smallest_sample_int(d, smallest, infimum):
+    assert d.min_int() == smallest
+    assert d.min_value() == infimum
+    us = [1e-12, 1e-6, 0.001, 0.5, 0.999, 1.0] + [i / 997 for i in range(1, 998)]
+    assert min(d.sample_int(u) for u in us) == smallest
+    assert min(d.sample(u) for u in us) >= infimum

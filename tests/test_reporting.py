@@ -1,25 +1,27 @@
-"""Every output row formatter against the csv.writer reference, through the
-write paths `stagesim run` and `stagesim compare` use."""
+"""Every output row formatter against the csv.writer reference, and the
+files `write_run_outputs` and `write_comparison_outputs` write with them."""
 
 import math
-import tempfile
-from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_csv
-from stagesim.reporting import CellResult, write_comparison_outputs, write_run_outputs
-from stagesim.simulation import (
-    SCALAR_METRICS,
-    AuditLog,
-    DispatchRecord,
-    KvSample,
-    MetricsReport,
-    RequestRecord,
-    RunResult,
-    TraceBundle,
+import stagesim as ss
+from helpers import reference_csv, sim_config
+from stagesim.reporting import (
+    COMPARISON_HEADER,
+    DISPATCH_HEADER,
+    KV_HEADER,
+    REQUESTS_HEADER,
+    CellResult,
+    comparison_line,
+    dispatch_line,
+    kv_line,
+    request_line,
+    write_comparison_outputs,
+    write_run_outputs,
 )
+from stagesim.simulation import SCALAR_METRICS, DispatchRecord, KvSample, RequestRecord
 
 FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-10, -1e-10, 5e-10, 1e12, -1e12, 0.1, 2.5e-9, math.inf, -math.inf, math.nan]),
@@ -34,75 +36,66 @@ TEXT = st.one_of(
 )
 INTS = st.integers(0, 10**9)
 KEYS = st.lists(FLOATS, max_size=4).map(tuple)
-SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
-
-KV_SAMPLES = st.lists(st.builds(KvSample, FLOATS, TEXT, INTS, FLOATS, INTS), max_size=20)
-DISPATCHES = st.lists(
-    st.builds(
-        DispatchRecord, FLOATS, TEXT, INTS, FLOATS, FLOATS, TEXT, TEXT, FLOATS, KEYS, st.none() | KEYS
-    ),
-    max_size=20,
-)
-REQUESTS = st.lists(
-    st.builds(RequestRecord, INTS, FLOATS, FLOATS, TEXT, FLOATS, st.booleans(), INTS, INTS),
-    max_size=20,
-)
-REPORTS = st.builds(
-    MetricsReport,
-    *([INTS] * 5),
-    *([FLOATS] * 5),
-    *([st.just({})] * 4),
-    INTS,
-    FLOATS,
-    FLOATS,
-    FLOATS,
-)
-CELL_RESULTS = st.lists(st.builds(CellResult, TEXT, INTS, REPORTS), max_size=6)
-EMPTY_REPORT = MetricsReport(0, 0, 0, 0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, {}, {}, {}, {}, 1, 10.0, 0.0, 1.0)
+SETTINGS = settings(max_examples=200, derandomize=True, deadline=None)
 
 
-def read(path: Path) -> str:
+def written(header: str, line, records) -> str:
+    return header + "".join(map(line, records))
+
+
+@SETTINGS
+@given(st.lists(st.builds(KvSample, FLOATS, TEXT, INTS, FLOATS, INTS), max_size=20))
+def test_kv_usage_writer_matches_csv_writer(samples):
+    assert written(KV_HEADER, kv_line, samples) == reference_csv("kv_usage.csv", samples)
+
+
+@SETTINGS
+@given(
+    st.lists(
+        st.builds(DispatchRecord, FLOATS, TEXT, INTS, FLOATS, FLOATS, TEXT, TEXT, FLOATS, KEYS, st.none() | KEYS),
+        max_size=20,
+    )
+)
+def test_dispatch_writer_matches_csv_writer(dispatches):
+    assert written(DISPATCH_HEADER, dispatch_line, dispatches) == reference_csv("dispatch.csv", dispatches)
+
+
+@SETTINGS
+@given(st.lists(st.builds(RequestRecord, INTS, FLOATS, FLOATS, TEXT, FLOATS, st.booleans(), INTS, INTS), max_size=20))
+def test_requests_writer_matches_csv_writer(requests):
+    assert written(REQUESTS_HEADER, request_line, requests) == reference_csv("requests.csv", requests)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(TEXT, INTS, st.sampled_from(SCALAR_METRICS), FLOATS | INTS), max_size=20))
+def test_comparison_writer_matches_csv_writer(rows):
+    written_rows = COMPARISON_HEADER + "".join(comparison_line(*row) for row in rows)
+    assert written_rows == reference_csv("comparison.csv", rows)
+
+
+def read(path) -> str:
     with path.open(newline="") as handle:
         return handle.read()
 
 
-def run_output(file_name: str, **traces) -> str:
-    result = RunResult(EMPTY_REPORT, TraceBundle(**traces), AuditLog())
-    with tempfile.TemporaryDirectory() as out:
-        write_run_outputs(result, out)
-        return read(Path(out) / file_name)
+def test_output_files_match_csv_writer(tmp_path):
+    result = ss.run(sim_config(rate=2.0, duration=15.0, warmup=2.0, seed=3))
+    traces = result.traces
+    paths = write_run_outputs(result, tmp_path / "run")
+    assert sorted(paths) == ["dispatch", "kv_usage", "requests", "summary"]
+    for name, records in (
+        ("kv_usage", traces.kv_samples),
+        ("dispatch", traces.dispatches),
+        ("requests", traces.requests),
+    ):
+        assert records, name
+        assert paths[name] == tmp_path / "run" / f"{name}.csv"
+        assert read(paths[name]) == reference_csv(f"{name}.csv", records), name
 
-
-@SETTINGS
-@given(KV_SAMPLES)
-def test_kv_usage_writer_matches_csv_writer(samples):
-    written = run_output("kv_usage.csv", kv_samples=samples)
-    assert written == reference_csv("kv_usage.csv", samples)
-
-
-@SETTINGS
-@given(DISPATCHES)
-def test_dispatch_writer_matches_csv_writer(dispatches):
-    written = run_output("dispatch.csv", dispatches=dispatches)
-    assert written == reference_csv("dispatch.csv", dispatches)
-
-
-@SETTINGS
-@given(REQUESTS)
-def test_requests_writer_matches_csv_writer(requests):
-    written = run_output("requests.csv", requests=requests)
-    assert written == reference_csv("requests.csv", requests)
-
-
-@SETTINGS
-@given(CELL_RESULTS)
-def test_comparison_writer_matches_csv_writer(results):
+    results = [CellResult("isolated", 1, result.report), CellResult('shared, "b"', 2, result.report)]
+    paths = write_comparison_outputs(results, {}, tmp_path / "cmp")
+    assert paths == {"csv": tmp_path / "cmp" / "comparison.csv", "json": tmp_path / "cmp" / "comparison.json"}
     rows = [
-        (res.cell, res.seed, metric, res.report.to_dict()[metric])
-        for res in results
-        for metric in SCALAR_METRICS
+        (res.cell, res.seed, metric, res.report.to_dict()[metric]) for res in results for metric in SCALAR_METRICS
     ]
-    with tempfile.TemporaryDirectory() as out:
-        write_comparison_outputs(results, {}, out)
-        written = read(Path(out) / "comparison.csv")
-    assert written == reference_csv("comparison.csv", rows)
+    assert read(paths["csv"]) == reference_csv("comparison.csv", rows)

@@ -30,7 +30,15 @@ from stagesim.workflow import (
     next_step,
     validate_workflow,
 )
-from stagesim.workloads import EXECUTOR, FIXER, GENERATOR, TopologyPreset, build_topology
+from stagesim.workloads import (
+    EXECUTOR,
+    FIXER,
+    GENERATOR,
+    PoolSpec,
+    Topology,
+    TopologyPreset,
+    build_topology,
+)
 
 
 # ----------------------------------------------------------------------
@@ -442,6 +450,18 @@ def test_every_stage_needs_exactly_one_pool():
         bad = dataclasses.replace(cfg, topology=dataclasses.replace(cfg.topology, pools=broken))
         with pytest.raises(ss.ConfigError, match=message):
             bad.validate()
+
+
+def test_tool_pool_without_slots_rejected():
+    # a hand-built tool pool gets 0 slots by default; its calls would never dispatch
+    cfg = sim_config()
+    pools = tuple(
+        p if p.kind == LLM else PoolSpec(pool_id=p.pool_id, kind=p.kind, stage_ids=p.stage_ids)
+        for p in cfg.topology.pools
+    )
+    bad = dataclasses.replace(cfg, topology=Topology(mode=cfg.topology.mode, pools=pools))
+    with pytest.raises(ss.ConfigError, match=f"tool pool 'pool:{EXECUTOR}' needs concurrency >= 1"):
+        bad.validate()
 
 
 def test_kv_budget_that_can_never_fit_a_call_rejected():
