@@ -43,9 +43,7 @@ from .workflow import (
     SUCCESS,
     TOOL,
     Outcome,
-    RequestState,
     StageSpec,
-    Transition,
     ValidatedWorkflow,
     WorkflowSpec,
     WorkflowValidationError,

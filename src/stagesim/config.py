@@ -12,6 +12,7 @@ import copy
 import dataclasses
 import functools
 import json
+import sys
 import types
 import typing
 from pathlib import Path
@@ -64,11 +65,11 @@ _TYPE_NAMES = {
 
 
 def _call(path: str, fn, *args, **kwargs):
-    """`fn(*args, **kwargs)`; a ValueError or TypeError it raises on bad
-    input becomes a ConfigError naming `path`."""
+    """`fn(*args, **kwargs)`; a ValueError, TypeError or OverflowError it
+    raises on bad input becomes a ConfigError naming `path`."""
     try:
         return fn(*args, **kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"'{path}': {exc}") from exc
 
 
@@ -76,8 +77,9 @@ def _typed(value, tp, path: str):
     """`value` checked against the declared type `tp`.
 
     Booleans are only JSON true/false, and a JSON integer is accepted
-    where a float is declared.  A `tuple[X, ...]` is read from a list,
-    and distributions and nested dataclasses from their mappings.
+    where a float is declared.  Every number must convert to a finite
+    float.  A `tuple[X, ...]` is read from a list, and distributions and
+    nested dataclasses from their mappings.
     """
     origin = typing.get_origin(tp)
     if origin in (typing.Union, types.UnionType):  # X | None
@@ -95,10 +97,12 @@ def _typed(value, tp, path: str):
         return _call(path, Distribution.from_spec, value)
     if dataclasses.is_dataclass(tp):
         return _build(tp, value, path)
-    if tp is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, bool) != (tp is bool) or not isinstance(value, tp):
+    if isinstance(value, bool) != (tp is bool) or not isinstance(value, (int, float) if tp is float else tp):
         raise ConfigError(f"'{path}' must be {_TYPE_NAMES[tp]}")
+    if tp in (int, float):
+        if not abs(value) <= sys.float_info.max:  # NaN, infinities and integers past the float range
+            raise ConfigError(f"'{path}' must be a finite number")
+        return tp(value)
     return value
 
 
@@ -145,12 +149,8 @@ def load_config_file(path: str | Path) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
-
-    def non_finite(literal: str):
-        raise ConfigError(f"config file {p} holds {literal}; every number must be finite")
-
     try:
-        tree = json.loads(p.read_text(), parse_constant=non_finite)
+        tree = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
     return _typed(tree, dict, str(p))

@@ -41,6 +41,8 @@ class Distribution:
     values: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.value, self.low, self.high, self.p, self.cap, *self.values))):
+            raise DistributionError("distribution parameters must be finite")
         if self.kind == "constant":
             return
         if self.kind == "uniform":

@@ -198,13 +198,13 @@ def write_comparison_outputs(results: list[CellResult], summary: dict, out_dir: 
 def format_comparison_table(summary: dict) -> str:
     cells = summary["cells"]
     width = max(len(m) for m in SCALAR_METRICS) + 2
-    col = 34
-    lines = ["metric".ljust(width) + "".join(c.ljust(col) for c in cells)]
+    col = 32  # a column's text padded to this, then two spaces however long it is
+    lines = ["metric".ljust(width) + "".join(c.ljust(col) + "  " for c in cells)]
     for metric in SCALAR_METRICS:
         line = metric.ljust(width)
         for cell in cells:
             agg = summary["aggregate"][cell][metric]
-            line += f"{agg['mean']:.6f} [{agg['min']:.6f}, {agg['max']:.6f}]".ljust(col)
+            line += f"{agg['mean']:.6f} [{agg['min']:.6f}, {agg['max']:.6f}]".ljust(col) + "  "
         lines.append(line)
     for metric, counts in summary["wins"].items():
         lines.append(

@@ -38,10 +38,10 @@ from .scheduling import (
 from .workflow import (
     LLM,
     SUCCESS,
-    RequestState,
     StageSpec,
     ValidatedWorkflow,
     expected_remaining_work,
+    is_terminal,
     next_step,
 )
 from .workloads import Topology, derive_service_estimates
@@ -286,9 +286,17 @@ class RunResult:
     audit: AuditLog
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestSim:
-    state: RequestState
+    """A live request: its place in the workflow graph (a terminal once it
+    ends), the service it has had, and its own RNG streams."""
+
+    request_id: int
+    arrival_time: float
+    deadline: float
+    current_stage: str
+    retries_used: int = 0
+    n_stage_calls: int = 0
     attained: float = 0.0
     dispatch_time: float = 0.0
     streams: dict[str, RngStream] = field(default_factory=dict)
@@ -437,8 +445,7 @@ class Simulator:
         """The request's own stream `req:{rid}:{label}`."""
         stream = req.streams.get(label)
         if stream is None:
-            rid = req.state.request_id
-            stream = req.streams[label] = RngStream(self.cfg.seed, f"req:{rid}:{label}")
+            stream = req.streams[label] = RngStream(self.cfg.seed, f"req:{req.request_id}:{label}")
         return stream
 
     def _draw(self, req: RequestSim, label: str) -> float:
@@ -568,19 +575,13 @@ class Simulator:
             self.rejected += counted
             return
         self.admitted += counted
-        state = RequestState(
-            request_id=rid,
-            arrival_time=ev.time,
-            deadline=ev.time + self.vw.slo_seconds,
-            current_stage=self.vw.entry_stage,
-        )
-        self.requests[rid] = RequestSim(state=state)
-        self._enter_stage(self.requests[rid])
+        req = self.requests[rid] = RequestSim(rid, ev.time, ev.time + self.vw.slo_seconds, self.vw.entry_stage)
+        self._enter_stage(req)
 
     def _enter_stage(self, req: RequestSim) -> None:
-        sid = req.state.current_stage
+        sid = req.current_stage
         stage = self.vw.stage(sid)
-        rid = req.state.request_id
+        rid = req.request_id
         if stage.kind == LLM:
             prompt = stage.prompt_tokens.sample_int(self._draw(req, f"prompt:{sid}"))
             output = stage.output_tokens.sample_int(self._draw(req, f"output:{sid}"))
@@ -617,7 +618,7 @@ class Simulator:
 
     def _handle_tool_complete(self, ev: Event) -> None:
         req = self.requests[ev.request_id]
-        sid = req.state.current_stage
+        sid = req.current_stage
         pool = self.pools[self.stage_pool[sid]]
         pool.busy_slots -= 1
         pool.dirty = True
@@ -656,37 +657,33 @@ class Simulator:
         return chosen.label
 
     def _finish_stage(self, req: RequestSim, sid: str) -> None:
-        rid = req.state.request_id
         start, end = req.dispatch_time, self.clock
         req.attained += end - start
+        req.n_stage_calls += 1
         self.estimator.observe(sid, end - start)
         stage = self.vw.stage(sid)
         if len(stage.outcomes) == 1:
             label = stage.outcomes[0].label
         else:
             label = self._pick_outcome(stage, self._draw(req, f"outcome:{sid}"))
-        req.state.stage_history.append((sid, start, end, label))
-        transition = next_step(req.state, label, self.vw)
-        if transition.is_done:
-            req.state.current_stage = transition.terminal
-            del self.requests[rid]
-            latency = end - req.state.arrival_time
-            self.traces.requests.append(
-                RequestRecord(
-                    request_id=rid,
-                    arrival=req.state.arrival_time,
-                    done=end,
-                    outcome=transition.terminal,
-                    latency=latency,
-                    violated_slo=latency > self.vw.slo_seconds,
-                    retries_used=req.state.retries_used,
-                    n_stage_calls=len(req.state.stage_history),
-                )
-            )
-        else:
-            req.state.current_stage = transition.next_stage
-            req.state.retries_used = transition.retries_used
+        req.current_stage, req.retries_used = next_step(sid, req.retries_used, label, self.vw)
+        if not is_terminal(req.current_stage):
             self._enter_stage(req)
+            return
+        del self.requests[req.request_id]
+        latency = end - req.arrival_time
+        self.traces.requests.append(
+            RequestRecord(
+                request_id=req.request_id,
+                arrival=req.arrival_time,
+                done=end,
+                outcome=req.current_stage,
+                latency=latency,
+                violated_slo=latency > self.vw.slo_seconds,
+                retries_used=req.retries_used,
+                n_stage_calls=req.n_stage_calls,
+            )
+        )
 
     # ------------------------------------------------------------------
     # dispatch
@@ -705,13 +702,12 @@ class Simulator:
         req = self.requests[call.request_id]
         if kind != "slack":  # fcfs and las need neither slack nor estimates
             return dispatch_key(kind, call.request_id, req.attained)
-        state = req.state
         sid = call.stage_id
         return dispatch_key(
             kind,
             call.request_id,
             req.attained,
-            state.deadline - self._remaining_table()[(sid, state.retries_used)],
+            req.deadline - self._remaining_table()[(sid, req.retries_used)],
             self.estimator.estimate(sid),
             self.vw.selectivity(sid) if self.policy.use_selectivity else None,
         )
@@ -753,7 +749,7 @@ class Simulator:
                     time=now,
                     pool=pool.pool_id,
                     request_id=call.request_id,
-                    slack=req.state.deadline - now - remaining[(call.stage_id, req.state.retries_used)],
+                    slack=req.deadline - now - remaining[(call.stage_id, req.retries_used)],
                     expected_service=self.estimator.estimate(call.stage_id),
                     engine=engine_label,
                     stage_id=call.stage_id,
@@ -956,7 +952,7 @@ class Simulator:
                 latencies.append(rec.latency)
             else:
                 failed += 1
-        in_flight = sum(1 for req in self.requests.values() if req.state.arrival_time >= warmup)
+        in_flight = sum(1 for req in self.requests.values() if req.arrival_time >= warmup)
         finished = completed + failed
         return MetricsReport(
             arrivals_admitted=self.admitted,

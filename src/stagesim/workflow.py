@@ -10,7 +10,7 @@ request provably terminates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dists import Distribution
 
@@ -93,31 +93,6 @@ class WorkflowSpec:
     slo_seconds: float
 
 
-@dataclass
-class RequestState:
-    """A request's position in the workflow graph."""
-
-    request_id: int
-    arrival_time: float
-    deadline: float
-    current_stage: str
-    retries_used: int = 0
-    stage_history: list[tuple[str, float, float, str]] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class Transition:
-    """Result of applying an outcome: advance to a stage or finish."""
-
-    next_stage: str | None
-    terminal: str | None
-    retries_used: int
-
-    @property
-    def is_done(self) -> bool:
-        return self.terminal is not None
-
-
 class ValidatedWorkflow:
     """Validated handle over a WorkflowSpec plus derived graph facts.
 
@@ -177,10 +152,7 @@ def _check_non_negative(st: StageSpec, name: str, whole: bool = False) -> None:
     # before the clock; token counts are whole draws (sample_int), which
     # truncate or round
     dist: Distribution = getattr(st, name)
-    lowest = dist.min_value()
-    if whole and math.isfinite(lowest):
-        lowest = dist.min_int()
-    if not lowest >= 0.0:  # NaN fails too
+    if (dist.min_int() if whole else dist.min_value()) < 0:
         raise InvalidStage(f"stage '{st.stage_id}': '{name}' can sample below 0")
 
 
@@ -222,8 +194,8 @@ def _check_stage_shapes(spec: WorkflowSpec) -> dict[str, StageSpec]:
         stages[st.stage_id] = st
     if spec.retry_budget < 0:
         raise InvalidStage("retry_budget must be >= 0")
-    if spec.slo_seconds <= 0.0:
-        raise InvalidStage("slo_seconds must be positive")
+    if not 0.0 < spec.slo_seconds < math.inf:  # NaN fails too
+        raise InvalidStage("slo_seconds must be positive and finite")
     if spec.entry_stage not in stages:
         raise InvalidStage(f"entry stage '{spec.entry_stage}' does not exist")
     return stages
@@ -334,26 +306,24 @@ def validate_workflow(spec: WorkflowSpec) -> ValidatedWorkflow:
     return ValidatedWorkflow(spec, stages, loop_edges, selectivity)
 
 
-def next_step(state: RequestState, outcome: str, vw: ValidatedWorkflow) -> Transition:
-    """Apply an outcome label to a request and return where it goes next.
+def next_step(stage_id: str, retries_used: int, outcome: str, vw: ValidatedWorkflow) -> tuple[str, int]:
+    """Apply an outcome label at `stage_id` and return where the request
+    goes next, a stage or a terminal, and its retries used from then on.
 
     Taking a loop edge consumes one retry; once the budget is spent the
-    transition collapses to Failure instead of re-entering the loop.
+    request goes to Failure instead of re-entering the loop.
     """
-    if is_terminal(state.current_stage):
+    if is_terminal(stage_id):
         raise ValueError("next_step called on a terminal request")
-    stage = vw.stage(state.current_stage)
-    chosen = next((o for o in stage.outcomes if o.label == outcome), None)
+    chosen = next((o for o in vw.stage(stage_id).outcomes if o.label == outcome), None)
     if chosen is None:
-        raise UnknownOutcome(f"stage '{stage.stage_id}' has no outcome '{outcome}'")
+        raise UnknownOutcome(f"stage '{stage_id}' has no outcome '{outcome}'")
     target = chosen.next
-    if is_terminal(target):
-        return Transition(None, target, state.retries_used)
-    if vw.is_loop_edge(stage.stage_id, target):
-        if state.retries_used >= vw.retry_budget:
-            return Transition(None, FAILURE, state.retries_used)
-        return Transition(target, None, state.retries_used + 1)
-    return Transition(target, None, state.retries_used)
+    if not vw.is_loop_edge(stage_id, target):  # a terminal is never a loop edge's target
+        return target, retries_used
+    if retries_used >= vw.retry_budget:
+        return FAILURE, retries_used
+    return target, retries_used + 1
 
 
 def _compile_remaining_work(vw: ValidatedWorkflow) -> tuple:

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import heapq
 import io
+from typing import NamedTuple
 
 import stagesim as ss
 from stagesim.engines import EngineParams
@@ -233,19 +234,37 @@ def reference_csv(file_name: str, records) -> str:
     return handle.getvalue()
 
 
+class StageRecord(NamedTuple):
+    """One finished stage of a request, as `Simulator._finish_stage` left it."""
+
+    stage_id: str
+    dispatch_time: float
+    done_time: float
+    next_stage: str  # the next stage, or the terminal the request ended in
+    retries_used: int  # from then on
+
+
 class RetainingSimulator(ss.Simulator):
     """A Simulator that also keeps what the simulator drops: `all_requests`
-    holds every admitted request, finished ones with their whole stage
-    history, and `all_engines` every engine ever added, retired ones too."""
+    holds every admitted request, finished ones too, `finished_stages` each
+    request's finished stages in order, by request id, and `all_engines`
+    every engine ever added, retired ones too."""
 
     def __init__(self, config: ss.SimConfig) -> None:
         self.all_requests: dict = {}
+        self.finished_stages: dict[int, list[StageRecord]] = {}
         self.all_engines: dict = {}
         super().__init__(config)
 
     def _enter_stage(self, req) -> None:
-        self.all_requests[req.state.request_id] = req
+        self.all_requests[req.request_id] = req
         super()._enter_stage(req)
+
+    def _finish_stage(self, req, sid: str) -> None:
+        dispatched = req.dispatch_time
+        super()._finish_stage(req, sid)
+        record = StageRecord(sid, dispatched, self.clock, req.current_stage, req.retries_used)
+        self.finished_stages.setdefault(req.request_id, []).append(record)
 
     def _add_engine(self, pool_id: str, params):
         engine = super()._add_engine(pool_id, params)

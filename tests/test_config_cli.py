@@ -260,29 +260,80 @@ def test_malformed_values_exit_2(tmp_path, capsys, tree, path, command):
     assert not (tmp_path / "o").exists()
 
 
-NAN, INF = float("nan"), float("inf")
+BIG = "1" + "0" * 400  # an integer literal past the float range
+
+
+def config_text(raw: str, **tree) -> str:
+    """A run config's JSON text with the number literal `raw` wherever
+    `tree` holds "RAW"."""
+    return json.dumps(run_config_tree(**tree)).replace('"RAW"', raw)
+
+
+def with_nl2sql_params(**params) -> dict:
+    return {"workflow": {"preset": "nl2sql", "params": params}}
+
+
+def with_engine_params(**params) -> dict:
+    return {"topology": {"preset": "nl2sql-isolated", "engine_params": params}}
+
+
+# Raw config text, and the path its error must name: the NaN, Infinity and
+# -Infinity literals Python's json reader accepts, and number literals that
+# overflow a float (1e999 reads as inf) or that are past its range
 NON_FINITE = {
-    "rate_nan": run_config_tree(arrivals={"rate": NAN}),
-    "rate_inf": run_config_tree(arrivals={"rate": INF}),
-    "duration_nan": run_config_tree(duration=NAN),
-    "duration_inf": run_config_tree(duration=INF),
-    "warmup_nan": run_config_tree(warmup=NAN),
-    "warmup_minus_inf": run_config_tree(warmup=-INF),
-    "prefill_rate_nan": run_config_tree(
-        topology={"preset": "nl2sql-isolated", "engine_params": {"prefill_rate": NAN}}
+    "rate_nan": (config_text("NaN", arrivals={"rate": "RAW"}), "arrivals.rate"),
+    "rate_inf": (config_text("Infinity", arrivals={"rate": "RAW"}), "arrivals.rate"),
+    "duration_nan": (config_text("NaN", duration="RAW"), "config.duration"),
+    "duration_inf": (config_text("Infinity", duration="RAW"), "config.duration"),
+    "warmup_nan": (config_text("NaN", warmup="RAW"), "config.warmup"),
+    "warmup_minus_inf": (config_text("-Infinity", warmup="RAW"), "config.warmup"),
+    "prefill_rate_nan": (
+        config_text("NaN", **with_engine_params(prefill_rate="RAW")),
+        "topology.engine_params.prefill_rate",
+    ),
+    "duration_big_int": (config_text(BIG, duration="RAW"), "config.duration"),
+    "base_token_time_1e999": (
+        config_text("1e999", **with_engine_params(base_token_time="RAW")),
+        "topology.engine_params.base_token_time",
+    ),
+    "kv_capacity_big_int": (
+        config_text(BIG, **with_engine_params(kv_capacity_tokens="RAW")),
+        "topology.engine_params.kv_capacity_tokens",
+    ),
+    "slo_inf": (config_text("Infinity", **with_nl2sql_params(slo_seconds="RAW")), "workflow.params.slo_seconds"),
+    "token_high_1e999": (
+        config_text("1e999", **with_nl2sql_params(prompt_tokens={"kind": "uniform", "low": 1, "high": "RAW"})),
+        "workflow.params.prompt_tokens",
+    ),
+    "token_high_big_int": (
+        config_text(BIG, **with_nl2sql_params(prompt_tokens={"kind": "uniform", "low": 1, "high": "RAW"})),
+        "workflow.params.prompt_tokens",
+    ),
+    "geometric_cap_1e999": (
+        config_text("1e999", **with_nl2sql_params(output_tokens={"kind": "geometric", "p": 0.5, "cap": "RAW"})),
+        "workflow.params.output_tokens",
+    ),
+    "tool_time_cap_big_int": (
+        config_text(BIG, **with_nl2sql_params(executor_service_time={"kind": "geometric", "p": 0.5, "cap": "RAW"})),
+        "workflow.params.executor_service_time",
+    ),
+    "tool_time_nan": (
+        config_text("NaN", **with_nl2sql_params(executor_service_time={"kind": "empirical", "values": [0.5, "RAW"]})),
+        "workflow.params.executor_service_time",
     ),
 }
 
 
-# json.dumps writes these floats as the NaN, Infinity and -Infinity literals
-# that Python's json reader accepts; never run them, since an infinite
-# duration or rate would not end
-@pytest.mark.parametrize("tree", NON_FINITE.values(), ids=NON_FINITE.keys())
-def test_non_finite_numbers_rejected(tmp_path, capsys, tree):
-    assert main(["validate", write_config(tmp_path, tree)]) == 2
-    assert capsys.readouterr().err.startswith("ConfigError: ")
+# validated only, never run: an infinite duration or rate would not end
+@pytest.mark.parametrize("text, path", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_numbers_rejected(tmp_path, capsys, text, path):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert main(["validate", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: ") and f"'{path}'" in err, err
     with pytest.raises(ConfigError):
-        build_sim_config(tree)
+        build_sim_config(json.loads(text))
 
 
 NEGATIVE_DISTRIBUTIONS = {

@@ -104,6 +104,10 @@ def test_from_spec_rejects_malformed(spec):
         lambda: Distribution.geometric(0.5, 0),
         lambda: Distribution.empirical([]),
         lambda: Distribution("weird"),
+        lambda: Distribution.constant(math.nan),
+        lambda: Distribution.uniform(0, math.inf),
+        lambda: Distribution.uniform(-math.inf, 0),
+        lambda: Distribution.empirical([1.0, math.inf]),
     ],
 )
 def test_invalid_parameters(build):

@@ -115,7 +115,7 @@ class CheckedSimulator(Simulator):
         super().__init__(config)
 
     def _enter_stage(self, req) -> None:
-        self.unfinished.add(req.state.request_id)
+        self.unfinished.add(req.request_id)
         super()._enter_stage(req)
 
     def _dispatch_all(self) -> None:
@@ -147,7 +147,7 @@ class CheckedSimulator(Simulator):
         self.unfinished.difference_update(rec.request_id for rec in records[self.recorded :])
         self.recorded = len(records)
         assert self.requests.keys() == self.unfinished, f"requests is not the live map at {self.clock}"
-        assert not any(is_terminal(req.state.current_stage) for req in self.requests.values())
+        assert not any(is_terminal(req.current_stage) for req in self.requests.values())
         self.conserved += 1
 
     def _dispatch_pool(self, pool, version) -> None:

@@ -2,6 +2,7 @@
 files `write_run_outputs` and `write_comparison_outputs` write with them."""
 
 import math
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from stagesim.reporting import (
     CellResult,
     comparison_line,
     dispatch_line,
+    format_comparison_table,
     kv_line,
     request_line,
     write_comparison_outputs,
@@ -99,3 +101,24 @@ def test_output_files_match_csv_writer(tmp_path):
         (res.cell, res.seed, metric, res.report.to_dict()[metric]) for res in results for metric in SCALAR_METRICS
     ]
     assert read(paths["csv"]) == reference_csv("comparison.csv", rows)
+
+
+def test_comparison_table_keeps_two_spaces_between_columns():
+    # a cell text of 33 or more characters used to run into the next column
+    cells = ["isolated", "a_cell_name_of_33_characters_long"]
+    short = {"mean": 1.5, "min": 1.0, "max": 2.0}  # "1.500000 [1.000000, 2.000000]": 30 chars
+    long = {"mean": 149.2, "min": 138.0, "max": 164.0}  # 35 chars
+    summary = {
+        "cells": cells,
+        "aggregate": {cell: {m: long if m == "completed" else short for m in SCALAR_METRICS} for cell in cells},
+        "wins": {},
+    }
+    lines = format_comparison_table(summary).split("\n")
+    assert re.split(r" {2,}", lines[0].strip()) == ["metric", *cells]
+    width = max(map(len, SCALAR_METRICS)) + 2
+    for metric, line in zip(SCALAR_METRICS, lines[1:]):
+        agg = long if metric == "completed" else short
+        text = f"{agg['mean']:.6f} [{agg['min']:.6f}, {agg['max']:.6f}]"
+        assert re.split(r" {2,}", line.strip()) == [metric, text, text]
+        if metric != "completed":  # rows that fit keep their 34-character columns
+            assert line == metric.ljust(width) + text.ljust(34) * 2

@@ -22,7 +22,6 @@ from stagesim.scheduling import (
     try_borrow,
 )
 from stagesim.simulation import RequestSim, Simulator
-from stagesim.workflow import RequestState
 from stagesim.workloads import EXECUTOR, FIXER, GENERATOR
 
 EST = {GENERATOR: 2.0, EXECUTOR: 1.0, FIXER: 1.0}
@@ -36,28 +35,28 @@ def slack_key(slack, service, request_id, selectivity=None):
     return dispatch_key("slack", request_id, 0.0, slack, service, selectivity)
 
 
-def simulator_key(vw, estimates, state, use_selectivity=False):
-    """The dispatch key the Simulator computes for `state`'s queued call:
+def simulator_key(vw, estimates, req, use_selectivity=False):
+    """The dispatch key the Simulator computes for `req`'s queued call:
     under slack it orders by deadline - W, the slack at time 0."""
     policy = ss.PolicyConfig(service_estimates=estimates, use_selectivity=use_selectivity)
     sim = Simulator(sim_config(vw=vw, policy=policy))
-    sim.requests[state.request_id] = RequestSim(state=state)
-    call = PendingCall(state.request_id, state.current_stage, 0.0)
+    sim.requests[req.request_id] = req
+    call = PendingCall(req.request_id, req.current_stage, 0.0)
     return sim._dispatch_key(call)
 
 
 def test_slack_uses_expected_remaining_work():
     vw = nl2sql_vw(p_fail=0.5, retry_budget=1)
-    req = RequestState(0, 0.0, 10.0, GENERATOR)
+    req = RequestSim(0, 0.0, 10.0, GENERATOR)
     assert simulator_key(vw, EST, req)[0] == pytest.approx(6.0)  # 10 - 4.0 of work
 
 
 def test_slack_zero_and_negative():
     # the slack at `now` is the key's deadline - W minus now
     vw = nl2sql_vw(p_fail=0.0)
-    req = RequestState(0, 0.0, 5.0, EXECUTOR)
+    req = RequestSim(0, 0.0, 5.0, EXECUTOR)
     assert simulator_key(vw, EST, req)[0] - 4.0 == pytest.approx(0.0)
-    req2 = RequestState(0, 0.0, 5.0, GENERATOR)
+    req2 = RequestSim(0, 0.0, 5.0, GENERATOR)
     heavy = {GENERATOR: 5.0, EXECUTOR: 4.0, FIXER: 1.0}
     assert simulator_key(vw, heavy, req2)[0] - 9.0 == pytest.approx(-13.0)
 
@@ -98,7 +97,7 @@ def test_keys_form_strict_total_order():
 
 def test_simulator_key_gates_selectivity():
     vw = nl2sql_vw(p_fail=0.4)
-    req = RequestState(3, 0.0, 30.0, EXECUTOR)
+    req = RequestSim(3, 0.0, 30.0, EXECUTOR)
     plain = simulator_key(vw, EST, req)
     assert len(plain) == 3  # (slack, service, arrival): no selectivity term
     gated = simulator_key(vw, EST, req, use_selectivity=True)

@@ -22,12 +22,10 @@ from stagesim.workflow import (
     LLM,
     SUCCESS,
     Outcome,
-    RequestState,
     StageSpec,
     WorkflowSpec,
     expected_remaining_work,
     is_terminal,
-    next_step,
     validate_workflow,
 )
 from stagesim.workloads import (
@@ -226,12 +224,12 @@ def test_warmup_requests_simulated_but_excluded():
     cfg = sim_config(rate=2.0, duration=30.0, warmup=10.0, seed=4)
     sim = RetainingSimulator(cfg)
     result = sim.run()
-    pre = [r for r in sim.all_requests.values() if r.state.arrival_time < 10.0]
-    post = [r for r in sim.all_requests.values() if r.state.arrival_time >= 10.0]
+    pre = [r for r in sim.all_requests.values() if r.arrival_time < 10.0]
+    post = [r for r in sim.all_requests.values() if r.arrival_time >= 10.0]
     assert pre, "some requests must arrive during warmup"
     assert result.report.arrivals_admitted == len(post)
     # warmup traffic still ran through the engines
-    assert any(r.state.stage_history for r in pre)
+    assert any(r.request_id in sim.finished_stages for r in pre)
 
 
 def test_dispatch_optimality_in_memory():
@@ -256,31 +254,30 @@ def test_dispatch_optimality_in_memory():
     ids=["fcfs", "las", "slack", "slack_selectivity"],
 )
 def test_recorded_keys_match_dispatch_key(policy):
-    # Replays each request's stage history up to each of its dispatches and
-    # recomputes the key independently, remaining work included.
+    # Replays each request's finished stages up to each of its dispatches
+    # and recomputes the key independently, remaining work included.
     sim = RetainingSimulator(sim_config(policy=policy, rate=2.5, duration=30.0, warmup=0.0, seed=12))
     result = sim.run()
     vw, estimates = sim.vw, sim.estimator.estimates()
     dispatched = Counter()
     contended = 0
     for rec in result.traces.dispatches:
-        req = sim.all_requests[rec.request_id]
-        state = RequestState(rec.request_id, req.state.arrival_time, req.state.deadline, vw.entry_stage)
-        attained = 0.0
-        for sid, start, end, label in req.state.stage_history[: dispatched[rec.request_id]]:
-            attained += end - start
-            step = next_step(state, label, vw)
-            state.current_stage, state.retries_used = step.next_stage, step.retries_used
+        deadline = sim.all_requests[rec.request_id].deadline
+        done = sim.finished_stages.get(rec.request_id, [])[: dispatched[rec.request_id]]
         dispatched[rec.request_id] += 1
-        assert state.current_stage == rec.stage_id
-        remaining = expected_remaining_work(vw, estimates)[(state.current_stage, state.retries_used)]
+        attained = 0.0
+        for stage in done:
+            attained += stage.done_time - stage.dispatch_time
+        stage_id, retries = (done[-1].next_stage, done[-1].retries_used) if done else (vw.entry_stage, 0)
+        assert stage_id == rec.stage_id
+        remaining = expected_remaining_work(vw, estimates)[(stage_id, retries)]
         # the key orders by deadline - W; the slack column is taken at dispatch
         selectivity = vw.selectivity(rec.stage_id) if policy.use_selectivity else None
         expected = dispatch_key(
-            policy.kind, rec.request_id, attained, state.deadline - remaining, estimates[rec.stage_id], selectivity
+            policy.kind, rec.request_id, attained, deadline - remaining, estimates[rec.stage_id], selectivity
         )
         assert rec.key == expected
-        assert rec.slack == state.deadline - rec.time - remaining
+        assert rec.slack == deadline - rec.time - remaining
         contended += rec.best_waiting_key is not None
     assert contended > 0, "run never had queue contention"
 
@@ -295,8 +292,8 @@ def test_changing_tool_distribution_leaves_other_streams_alone():
     sim_b = RetainingSimulator(slow)
     res_b = sim_b.run()
 
-    arrivals_a = {rid: r.state.arrival_time for rid, r in sim_a.all_requests.items()}
-    arrivals_b = {rid: r.state.arrival_time for rid, r in sim_b.all_requests.items()}
+    arrivals_a = {rid: r.arrival_time for rid, r in sim_a.all_requests.items()}
+    arrivals_b = {rid: r.arrival_time for rid, r in sim_b.all_requests.items()}
     assert arrivals_a == arrivals_b
 
     done_a = {r.request_id: r for r in res_a.traces.requests}
@@ -381,7 +378,7 @@ def test_only_unfinished_requests_keep_rng_streams():
     finished = {rec.request_id for rec in result.traces.requests}
     for rid, req in sim.requests.items():
         assert rid not in finished
-        assert not is_terminal(req.state.current_stage)
+        assert not is_terminal(req.current_stage)
         assert req.streams
         for label, stream in req.streams.items():
             assert stream.label == f"req:{rid}:{label}"
@@ -484,14 +481,31 @@ def test_stage_history_recorded_in_order():
     cfg = sim_config(rate=1.0, duration=30.0, warmup=0.0, seed=2)
     sim = RetainingSimulator(cfg)
     sim.run()
-    histories = [r.state.stage_history for r in sim.all_requests.values() if is_terminal(r.state.current_stage)]
+    histories = [sim.finished_stages[rid] for rid, r in sim.all_requests.items() if is_terminal(r.current_stage)]
     assert histories
     for history in histories:
-        assert history[0][0] == GENERATOR
-        times = [t for _, start, end, _ in history for t in (start, end)]
+        assert history[0].stage_id == GENERATOR
+        times = [t for stage in history for t in (stage.dispatch_time, stage.done_time)]
         assert times == sorted(times)
+        # each stage leads to the next one, and the last to a terminal
+        assert [s.next_stage for s in history[:-1]] == [s.stage_id for s in history[1:]]
+        assert is_terminal(history[-1].next_stage)
         # the executor precedes every fixer visit
-        stages = [sid for sid, *_ in history]
+        stages = [stage.stage_id for stage in history]
         for i, sid in enumerate(stages):
             if sid == FIXER:
                 assert stages[i - 1] == EXECUTOR
+
+
+def test_n_stage_calls_counts_finished_stages():
+    cfg = sim_config(vw=nl2sql_vw(p_fail=0.6, retry_budget=2), rate=1.0, duration=40.0, warmup=0.0, seed=5)
+    sim = RetainingSimulator(cfg)
+    records = sim.run().traces.requests
+    assert any(rec.retries_used > 0 for rec in records)
+    for rec in records:
+        history = sim.finished_stages[rec.request_id]
+        assert rec.n_stage_calls == len(history)
+        assert (history[-1].next_stage, history[-1].retries_used) == (rec.outcome, rec.retries_used)
+        # executor -> fixer is the one loop edge: each time it is taken uses a retry
+        fixes = [stage.next_stage == FIXER for stage in history]
+        assert [stage.retries_used for stage in history] == [sum(fixes[: i + 1]) for i in range(len(fixes))]

@@ -19,7 +19,6 @@ from stagesim.workflow import (
     MissingEstimate,
     Outcome,
     ProbabilityMassError,
-    RequestState,
     StageSpec,
     UnboundedCycle,
     UnknownOutcome,
@@ -54,10 +53,6 @@ def tool_stage(sid, outcomes):
 
 def make_spec(stages, entry="a", budget=3):
     return WorkflowSpec(name="t", stages=tuple(stages), entry_stage=entry, retry_budget=budget, slo_seconds=10.0)
-
-
-def request(vw, stage=None, retries=0):
-    return RequestState(0, 0.0, 10.0, stage or vw.entry_stage, retries)
 
 
 # ----------------------------------------------------------------------
@@ -196,50 +191,49 @@ def test_shape_mutations_rejected(mutate):
         validate_workflow(mutate())
 
 
+@pytest.mark.parametrize("slo", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+def test_slo_must_be_positive_and_finite(slo):
+    # a NaN SLO would start every slack key with NaN and read as never violated
+    spec = dataclasses.replace(make_spec([llm_stage("a", [Outcome("x", 1.0, SUCCESS)])]), slo_seconds=slo)
+    with pytest.raises(InvalidStage, match="slo_seconds"):
+        validate_workflow(spec)
+
+
 # ----------------------------------------------------------------------
 # next_step
 
 
 def test_executor_success_finishes():
     vw = nl2sql_vw()
-    st = request(vw, EXECUTOR)
-    tr = next_step(st, "success", vw)
-    assert tr.is_done and tr.terminal == SUCCESS
+    assert next_step(EXECUTOR, 0, "success", vw) == (SUCCESS, 0)
 
 
 def test_budget_exhaustion_overrides_loop_edge():
     vw = nl2sql_vw(retry_budget=3)
-    st = request(vw, EXECUTOR, retries=3)
-    tr = next_step(st, "syntax_err", vw)
-    assert tr.is_done and tr.terminal == FAILURE
+    assert next_step(EXECUTOR, 3, "syntax_err", vw) == (FAILURE, 3)
 
 
 def test_loop_edge_increments_retries():
     vw = nl2sql_vw(retry_budget=3)
-    tr = next_step(request(vw, EXECUTOR, retries=0), "syntax_err", vw)
-    assert not tr.is_done
-    assert tr.next_stage == FIXER
-    assert tr.retries_used == 1
+    assert next_step(EXECUTOR, 0, "syntax_err", vw) == (FIXER, 1)
 
 
 def test_non_loop_edge_keeps_retries():
     vw = nl2sql_vw()
-    tr = next_step(request(vw, GENERATOR, retries=2), "generated", vw)
-    assert tr.next_stage == EXECUTOR and tr.retries_used == 2
-    tr = next_step(request(vw, FIXER, retries=2), "fixed", vw)
-    assert tr.next_stage == EXECUTOR and tr.retries_used == 2
+    assert next_step(GENERATOR, 2, "generated", vw) == (EXECUTOR, 2)
+    assert next_step(FIXER, 2, "fixed", vw) == (EXECUTOR, 2)
 
 
 def test_unknown_outcome():
     vw = nl2sql_vw()
     with pytest.raises(UnknownOutcome):
-        next_step(request(vw, EXECUTOR), "segfault", vw)
+        next_step(EXECUTOR, 0, "segfault", vw)
 
 
 def test_next_step_on_terminal_rejected():
     vw = nl2sql_vw()
     with pytest.raises(ValueError):
-        next_step(RequestState(0, 0.0, 1.0, SUCCESS), "x", vw)
+        next_step(SUCCESS, 0, "x", vw)
 
 
 def test_retries_never_exceed_budget():
@@ -247,16 +241,11 @@ def test_retries_never_exceed_budget():
     vw = nl2sql_vw(retry_budget=2)
     rng = random.Random(0)
     for _ in range(300):
-        st = request(vw)
-        while True:
-            stage = vw.stage(st.current_stage)
-            labels = [o.label for o in stage.outcomes if o.prob > 0]
-            tr = next_step(st, rng.choice(labels), vw)
-            assert tr.retries_used <= vw.retry_budget
-            if tr.is_done:
-                break
-            st.current_stage = tr.next_stage
-            st.retries_used = tr.retries_used
+        stage_id, retries = vw.entry_stage, 0
+        while stage_id not in (SUCCESS, FAILURE):
+            labels = [o.label for o in vw.stage(stage_id).outcomes if o.prob > 0]
+            stage_id, retries = next_step(stage_id, retries, rng.choice(labels), vw)
+            assert retries <= vw.retry_budget
 
 
 # ----------------------------------------------------------------------

@@ -208,8 +208,8 @@ def test_paired_topologies_see_identical_randomness():
     shared_sim = RetainingSimulator(sim_config(mode="shared", rate=1.5, duration=40.0, warmup=0.0, seed=33))
     shared = shared_sim.run()
 
-    assert {r.state.arrival_time for r in iso_sim.all_requests.values()} == {
-        r.state.arrival_time for r in shared_sim.all_requests.values()
+    assert {r.arrival_time for r in iso_sim.all_requests.values()} == {
+        r.arrival_time for r in shared_sim.all_requests.values()
     }
     done_iso = {r.request_id: r for r in iso.traces.requests}
     done_shared = {r.request_id: r for r in shared.traces.requests}
