@@ -3,9 +3,15 @@
 An engine's KV budget is consumed by resident stage prefixes plus each
 in-flight call's prompt and generated tokens.  Admission reserves the
 worst case (prompt + full target output, plus the prefix if cold) so
-actual usage can never overrun capacity mid-decode; the traced
-kv_used_tokens tracks actual usage, which grows one token per emitted
-token and is released when the call completes.
+actual usage can never overrun capacity mid-decode; `kv_used` tracks
+actual usage, which grows one token per emitted token and is released
+when the call completes.
+
+An engine's state is brought forward only when the simulator touches it
+(`advance_decode`).  Between two touches its batch does not change, so
+every decode call emits tokens at the same constant rate and `kv_used`
+grows linearly at `kv_slope()`; `kv_used_at(t)` and `decode_progress(t)`
+read that line without moving the engine.
 
 Decoding is continuous-batching style: all decode-phase calls on an
 engine share the batch, and per-token latency grows linearly with batch
@@ -128,6 +134,22 @@ class EngineState:
 
     def decode_batch_size(self) -> int:
         return self.n_decode
+
+    def decode_progress(self, now: float) -> float:
+        """Tokens each decode call has emitted since `last_advance`, at `now`."""
+        b = self.n_decode
+        if not b:
+            return 0.0
+        return (now - self.last_advance) / self.params.token_time(b)
+
+    def kv_used_at(self, now: float) -> float:
+        """`kv_used` at `now`, read without advancing the engine."""
+        return self.kv_used + self.n_decode * self.decode_progress(now)
+
+    def kv_slope(self) -> float:
+        """Tokens per second `kv_used` grows by until the batch changes."""
+        b = self.n_decode
+        return b / self.params.token_time(b) if b else 0.0
 
     def free_kv(self) -> int:
         return self.params.kv_capacity_tokens - self.kv_reserved
@@ -255,6 +277,7 @@ class EngineState:
     # `resident_prefix_tokens()`, which the caller recounts once for both.
 
     def recomputed_kv_used(self, prefix_tokens: int) -> float:
+        """Recount of `kv_used`, at `last_advance`."""
         used = 0
         for c in self.batch:
             used += c.prompt_tokens + c.tokens_emitted

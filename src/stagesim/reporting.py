@@ -52,9 +52,9 @@ _cell = _CsvCells()
 # Each row kind has one formatter returning its finished line, byte for
 # byte what csv.writer(lineterminator="\n") writes for the row with every
 # float formatted with 9 decimals.  A row is one f-string rather than a
-# csv.writer call: kv_usage.csv alone has a row per engine whose KV changed
-# at each event.
-KV_HEADER = "time,pool,engine,kv_used_tokens,resident_prefix_tokens\n"
+# csv.writer call: kv_usage.csv alone has a row per engine touched by each
+# event.
+KV_HEADER = "time,pool,engine,kv_used_tokens,kv_tokens_per_s,resident_prefix_tokens\n"
 DISPATCH_HEADER = (
     "time,pool,request,slack,expected_service,engine,stage,queue_delay,key,best_waiting_key\n"
 )
@@ -63,8 +63,8 @@ COMPARISON_HEADER = "cell,seed,metric,value\n"
 
 
 def kv_line(sample: KvSample) -> str:
-    time, pool, engine_id, kv_used, resident = sample
-    return f"{time:.9f},{_cell[pool]},{engine_id},{kv_used:.9f},{resident}\n"
+    time, pool, engine_id, kv_used, kv_slope, resident = sample
+    return f"{time:.9f},{_cell[pool]},{engine_id},{kv_used:.9f},{kv_slope:.9f},{resident}\n"
 
 
 def dispatch_line(d: DispatchRecord) -> str:

@@ -116,27 +116,28 @@ def select_next(heap):
 
 
 def route_call(
-    call: PendingCall, prefix_tokens: int, engines: list[EngineState]
+    call: PendingCall, prefix_tokens: int, engines: list[EngineState], now: float
 ) -> EngineState | None:
     """Pick an engine for the call: prefix-warm engines first, then least
-    KV used, then lowest engine id.  None when no engine can admit."""
+    KV used at `now`, then lowest engine id.  None when no engine can
+    admit."""
     admissible = [e for e in engines if e.can_admit(call, prefix_tokens)]
     if not admissible:
         return None
     return min(
         admissible,
-        key=lambda e: (call.stage_id not in e.resident, e.kv_used, e.engine_id),
+        key=lambda e: (call.stage_id not in e.resident, e.kv_used_at(now), e.engine_id),
     )
 
 
 def route_call_with_eviction(
-    call: PendingCall, prefix_tokens: int, engines: list[EngineState]
+    call: PendingCall, prefix_tokens: int, engines: list[EngineState], now: float
 ) -> tuple[EngineState, list[str]] | None:
     """Routing fallback: find an engine that could admit after evicting idle
     prefixes (least recently used first).  Returns the engine and the stage
     prefixes to evict, or None."""
     ordered = sorted(
-        engines, key=lambda e: (call.stage_id not in e.resident, e.kv_used, e.engine_id)
+        engines, key=lambda e: (call.stage_id not in e.resident, e.kv_used_at(now), e.engine_id)
     )
     for engine in ordered:
         if len(engine.batch) >= engine.params.max_batch:

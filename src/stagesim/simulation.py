@@ -3,8 +3,12 @@
 One simulation owns all of its state and is a pure function of its config
 (seed included): identical configs produce byte-identical reports and
 traces.  Events are processed in ascending (time, scheduling sequence)
-order; between consecutive events every engine's decode progress advances
-under a constant batch composition, so completion times are exact.
+order.  An engine is advanced only when an event touches it (admission,
+prefill done, call completion, prefix eviction, lending or return,
+scale-in, end of run): between two touches its batch does not change, so
+its decode progress and KV use are linear in time and completion times
+are exact.  Each touch closes one KV segment, which adds one trapezoid to
+the engine's KV integral and one row to the KV trace.
 """
 
 from __future__ import annotations
@@ -177,10 +181,14 @@ class SimConfig:
 
 
 class KvSample(NamedTuple):
+    """The start of a KV segment: the engine's KV is
+    kv_used + kv_slope * (t - time) until its next sample."""
+
     time: float
     pool: str
     engine_id: int
     kv_used: float
+    kv_slope: float  # tokens per second
     resident_prefix_tokens: int
 
 
@@ -318,6 +326,9 @@ class PoolRuntime:
         self.dirty = False
         self.concurrency = spec.concurrency
         self.busy_slots = 0
+        # LLM pools: engines serving the pool, and those of them with a batch
+        self.serving_engines = 0
+        self.busy_engines = 0
         # utilization window (shared by the borrower and the autoscaler)
         self.busy_integral = 0.0
         self.capacity_integral = 0.0
@@ -377,7 +388,8 @@ class Simulator:
         self._next_engine_id = 0
         # an entry per engine ever added: all that a retired engine leaves
         self._kv_integral: dict[int, float] = {}
-        self._last_kv_sample: dict[int, tuple[str, float, int]] = {}
+        # engines touched since the last KV rows were written, by id
+        self._touched: dict[int, EngineState] = {}
         for spec in config.topology.pools:
             pool = PoolRuntime(spec)
             self.pools[spec.pool_id] = pool
@@ -429,6 +441,8 @@ class Simulator:
         self.engines[engine.engine_id] = engine
         self._kv_integral[engine.engine_id] = 0.0
         self._next_engine_id += 1
+        self.pools[pool_id].serving_engines += 1
+        self._touched[engine.engine_id] = engine  # its first KV row
         return engine
 
     def _schedule(
@@ -467,58 +481,77 @@ class Simulator:
     # clock advancement and accounting
 
     def _advance_clock(self, to_time: float) -> None:
+        """Move the clock and the pools' utilization integrals; engines
+        stay where they were until something touches them."""
         dt = to_time - self.clock
         if dt < -1e-12:
             raise InternalInvariantViolation("event clock moved backwards")
         if dt <= 0.0:
             self.clock = to_time
             return
-        # [busy engines, serving engines] per LLM pool, counted in the pass
-        # that advances decode (which changes neither)
-        counts = {pid: [0, 0] for pid in self._llm_pool_ids}
-        warmup = self.cfg.warmup
-        kv_integral = self._kv_integral
-        for eid, engine in self.engines.items():
-            count = counts[engine.serving_pool]
-            count[1] += 1
-            if engine.batch:
-                count[0] += 1
-            t0 = engine.last_advance
-            kv0 = engine.kv_used
-            if engine.n_decode:
-                engine.advance_decode(to_time)
-            else:  # nothing decodes, so kv_used stays kv0
-                engine.last_advance = to_time
-            # trapezoid of the linear kv_used over the part of [t0, to_time]
-            # after warmup
-            start = warmup if warmup > t0 else t0
-            if start < to_time:
-                kv1 = engine.kv_used
-                kv_start = kv0 + (kv1 - kv0) * (start - t0) / (to_time - t0)
-                kv_integral[eid] += 0.5 * (kv_start + kv1) * (to_time - start)
         for pool in self.pools.values():
             if pool.spec.kind == LLM:
-                busy, cap = counts[pool.pool_id]
+                busy, cap = pool.busy_engines, pool.serving_engines
             else:
                 busy, cap = pool.busy_slots, pool.concurrency
             pool.busy_integral += busy * dt
             pool.capacity_integral += cap * dt
         self.clock = to_time
 
-    def _emit_kv_samples(self, force: bool = False) -> None:
-        last = self._last_kv_sample
+    def _touch(self, engine: EngineState) -> None:
+        """Close the engine's KV segment at the clock, before an event
+        changes it: advance its decode progress, add the segment's KV
+        integral, and mark it for a KV row once the event is done."""
+        now = self.clock
+        t0 = engine.last_advance
+        self._touched[engine.engine_id] = engine
+        if t0 >= now:
+            return
+        kv0 = engine.kv_used
+        if engine.n_decode:
+            engine.advance_decode(now)
+        else:  # nothing decodes, so kv_used stays kv0
+            engine.last_advance = now
+        # trapezoid of the linear kv_used over the part of [t0, now] after
+        # warmup
+        warmup = self.cfg.warmup
+        start = warmup if warmup > t0 else t0
+        if start < now:
+            kv1 = engine.kv_used
+            kv_start = kv0 + (kv1 - kv0) * (start - t0) / (now - t0)
+            self._kv_integral[engine.engine_id] += 0.5 * (kv_start + kv1) * (now - start)
+
+    def _emit_kv_samples(self) -> None:
+        """A KV row per engine touched since the last call, in id order:
+        the start of its next segment, or its last row if it retired."""
+        touched = self._touched
+        if not touched:
+            return
         samples = self.traces.kv_samples
-        for eid, engine in self.engines.items():
-            current = (engine.serving_pool, engine.kv_used, engine.resident_tokens)
-            if force or last.get(eid) != current:
-                last[eid] = current
-                samples.append(KvSample(self.clock, current[0], eid, current[1], current[2]))
+        now = self.clock
+        for eid in sorted(touched):
+            e = touched[eid]
+            samples.append(KvSample(now, e.serving_pool, eid, e.kv_used, e.kv_slope(), e.resident_tokens))
+        touched.clear()
 
     def _check_invariants(self) -> None:
+        """Check every engine and the pools' engine counters.  An engine is
+        read at the clock through its segment, never advanced: its counters
+        are recounted at the segment start, where they were last brought
+        forward, and its KV and each decode call's tokens are checked at
+        the clock, where they have grown by `decode_progress`."""
+        now = self.clock
         only_stage = self._only_stage
+        # [busy engines, serving engines] per LLM pool, recounted
+        counts = {pid: [0, 0] for pid in self._llm_pool_ids}
         for eid, e in self.engines.items():
+            count = counts[e.serving_pool]
+            count[1] += 1
+            if e.batch:
+                count[0] += 1
             cap = e.params.kv_capacity_tokens
-            kv_used = e.kv_used
+            progress = e.decode_progress(now)
+            kv_used = e.kv_used + e.n_decode * progress  # kv_used_at(now)
             if e.kv_reserved > cap:
                 raise InternalInvariantViolation(
                     f"engine {eid}: reserved {e.kv_reserved} exceeds capacity {cap}"
@@ -533,9 +566,9 @@ class Simulator:
                     f"engine {eid}: resident_tokens {e.resident_tokens} != recomputed"
                 )
             recomputed = e.recomputed_kv_used(prefix_tokens)
-            if abs(kv_used - recomputed) > _KV_TOL:
+            if abs(e.kv_used - recomputed) > _KV_TOL:
                 raise InternalInvariantViolation(
-                    f"engine {eid}: kv_used {kv_used} != recomputed {recomputed}"
+                    f"engine {eid}: kv_used {e.kv_used} != recomputed {recomputed}"
                 )
             if e.kv_reserved != e.recomputed_kv_reserved(prefix_tokens):
                 raise InternalInvariantViolation(
@@ -548,6 +581,12 @@ class Simulator:
             for call in e.batch:
                 if call.phase == DECODE:
                     n_decode += 1
+                    # a call never outruns its own completion event
+                    if call.tokens_emitted + progress > call.target_output_tokens + _KV_TOL:
+                        raise InternalInvariantViolation(
+                            f"engine {eid}: request {call.request_id} decoded past its "
+                            f"{call.target_output_tokens} tokens"
+                        )
                 if allowed is not None and call.stage_id != allowed:
                     raise InternalInvariantViolation(
                         f"engine {eid}: call of stage '{call.stage_id}' in "
@@ -556,6 +595,13 @@ class Simulator:
             if e.n_decode != n_decode:
                 raise InternalInvariantViolation(
                     f"engine {eid}: n_decode {e.n_decode} != recounted {n_decode}"
+                )
+        for pid, (busy, serving) in counts.items():
+            pool = self.pools[pid]
+            if pool.busy_engines != busy or pool.serving_engines != serving:
+                raise InternalInvariantViolation(
+                    f"pool {pid}: busy/serving engines {pool.busy_engines}/"
+                    f"{pool.serving_engines} != recounted {busy}/{serving}"
                 )
 
     # ------------------------------------------------------------------
@@ -599,18 +645,23 @@ class Simulator:
     def _handle_prefill_done(self, ev: Event) -> None:
         engine = self.engines[ev.engine_id]
         call = self._find_call(engine, ev.request_id)
+        self._touch(engine)
         engine.prefill_finished(call)
         self._reschedule_completion(engine)
 
     def _handle_call_complete(self, ev: Event) -> None:
         engine = self.engines[ev.engine_id]  # run() skipped it if superseded
         call = self._find_call(engine, ev.request_id)
+        self._touch(engine)
         if call.remaining_tokens > _KV_TOL:
             raise InternalInvariantViolation(
                 f"completion fired with {call.remaining_tokens} tokens left"
             )
         engine.complete_call(call)
-        self.pools[engine.serving_pool].dirty = True
+        pool = self.pools[engine.serving_pool]
+        pool.dirty = True
+        if not engine.batch:
+            pool.busy_engines -= 1
         self._reschedule_completion(engine)
         if engine.lent_to is not None and not engine.batch:
             self._maybe_return(engine)
@@ -779,15 +830,18 @@ class Simulator:
             return ""
         prefix_tokens = self.vw.stage(call.stage_id).prefix_tokens
         engines = self._serving_engines(pool.pool_id)
-        placed = route_call(call, prefix_tokens, engines)
+        placed = route_call(call, prefix_tokens, engines, now)
         evictions: list[str] = []
         if placed is None:
             if not holds_foreign_prefix(call.stage_id, engines):
                 return None  # the fallback could only fail too
-            with_evict = route_call_with_eviction(call, prefix_tokens, engines)
+            with_evict = route_call_with_eviction(call, prefix_tokens, engines, now)
             if with_evict is None:
                 return None
             placed, evictions = with_evict
+        self._touch(placed)
+        if not placed.batch:
+            pool.busy_engines += 1
         for evict_sid in evictions:
             placed.evict_idle_prefix(evict_sid)
         prefill_done = placed.admit(call, prefix_tokens, now)
@@ -811,8 +865,15 @@ class Simulator:
             self.policy.borrow, not engine.batch, home.utilization(), borrower.utilization()
         ):
             self.audit.returns.append((self.clock, engine.engine_id, engine.lent_to))
-            engine.serving_pool = engine.home_pool
+            self._set_serving_pool(engine, engine.home_pool)
             home.dirty = borrower.dirty = True
+
+    def _set_serving_pool(self, engine: EngineState, pool_id: str) -> None:
+        """Lend an idle engine to `pool_id`, or return it home."""
+        self._touch(engine)
+        self.pools[engine.serving_pool].serving_engines -= 1
+        self.pools[pool_id].serving_engines += 1
+        engine.serving_pool = pool_id
 
     def _borrow_views(self) -> list[BorrowPoolView]:
         views = []
@@ -848,7 +909,7 @@ class Simulator:
             if action is None:
                 break
             engine_id, lender, borrower = action
-            self.engines[engine_id].serving_pool = borrower
+            self._set_serving_pool(self.engines[engine_id], borrower)
             self.audit.borrows.append((self.clock, engine_id, lender, borrower))
             self.pools[lender].dirty = self.pools[borrower].dirty = True
         if not self.policy.autoscale.enabled:
@@ -868,7 +929,6 @@ class Simulator:
                 pool.last_scale_time = self.clock
                 self.audit.scale_events.append((self.clock, pool.pool_id, decision))
             pool.reset_window()
-        self._emit_kv_samples(force=True)
         t_next = ev.time + cfg.check_interval
         if t_next <= self.cfg.duration:
             self._schedule(t_next, EVENT_AUTOSCALE_TICK)
@@ -896,8 +956,9 @@ class Simulator:
                     if e.lent_to is None and not e.batch
                 ]
                 victim = max(idle, key=lambda e: e.engine_id)
+                self._touch(victim)  # closes its KV trace and integral
                 del self.engines[victim.engine_id]
-                self._last_kv_sample.pop(victim.engine_id, None)
+                pool.serving_engines -= 1
         else:
             pool.concurrency += decision
 
@@ -915,6 +976,7 @@ class Simulator:
         if self.policy.borrow.enabled and interval <= duration:
             self._schedule(interval, EVENT_BORROW_CHECK)
 
+        self._emit_kv_samples()  # each engine's first row, at time 0
         engines = self.engines
         while self._heap and self._heap[0][0] <= duration:
             ev = heapq.heappop(self._heap)
@@ -932,7 +994,9 @@ class Simulator:
             self._emit_kv_samples()
 
         self._advance_clock(duration)
-        self._emit_kv_samples(force=True)
+        for engine in engines.values():  # a closing row per live engine
+            self._touch(engine)
+        self._emit_kv_samples()
         return RunResult(self._build_report(), self.traces, self.audit)
 
     def _build_report(self) -> MetricsReport:

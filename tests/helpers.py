@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import csv
 import dataclasses
 import heapq
@@ -18,7 +19,7 @@ from stagesim.simulation import (
     KvSample,
     RunResult,
 )
-from stagesim.workflow import TERMINALS, is_terminal
+from stagesim.workflow import LLM, TERMINALS, is_terminal
 from stagesim.workloads import (
     DEFAULT_ENGINE_PARAMS,
     EXECUTOR,
@@ -184,8 +185,8 @@ def _key9(key) -> str:
 # row kind directly instead, and must match these byte for byte.
 REFERENCE_ROWS = {
     "kv_usage.csv": (
-        ("time", "pool", "engine", "kv_used_tokens", "resident_prefix_tokens"),
-        lambda s: (_f9(s.time), s.pool, s.engine_id, _f9(s.kv_used), s.resident_prefix_tokens),
+        ("time", "pool", "engine", "kv_used_tokens", "kv_tokens_per_s", "resident_prefix_tokens"),
+        lambda s: (_f9(s.time), s.pool, s.engine_id, _f9(s.kv_used), _f9(s.kv_slope), s.resident_prefix_tokens),
     ),
     "dispatch.csv": (
         (
@@ -272,6 +273,43 @@ class RetainingSimulator(ss.Simulator):
         return engine
 
 
+def kv_segments(rows) -> dict[int, list[KvSample]]:
+    """KV segment rows by engine id, each engine's in time order."""
+    by_engine: dict[int, list[KvSample]] = {}
+    for row in rows:
+        by_engine.setdefault(row.engine_id, []).append(row)
+    return by_engine
+
+
+def resample_kv(rows, times, slack: float = 0.0) -> dict[tuple[int, float], KvSample]:
+    """Each engine's state at each of `times` within its trace, from its
+    segment rows: at t, the last row at or before t gives the pool, the
+    resident prefix tokens and the KV, kv_used + kv_slope * (t - time).
+    Keyed by (engine id, t), as a row taken at t.
+
+    A row up to `slack` after t counts as at t: the same event can fall a
+    few ulps apart in two runs whose decode was split differently."""
+    values = {}
+    for eid, segments in kv_segments(rows).items():
+        starts = [row.time for row in segments]
+        for t in times:
+            if starts[0] <= t + slack and t - slack <= starts[-1]:
+                row = segments[max(bisect.bisect_right(starts, t + slack) - 1, 0)]
+                values[(eid, t)] = row._replace(time=t, kv_used=row.kv_used + row.kv_slope * (t - row.time))
+    return values
+
+
+def segment_end_kv(rows) -> list[tuple[KvSample, float]]:
+    """Each row with the KV its segment ends at, where KV peaks: at the
+    engine's next row.  An engine's last row, at its retirement or at the
+    end of the run, ends where it starts."""
+    ends = []
+    for segments in kv_segments(rows).values():
+        for row, end in zip(segments, [row.time for row in segments[1:]] + [segments[-1].time]):
+            ends.append((row, row.kv_used + row.kv_slope * (end - row.time)))
+    return ends
+
+
 class SupersededCompletionsReference(ss.Simulator):
     """Reference event loop that processes superseded completions as
     `Simulator.run` did before it skipped them: every popped event advances
@@ -279,14 +317,12 @@ class SupersededCompletionsReference(ss.Simulator):
     KV sampling, and a superseded completion's handler does nothing.
 
     After `run()`, `superseded` counts the superseded completions popped,
-    and `processed_kv` holds the KV rows taken at processed events only:
-    the rows sampled during them, plus a row per live engine after each.
+    and `processed_times` holds the times of the other events.
     """
 
     def run(self) -> RunResult:
         self.superseded = 0
-        self.processed_kv: list[KvSample] = []
-        samples = self.traces.kv_samples
+        self.processed_times: list[float] = []
         duration = self.cfg.duration
         first = ss.sample_interarrival(self._arrivals, self.cfg.arrival_rate)
         if first <= duration:
@@ -297,30 +333,85 @@ class SupersededCompletionsReference(ss.Simulator):
         if self.policy.borrow.enabled and interval <= duration:
             self._schedule(interval, EVENT_BORROW_CHECK)
 
+        self._emit_kv_samples()
         while self._heap and self._heap[0][0] <= duration:
             ev = heapq.heappop(self._heap)
             engine = self.engines.get(ev.engine_id)
             superseded = ev.kind == EVENT_CALL_COMPLETE and (
                 engine is None or ev.epoch != engine.decode_epoch
             )
-            first_row = len(samples)
             self._advance_clock(ev.time)
             if superseded:
                 self.superseded += 1
             else:
+                self.processed_times.append(ev.time)
                 self._handlers[ev.kind](self, ev)
             self._dispatch_all()
             self._check_invariants()
             self._emit_kv_samples()
-            if not superseded:
-                self.processed_kv.extend(samples[first_row:])
-                self.processed_kv.extend(
-                    KvSample(self.clock, e.serving_pool, eid, e.kv_used, e.resident_tokens)
-                    for eid, e in self.engines.items()
-                )
 
         self._advance_clock(duration)
-        first_row = len(samples)
-        self._emit_kv_samples(force=True)
-        self.processed_kv.extend(samples[first_row:])
+        for engine in self.engines.values():
+            self._touch(engine)
+        self._emit_kv_samples()
         return RunResult(self._build_report(), self.traces, self.audit)
+
+
+class EagerAdvanceReference(ss.Simulator):
+    """Reference clock that advances every engine at every processed event,
+    as the simulator did before engines were advanced only when touched:
+    each engine's decode progress and KV integral move in every
+    `_advance_clock`, and the pool utilization integrals count busy and
+    serving engines in the same sweep.
+
+    `kv_samples` then holds the former trace, a row per engine whose KV,
+    pool or resident prefix tokens changed, and after `run()`
+    `kv_at_events[(engine id, t)]` is every live engine's (pool, KV,
+    resident prefix tokens) after the last event at each time t, and at
+    the start and the end of the run.
+    """
+
+    def __init__(self, config: ss.SimConfig) -> None:
+        self.kv_at_events: dict[tuple[int, float], tuple[str, float, int]] = {}
+        self._last_kv_sample: dict[int, tuple] = {}
+        super().__init__(config)
+
+    def _advance_clock(self, to_time: float) -> None:
+        dt = to_time - self.clock
+        if dt <= 0.0:
+            self.clock = to_time
+            return
+        counts = {pid: [0, 0] for pid in self._llm_pool_ids}  # [busy, serving]
+        warmup = self.cfg.warmup
+        for eid, engine in self.engines.items():
+            count = counts[engine.serving_pool]
+            count[1] += 1
+            if engine.batch:
+                count[0] += 1
+            t0 = engine.last_advance
+            kv0 = engine.kv_used
+            engine.advance_decode(to_time)
+            start = max(warmup, t0)
+            if start < to_time:
+                kv1 = engine.kv_used
+                kv_start = kv0 + (kv1 - kv0) * (start - t0) / (to_time - t0)
+                self._kv_integral[eid] += 0.5 * (kv_start + kv1) * (to_time - start)
+        for pool in self.pools.values():
+            if pool.spec.kind == LLM:
+                busy, cap = counts[pool.pool_id]
+            else:
+                busy, cap = pool.busy_slots, pool.concurrency
+            pool.busy_integral += busy * dt
+            pool.capacity_integral += cap * dt
+        self.clock = to_time
+
+    def _emit_kv_samples(self) -> None:
+        self._touched.clear()
+        for eid, engine in self.engines.items():
+            current = (engine.serving_pool, engine.kv_used, engine.resident_tokens)
+            self.kv_at_events[(eid, self.clock)] = current
+            if self._last_kv_sample.get(eid) != current:
+                self._last_kv_sample[eid] = current
+                self.traces.kv_samples.append(
+                    KvSample(self.clock, current[0], eid, current[1], engine.kv_slope(), current[2])
+                )

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 import stagesim as ss
-from helpers import RetainingSimulator, engine_params, expected_fixer_invocations, nl2sql_vw, sim_config
+from helpers import (
+    RetainingSimulator,
+    engine_params,
+    expected_fixer_invocations,
+    nl2sql_vw,
+    segment_end_kv,
+    sim_config,
+)
 from stagesim.cli import main
 from stagesim.dists import Distribution
 from stagesim.reporting import replay_dispatch_audit, write_run_outputs
@@ -343,5 +350,6 @@ def test_ac5_conservation_and_capacity_on_all_runs():
                 eid: eng.params.kv_capacity_tokens
                 for eid, eng in sim.all_engines.items()
             }
-            for sample in result.traces.kv_samples:
+            for sample, kv_end in segment_end_kv(result.traces.kv_samples):
                 assert sample.kv_used <= caps[sample.engine_id] + 1e-6
+                assert kv_end <= caps[sample.engine_id] + 1e-6

@@ -252,6 +252,24 @@ def test_accounting_recompute_matches():
     assert eng.kv_reserved == eng.recomputed_kv_reserved(eng.resident_prefix_tokens())
 
 
+def test_kv_read_at_a_time_matches_advancing_to_it():
+    eng = engine(base_token_time=0.04, batch_slope=0.25)
+    start_decode(eng, call(rid=0, prompt=100, output=400), prefix=700)
+    start_decode(eng, call(rid=1, prompt=30, output=300))
+    eng.admit(call(rid=2, stage="fix", prompt=50, output=60), 300, 0.0)  # prefilling
+    eng.advance_decode(0.5)
+    t = 3.25
+    kv0, slope = eng.kv_used, eng.kv_slope()
+    read = eng.kv_used_at(t)
+    progress = eng.decode_progress(t)
+    assert (eng.kv_used, eng.last_advance) == (kv0, 0.5)  # reading moved nothing
+    eng.advance_decode(t)
+    assert read == pytest.approx(eng.kv_used, abs=1e-9)
+    assert kv0 + slope * (t - 0.5) == pytest.approx(eng.kv_used, abs=1e-9)
+    assert eng.batch[0].tokens_emitted == pytest.approx(progress + (0.5 / eng.params.token_time(2)), abs=1e-9)
+    assert eng.batch[2].tokens_emitted == 0.0
+
+
 # ----------------------------------------------------------------------
 # prefix eviction
 

@@ -4,7 +4,9 @@ A refactor that claims identical behaviour must keep these digests; a
 deliberate behaviour change updates them and says so.  Each run also pins
 its popped-event count, `_seq - len(_heap)` after the run: the benchmark's
 `events` denominator, which counts superseded completions although the loop
-skips them.
+skips them; and its `kv_usage.csv` row count, a row per engine an event
+touched, so that a trace grown back to a row per engine per event fails
+here.
 """
 
 import hashlib
@@ -52,22 +54,25 @@ QUOTED_WORKFLOW = {
     ],
 }
 
-# name -> (config overlay, sha256 over OUTPUT_FILES, popped events)
+# name -> (config overlay, sha256 over OUTPUT_FILES, popped events, kv_usage.csv rows)
 GOLDEN_RUNS = {
     "fcfs": (
         {"policy": {"kind": "fcfs"}},
-        "e23637630d491f3b15f2429709e0769f4dd958557d20168114b36d17990cbb7a",
+        "74053093356ea06987c7a446f89b7d88e948ac3edc95eaff16197ef26e713a68",
         535,
+        270,
     ),
     "las": (
         {"policy": {"kind": "las"}},
-        "0f1204f6561b54c4993c8c57aa841472a02585ceaf2535c24ecb1d08dfe3e5e8",
+        "258135c3d40f194733f5b28810c2eb48efb064d276f914caa3e2d401c1edcc62",
         533,
+        269,
     ),
     "slack": (
         {"policy": {"kind": "slack"}},
-        "13a9c1616386d62d8ef8962c1da3dff8e3256b980973cb80a9cb633bc763c63a",
+        "feb2e380265be18040d3a8746d4c1556148a15b8c3656b1c5bf3c4ed208dc176",
         535,
+        270,
     ),
     "shared_borrow_autoscale": (
         {
@@ -80,14 +85,16 @@ GOLDEN_RUNS = {
                 "autoscale": {"enabled": True, "max_engines": 4},
             },
         },
-        "5d24f293b7f50d0b512a9085cf30e6248b461824bdb1623f629a8310950d1c96",
+        "3fed945b1799109202ed306fffc5d1ee61255ba37635cdf1167fdd05af1e7fcc",
         608,
+        311,
     ),
     # the generator queue grows to about 110 calls: dispatch from long queues
     "overload": (
         {"arrivals": {"rate": 4.0}, "duration": 60.0},
-        "fd911fa5533d725e503e7be53179949e1bab824b20ca773d93a3cc646659a7d4",
+        "55ef57c31c9a751d32070eda423a11c9bc621679d2da5687b105a38af8feeb2a",
         1240,
+        581,
     ),
     # autoscaling adds and retires engines, borrowing lends them, and online
     # estimates rebuild the remaining-work table on every completion
@@ -103,8 +110,9 @@ GOLDEN_RUNS = {
             "arrivals": {"rate": 4.0},
             "duration": 60.0,
         },
-        "47b3c1b51366c5b3ce316ec0d20a65e5fea004194d1d33546947072373fb9845",
+        "d8432da6e3618d14b351a36343749a48938b3787975d6c108ad5edf7a815499f",
         2080,
+        1170,
     ),
     # queue-cap rejections both before the warmup and after it (12 and 49),
     # so the report's warmup-gated admitted and rejected counts are pinned
@@ -114,8 +122,9 @@ GOLDEN_RUNS = {
             "arrivals": {"rate": 4.0},
             "warmup": 10.0,
         },
-        "1b1b2c61357397bcd67e01bc4d442ef4a9068c1b1757728b6b19d15334ef5546",
+        "97917f6d997404d590421c650ef20bd61175aa8d0f9eae1a571c1e420eab6e41",
         585,
+        264,
     ),
     # stage ids with a comma, a quote and a space: the `pool:…` and stage
     # cells of kv_usage.csv and dispatch.csv must be quoted
@@ -124,8 +133,9 @@ GOLDEN_RUNS = {
             "workflow": {"inline": QUOTED_WORKFLOW},
             "topology": {"mode": "isolated", "llm_engines": {QUOTED_LLM: 2}, "tool_concurrency": 2},
         },
-        "ba27cd64a2dfca79d74fd5c6603490d4502833663afe07733b1c400c40bae350",
+        "1d35427f63d6af7b3026710588c00924ed43b10ec5773c7f0d23145812ce1365",
         413,
+        287,
     ),
 }
 
@@ -149,7 +159,7 @@ def output_digest(out_dir) -> str:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_output_bytes_are_pinned(tmp_path, monkeypatch, name):
-    _, expected, expected_popped = GOLDEN_RUNS[name]
+    _, expected, expected_popped, expected_kv_rows = GOLDEN_RUNS[name]
     popped = []
 
     class CountingSimulator(Simulator):
@@ -161,8 +171,9 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch, name):
     monkeypatch.setattr(stagesim.cli, "Simulator", CountingSimulator)
     out = tmp_path / "out"
     assert main(["run", str(golden_config(tmp_path, name)), "--seed", "5", "--out", str(out)]) == 0
-    assert output_digest(out) == expected
     assert popped == [expected_popped]
+    assert len((out / "kv_usage.csv").read_text().splitlines()) - 1 == expected_kv_rows
+    assert output_digest(out) == expected
 
 
 @pytest.mark.parametrize("hash_seed", ["1", "12345"])

@@ -88,8 +88,8 @@ def _placeable(sim: Simulator, pool, call) -> bool:
         return pool.busy_slots < pool.concurrency
     prefix = sim.vw.stage(call.stage_id).prefix_tokens
     engines = sim._serving_engines(pool.pool_id)
-    return route_call(call, prefix, engines) is not None or (
-        route_call_with_eviction(call, prefix, engines) is not None
+    return route_call(call, prefix, engines, sim.clock) is not None or (
+        route_call_with_eviction(call, prefix, engines, sim.clock) is not None
     )
 
 

@@ -46,8 +46,9 @@ def written(header: str, line, records) -> str:
 
 
 @SETTINGS
-@given(st.lists(st.builds(KvSample, FLOATS, TEXT, INTS, FLOATS, INTS), max_size=20))
+@given(st.lists(st.builds(KvSample, FLOATS, TEXT, INTS, FLOATS, FLOATS, INTS), max_size=20))
 def test_kv_usage_writer_matches_csv_writer(samples):
+    assert KV_HEADER == "time,pool,engine,kv_used_tokens,kv_tokens_per_s,resident_prefix_tokens\n"
     assert written(KV_HEADER, kv_line, samples) == reference_csv("kv_usage.csv", samples)
 
 

@@ -155,21 +155,21 @@ def _engine(eid, warm=False, kv=0, capacity=10000, max_batch=8):
 def test_route_prefers_warm_engine():
     cold = _engine(1)
     warm = _engine(2, warm=True)
-    chosen = route_call(PendingCall(0, "gen", 0.0, 10, 10), 0, [cold, warm])
+    chosen = route_call(PendingCall(0, "gen", 0.0, 10, 10), 0, [cold, warm], 0.0)
     assert chosen is warm
 
 
 def test_route_balances_by_kv_used():
     light = _engine(5, warm=True, kv=50)
     heavy = _engine(4, warm=True, kv=100)
-    chosen = route_call(PendingCall(0, "gen", 0.0, 10, 10), 0, [heavy, light])
+    chosen = route_call(PendingCall(0, "gen", 0.0, 10, 10), 0, [heavy, light], 0.0)
     assert chosen is light
 
 
 def test_route_tie_breaks_lowest_engine_id():
     a = _engine(2, warm=True)
     b = _engine(7, warm=True)
-    chosen = route_call(PendingCall(0, "gen", 0.0, 10, 10), 0, [b, a])
+    chosen = route_call(PendingCall(0, "gen", 0.0, 10, 10), 0, [b, a], 0.0)
     assert chosen is a
 
 
@@ -190,13 +190,28 @@ def test_idle_engines_tie_however_their_decode_was_segmented():
     segmented = decoded(5, [1 / 30, 2 / 30, 10.0])
     whole = decoded(7, [10.0])
     assert segmented.kv_used == whole.kv_used == 1000
-    chosen = route_call(PendingCall(1, "gen", 0.0, 10, 10), 1000, [whole, segmented])
+    chosen = route_call(PendingCall(1, "gen", 0.0, 10, 10), 1000, [whole, segmented], 0.0)
     assert chosen is segmented
+
+
+def test_route_orders_by_kv_at_the_routing_time():
+    # engine 3 decodes one call at 50 tokens/s from 900 KV tokens and is
+    # never advanced: it holds less KV than engine 4 until t = 2
+    decoding = _engine(3, warm=True, kv=800)
+    inflight = PendingCall(0, "gen", 0.0, 100, 1000)
+    decoding.admit(inflight, 0, 0.0)
+    decoding.prefill_finished(inflight)
+    idle = _engine(4, warm=True, kv=1000)
+    new = PendingCall(1, "gen", 0.0, 10, 10)
+    assert route_call(new, 0, [idle, decoding], 1.0) is decoding
+    assert route_call(new, 0, [idle, decoding], 3.0) is idle
+    assert route_call_with_eviction(new, 0, [idle, decoding], 3.0) == (idle, [])
+    assert (decoding.kv_used, decoding.last_advance) == (900, 0.0)
 
 
 def test_route_none_admissible():
     full = _engine(1, capacity=10)
-    assert route_call(PendingCall(0, "gen", 0.0, 100, 100), 0, [full]) is None
+    assert route_call(PendingCall(0, "gen", 0.0, 100, 100), 0, [full], 0.0) is None
 
 
 def test_route_affinity_dominance_property():
@@ -206,7 +221,7 @@ def test_route_affinity_dominance_property():
         for eid in range(4):
             engines.append(_engine(eid, warm=rng.random() < 0.5, kv=rng.randrange(0, 200)))
         call = PendingCall(0, "gen", 0.0, 10, 10)
-        chosen = route_call(call, 0, engines)
+        chosen = route_call(call, 0, engines, 0.0)
         warm_admissible = [e for e in engines if "gen" in e.resident and e.can_admit(call, 0)]
         if warm_admissible:
             assert "gen" in chosen.resident
@@ -219,8 +234,8 @@ def test_route_with_eviction_frees_lru_prefixes():
         eng.admit(done, tokens, t)
         eng.complete_call(done)
     call = PendingCall(9, "gen", 0.0, 200, 200)
-    assert route_call(call, 0, [eng]) is None
-    placed, evictions = route_call_with_eviction(call, 0, [eng])
+    assert route_call(call, 0, [eng], 0.0) is None
+    placed, evictions = route_call_with_eviction(call, 0, [eng], 0.0)
     assert placed is eng
     assert evictions == ["b"]  # oldest last_used goes first
 
@@ -228,7 +243,7 @@ def test_route_with_eviction_frees_lru_prefixes():
 def test_route_with_eviction_respects_batch_bound():
     eng = EngineState(1, engine_params(max_batch=1), "p")
     eng.admit(PendingCall(0, "gen", 0.0, 1, 1), 0, 0.0)
-    assert route_call_with_eviction(PendingCall(1, "gen", 0.0, 1, 1), 0, [eng]) is None
+    assert route_call_with_eviction(PendingCall(1, "gen", 0.0, 1, 1), 0, [eng], 0.0) is None
 
 
 def test_route_with_eviction_gives_up_when_not_enough():
@@ -236,7 +251,7 @@ def test_route_with_eviction_gives_up_when_not_enough():
     done = PendingCall(0, "a", 0.0)
     eng.admit(done, 100, 0.0)
     eng.complete_call(done)
-    assert route_call_with_eviction(PendingCall(1, "gen", 0.0, 200, 200), 0, [eng]) is None
+    assert route_call_with_eviction(PendingCall(1, "gen", 0.0, 200, 200), 0, [eng], 0.0) is None
 
 
 # ----------------------------------------------------------------------

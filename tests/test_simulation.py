@@ -8,7 +8,7 @@ import pytest
 
 import stagesim as ss
 import stagesim.simulation as simulation
-from helpers import RetainingSimulator, engine_params, nl2sql_vw, sim_config
+from helpers import RetainingSimulator, engine_params, nl2sql_vw, segment_end_kv, sim_config
 from stagesim.dists import Distribution
 from stagesim.rng import RngStream
 from stagesim.scheduling import dispatch_key, holds_foreign_prefix
@@ -218,6 +218,8 @@ def test_kv_samples_respect_capacity():
     cap = 3200
     assert result.traces.kv_samples, "saturated run must produce samples"
     assert all(s.kv_used <= cap + 1e-6 for s in result.traces.kv_samples)
+    # KV peaks where a segment ends, not at its row
+    assert all(kv_end <= cap + 1e-6 for _, kv_end in segment_end_kv(result.traces.kv_samples))
 
 
 def test_warmup_requests_simulated_but_excluded():
@@ -396,10 +398,10 @@ def test_routing_fallback_early_out_agrees_with_the_fallback(monkeypatch, mode, 
     checked = {"skipped": 0, "fallbacks": 0}
     route_call = simulation.route_call
 
-    def checked_route(call, prefix_tokens, pool_engines):
-        placed = route_call(call, prefix_tokens, pool_engines)
+    def checked_route(call, prefix_tokens, pool_engines, now):
+        placed = route_call(call, prefix_tokens, pool_engines, now)
         if placed is None:
-            fallback = simulation.route_call_with_eviction(call, prefix_tokens, pool_engines)
+            fallback = simulation.route_call_with_eviction(call, prefix_tokens, pool_engines, now)
             if holds_foreign_prefix(call.stage_id, pool_engines):
                 checked["fallbacks"] += 1
             else:

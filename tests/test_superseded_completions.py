@@ -5,12 +5,11 @@ engine; the one scheduled before it is superseded (its epoch is old, or
 its engine retired).  `Simulator.run` drops such an event as soon as it is
 popped.  `SupersededCompletionsReference` processes it as the loop once
 did, and the differential test below requires both loops to make the same
-decisions: a skipped event only stops decode progress from being split at
-its time, which moves floats by a few ulps.
+decisions: a skipped event touches no engine, so it only stops the pools'
+utilization integrals from being split at its time, which moves floats by
+a few ulps.
 """
 
-import bisect
-import math
 import tempfile
 from pathlib import Path
 
@@ -39,19 +38,16 @@ def assert_dispatches_match(got, want):
                 assert gk == pytest.approx(wk, abs=TOL)
 
 
-def assert_kv_rows_taken_at_processed_events(got, reference):
-    """Every row of `got` equals, to TOL, a reference row of the same
-    engine, pool and resident prefix tokens taken at a processed event."""
-    by_engine: dict[tuple, list[tuple[float, float]]] = {}
-    for r in reference:
-        by_engine.setdefault((r.engine_id, r.pool, r.resident_prefix_tokens), []).append((r.time, r.kv_used))
-    for rows in by_engine.values():
-        rows.sort()
-    for s in got:
-        rows = by_engine.get((s.engine_id, s.pool, s.resident_prefix_tokens), [])
-        lo = bisect.bisect_left(rows, (s.time - TOL, -math.inf))
-        hi = bisect.bisect_right(rows, (s.time + TOL, math.inf))
-        assert any(abs(kv - s.kv_used) <= TOL for _, kv in rows[lo:hi]), s
+def assert_kv_rows_taken_at_processed_events(got, want, processed_times, duration):
+    """The two segment traces match row for row, to TOL, and every row was
+    written at the start of the run, at a processed event or at its end:
+    a superseded completion touches no engine, so it starts no segment."""
+    assert len(got) == len(want)
+    allowed = {0.0, duration, *processed_times}
+    for g, w in zip(got, want):
+        assert (g.engine_id, g.pool, g.resident_prefix_tokens) == (w.engine_id, w.pool, w.resident_prefix_tokens)
+        assert (g.time, g.kv_used, g.kv_slope) == pytest.approx((w.time, w.kv_used, w.kv_slope), abs=TOL), g
+        assert g.time in allowed, g
 
 
 def requests_csv(result) -> bytes:
@@ -92,9 +88,9 @@ def test_skipping_superseded_completions_keeps_every_decision(
     assert sim._seq - len(sim._heap) == reference._seq - len(reference._heap)
     assert requests_csv(got) == requests_csv(want)
     assert_dispatches_match(got.traces.dispatches, want.traces.dispatches)
-    assert_kv_rows_taken_at_processed_events(got.traces.kv_samples, reference.processed_kv)
-    # the reference also samples at superseded completions
-    assert len(got.traces.kv_samples) < len(want.traces.kv_samples)
+    assert_kv_rows_taken_at_processed_events(
+        got.traces.kv_samples, want.traces.kv_samples, reference.processed_times, duration
+    )
 
 
 class ClockRecorder:
@@ -126,6 +122,7 @@ def run_with_superseded_completions(cls):
     call = PendingCall(0, stage, 0.0, 100, 1000)
     engine.admit(call, sim.vw.stage(stage).prefix_tokens, 0.0)
     engine.prefill_finished(call)
+    sim.pools[engine.serving_pool].busy_engines += 1  # as Simulator._place counts it
     sim._reschedule_completion(engine)  # 20 s of decode: after the end
     sim._schedule(1.0, EVENT_CALL_COMPLETE, engine_id=0, request_id=0, epoch=engine.decode_epoch - 1)
     sim._schedule(1.5, EVENT_CALL_COMPLETE, engine_id=99, request_id=0, epoch=0)
@@ -136,13 +133,16 @@ def run_with_superseded_completions(cls):
 def test_superseded_completion_leaves_clock_integrals_and_kv_trace_untouched():
     sim = run_with_superseded_completions(Skipping)
     # the clock goes straight from 0 to the end, with the integrals as
-    # they were at 0 until then, and the KV trace has only the end rows
+    # they were at 0 until then, and the KV trace has only the first and
+    # the closing rows
     assert [(clock, to) for clock, to, _ in sim.advances] == [(0.0, 2.0)]
     assert sim.advances[0][2] == [(0.0, 0.0)] * len(sim.pools)
-    assert {s.time for s in sim.traces.kv_samples} == {2.0}
+    assert {s.time for s in sim.traces.kv_samples} == {0.0, 2.0}
     assert sim._seq - len(sim._heap) == 2  # both were still popped
 
+    # processed, they move the clock but touch no engine: the KV trace is
+    # the same
     processing = run_with_superseded_completions(Processing)
     assert [to for _, to, _ in processing.advances] == [1.0, 1.5, 2.0]
-    assert 1.0 in {s.time for s in processing.traces.kv_samples}
+    assert processing.traces.kv_samples == sim.traces.kv_samples
     assert processing.superseded == 2
