@@ -218,13 +218,9 @@ def try_borrow(
     return None
 
 
-def should_return_borrowed(
-    cfg: BorrowConfig, batch_empty: bool, home_util: float, borrower_util: float
-) -> bool:
-    """A lent engine goes home once its batch drains and either its home
-    pool is starved or the borrower has cooled off."""
-    if not batch_empty:
-        return False
+def should_return_borrowed(cfg: BorrowConfig, home_util: float, borrower_util: float) -> bool:
+    """Whether a lent engine whose batch has drained goes home: once either
+    its home pool is starved or the borrower has cooled off."""
     return home_util > cfg.util_high or borrower_util < cfg.util_low
 
 

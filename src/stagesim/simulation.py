@@ -138,9 +138,6 @@ class SimConfig:
         stray = sorted(set(pooled) - set(stage_ids))
         if stray:
             raise ConfigError(f"pools serve stages {stray} not in the workflow")
-        for pool in self.topology.pools:
-            if pool.kind != LLM and pool.concurrency < 1:  # its calls would never dispatch
-                raise ConfigError(f"tool pool '{pool.pool_id}' needs concurrency >= 1")
         estimates = self.policy.service_estimates  # None: the Simulator derives them
         if estimates is not None:
             missing = [sid for sid in stage_ids if sid not in estimates]
@@ -152,16 +149,18 @@ class SimConfig:
             for sid, value in estimates.items():
                 if not (math.isfinite(value) and value >= 0.0):
                     raise ConfigError(f"'policy.service_estimates.{sid}' must be finite and >= 0")
-        self._check_kv_fits()
-
-    def _check_kv_fits(self) -> None:
-        # A call is admitted only whole, so a stage whose worst-case call
-        # outgrows every engine that could serve it would block its queue
-        # forever.  Borrowing lends engines between single-stage LLM pools.
-        llm_pools = [p for p in self.topology.pools if p.kind == LLM]
-        lenders = [p for p in llm_pools if len(p.stage_ids) == 1] if self.policy.borrow.enabled else []
-        for pool in llm_pools:
-            capacity = max(p.engine_params.kv_capacity_tokens for p in (pool, *lenders))
+        # A pool without a server never serves its queue.  A call is
+        # admitted only whole, so a stage whose worst-case call outgrows its
+        # own pool's engines blocks its queue forever too: that pool never
+        # gets busy, so it never borrows an engine.
+        for pool in self.topology.pools:
+            if pool.kind != LLM:
+                if pool.concurrency < 1:
+                    raise ConfigError(f"tool pool '{pool.pool_id}' needs concurrency >= 1")
+                continue
+            if pool.n_engines < 1 or pool.engine_params is None:
+                raise ConfigError(f"LLM pool '{pool.pool_id}' needs n_engines >= 1 and engine_params")
+            capacity = pool.engine_params.kv_capacity_tokens
             for sid in pool.stage_ids:
                 stage = self.workflow.stage(sid)
                 worst = (
@@ -171,8 +170,8 @@ class SimConfig:
                 )
                 if worst > capacity:
                     raise ConfigError(
-                        f"stage '{sid}' needs up to {worst} KV tokens, but no engine "
-                        f"that could serve it holds more than {capacity}"
+                        f"stage '{sid}' needs up to {worst} KV tokens, but the engines "
+                        f"of pool '{pool.pool_id}' hold {capacity}"
                     )
 
 
@@ -311,7 +310,7 @@ class RequestSim:
 
 
 class PoolRuntime:
-    """Mutable per-pool simulation state: queue, slots, and window stats."""
+    """Mutable per-pool simulation state: queue, servers, and window stats."""
 
     def __init__(self, spec) -> None:
         self.spec = spec
@@ -324,11 +323,11 @@ class PoolRuntime:
         # set when something a blocked dispatch depends on may have changed;
         # a blocked pool is skipped until then
         self.dirty = False
-        self.concurrency = spec.concurrency
-        self.busy_slots = 0
-        # LLM pools: engines serving the pool, and those of them with a batch
-        self.serving_engines = 0
-        self.busy_engines = 0
+        # the pool's servers, and those of them in use: tool slots and the
+        # slots with a call, or the engines serving an LLM pool (each added
+        # by Simulator._add_engine) and those of them with a batch
+        self.capacity = 0 if spec.kind == LLM else spec.concurrency
+        self.busy = 0
         # utilization window (shared by the borrower and the autoscaler)
         self.busy_integral = 0.0
         self.capacity_integral = 0.0
@@ -357,7 +356,7 @@ class PoolRuntime:
     def tool_slots_full(self) -> bool:
         """A tool pool with every slot busy: none of its queued calls can
         start until a tool completion or a scale-out frees a slot."""
-        return self.spec.kind != LLM and self.busy_slots >= self.concurrency
+        return self.spec.kind != LLM and self.busy >= self.capacity
 
     def violation_fraction(self) -> float:
         if self.window_dispatches == 0:
@@ -441,7 +440,7 @@ class Simulator:
         self.engines[engine.engine_id] = engine
         self._kv_integral[engine.engine_id] = 0.0
         self._next_engine_id += 1
-        self.pools[pool_id].serving_engines += 1
+        self.pools[pool_id].capacity += 1
         self._touched[engine.engine_id] = engine  # its first KV row
         return engine
 
@@ -490,12 +489,8 @@ class Simulator:
             self.clock = to_time
             return
         for pool in self.pools.values():
-            if pool.spec.kind == LLM:
-                busy, cap = pool.busy_engines, pool.serving_engines
-            else:
-                busy, cap = pool.busy_slots, pool.concurrency
-            pool.busy_integral += busy * dt
-            pool.capacity_integral += cap * dt
+            pool.busy_integral += pool.busy * dt
+            pool.capacity_integral += pool.capacity * dt
         self.clock = to_time
 
     def _touch(self, engine: EngineState) -> None:
@@ -535,14 +530,14 @@ class Simulator:
         touched.clear()
 
     def _check_invariants(self) -> None:
-        """Check every engine and the pools' engine counters.  An engine is
+        """Check every engine and the pools' server counters.  An engine is
         read at the clock through its segment, never advanced: its counters
         are recounted at the segment start, where they were last brought
         forward, and its KV and each decode call's tokens are checked at
         the clock, where they have grown by `decode_progress`."""
         now = self.clock
         only_stage = self._only_stage
-        # [busy engines, serving engines] per LLM pool, recounted
+        # [busy, capacity] per LLM pool, recounted from its engines
         counts = {pid: [0, 0] for pid in self._llm_pool_ids}
         for eid, e in self.engines.items():
             count = counts[e.serving_pool]
@@ -596,12 +591,13 @@ class Simulator:
                 raise InternalInvariantViolation(
                     f"engine {eid}: n_decode {e.n_decode} != recounted {n_decode}"
                 )
-        for pid, (busy, serving) in counts.items():
-            pool = self.pools[pid]
-            if pool.busy_engines != busy or pool.serving_engines != serving:
+        for pool in self.pools.values():
+            # a tool pool's slots have nothing to recount them from
+            busy, capacity = counts.get(pool.pool_id, (pool.busy, pool.capacity))
+            if not (pool.busy == busy and pool.capacity == capacity and 0 <= busy <= capacity):
                 raise InternalInvariantViolation(
-                    f"pool {pid}: busy/serving engines {pool.busy_engines}/"
-                    f"{pool.serving_engines} != recounted {busy}/{serving}"
+                    f"pool {pool.pool_id}: busy/capacity {pool.busy}/{pool.capacity}, "
+                    f"recounted {busy}/{capacity}"
                 )
 
     # ------------------------------------------------------------------
@@ -661,7 +657,7 @@ class Simulator:
         pool = self.pools[engine.serving_pool]
         pool.dirty = True
         if not engine.batch:
-            pool.busy_engines -= 1
+            pool.busy -= 1
         self._reschedule_completion(engine)
         if engine.lent_to is not None and not engine.batch:
             self._maybe_return(engine)
@@ -671,7 +667,7 @@ class Simulator:
         req = self.requests[ev.request_id]
         sid = req.current_stage
         pool = self.pools[self.stage_pool[sid]]
-        pool.busy_slots -= 1
+        pool.busy -= 1
         pool.dirty = True
         self._finish_stage(req, sid)
 
@@ -823,7 +819,7 @@ class Simulator:
         if pool.spec.kind != LLM:
             if pool.tool_slots_full():
                 return None
-            pool.busy_slots += 1
+            pool.busy += 1
             stream = self._stream(self.requests[call.request_id], f"tool:{call.stage_id}")
             service = self.vw.stage(call.stage_id).service_time.sample(stream.uniform())
             self._schedule(now + service, EVENT_TOOL_COMPLETE, request_id=call.request_id)
@@ -841,7 +837,7 @@ class Simulator:
             placed, evictions = with_evict
         self._touch(placed)
         if not placed.batch:
-            pool.busy_engines += 1
+            pool.busy += 1
         for evict_sid in evictions:
             placed.evict_idle_prefix(evict_sid)
         prefill_done = placed.admit(call, prefix_tokens, now)
@@ -859,11 +855,10 @@ class Simulator:
     # borrowing and autoscaling
 
     def _maybe_return(self, engine: EngineState) -> None:
+        """Send a lent engine whose batch has drained home, if it is due."""
         home = self.pools[engine.home_pool]
         borrower = self.pools[engine.lent_to]
-        if should_return_borrowed(
-            self.policy.borrow, not engine.batch, home.utilization(), borrower.utilization()
-        ):
+        if should_return_borrowed(self.policy.borrow, home.utilization(), borrower.utilization()):
             self.audit.returns.append((self.clock, engine.engine_id, engine.lent_to))
             self._set_serving_pool(engine, engine.home_pool)
             home.dirty = borrower.dirty = True
@@ -871,8 +866,8 @@ class Simulator:
     def _set_serving_pool(self, engine: EngineState, pool_id: str) -> None:
         """Lend an idle engine to `pool_id`, or return it home."""
         self._touch(engine)
-        self.pools[engine.serving_pool].serving_engines -= 1
-        self.pools[pool_id].serving_engines += 1
+        self.pools[engine.serving_pool].capacity -= 1
+        self.pools[pool_id].capacity += 1
         engine.serving_pool = pool_id
 
     def _borrow_views(self) -> list[BorrowPoolView]:
@@ -922,9 +917,25 @@ class Simulator:
     def _handle_autoscale_tick(self, ev: Event) -> None:
         cfg = self.policy.autoscale
         for pool in self.pools.values():
-            decision = self._pool_scale_decision(pool, cfg)
+            if pool.spec.kind == LLM:
+                home = self._home_engines(pool.pool_id)
+                idle = [e for e in home if e.lent_to is None and not e.batch]
+                n, any_idle = len(home), bool(idle)
+            else:
+                n, any_idle = pool.capacity, pool.busy < pool.capacity
+            decision = autoscale_tick(
+                cfg, self.clock, n, pool.violation_fraction(), any_idle, pool.last_scale_time
+            )
             if decision:
-                self._apply_scale(pool, decision)
+                if pool.spec.kind != LLM:
+                    pool.capacity += decision
+                elif decision > 0:
+                    self._add_engine(pool.pool_id, pool.spec.engine_params)  # cold start
+                else:  # the highest id, since self.engines is in id order
+                    victim = idle[-1]
+                    self._touch(victim)  # closes its KV trace and integral
+                    del self.engines[victim.engine_id]
+                    pool.capacity -= 1
                 pool.dirty = True
                 pool.last_scale_time = self.clock
                 self.audit.scale_events.append((self.clock, pool.pool_id, decision))
@@ -932,35 +943,6 @@ class Simulator:
         t_next = ev.time + cfg.check_interval
         if t_next <= self.cfg.duration:
             self._schedule(t_next, EVENT_AUTOSCALE_TICK)
-
-    def _pool_scale_decision(self, pool: PoolRuntime, cfg: AutoscaleConfig) -> int:
-        if pool.spec.kind == LLM:
-            home = self._home_engines(pool.pool_id)
-            n = len(home)
-            idle = any(e.lent_to is None and not e.batch for e in home)
-        else:
-            n = pool.concurrency
-            idle = pool.busy_slots < pool.concurrency
-        return autoscale_tick(
-            cfg, self.clock, n, pool.violation_fraction(), idle, pool.last_scale_time
-        )
-
-    def _apply_scale(self, pool: PoolRuntime, decision: int) -> None:
-        if pool.spec.kind == LLM:
-            if decision > 0:
-                self._add_engine(pool.pool_id, pool.spec.engine_params)  # cold start
-            else:
-                idle = [
-                    e
-                    for e in self._home_engines(pool.pool_id)
-                    if e.lent_to is None and not e.batch
-                ]
-                victim = max(idle, key=lambda e: e.engine_id)
-                self._touch(victim)  # closes its KV trace and integral
-                del self.engines[victim.engine_id]
-                pool.serving_engines -= 1
-        else:
-            pool.concurrency += decision
 
     # ------------------------------------------------------------------
     # run loop

@@ -400,7 +400,7 @@ class EagerAdvanceReference(ss.Simulator):
             if pool.spec.kind == LLM:
                 busy, cap = counts[pool.pool_id]
             else:
-                busy, cap = pool.busy_slots, pool.concurrency
+                busy, cap = pool.busy, pool.capacity
             pool.busy_integral += busy * dt
             pool.capacity_integral += cap * dt
         self.clock = to_time

@@ -85,7 +85,7 @@ def test_time_invariant_heap_selection_matches_full_sort(keys):
 
 def _placeable(sim: Simulator, pool, call) -> bool:
     if pool.spec.kind != LLM:
-        return pool.busy_slots < pool.concurrency
+        return pool.busy < pool.capacity
     prefix = sim.vw.stage(call.stage_id).prefix_tokens
     engines = sim._serving_engines(pool.pool_id)
     return route_call(call, prefix, engines, sim.clock) is not None or (
@@ -139,7 +139,9 @@ class CheckedSimulator(Simulator):
             rids = {call.request_id for call in queued}
             assert len(rids) == len(queued), f"{pool.pool_id} holds a request twice"
             assert all(self.stage_pool[call.stage_id] == pool.pool_id for call in queued)
-            held += len(queued) + pool.busy_slots
+            held += len(queued)
+            if pool.spec.kind != LLM:  # an LLM pool's busy counts engines, not calls
+                held += pool.busy
         held += sum(len(engine.batch) for engine in self.engines.values())
         live = len(self.requests)
         assert held == live, f"{held} stage calls held for {live} live requests at {self.clock}"

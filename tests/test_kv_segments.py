@@ -134,3 +134,29 @@ def test_every_engine_trace_starts_at_its_creation_and_is_closed():
                 prev.resident_prefix_tokens,
             )
             assert not (same and row.kv_used == pytest.approx(continued, abs=TOL)), row
+
+
+# seeds on which the run below retires an engine
+@pytest.mark.parametrize("seed", [3, 4, 8, 9, 11])
+def test_kv_used_mean_is_the_integral_of_the_segment_trace(seed):
+    # each engine's mean is the trapezoid integral of its kv_usage.csv
+    # segments, clipped at warmup, over the window: retired engines too
+    policy = ss.PolicyConfig(autoscale=ss.AutoscaleConfig(enabled=True, check_interval=1.0, max_engines=4))
+    config = sim_config(policy=policy, engines=(1, 1), rate=3.0, duration=40.0, warmup=2.0, seed=seed)
+    sim = ss.Simulator(config)
+    result = sim.run()
+    segments = kv_segments(result.traces.kv_samples)
+    assert set(segments) - set(sim.engines), "the run must retire an engine"
+    want = {}
+    for eid, rows in segments.items():
+        integral = 0.0
+        for row, end in zip(rows, [row.time for row in rows[1:]]):
+            start = max(row.time, config.warmup)
+            if start < end:
+                kv_start = row.kv_used + row.kv_slope * (start - row.time)
+                kv_end = row.kv_used + row.kv_slope * (end - row.time)
+                integral += 0.5 * (kv_start + kv_end) * (end - start)
+        want[str(eid)] = integral / (config.duration - config.warmup)
+    assert result.report.kv_used_mean.keys() == want.keys()
+    for eid, mean in want.items():
+        assert result.report.kv_used_mean[eid] == pytest.approx(mean, rel=1e-9, abs=1e-12), eid

@@ -334,19 +334,15 @@ def test_borrow_config_invariants():
 
 
 def test_return_when_home_saturates():
-    assert should_return_borrowed(BORROW, batch_empty=True, home_util=0.9, borrower_util=0.5)
+    assert should_return_borrowed(BORROW, home_util=0.9, borrower_util=0.5)
 
 
 def test_stays_lent_while_borrower_hot():
-    assert not should_return_borrowed(BORROW, batch_empty=True, home_util=0.0, borrower_util=0.5)
-
-
-def test_no_return_mid_batch():
-    assert not should_return_borrowed(BORROW, batch_empty=False, home_util=0.9, borrower_util=0.0)
+    assert not should_return_borrowed(BORROW, home_util=0.0, borrower_util=0.5)
 
 
 def test_return_when_borrower_cools():
-    assert should_return_borrowed(BORROW, batch_empty=True, home_util=0.0, borrower_util=0.1)
+    assert should_return_borrowed(BORROW, home_util=0.0, borrower_util=0.1)
 
 
 # ----------------------------------------------------------------------

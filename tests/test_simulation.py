@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import re
 import weakref
 from collections import Counter
 
@@ -372,6 +373,19 @@ def test_serving_pool_follows_every_borrow_and_return():
     assert {decision for _, _, decision in audit.scale_events} == {-1, 1}
 
 
+def test_invariant_check_catches_pool_counters_out_of_bounds():
+    # an LLM pool's counters are recounted from its engines; a tool pool's
+    # busy slots must lie within its slots
+    sim = Simulator(sim_config())
+    for pool in sim.pools.values():
+        for busy in (-1, pool.capacity + 1):
+            pool.busy = busy
+            with pytest.raises(ss.InternalInvariantViolation, match=f"pool {pool.pool_id}: busy/capacity"):
+                sim._check_invariants()
+        pool.busy = 0
+        sim._check_invariants()
+
+
 def test_only_unfinished_requests_keep_rng_streams():
     sim = Simulator(sim_config(policy=ELASTIC_POLICY, rate=4.0, duration=40.0, seed=2))
     result = sim.run()
@@ -452,15 +466,22 @@ def test_every_stage_needs_exactly_one_pool():
 
 
 def test_tool_pool_without_slots_rejected():
-    # a hand-built tool pool gets 0 slots by default; its calls would never dispatch
+    # a pool without a server never serves its calls: a hand-built tool
+    # pool gets 0 slots by default, and an LLM pool 0 engines and no
+    # engine params
     cfg = sim_config()
-    pools = tuple(
-        p if p.kind == LLM else PoolSpec(pool_id=p.pool_id, kind=p.kind, stage_ids=p.stage_ids)
-        for p in cfg.topology.pools
-    )
-    bad = dataclasses.replace(cfg, topology=Topology(mode=cfg.topology.mode, pools=pools))
-    with pytest.raises(ss.ConfigError, match=f"tool pool 'pool:{EXECUTOR}' needs concurrency >= 1"):
-        bad.validate()
+    tool, fixer = (next(p for p in cfg.topology.pools if sid in p.stage_ids) for sid in (EXECUTOR, FIXER))
+    bare_tool = PoolSpec(pool_id=tool.pool_id, kind=tool.kind, stage_ids=tool.stage_ids)
+    llm_rule = f"LLM pool '{fixer.pool_id}' needs n_engines >= 1 and engine_params"
+    for bare, message in (
+        (bare_tool, f"tool pool '{tool.pool_id}' needs concurrency >= 1"),
+        (dataclasses.replace(fixer, n_engines=0), llm_rule),
+        (dataclasses.replace(fixer, engine_params=None), llm_rule),
+    ):
+        pools = tuple(bare if p.pool_id == bare.pool_id else p for p in cfg.topology.pools)
+        bad = dataclasses.replace(cfg, topology=Topology(mode=cfg.topology.mode, pools=pools))
+        with pytest.raises(ss.ConfigError, match=re.escape(message)):
+            bad.validate()
 
 
 def test_kv_budget_that_can_never_fit_a_call_rejected():
@@ -470,13 +491,14 @@ def test_kv_budget_that_can_never_fit_a_call_rejected():
         sim_config(params=engine_params(kv_capacity_tokens=1449)).validate()
     with pytest.raises(ss.ConfigError):
         sim_config(mode="shared", params=engine_params(kv_capacity_tokens=1449)).validate()
-    # a generator pool too small for its own calls can still be served by
-    # an engine borrowed from the fixer pool, but only with borrowing on
+    # a generator pool too small for its own calls, even with borrowing on:
+    # its head call fits none of its engines, so the pool never gets busy
+    # enough to borrow one from the fixer pool
     small_generator = {GENERATOR: engine_params(kv_capacity_tokens=1200)}
-    with pytest.raises(ss.ConfigError, match="sql_generator"):
-        sim_config(overrides=small_generator).validate()
     borrow = ss.PolicyConfig(borrow=ss.BorrowConfig(enabled=True))
-    sim_config(overrides=small_generator, policy=borrow).validate()
+    for policy in (ss.PolicyConfig(), borrow):
+        with pytest.raises(ss.ConfigError, match="sql_generator"):
+            sim_config(overrides=small_generator, policy=policy).validate()
 
 
 def test_stage_history_recorded_in_order():

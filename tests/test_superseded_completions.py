@@ -122,7 +122,7 @@ def run_with_superseded_completions(cls):
     call = PendingCall(0, stage, 0.0, 100, 1000)
     engine.admit(call, sim.vw.stage(stage).prefix_tokens, 0.0)
     engine.prefill_finished(call)
-    sim.pools[engine.serving_pool].busy_engines += 1  # as Simulator._place counts it
+    sim.pools[engine.serving_pool].busy += 1  # as Simulator._place counts it
     sim._reschedule_completion(engine)  # 20 s of decode: after the end
     sim._schedule(1.0, EVENT_CALL_COMPLETE, engine_id=0, request_id=0, epoch=engine.decode_epoch - 1)
     sim._schedule(1.5, EVENT_CALL_COMPLETE, engine_id=99, request_id=0, epoch=0)
