@@ -17,7 +17,6 @@ import types
 import typing
 from pathlib import Path
 
-from .dists import Distribution
 from .engines import EngineParams
 from .errors import ConfigError
 from .simulation import PolicyConfig, SimConfig
@@ -78,8 +77,8 @@ def _typed(value, tp, path: str):
 
     Booleans are only JSON true/false, and a JSON integer is accepted
     where a float is declared.  Every number must convert to a finite
-    float.  A `tuple[X, ...]` is read from a list, and distributions and
-    nested dataclasses from their mappings.
+    float.  A `tuple[X, ...]` is read from a list, and a dataclass (a
+    distribution among them) from its mapping.
     """
     origin = typing.get_origin(tp)
     if origin in (typing.Union, types.UnionType):  # X | None
@@ -93,8 +92,6 @@ def _typed(value, tp, path: str):
     if origin is tuple:
         item_tp = typing.get_args(tp)[0]
         return tuple(_typed(v, item_tp, f"{path}[{i}]") for i, v in enumerate(_typed(value, list, path)))
-    if tp is Distribution:
-        return _call(path, Distribution.from_spec, value)
     if dataclasses.is_dataclass(tp):
         return _build(tp, value, path)
     if isinstance(value, bool) != (tp is bool) or not isinstance(value, (int, float) if tp is float else tp):

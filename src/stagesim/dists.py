@@ -8,14 +8,15 @@ consumers do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class DistributionError(ValueError):
     """Malformed distribution parameters."""
 
 
-_SPEC_FIELDS = {
+# The parameters each kind takes: a distribution sets these and no others.
+_PARAMS = {
     "constant": ("value",),
     "uniform": ("low", "high"),
     "geometric": ("p", "cap"),
@@ -29,22 +30,29 @@ class Distribution:
 
     uniform covers [low, high] (integer sampling: low..high inclusive);
     geometric counts trials to first success (probability p), capped at cap;
-    empirical picks uniformly from a fixed list of values.
+    empirical picks uniformly from a fixed list of values.  The parameters
+    of other kinds stay None.
     """
 
     kind: str
-    value: float = 0.0
-    low: float = 0.0
-    high: float = 0.0
-    p: float = 0.5
-    cap: int = 1
-    values: tuple[float, ...] = ()
+    value: float | None = None
+    low: float | None = None
+    high: float | None = None
+    p: float | None = None
+    cap: int | None = None
+    values: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.value, self.low, self.high, self.p, self.cap, *self.values))):
+        params = _PARAMS.get(self.kind)
+        if params is None:
+            raise DistributionError(f"unknown distribution kind '{self.kind}'")
+        for f in fields(self)[1:]:  # the parameters, after kind
+            if (getattr(self, f.name) is None) == (f.name in params):
+                rule = "needs" if f.name in params else "takes no"
+                raise DistributionError(f"a {self.kind} distribution {rule} '{f.name}'")
+        numbers = self.values if self.kind == "empirical" else [getattr(self, k) for k in params]
+        if not all(map(math.isfinite, numbers)):
             raise DistributionError("distribution parameters must be finite")
-        if self.kind == "constant":
-            return
         if self.kind == "uniform":
             if self.low > self.high:
                 raise DistributionError("uniform needs low <= high")
@@ -56,8 +64,6 @@ class Distribution:
         elif self.kind == "empirical":
             if not self.values:
                 raise DistributionError("empirical needs at least one value")
-        else:
-            raise DistributionError(f"unknown distribution kind '{self.kind}'")
 
     @staticmethod
     def constant(value: float) -> "Distribution":
@@ -74,35 +80,6 @@ class Distribution:
     @staticmethod
     def empirical(values) -> "Distribution":
         return Distribution("empirical", values=tuple(float(v) for v in values))
-
-    @classmethod
-    def from_spec(cls, spec) -> "Distribution":
-        """Build from a config mapping like {"kind": "uniform", "low": 1, "high": 3}."""
-        if not isinstance(spec, dict) or "kind" not in spec:
-            raise DistributionError("distribution spec must be a mapping with a 'kind'")
-        kind = spec["kind"]
-        if kind not in _SPEC_FIELDS:
-            raise DistributionError(f"unknown distribution kind '{kind}'")
-        extra = set(spec) - {"kind", *_SPEC_FIELDS[kind]}
-        if extra:
-            raise DistributionError(f"unexpected distribution keys {sorted(extra)}")
-        missing = [k for k in _SPEC_FIELDS[kind] if k not in spec]
-        if missing:
-            raise DistributionError(f"distribution '{kind}' missing {missing}")
-        if kind == "constant":
-            return cls.constant(spec["value"])
-        if kind == "uniform":
-            return cls.uniform(spec["low"], spec["high"])
-        if kind == "geometric":
-            return cls.geometric(spec["p"], spec["cap"])
-        return cls.empirical(spec["values"])
-
-    def to_spec(self) -> dict:
-        out = {"kind": self.kind}
-        for key in _SPEC_FIELDS[self.kind]:
-            val = getattr(self, key)
-            out[key] = list(val) if key == "values" else val
-        return out
 
     def sample(self, u: float) -> float:
         """Map one uniform u in (0, 1] to a sample."""

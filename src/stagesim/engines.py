@@ -23,16 +23,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InternalInvariantViolation
+
 
 PREFILL = "prefill"
 DECODE = "decode"
 
 
-class AdmitWithoutCapacity(RuntimeError):
+class AdmitWithoutCapacity(InternalInvariantViolation):
     """admit() was called although can_admit() is false (programming error)."""
 
 
-class PrefixInUse(RuntimeError):
+class PrefixInUse(InternalInvariantViolation):
     """Attempted to evict a stage prefix while its calls are in flight."""
 
 

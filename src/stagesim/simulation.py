@@ -379,7 +379,6 @@ class Simulator:
 
         self.pools: dict[str, PoolRuntime] = {}
         self._llm_pool_ids: list[str] = []
-        self._only_stage: dict[str, str | None] = {}  # None: a multi-stage pool
         self.stage_pool: dict[str, str] = {}
         # _add_engine hands out ids in increasing order and engines are only
         # ever deleted, so iterating self.engines visits them in id order.
@@ -392,7 +391,6 @@ class Simulator:
         for spec in config.topology.pools:
             pool = PoolRuntime(spec)
             self.pools[spec.pool_id] = pool
-            self._only_stage[spec.pool_id] = spec.stage_ids[0] if len(spec.stage_ids) == 1 else None
             for sid in spec.stage_ids:
                 self.stage_pool[sid] = spec.pool_id
             if spec.kind == LLM:
@@ -536,7 +534,7 @@ class Simulator:
         forward, and its KV and each decode call's tokens are checked at
         the clock, where they have grown by `decode_progress`."""
         now = self.clock
-        only_stage = self._only_stage
+        stage_pool = self.stage_pool
         # [busy, capacity] per LLM pool, recounted from its engines
         counts = {pid: [0, 0] for pid in self._llm_pool_ids}
         for eid, e in self.engines.items():
@@ -571,7 +569,6 @@ class Simulator:
                 )
             if len(e.batch) > e.params.max_batch:
                 raise InternalInvariantViolation(f"engine {eid}: batch over max_batch")
-            allowed = only_stage[e.serving_pool]
             n_decode = 0
             for call in e.batch:
                 if call.phase == DECODE:
@@ -582,10 +579,10 @@ class Simulator:
                             f"engine {eid}: request {call.request_id} decoded past its "
                             f"{call.target_output_tokens} tokens"
                         )
-                if allowed is not None and call.stage_id != allowed:
+                if stage_pool[call.stage_id] != e.serving_pool:
                     raise InternalInvariantViolation(
                         f"engine {eid}: call of stage '{call.stage_id}' in "
-                        f"single-stage pool '{e.serving_pool}'"
+                        f"pool '{e.serving_pool}'"
                     )
             if e.n_decode != n_decode:
                 raise InternalInvariantViolation(
@@ -607,9 +604,7 @@ class Simulator:
         rid = self._next_rid
         self._next_rid += 1
         gap = sample_interarrival(self._arrivals, self.cfg.arrival_rate)
-        t_next = ev.time + gap
-        if t_next <= self.cfg.duration:
-            self._schedule(t_next, EVENT_ARRIVAL)
+        self._schedule(ev.time + gap, EVENT_ARRIVAL)
 
         counted = ev.time >= self.cfg.warmup
         queue_lengths = [len(p.heap) for p in self.pools.values()]
@@ -910,9 +905,7 @@ class Simulator:
         if not self.policy.autoscale.enabled:
             for pool in self.pools.values():
                 pool.reset_window()
-        t_next = ev.time + self.policy.autoscale.check_interval
-        if t_next <= self.cfg.duration:
-            self._schedule(t_next, EVENT_BORROW_CHECK)
+        self._schedule(ev.time + self.policy.autoscale.check_interval, EVENT_BORROW_CHECK)
 
     def _handle_autoscale_tick(self, ev: Event) -> None:
         cfg = self.policy.autoscale
@@ -940,26 +933,24 @@ class Simulator:
                 pool.last_scale_time = self.clock
                 self.audit.scale_events.append((self.clock, pool.pool_id, decision))
             pool.reset_window()
-        t_next = ev.time + cfg.check_interval
-        if t_next <= self.cfg.duration:
-            self._schedule(t_next, EVENT_AUTOSCALE_TICK)
+        self._schedule(ev.time + cfg.check_interval, EVENT_AUTOSCALE_TICK)
 
     # ------------------------------------------------------------------
     # run loop
 
     def run(self) -> RunResult:
         duration = self.cfg.duration
-        first = sample_interarrival(self._arrivals, self.cfg.arrival_rate)
-        if first <= duration:
-            self._schedule(first, EVENT_ARRIVAL)
+        self._schedule(sample_interarrival(self._arrivals, self.cfg.arrival_rate), EVENT_ARRIVAL)
         interval = self.policy.autoscale.check_interval
-        if self.policy.autoscale.enabled and interval <= duration:
+        if self.policy.autoscale.enabled:
             self._schedule(interval, EVENT_AUTOSCALE_TICK)
-        if self.policy.borrow.enabled and interval <= duration:
+        if self.policy.borrow.enabled:
             self._schedule(interval, EVENT_BORROW_CHECK)
 
         self._emit_kv_samples()  # each engine's first row, at time 0
         engines = self.engines
+        # the one place the horizon applies: events past it are scheduled
+        # like any other, but never popped
         while self._heap and self._heap[0][0] <= duration:
             ev = heapq.heappop(self._heap)
             if ev.kind == EVENT_CALL_COMPLETE:

@@ -194,6 +194,16 @@ def inline_tree(edit):
     return tree
 
 
+def with_nl2sql_params(**params) -> dict:
+    return {"workflow": {"preset": "nl2sql", "params": params}}
+
+
+def nl2sql_param(name: str, value, key: str = "") -> tuple[dict, str]:
+    """A run config whose nl2sql param `name` is `value`, and the path of
+    `key` under it, which its error must name."""
+    return run_config_tree(**with_nl2sql_params(**{name: value})), f"workflow.params.{name}{key}"
+
+
 @pytest.mark.parametrize(
     "tree, path",
     [
@@ -225,6 +235,16 @@ def inline_tree(edit):
             inline_tree(lambda wf: wf["stages"][0]["outcomes"][0].update(prob="p")),
             "workflow.inline.stages[0].outcomes[0].prob",
         ),
+        nl2sql_param("output_tokens", {"kind": "constant", "value": "200"}, ".value"),
+        nl2sql_param("prompt_tokens", {"kind": "uniform", "low": True, "high": 300}, ".low"),
+        nl2sql_param("executor_service_time", {"kind": "empirical", "values": "123"}, ".values"),
+        nl2sql_param("executor_service_time", {"kind": "empirical", "values": {"0.2": 1}}, ".values"),
+        nl2sql_param("output_tokens", {"kind": "geometric", "p": 0.5, "cap": 99.9}, ".cap"),
+        nl2sql_param("output_tokens", {"kind": "geometric", "p": 0.5, "cap": "99"}, ".cap"),
+        nl2sql_param("prompt_tokens", {"kind": "uniform", "low": 100, "high": 300, "p": 0.5}),
+        nl2sql_param("prompt_tokens", {"kind": "uniform", "low": 100}),
+        nl2sql_param("prompt_tokens", {"low": 100, "high": 300}),
+        nl2sql_param("prompt_tokens", "uniform"),
     ],
     ids=[
         "rate",
@@ -246,6 +266,16 @@ def inline_tree(edit):
         "stages",
         "stage_id",
         "outcome_prob",
+        "dist_value_string",
+        "dist_low_bool",
+        "dist_values_string",
+        "dist_values_mapping",
+        "dist_cap_fraction",
+        "dist_cap_string",
+        "dist_parameter_of_another_kind",
+        "dist_missing_parameter",
+        "dist_without_kind",
+        "dist_not_mapping",
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -267,10 +297,6 @@ def config_text(raw: str, **tree) -> str:
     """A run config's JSON text with the number literal `raw` wherever
     `tree` holds "RAW"."""
     return json.dumps(run_config_tree(**tree)).replace('"RAW"', raw)
-
-
-def with_nl2sql_params(**params) -> dict:
-    return {"workflow": {"preset": "nl2sql", "params": params}}
 
 
 def with_engine_params(**params) -> dict:
@@ -303,23 +329,23 @@ NON_FINITE = {
     "slo_inf": (config_text("Infinity", **with_nl2sql_params(slo_seconds="RAW")), "workflow.params.slo_seconds"),
     "token_high_1e999": (
         config_text("1e999", **with_nl2sql_params(prompt_tokens={"kind": "uniform", "low": 1, "high": "RAW"})),
-        "workflow.params.prompt_tokens",
+        "workflow.params.prompt_tokens.high",
     ),
     "token_high_big_int": (
         config_text(BIG, **with_nl2sql_params(prompt_tokens={"kind": "uniform", "low": 1, "high": "RAW"})),
-        "workflow.params.prompt_tokens",
+        "workflow.params.prompt_tokens.high",
     ),
     "geometric_cap_1e999": (
         config_text("1e999", **with_nl2sql_params(output_tokens={"kind": "geometric", "p": 0.5, "cap": "RAW"})),
-        "workflow.params.output_tokens",
+        "workflow.params.output_tokens.cap",
     ),
     "tool_time_cap_big_int": (
         config_text(BIG, **with_nl2sql_params(executor_service_time={"kind": "geometric", "p": 0.5, "cap": "RAW"})),
-        "workflow.params.executor_service_time",
+        "workflow.params.executor_service_time.cap",
     ),
     "tool_time_nan": (
         config_text("NaN", **with_nl2sql_params(executor_service_time={"kind": "empirical", "values": [0.5, "RAW"]})),
-        "workflow.params.executor_service_time",
+        "workflow.params.executor_service_time.values[1]",
     ),
 }
 
@@ -437,6 +463,19 @@ def test_run_invariant_violation_exits_3(tmp_path, monkeypatch, capsys):
     path = write_config(tmp_path, run_config_tree())
     assert main(["run", path, "--out", str(tmp_path / "o")]) == 3
     assert "InternalInvariantViolation" in capsys.readouterr().err
+
+
+def test_run_admission_past_capacity_exits_3(tmp_path, monkeypatch, capsys):
+    # routing to a full engine is a programming error, not a config error
+    import stagesim.simulation as simulation
+
+    def first_engine(call, prefix_tokens, engines, now):
+        return engines[0]
+
+    monkeypatch.setattr(simulation, "route_call", first_engine)
+    tree = run_config_tree(topology={"preset": "nl2sql-isolated", "engine_params": {"max_batch": 1}})
+    assert main(["run", write_config(tmp_path, tree), "--out", str(tmp_path / "o")]) == 3
+    assert "cannot admit request" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,10 @@ import random
 
 import pytest
 
+from helpers import run_config_tree
+from stagesim.config import build_sim_config
 from stagesim.dists import Distribution, DistributionError
+from stagesim.workloads import GENERATOR
 
 
 def test_constant():
@@ -71,29 +74,32 @@ def test_empirical():
     assert d.sample(1.0) == 4.0  # top of the unit interval maps to the last value
 
 
-def test_from_spec_round_trip():
-    for d in (
-        Distribution.constant(2.5),
-        Distribution.uniform(1, 9),
-        Distribution.geometric(0.4, 7),
-        Distribution.empirical([1, 2]),
+def test_config_mapping_builds_each_kind():
+    # a distribution's config keys are its field names, built like any
+    # other dataclass's
+    for mapping, want in (
+        ({"kind": "constant", "value": 2.5}, Distribution.constant(2.5)),
+        ({"kind": "uniform", "low": 1, "high": 9}, Distribution.uniform(1, 9)),
+        ({"kind": "geometric", "p": 0.4, "cap": 7}, Distribution.geometric(0.4, 7)),
+        ({"kind": "empirical", "values": [1, 2]}, Distribution.empirical([1, 2])),
     ):
-        assert Distribution.from_spec(d.to_spec()) == d
+        tree = run_config_tree(workflow={"preset": "nl2sql", "params": {"output_tokens": mapping}})
+        assert build_sim_config(tree).workflow.stage(GENERATOR).output_tokens == want
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "build",
     [
-        {"kind": "nope"},
-        {"kind": "uniform", "low": 1},
-        {"kind": "uniform", "low": 1, "high": 2, "p": 0.5},
-        {"low": 1, "high": 2},
-        "uniform",
+        lambda: Distribution("nope"),
+        lambda: Distribution("uniform", low=1.0),
+        lambda: Distribution("uniform", low=1.0, high=2.0, p=0.5),
+        lambda: Distribution("constant"),
     ],
+    ids=["unknown_kind", "missing_parameter", "parameter_of_another_kind", "no_parameter"],
 )
-def test_from_spec_rejects_malformed(spec):
+def test_constructor_takes_exactly_the_kinds_parameters(build):
     with pytest.raises(DistributionError):
-        Distribution.from_spec(spec)
+        build()
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ import stagesim as ss
 import stagesim.simulation as simulation
 from helpers import RetainingSimulator, engine_params, nl2sql_vw, segment_end_kv, sim_config
 from stagesim.dists import Distribution
+from stagesim.engines import PendingCall
 from stagesim.rng import RngStream
 from stagesim.scheduling import dispatch_key, holds_foreign_prefix
 from stagesim.simulation import (
@@ -383,6 +384,17 @@ def test_invariant_check_catches_pool_counters_out_of_bounds():
             with pytest.raises(ss.InternalInvariantViolation, match=f"pool {pool.pool_id}: busy/capacity"):
                 sim._check_invariants()
         pool.busy = 0
+        sim._check_invariants()
+
+
+
+def test_invariant_check_catches_a_call_of_a_stage_the_pool_does_not_serve():
+    # the stage rule holds on a shared (multi-stage) pool too
+    sim = Simulator(sim_config(mode="shared"))
+    engine = sim.engines[0]
+    engine.admit(PendingCall(0, EXECUTOR, 0.0, 100, 50), 0, 0.0)
+    sim.pools[engine.serving_pool].busy += 1  # as Simulator._place counts it
+    with pytest.raises(ss.InternalInvariantViolation, match=f"call of stage '{EXECUTOR}'"):
         sim._check_invariants()
 
 

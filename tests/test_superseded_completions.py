@@ -118,7 +118,7 @@ def run_with_superseded_completions(cls):
     sim = cls(sim_config(rate=1e-9, duration=2.0, warmup=0.0))
     sim.advances = []
     engine = sim.engines[0]
-    stage = sim._only_stage[engine.serving_pool]
+    (stage,) = sim.pools[engine.serving_pool].spec.stage_ids
     call = PendingCall(0, stage, 0.0, 100, 1000)
     engine.admit(call, sim.vw.stage(stage).prefix_tokens, 0.0)
     engine.prefill_finished(call)

@@ -407,10 +407,8 @@ def test_compiled_plan_matches_memo_recursion_exactly(name, values):
 
 
 def to_config(value):
-    """`value` as config JSON, field by field: dataclasses as mappings keyed
-    by their field names, distributions by their spec, tuples as lists."""
-    if isinstance(value, Distribution):
-        return value.to_spec()
+    """`value` as config JSON, field by field: dataclasses (distributions
+    among them) as mappings keyed by their field names, tuples as lists."""
     if dataclasses.is_dataclass(value):
         return {f.name: to_config(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, tuple):
