@@ -50,7 +50,7 @@ _WORKFLOW_FIELDS = {"preset": str, "params": dict, "inline": dict}
 
 TOPOLOGY_PRESETS = {
     "nl2sql-isolated": {"mode": "isolated", "llm_engines": {GENERATOR: 1, FIXER: 1}},
-    "nl2sql-shared": {"mode": "shared", "llm_engines_total": 2},
+    "nl2sql-shared": {"mode": "shared", "llm_engines": {GENERATOR: 1, FIXER: 1}},
 }
 
 _TYPE_NAMES = {

@@ -56,7 +56,8 @@ class AdmissionConfig:
     max_queue_len: int = 100
 
     def __post_init__(self) -> None:
-        if self.enabled and self.max_queue_len < 1:
+        # written so that NaN fails each check
+        if self.enabled and not self.max_queue_len >= 1:
             raise ValueError("max_queue_len must be >= 1 when admission is enabled")
 
 
@@ -68,9 +69,10 @@ class BorrowConfig:
     min_free_kv_tokens: int = 0
 
     def __post_init__(self) -> None:
+        # written so that NaN fails each check
         if not 0.0 <= self.util_low < self.util_high <= 1.0:
             raise ValueError("borrow thresholds need 0 <= util_low < util_high <= 1")
-        if self.min_free_kv_tokens < 0:
+        if not self.min_free_kv_tokens >= 0:
             raise ValueError("min_free_kv_tokens must be >= 0")
 
 
@@ -86,13 +88,16 @@ class AutoscaleConfig:
     max_engines: int = 8
 
     def __post_init__(self) -> None:
-        if self.check_interval <= 0:
-            raise ValueError("check_interval must be positive")
+        # written so that NaN fails each check
+        if not 0 < self.check_interval < math.inf:
+            raise ValueError("check_interval must be positive and finite")
+        if not self.queue_delay_slo >= 0:
+            raise ValueError("queue_delay_slo must be >= 0")
         if not self.scale_in_threshold < self.scale_out_threshold:
             raise ValueError("scale_in_threshold must be below scale_out_threshold")
         if not 1 <= self.min_engines <= self.max_engines:
             raise ValueError("need 1 <= min_engines <= max_engines")
-        if self.cooldown < 0:
+        if not self.cooldown >= 0:
             raise ValueError("cooldown must be >= 0")
 
 
@@ -115,31 +120,30 @@ def select_next(heap):
     return heap[0][1], heap[0][0], None if second is None else second[0]
 
 
+def _route_order(stage_id: str, now: float):
+    """The routing order as a sort key over engines: engines warm with
+    `stage_id`'s prefix first, then least KV used at `now`, then lowest
+    engine id."""
+    return lambda e: (stage_id not in e.resident, e.kv_used_at(now), e.engine_id)
+
+
 def route_call(
     call: PendingCall, prefix_tokens: int, engines: list[EngineState], now: float
 ) -> EngineState | None:
-    """Pick an engine for the call: prefix-warm engines first, then least
-    KV used at `now`, then lowest engine id.  None when no engine can
-    admit."""
+    """The first engine in routing order that can admit the call, or None."""
     admissible = [e for e in engines if e.can_admit(call, prefix_tokens)]
     if not admissible:
         return None
-    return min(
-        admissible,
-        key=lambda e: (call.stage_id not in e.resident, e.kv_used_at(now), e.engine_id),
-    )
+    return min(admissible, key=_route_order(call.stage_id, now))
 
 
 def route_call_with_eviction(
     call: PendingCall, prefix_tokens: int, engines: list[EngineState], now: float
 ) -> tuple[EngineState, list[str]] | None:
     """Routing fallback: find an engine that could admit after evicting idle
-    prefixes (least recently used first).  Returns the engine and the stage
-    prefixes to evict, or None."""
-    ordered = sorted(
-        engines, key=lambda e: (call.stage_id not in e.resident, e.kv_used_at(now), e.engine_id)
-    )
-    for engine in ordered:
+    prefixes (least recently used first), trying engines in routing order.
+    Returns the engine and the stage prefixes to evict, or None."""
+    for engine in sorted(engines, key=_route_order(call.stage_id, now)):
         if len(engine.batch) >= engine.params.max_batch:
             continue
         needed = engine.kv_demand(call, prefix_tokens) - engine.free_kv()

@@ -166,7 +166,7 @@ def _check_stage_shapes(spec: WorkflowSpec) -> dict[str, StageSpec]:
         if not st.outcomes:
             raise InvalidStage(f"stage '{st.stage_id}' has no outcomes")
         if st.kind == LLM:
-            if st.prefix_tokens < 0:
+            if not st.prefix_tokens >= 0:  # NaN fails too
                 raise InvalidStage(f"LLM stage '{st.stage_id}' has negative prefix")
             if st.service_time is not None:
                 raise InvalidStage(f"LLM stage '{st.stage_id}' must not carry a service-time distribution")
@@ -183,10 +183,10 @@ def _check_stage_shapes(spec: WorkflowSpec) -> dict[str, StageSpec]:
         else:
             raise InvalidStage(f"stage '{st.stage_id}' has unknown kind '{st.kind}'")
         for out in st.outcomes:
-            if out.prob < 0.0:
+            if not out.prob >= 0.0:  # NaN fails too
                 raise ProbabilityMassError(f"stage '{st.stage_id}' outcome '{out.label}' has negative probability")
         mass = sum(o.prob for o in st.outcomes)
-        if abs(mass - 1.0) > _MASS_TOL:
+        if not abs(mass - 1.0) <= _MASS_TOL:
             raise ProbabilityMassError(f"stage '{st.stage_id}' outcome probabilities sum to {mass!r}, not 1.0")
         labels = [o.label for o in st.outcomes]
         if len(set(labels)) != len(labels):

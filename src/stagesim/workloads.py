@@ -139,7 +139,6 @@ class PoolSpec:
 
 @dataclass(frozen=True)
 class Topology:
-    mode: str  # "isolated" | "shared"
     pools: tuple[PoolSpec, ...]
 
     def llm_engine_total(self) -> int:
@@ -151,9 +150,12 @@ class Topology:
 
 @dataclass(frozen=True)
 class TopologyPreset:
+    """`llm_engines` is the engine count each LLM stage brings.  In
+    "isolated" mode each LLM stage keeps its engines in its own pool; in
+    "shared" mode one pool serves every LLM stage with their sum."""
+
     mode: str
-    llm_engines: dict[str, int] = field(default_factory=dict)  # isolated
-    llm_engines_total: int = 0  # shared
+    llm_engines: dict[str, int] = field(default_factory=dict)
     engine_params: EngineParams = DEFAULT_ENGINE_PARAMS
     engine_overrides: dict[str, EngineParams] = field(default_factory=dict)
     tool_concurrency: int = DEFAULT_TOOL_CONCURRENCY
@@ -166,55 +168,37 @@ class TopologyPreset:
 
 
 def build_topology(preset: TopologyPreset, vw: ValidatedWorkflow) -> Topology:
-    """Lay out pools: one per LLM stage in isolated mode, one LLM pool in
-    shared mode.  Tool pools are identical in both modes."""
-    llm_stages = [s for s in vw.spec.stages if s.kind == LLM]
-    tool_stages = [s for s in vw.spec.stages if s.kind == TOOL]
-    pools: list[PoolSpec] = []
-
-    if preset.mode == "isolated":
-        unknown = sorted(set(preset.engine_overrides) - {s.stage_id for s in llm_stages})
+    """Lay out pools: one per LLM stage in isolated mode, one for all LLM
+    stages in shared mode, then one per tool stage in both modes."""
+    llm_ids = tuple(s.stage_id for s in vw.spec.stages if s.kind == LLM)
+    for what, keys in (("engine count", preset.llm_engines), ("engine override", preset.engine_overrides)):
+        unknown = sorted(set(keys) - set(llm_ids))
         if unknown:
-            raise ConfigError(f"engine override for '{unknown[0]}', which is not an LLM stage")
-        for st in llm_stages:
-            n = preset.llm_engines.get(st.stage_id, 0)
-            if n < 1:
-                raise ConfigError(f"isolated pool for stage '{st.stage_id}' needs >= 1 engine")
-            params = preset.engine_overrides.get(st.stage_id, preset.engine_params)
-            pools.append(
-                PoolSpec(
-                    pool_id=f"pool:{st.stage_id}",
-                    kind=LLM,
-                    stage_ids=(st.stage_id,),
-                    n_engines=n,
-                    engine_params=params,
-                )
-            )
-    else:
-        if preset.llm_engines_total < 1:
-            raise ConfigError("shared topology needs >= 1 engine")
-        if preset.engine_overrides:
-            raise ConfigError("per-stage engine overrides require isolated mode")
-        pools.append(
-            PoolSpec(
-                pool_id="pool:llm",
-                kind=LLM,
-                stage_ids=tuple(s.stage_id for s in llm_stages),
-                n_engines=preset.llm_engines_total,
-                engine_params=preset.engine_params,
-            )
-        )
+            raise ConfigError(f"{what} for '{unknown[0]}', which is not an LLM stage")
+    negative = sorted(sid for sid, n in preset.llm_engines.items() if n < 0)
+    if negative:
+        raise ConfigError(f"engine count for '{negative[0]}' must be >= 0")
+    if preset.mode == "shared" and preset.engine_overrides:
+        raise ConfigError("per-stage engine overrides require isolated mode")
 
-    for st in tool_stages:
+    groups = [(LLM, "llm", llm_ids)] if preset.mode == "shared" else [(LLM, sid, (sid,)) for sid in llm_ids]
+    groups += [(TOOL, s.stage_id, (s.stage_id,)) for s in vw.spec.stages if s.kind == TOOL]
+    pools: list[PoolSpec] = []
+    for kind, name, stage_ids in groups:
+        n_engines = sum(preset.llm_engines.get(sid, 0) for sid in stage_ids)
+        if kind == LLM and n_engines < 1:
+            raise ConfigError(f"pool 'pool:{name}' needs >= 1 engine")
         pools.append(
             PoolSpec(
-                pool_id=f"pool:{st.stage_id}",
-                kind=TOOL,
-                stage_ids=(st.stage_id,),
-                concurrency=preset.tool_concurrency,
+                pool_id=f"pool:{name}",
+                kind=kind,
+                stage_ids=stage_ids,
+                n_engines=n_engines,
+                engine_params=preset.engine_overrides.get(name, preset.engine_params) if kind == LLM else None,
+                concurrency=preset.tool_concurrency if kind == TOOL else 0,
             )
         )
-    return Topology(mode=preset.mode, pools=tuple(pools))
+    return Topology(pools=tuple(pools))
 
 
 def derive_service_estimates(vw: ValidatedWorkflow, topology: Topology) -> dict[str, float]:

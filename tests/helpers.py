@@ -43,22 +43,13 @@ def engine_params(**kw) -> EngineParams:
 
 
 def topology(vw, mode: str = "isolated", engines=(1, 1), params=None, overrides=None, tool_concurrency: int = 4):
-    params = params or engine_params()
-    if mode == "isolated":
-        preset = TopologyPreset(
-            mode=mode,
-            llm_engines={GENERATOR: engines[0], FIXER: engines[1]},
-            engine_params=params,
-            engine_overrides=overrides or {},
-            tool_concurrency=tool_concurrency,
-        )
-    else:
-        preset = TopologyPreset(
-            mode=mode,
-            llm_engines_total=sum(engines),
-            engine_params=params,
-            tool_concurrency=tool_concurrency,
-        )
+    preset = TopologyPreset(
+        mode=mode,
+        llm_engines={GENERATOR: engines[0], FIXER: engines[1]},
+        engine_params=params or engine_params(),
+        engine_overrides=overrides or {},
+        tool_concurrency=tool_concurrency,
+    )
     return build_topology(preset, vw)
 
 

@@ -9,9 +9,16 @@ from stagesim.cli import main, parse_seeds
 from stagesim.config import build_compare_cells, build_sim_config, load_config_file
 from stagesim.errors import ConfigError
 from stagesim.simulation import SCALAR_METRICS
+from stagesim.workflow import LLM
 from stagesim.workloads import EXECUTOR, FIXER, GENERATOR
 
 ESTIMATES = {GENERATOR: 1.0, EXECUTOR: 0.5, FIXER: 1.0}
+TWO_ENGINES = {GENERATOR: 1, FIXER: 1}
+ISOLATED_LLM_POOLS = [f"pool:{GENERATOR}", f"pool:{FIXER}"]
+
+
+def llm_pool_ids(config) -> list[str]:
+    return [p.pool_id for p in config.topology.pools if p.kind == LLM]
 
 
 def write_config(tmp_path, tree, name="config.json"):
@@ -70,7 +77,7 @@ def test_build_sim_config_roundtrip():
     config = build_sim_config(run_config_tree())
     assert config.seed == 7
     assert config.duration == 20.0
-    assert config.topology.mode == "isolated"
+    assert llm_pool_ids(config) == ISOLATED_LLM_POOLS
 
 
 def test_unknown_keys_rejected():
@@ -114,7 +121,7 @@ def test_readme_config_example_parses():
     section = readme.split("\n## Config files\n", 1)[1]
     example = re.search(r"```json\n(.*?)\n```", section, re.DOTALL).group(1)
     config = build_sim_config(json.loads(example))
-    assert config.topology.mode == "isolated"
+    assert llm_pool_ids(config) == ISOLATED_LLM_POOLS
     assert config.seed == 42
 
 
@@ -129,7 +136,17 @@ def test_compare_cells_merge():
     cells = build_compare_cells(compare_tree())
     assert [name for name, _ in cells] == ["isolated", "shared"]
     shared_cfg = build_sim_config(cells[1][1])
-    assert shared_cfg.topology.mode == "shared"
+    assert llm_pool_ids(shared_cfg) == ["pool:llm"]
+
+
+def test_shared_pool_sums_the_stage_engine_counts():
+    engines = {GENERATOR: 2, FIXER: 3}
+    config = build_sim_config(run_config_tree(topology={"mode": "shared", "llm_engines": engines}))
+    (llm_pool,) = (p for p in config.topology.pools if p.kind == LLM)
+    assert llm_pool.n_engines == sum(engines.values())
+    # the two presets differ only in mode
+    flipped = build_sim_config(run_config_tree(topology={"preset": "nl2sql-isolated", "mode": "shared"}))
+    assert flipped.topology == build_sim_config(run_config_tree(topology={"preset": "nl2sql-shared"})).topology
 
 
 def test_compare_needs_two_cells():
@@ -225,6 +242,22 @@ def nl2sql_param(name: str, value, key: str = "") -> tuple[dict, str]:
             f"policy.service_estimates.{FIXER}",
         ),
         (run_config_tree(topology={"preset": "nl2sql-isolated", "tool_concurrency": 0}), "topology"),
+        (
+            run_config_tree(topology={"preset": "nl2sql-isolated", "llm_engines": TWO_ENGINES | {"sql_fixr": 5}}),
+            "topology",
+        ),
+        (
+            run_config_tree(topology={"preset": "nl2sql-isolated", "llm_engines": TWO_ENGINES | {EXECUTOR: 3}}),
+            "topology",
+        ),
+        (
+            run_config_tree(topology={"preset": "nl2sql-isolated", "llm_engines_total": 7}),
+            "topology.llm_engines_total",
+        ),
+        (
+            run_config_tree(topology={"mode": "shared", "llm_engines": TWO_ENGINES, "llm_engines_total": 2}),
+            "topology.llm_engines_total",
+        ),
         (run_config_tree(warmup=-1.0), "config.warmup"),
         (run_config_tree(arrivals={"rate": 0.0}), "arrivals.rate"),
         (run_config_tree(policy={"kind": "edf"}), "policy.kind"),
@@ -259,6 +292,10 @@ def nl2sql_param(name: str, value, key: str = "") -> tuple[dict, str]:
         "service_estimates_unknown_stage",
         "service_estimate_negative",
         "tool_concurrency",
+        "llm_engines_typo",
+        "llm_engines_tool_stage",
+        "llm_engines_total_isolated",
+        "llm_engines_total_shared",
         "warmup_negative",
         "rate_zero",
         "policy_kind",
@@ -506,7 +543,7 @@ def test_compare_single_seed_min_equals_max(tmp_path):
 def unequal_engine_totals_tree():
     tree = compare_tree()
     tree["cells"][1]["overrides"] = {
-        "topology": {"preset": "nl2sql-shared", "llm_engines_total": 3}
+        "topology": {"preset": "nl2sql-shared", "llm_engines": {GENERATOR: 2, FIXER: 1}}
     }
     return tree
 

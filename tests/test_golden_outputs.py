@@ -76,7 +76,7 @@ GOLDEN_RUNS = {
     ),
     "shared_borrow_autoscale": (
         {
-            "topology": {"preset": "nl2sql-shared", "llm_engines_total": 3},
+            "topology": {"preset": "nl2sql-shared", "llm_engines": {"sql_generator": 2, "sql_fixer": 1}},
             "policy": {
                 "kind": "slack",
                 "use_selectivity": True,

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 
 import pytest
@@ -22,7 +24,8 @@ from stagesim.scheduling import (
     try_borrow,
 )
 from stagesim.simulation import RequestSim, Simulator
-from stagesim.workloads import EXECUTOR, FIXER, GENERATOR
+from stagesim.workflow import Outcome, WorkflowSpec, validate_workflow
+from stagesim.workloads import EXECUTOR, FIXER, GENERATOR, Nl2SqlParams, build_nl2sql
 
 EST = {GENERATOR: 2.0, EXECUTOR: 1.0, FIXER: 1.0}
 
@@ -395,6 +398,45 @@ def test_autoscale_config_invariants():
         AutoscaleConfig(min_engines=3, max_engines=2)
     with pytest.raises(ValueError):
         AutoscaleConfig(check_interval=0.0)
+
+
+def nl2sql_with_generator_outcome_prob(prob: float) -> WorkflowSpec:
+    spec = build_nl2sql()
+    generator = dataclasses.replace(spec.stages[0], outcomes=(Outcome("generated", prob, EXECUTOR),))
+    return dataclasses.replace(spec, stages=(generator, *spec.stages[1:]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: AutoscaleConfig(check_interval=math.nan),
+        lambda: AutoscaleConfig(check_interval=math.inf),
+        lambda: AutoscaleConfig(cooldown=math.nan),
+        lambda: AutoscaleConfig(queue_delay_slo=math.nan),
+        lambda: AutoscaleConfig(queue_delay_slo=-1.0),
+        lambda: BorrowConfig(min_free_kv_tokens=math.nan),
+        lambda: AdmissionConfig(enabled=True, max_queue_len=math.nan),
+        lambda: validate_workflow(nl2sql_with_generator_outcome_prob(math.nan)),
+        lambda: validate_workflow(build_nl2sql(Nl2SqlParams(generator_prefix_tokens=math.nan))),
+    ],
+    ids=[
+        "check_interval_nan",
+        "check_interval_inf",
+        "cooldown_nan",
+        "queue_delay_slo_nan",
+        "queue_delay_slo_negative",
+        "min_free_kv_tokens_nan",
+        "max_queue_len_nan",
+        "outcome_prob_nan",
+        "prefix_tokens_nan",
+    ],
+)
+def test_library_checks_reject_nan(build):
+    # library callers skip the config reader's finite-number check; a NaN
+    # here once ran to a report of zeros (a check_interval of NaN stopped
+    # the run after one event, a NaN cap rejected every arrival)
+    with pytest.raises(ValueError):
+        build()
 
 
 # ----------------------------------------------------------------------

@@ -491,7 +491,7 @@ def test_tool_pool_without_slots_rejected():
         (dataclasses.replace(fixer, engine_params=None), llm_rule),
     ):
         pools = tuple(bare if p.pool_id == bare.pool_id else p for p in cfg.topology.pools)
-        bad = dataclasses.replace(cfg, topology=Topology(mode=cfg.topology.mode, pools=pools))
+        bad = dataclasses.replace(cfg, topology=Topology(pools=pools))
         with pytest.raises(ss.ConfigError, match=re.escape(message)):
             bad.validate()
 

@@ -419,9 +419,10 @@ def to_config(value):
 @pytest.mark.parametrize("name", sorted(PLAN_WORKFLOWS))
 def test_inline_workflow_keys_are_field_names(name):
     spec = PLAN_WORKFLOWS[name]().spec
+    llm_stage = next(s.stage_id for s in spec.stages if s.kind == LLM)
     tree = {
         "workflow": {"inline": json.loads(json.dumps(to_config(spec)))},
-        "topology": {"mode": "shared", "llm_engines_total": 1},
+        "topology": {"mode": "shared", "llm_engines": {llm_stage: 1}},
         "arrivals": {"rate": 1.0},
         "duration": 10.0,
     }

@@ -93,9 +93,10 @@ def test_isolated_topology_layout():
 
 def test_shared_topology_layout():
     vw = nl2sql_vw()
-    topo = build_topology(TopologyPreset(mode="shared", llm_engines_total=2), vw)
+    topo = build_topology(TopologyPreset(mode="shared", llm_engines={GENERATOR: 1, FIXER: 1}), vw)
     llm_pools = [p for p in topo.pools if p.kind == LLM]
     assert len(llm_pools) == 1
+    assert llm_pools[0].pool_id == "pool:llm"
     assert set(llm_pools[0].stage_ids) == {GENERATOR, FIXER}
     assert llm_pools[0].n_engines == 2
 
@@ -105,7 +106,9 @@ def test_zero_engine_pool_rejected():
     with pytest.raises(ConfigError):
         build_topology(TopologyPreset(mode="isolated", llm_engines={GENERATOR: 1}), vw)
     with pytest.raises(ConfigError):
-        build_topology(TopologyPreset(mode="shared", llm_engines_total=0), vw)
+        build_topology(TopologyPreset(mode="shared", llm_engines={GENERATOR: 0, FIXER: 0}), vw)
+    with pytest.raises(ConfigError):  # a negative count cannot be made up by another stage's
+        build_topology(TopologyPreset(mode="shared", llm_engines={GENERATOR: -1, FIXER: 3}), vw)
 
 
 def test_tool_pool_identical_across_modes():
@@ -113,7 +116,7 @@ def test_tool_pool_identical_across_modes():
     iso = build_topology(
         TopologyPreset(mode="isolated", llm_engines={GENERATOR: 1, FIXER: 1}), vw
     )
-    shared = build_topology(TopologyPreset(mode="shared", llm_engines_total=2), vw)
+    shared = build_topology(TopologyPreset(mode="shared", llm_engines={GENERATOR: 1, FIXER: 1}), vw)
     tool_iso = next(p for p in iso.pools if p.kind == TOOL)
     tool_shared = next(p for p in shared.pools if p.kind == TOOL)
     assert tool_iso == tool_shared
@@ -134,7 +137,7 @@ def test_engine_overrides_only_isolated():
     assert fixer_pool.engine_params.base_token_time == 0.08
     with pytest.raises(ConfigError):
         build_topology(
-            TopologyPreset(mode="shared", llm_engines_total=2, engine_overrides=override), vw
+            TopologyPreset(mode="shared", llm_engines={GENERATOR: 1, FIXER: 1}, engine_overrides=override), vw
         )
 
 
