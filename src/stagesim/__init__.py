@@ -54,9 +54,7 @@ from .workflow import (
 from .workloads import (
     Nl2SqlParams,
     Topology,
-    TopologyPreset,
     build_nl2sql,
-    build_topology,
     derive_service_estimates,
 )
 

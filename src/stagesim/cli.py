@@ -84,10 +84,10 @@ def cmd_run(args) -> int:
 
 
 def _check_fair_cells(configs) -> None:
-    totals = {name: cfg.topology.llm_engine_total() for name, cfg in configs}
+    totals = {name: sum(pool.n_engines for pool in cfg.pools) for name, cfg in configs}
     if len(set(totals.values())) > 1:
         raise ConfigError(f"cells have unequal engine totals: {totals}")
-    slots = {name: cfg.topology.tool_concurrency_total() for name, cfg in configs}
+    slots = {name: sum(pool.concurrency for pool in cfg.pools) for name, cfg in configs}
     if len(set(slots.values())) > 1:
         raise ConfigError(f"cells have unequal tool concurrency: {slots}")
 

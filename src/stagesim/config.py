@@ -26,9 +26,8 @@ from .workloads import (
     FIXER,
     GENERATOR,
     Nl2SqlParams,
-    TopologyPreset,
+    Topology,
     build_nl2sql,
-    build_topology,
 )
 
 # Config keys that are not dataclass fields, by section, with their JSON
@@ -170,8 +169,8 @@ def _parse_workflow(obj, path: str) -> ValidatedWorkflow:
     return validate_workflow(spec)
 
 
-def _parse_topology(obj, path: str, vw: ValidatedWorkflow):
-    """The topology section: a TopologyPreset from its fields, over the
+def _parse_topology(obj, path: str) -> Topology:
+    """The topology section: a Topology from its fields, over the
     named `preset`'s fields if one is given.  `engine_params` patches
     DEFAULT_ENGINE_PARAMS, and each of `engine_overrides` patches
     `engine_params`."""
@@ -187,15 +186,14 @@ def _parse_topology(obj, path: str, vw: ValidatedWorkflow):
         sid: _build(EngineParams, patch, f"{overrides_path}.{sid}", params)
         for sid, patch in _typed(obj.pop("engine_overrides", {}), dict, overrides_path).items()
     }
-    preset = _build(TopologyPreset, obj, path, engine_params=params, engine_overrides=overrides)
-    return _call(path, build_topology, preset, vw)
+    return _build(Topology, obj, path, engine_params=params, engine_overrides=overrides)
 
 
 def build_sim_config(tree: dict, seed_override: int | None = None) -> SimConfig:
     """Turn a run-config tree into a validated SimConfig."""
     tree = _fields(_RUN_FIELDS, tree, "config", required=("workflow", "topology", "arrivals", "duration"))
     vw = _parse_workflow(tree["workflow"], "workflow")
-    topology = _parse_topology(tree["topology"], "topology", vw)
+    topology = _parse_topology(tree["topology"], "topology")
     policy = _build(PolicyConfig, tree.get("policy", {}), "policy")
     arrivals = _fields(_ARRIVAL_FIELDS, tree["arrivals"], "arrivals", required=("rate",))
     kwargs = {key: tree[key] for key in ("duration", "warmup", "seed") if key in tree}

@@ -13,6 +13,7 @@ the engine's KV integral and one row to the KV trace.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field, fields
@@ -48,7 +49,7 @@ from .workflow import (
     is_terminal,
     next_step,
 )
-from .workloads import Topology, derive_service_estimates
+from .workloads import PoolSpec, Topology, derive_service_estimates
 
 EVENT_ARRIVAL = "arrival"
 EVENT_PREFILL_DONE = "prefill_done"
@@ -131,13 +132,6 @@ class SimConfig:
         if not 0.0 < self.policy.ewma_alpha <= 1.0:
             raise ConfigError("'policy.ewma_alpha' must be in (0, 1]")
         stage_ids = self.workflow.stage_ids
-        pooled = [sid for pool in self.topology.pools for sid in pool.stage_ids]
-        for sid in stage_ids:
-            if pooled.count(sid) != 1:
-                raise ConfigError(f"stage '{sid}' is in {pooled.count(sid)} pools, not 1")
-        stray = sorted(set(pooled) - set(stage_ids))
-        if stray:
-            raise ConfigError(f"pools serve stages {stray} not in the workflow")
         estimates = self.policy.service_estimates  # None: the Simulator derives them
         if estimates is not None:
             missing = [sid for sid in stage_ids if sid not in estimates]
@@ -149,30 +143,12 @@ class SimConfig:
             for sid, value in estimates.items():
                 if not (math.isfinite(value) and value >= 0.0):
                     raise ConfigError(f"'policy.service_estimates.{sid}' must be finite and >= 0")
-        # A pool without a server never serves its queue.  A call is
-        # admitted only whole, so a stage whose worst-case call outgrows its
-        # own pool's engines blocks its queue forever too: that pool never
-        # gets busy, so it never borrows an engine.
-        for pool in self.topology.pools:
-            if pool.kind != LLM:
-                if pool.concurrency < 1:
-                    raise ConfigError(f"tool pool '{pool.pool_id}' needs concurrency >= 1")
-                continue
-            if pool.n_engines < 1 or pool.engine_params is None:
-                raise ConfigError(f"LLM pool '{pool.pool_id}' needs n_engines >= 1 and engine_params")
-            capacity = pool.engine_params.kv_capacity_tokens
-            for sid in pool.stage_ids:
-                stage = self.workflow.stage(sid)
-                worst = (
-                    stage.prefix_tokens
-                    + stage.prompt_tokens.max_int()
-                    + stage.output_tokens.max_int()
-                )
-                if worst > capacity:
-                    raise ConfigError(
-                        f"stage '{sid}' needs up to {worst} KV tokens, but the engines "
-                        f"of pool '{pool.pool_id}' hold {capacity}"
-                    )
+        self.pools  # laying the pools out checks the topology against the workflow
+
+    @functools.cached_property
+    def pools(self) -> tuple[PoolSpec, ...]:
+        """The pools the topology lays out for the workflow, laid out once."""
+        return self.topology.pools(self.workflow)
 
 
 # Trace records are NamedTuples: the loop builds one per sample, dispatch
@@ -388,7 +364,7 @@ class Simulator:
         self._kv_integral: dict[int, float] = {}
         # engines touched since the last KV rows were written, by id
         self._touched: dict[int, EngineState] = {}
-        for spec in config.topology.pools:
+        for spec in config.pools:
             pool = PoolRuntime(spec)
             self.pools[spec.pool_id] = pool
             for sid in spec.stage_ids:
@@ -400,7 +376,7 @@ class Simulator:
 
         means = config.policy.service_estimates
         if means is None:
-            means = derive_service_estimates(self.vw, config.topology)
+            means = derive_service_estimates(self.vw, config.pools)
         self.estimator = ServiceEstimator(
             means, online=config.policy.online_estimates, alpha=config.policy.ewma_alpha
         )

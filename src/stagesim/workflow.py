@@ -330,7 +330,9 @@ def _compile_remaining_work(vw: ValidatedWorkflow) -> tuple:
     """The remaining-work dynamic program over (stage, retries_used) as a
     flat plan: one `(key, stage or None at a terminal, ((probability,
     dependency key), ...))` entry per key, whose expected remaining work is
-    the stage's service plus each probability times its dependency's.
+    the stage's service plus each probability times its dependency's.  An
+    outcome's dependency is where `next_step` sends it; a terminal one and
+    a zero-probability outcome add no term.
 
     Entries come in the order a memoised depth-first recursion finishes
     them, which puts every dependency first; finite because every cycle
@@ -351,15 +353,9 @@ def _compile_remaining_work(vw: ValidatedWorkflow) -> tuple:
             return
         terms = []
         for out in vw.stage(stage_id).outcomes:
-            target = out.next
-            if out.prob == 0.0 or is_terminal(target):
+            dep = next_step(stage_id, retries, out.label, vw)
+            if out.prob == 0.0 or is_terminal(dep[0]):
                 continue
-            if vw.is_loop_edge(stage_id, target):
-                if retries >= budget:
-                    continue  # the budget is spent: the edge leads to Failure
-                dep = (target, retries + 1)
-            else:
-                dep = (target, retries)
             visit(*dep)
             terms.append((out.prob, dep))
         seen.add(key)

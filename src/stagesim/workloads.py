@@ -139,17 +139,6 @@ class PoolSpec:
 
 @dataclass(frozen=True)
 class Topology:
-    pools: tuple[PoolSpec, ...]
-
-    def llm_engine_total(self) -> int:
-        return sum(p.n_engines for p in self.pools if p.kind == LLM)
-
-    def tool_concurrency_total(self) -> int:
-        return sum(p.concurrency for p in self.pools if p.kind == TOOL)
-
-
-@dataclass(frozen=True)
-class TopologyPreset:
     """`llm_engines` is the engine count each LLM stage brings.  In
     "isolated" mode each LLM stage keeps its engines in its own pool; in
     "shared" mode one pool serves every LLM stage with their sum."""
@@ -166,47 +155,59 @@ class TopologyPreset:
         if self.tool_concurrency < 1:
             raise ConfigError("tool_concurrency must be >= 1")
 
+    def pools(self, vw: ValidatedWorkflow) -> tuple[PoolSpec, ...]:
+        """The pools for workflow `vw`: one per LLM stage in isolated mode,
+        one for all LLM stages in shared mode, then one per tool stage in
+        both modes.  Each stage is in exactly one pool, and each pool has a
+        server that fits every call of its stages."""
+        llm_ids = tuple(s.stage_id for s in vw.spec.stages if s.kind == LLM)
+        for what, keys in (("engine count", self.llm_engines), ("engine override", self.engine_overrides)):
+            unknown = sorted(set(keys) - set(llm_ids))
+            if unknown:
+                raise ConfigError(f"'topology': {what} for '{unknown[0]}', which is not an LLM stage")
+        negative = sorted(sid for sid, n in self.llm_engines.items() if n < 0)
+        if negative:
+            raise ConfigError(f"'topology': engine count for '{negative[0]}' must be >= 0")
+        if self.mode == "shared" and self.engine_overrides:
+            raise ConfigError("'topology': per-stage engine overrides require isolated mode")
 
-def build_topology(preset: TopologyPreset, vw: ValidatedWorkflow) -> Topology:
-    """Lay out pools: one per LLM stage in isolated mode, one for all LLM
-    stages in shared mode, then one per tool stage in both modes."""
-    llm_ids = tuple(s.stage_id for s in vw.spec.stages if s.kind == LLM)
-    for what, keys in (("engine count", preset.llm_engines), ("engine override", preset.engine_overrides)):
-        unknown = sorted(set(keys) - set(llm_ids))
-        if unknown:
-            raise ConfigError(f"{what} for '{unknown[0]}', which is not an LLM stage")
-    negative = sorted(sid for sid, n in preset.llm_engines.items() if n < 0)
-    if negative:
-        raise ConfigError(f"engine count for '{negative[0]}' must be >= 0")
-    if preset.mode == "shared" and preset.engine_overrides:
-        raise ConfigError("per-stage engine overrides require isolated mode")
-
-    groups = [(LLM, "llm", llm_ids)] if preset.mode == "shared" else [(LLM, sid, (sid,)) for sid in llm_ids]
-    groups += [(TOOL, s.stage_id, (s.stage_id,)) for s in vw.spec.stages if s.kind == TOOL]
-    pools: list[PoolSpec] = []
-    for kind, name, stage_ids in groups:
-        n_engines = sum(preset.llm_engines.get(sid, 0) for sid in stage_ids)
-        if kind == LLM and n_engines < 1:
-            raise ConfigError(f"pool 'pool:{name}' needs >= 1 engine")
-        pools.append(
-            PoolSpec(
-                pool_id=f"pool:{name}",
-                kind=kind,
-                stage_ids=stage_ids,
-                n_engines=n_engines,
-                engine_params=preset.engine_overrides.get(name, preset.engine_params) if kind == LLM else None,
-                concurrency=preset.tool_concurrency if kind == TOOL else 0,
+        groups = [(LLM, "llm", llm_ids)] if self.mode == "shared" else [(LLM, sid, (sid,)) for sid in llm_ids]
+        groups += [(TOOL, s.stage_id, (s.stage_id,)) for s in vw.spec.stages if s.kind == TOOL]
+        pools: list[PoolSpec] = []
+        for kind, name, stage_ids in groups:
+            n_engines = sum(self.llm_engines.get(sid, 0) for sid in stage_ids)
+            if kind == LLM and n_engines < 1:
+                raise ConfigError(f"'topology': pool 'pool:{name}' needs >= 1 engine")
+            pools.append(
+                PoolSpec(
+                    pool_id=f"pool:{name}",
+                    kind=kind,
+                    stage_ids=stage_ids,
+                    n_engines=n_engines,
+                    engine_params=self.engine_overrides.get(name, self.engine_params) if kind == LLM else None,
+                    concurrency=self.tool_concurrency if kind == TOOL else 0,
+                )
             )
-        )
-    return Topology(pools=tuple(pools))
+        # A call is admitted only whole, so a stage whose worst-case call
+        # outgrows its own pool's engines blocks its queue forever: that
+        # pool never gets busy, so it never borrows an engine.
+        for pool in pools:
+            for sid in pool.stage_ids if pool.kind == LLM else ():
+                stage = vw.stage(sid)
+                worst = stage.prefix_tokens + stage.prompt_tokens.max_int() + stage.output_tokens.max_int()
+                capacity = pool.engine_params.kv_capacity_tokens
+                if worst > capacity:
+                    raise ConfigError(
+                        f"stage '{sid}' needs up to {worst} KV tokens, but the engines "
+                        f"of pool '{pool.pool_id}' hold {capacity}"
+                    )
+        return tuple(pools)
 
 
-def derive_service_estimates(vw: ValidatedWorkflow, topology: Topology) -> dict[str, float]:
+def derive_service_estimates(vw: ValidatedWorkflow, pools: tuple[PoolSpec, ...]) -> dict[str, float]:
     """Mean per-stage service seconds implied by the distributions and the
     serving pool's engine speed (batch-of-one, warm prefix)."""
-    params_by_stage = {
-        sid: pool.engine_params for pool in topology.pools if pool.kind == LLM for sid in pool.stage_ids
-    }
+    params_by_stage = {sid: pool.engine_params for pool in pools if pool.kind == LLM for sid in pool.stage_ids}
     estimates: dict[str, float] = {}
     for st in vw.spec.stages:
         if st.kind == LLM:

@@ -26,9 +26,8 @@ from stagesim.workloads import (
     FIXER,
     GENERATOR,
     Nl2SqlParams,
-    TopologyPreset,
+    Topology,
     build_nl2sql,
-    build_topology,
 )
 
 STAGES = (GENERATOR, EXECUTOR, FIXER)
@@ -42,15 +41,14 @@ def engine_params(**kw) -> EngineParams:
     return dataclasses.replace(DEFAULT_ENGINE_PARAMS, **kw)
 
 
-def topology(vw, mode: str = "isolated", engines=(1, 1), params=None, overrides=None, tool_concurrency: int = 4):
-    preset = TopologyPreset(
+def topology(mode: str = "isolated", engines=(1, 1), params=None, overrides=None, tool_concurrency: int = 4):
+    return Topology(
         mode=mode,
         llm_engines={GENERATOR: engines[0], FIXER: engines[1]},
         engine_params=params or engine_params(),
         engine_overrides=overrides or {},
         tool_concurrency=tool_concurrency,
     )
-    return build_topology(preset, vw)
 
 
 def sim_config(
@@ -69,7 +67,7 @@ def sim_config(
     vw = vw or nl2sql_vw()
     return ss.SimConfig(
         workflow=vw,
-        topology=topology(vw, mode, engines, params, overrides, tool_concurrency),
+        topology=topology(mode, engines, params, overrides, tool_concurrency),
         policy=policy or ss.PolicyConfig(),
         arrival_rate=rate,
         duration=duration,

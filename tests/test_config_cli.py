@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,7 +21,7 @@ ISOLATED_LLM_POOLS = [f"pool:{GENERATOR}", f"pool:{FIXER}"]
 
 
 def llm_pool_ids(config) -> list[str]:
-    return [p.pool_id for p in config.topology.pools if p.kind == LLM]
+    return [p.pool_id for p in config.pools if p.kind == LLM]
 
 
 def write_config(tmp_path, tree, name="config.json"):
@@ -125,6 +128,21 @@ def test_readme_config_example_parses():
     assert config.seed == 42
 
 
+def test_readme_library_example_runs(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split("\n## Library use\n", 1)[1]
+    example = re.search(r"```python\n(.*?)\n```", section, re.DOTALL).group(1)
+    proc = subprocess.run(
+        [sys.executable, "-c", example],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert re.search(r"^completed=\d+ ", proc.stdout, re.MULTILINE), proc.stdout
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(ConfigError):
         build_sim_config(run_config_tree(workflow={"preset": "nl2sql2"}))
@@ -142,7 +160,7 @@ def test_compare_cells_merge():
 def test_shared_pool_sums_the_stage_engine_counts():
     engines = {GENERATOR: 2, FIXER: 3}
     config = build_sim_config(run_config_tree(topology={"mode": "shared", "llm_engines": engines}))
-    (llm_pool,) = (p for p in config.topology.pools if p.kind == LLM)
+    (llm_pool,) = (p for p in config.pools if p.kind == LLM)
     assert llm_pool.n_engines == sum(engines.values())
     # the two presets differ only in mode
     flipped = build_sim_config(run_config_tree(topology={"preset": "nl2sql-isolated", "mode": "shared"}))

@@ -15,7 +15,7 @@ from stagesim.engines import (
 )
 from stagesim.errors import ConfigError
 from stagesim.rng import RngStream
-from stagesim.workloads import TopologyPreset
+from stagesim.workloads import Topology
 
 
 def engine(**kw) -> EngineState:
@@ -388,7 +388,7 @@ def test_tool_service_deterministic_across_runs():
 
 def test_tool_concurrency_validated():
     with pytest.raises(ConfigError):
-        TopologyPreset(mode="isolated", tool_concurrency=0)
+        Topology(mode="isolated", tool_concurrency=0)
 
 
 def test_engine_params_validated():

@@ -1,7 +1,6 @@
 import dataclasses
 import gc
 import math
-import re
 import weakref
 from collections import Counter
 
@@ -34,10 +33,7 @@ from stagesim.workloads import (
     EXECUTOR,
     FIXER,
     GENERATOR,
-    PoolSpec,
     Topology,
-    TopologyPreset,
-    build_topology,
 )
 
 
@@ -103,7 +99,7 @@ def test_interarrival_requires_positive_rate():
 # whole-run behavior
 
 
-def single_stage_config(duration, rate, seed, prompt=200, output=100, prefix=0):
+def single_stage_workflow(prompt=200, output=100, prefix=0):
     spec = WorkflowSpec(
         name="one",
         stages=(
@@ -120,11 +116,13 @@ def single_stage_config(duration, rate, seed, prompt=200, output=100, prefix=0):
         retry_budget=0,
         slo_seconds=30.0,
     )
-    vw = validate_workflow(spec)
-    preset = TopologyPreset(mode="isolated", llm_engines={"only": 1})
+    return validate_workflow(spec)
+
+
+def single_stage_config(duration, rate, seed, prompt=200, output=100, prefix=0):
     return ss.SimConfig(
-        workflow=vw,
-        topology=build_topology(preset, vw),
+        workflow=single_stage_workflow(prompt, output, prefix),
+        topology=Topology(mode="isolated", llm_engines={"only": 1}),
         policy=ss.PolicyConfig(),
         arrival_rate=rate,
         duration=duration,
@@ -463,37 +461,18 @@ def test_invalid_configs_rejected():
         sim_config(policy=ss.PolicyConfig(service_estimates={})).validate()
 
 
-def test_every_stage_needs_exactly_one_pool():
+def test_pools_follow_the_workflow():
+    # the pools are laid out from the config's own workflow: a topology
+    # whose engine counts name stages the workflow lacks is rejected, and a
+    # replaced config does not keep the layout of the one it came from
     cfg = sim_config()
-    pools = cfg.topology.pools
-    ghost = dataclasses.replace(pools[0], stage_ids=(*pools[0].stage_ids, "ghost"))
-    for broken, message in (
-        (pools[1:], f"stage '{pools[0].stage_ids[0]}' is in 0 pools"),
-        (pools + pools[:1], f"stage '{pools[0].stage_ids[0]}' is in 2 pools"),
-        ((ghost, *pools[1:]), r"pools serve stages \['ghost'\] not in the workflow"),
-    ):
-        bad = dataclasses.replace(cfg, topology=dataclasses.replace(cfg.topology, pools=broken))
-        with pytest.raises(ss.ConfigError, match=message):
-            bad.validate()
-
-
-def test_tool_pool_without_slots_rejected():
-    # a pool without a server never serves its calls: a hand-built tool
-    # pool gets 0 slots by default, and an LLM pool 0 engines and no
-    # engine params
-    cfg = sim_config()
-    tool, fixer = (next(p for p in cfg.topology.pools if sid in p.stage_ids) for sid in (EXECUTOR, FIXER))
-    bare_tool = PoolSpec(pool_id=tool.pool_id, kind=tool.kind, stage_ids=tool.stage_ids)
-    llm_rule = f"LLM pool '{fixer.pool_id}' needs n_engines >= 1 and engine_params"
-    for bare, message in (
-        (bare_tool, f"tool pool '{tool.pool_id}' needs concurrency >= 1"),
-        (dataclasses.replace(fixer, n_engines=0), llm_rule),
-        (dataclasses.replace(fixer, engine_params=None), llm_rule),
-    ):
-        pools = tuple(bare if p.pool_id == bare.pool_id else p for p in cfg.topology.pools)
-        bad = dataclasses.replace(cfg, topology=Topology(pools=pools))
-        with pytest.raises(ss.ConfigError, match=re.escape(message)):
-            bad.validate()
+    cfg.validate()
+    one = single_stage_workflow()
+    with pytest.raises(ss.ConfigError, match="topology"):
+        dataclasses.replace(cfg, workflow=one).validate()
+    moved = dataclasses.replace(cfg, workflow=one, topology=dataclasses.replace(cfg.topology, llm_engines={"only": 1}))
+    moved.validate()
+    assert [(p.pool_id, p.stage_ids, p.n_engines) for p in moved.pools] == [("pool:only", ("only",), 1)]
 
 
 def test_kv_budget_that_can_never_fit_a_call_rejected():

@@ -12,9 +12,8 @@ from stagesim.workloads import (
     FIXER,
     GENERATOR,
     Nl2SqlParams,
-    TopologyPreset,
+    Topology,
     build_nl2sql,
-    build_topology,
     derive_service_estimates,
 )
 
@@ -76,25 +75,21 @@ def test_budget_zero_always_fail_one_executor_attempt():
 
 
 # ----------------------------------------------------------------------
-# topology builder
+# pool layout
 
 
 def test_isolated_topology_layout():
-    vw = nl2sql_vw()
-    topo = build_topology(
-        TopologyPreset(mode="isolated", llm_engines={GENERATOR: 1, FIXER: 1}), vw
-    )
-    ids = [p.pool_id for p in topo.pools]
+    pools = Topology(mode="isolated", llm_engines={GENERATOR: 1, FIXER: 1}).pools(nl2sql_vw())
+    ids = [p.pool_id for p in pools]
     assert ids == [f"pool:{GENERATOR}", f"pool:{FIXER}", f"pool:{EXECUTOR}"]
-    assert topo.llm_engine_total() == 2
-    kinds = {p.pool_id: p.kind for p in topo.pools}
+    assert sum(p.n_engines for p in pools) == 2
+    kinds = {p.pool_id: p.kind for p in pools}
     assert kinds[f"pool:{EXECUTOR}"] == TOOL
 
 
 def test_shared_topology_layout():
-    vw = nl2sql_vw()
-    topo = build_topology(TopologyPreset(mode="shared", llm_engines={GENERATOR: 1, FIXER: 1}), vw)
-    llm_pools = [p for p in topo.pools if p.kind == LLM]
+    pools = Topology(mode="shared", llm_engines={GENERATOR: 1, FIXER: 1}).pools(nl2sql_vw())
+    llm_pools = [p for p in pools if p.kind == LLM]
     assert len(llm_pools) == 1
     assert llm_pools[0].pool_id == "pool:llm"
     assert set(llm_pools[0].stage_ids) == {GENERATOR, FIXER}
@@ -104,41 +99,30 @@ def test_shared_topology_layout():
 def test_zero_engine_pool_rejected():
     vw = nl2sql_vw()
     with pytest.raises(ConfigError):
-        build_topology(TopologyPreset(mode="isolated", llm_engines={GENERATOR: 1}), vw)
+        Topology(mode="isolated", llm_engines={GENERATOR: 1}).pools(vw)
     with pytest.raises(ConfigError):
-        build_topology(TopologyPreset(mode="shared", llm_engines={GENERATOR: 0, FIXER: 0}), vw)
+        Topology(mode="shared", llm_engines={GENERATOR: 0, FIXER: 0}).pools(vw)
     with pytest.raises(ConfigError):  # a negative count cannot be made up by another stage's
-        build_topology(TopologyPreset(mode="shared", llm_engines={GENERATOR: -1, FIXER: 3}), vw)
+        Topology(mode="shared", llm_engines={GENERATOR: -1, FIXER: 3}).pools(vw)
 
 
 def test_tool_pool_identical_across_modes():
     vw = nl2sql_vw()
-    iso = build_topology(
-        TopologyPreset(mode="isolated", llm_engines={GENERATOR: 1, FIXER: 1}), vw
-    )
-    shared = build_topology(TopologyPreset(mode="shared", llm_engines={GENERATOR: 1, FIXER: 1}), vw)
-    tool_iso = next(p for p in iso.pools if p.kind == TOOL)
-    tool_shared = next(p for p in shared.pools if p.kind == TOOL)
+    iso = Topology(mode="isolated", llm_engines={GENERATOR: 1, FIXER: 1}).pools(vw)
+    shared = Topology(mode="shared", llm_engines={GENERATOR: 1, FIXER: 1}).pools(vw)
+    tool_iso = next(p for p in iso if p.kind == TOOL)
+    tool_shared = next(p for p in shared if p.kind == TOOL)
     assert tool_iso == tool_shared
 
 
 def test_engine_overrides_only_isolated():
     vw = nl2sql_vw()
     override = {FIXER: engine_params(base_token_time=0.08)}
-    topo = build_topology(
-        TopologyPreset(
-            mode="isolated",
-            llm_engines={GENERATOR: 1, FIXER: 1},
-            engine_overrides=override,
-        ),
-        vw,
-    )
-    fixer_pool = next(p for p in topo.pools if p.stage_ids == (FIXER,))
+    pools = Topology(mode="isolated", llm_engines={GENERATOR: 1, FIXER: 1}, engine_overrides=override).pools(vw)
+    fixer_pool = next(p for p in pools if p.stage_ids == (FIXER,))
     assert fixer_pool.engine_params.base_token_time == 0.08
     with pytest.raises(ConfigError):
-        build_topology(
-            TopologyPreset(mode="shared", llm_engines={GENERATOR: 1, FIXER: 1}, engine_overrides=override), vw
-        )
+        Topology(mode="shared", llm_engines={GENERATOR: 1, FIXER: 1}, engine_overrides=override).pools(vw)
 
 
 # ----------------------------------------------------------------------
@@ -177,10 +161,8 @@ def test_unknown_policy_kind_rejected():
 
 def test_derived_estimates():
     vw = nl2sql_vw()
-    topo = build_topology(
-        TopologyPreset(mode="isolated", llm_engines={GENERATOR: 1, FIXER: 1}), vw
-    )
-    est = derive_service_estimates(vw, topo)
+    pools = Topology(mode="isolated", llm_engines={GENERATOR: 1, FIXER: 1}).pools(vw)
+    est = derive_service_estimates(vw, pools)
     # prompt mean 200 at 5000 tok/s plus output mean 100 at 0.02 s/tok
     assert est[GENERATOR] == pytest.approx(200 / 5000 + 100 * 0.02)
     assert est[FIXER] == est[GENERATOR]
@@ -189,15 +171,12 @@ def test_derived_estimates():
 
 def test_derived_estimates_use_pool_overrides():
     vw = nl2sql_vw()
-    topo = build_topology(
-        TopologyPreset(
-            mode="isolated",
-            llm_engines={GENERATOR: 1, FIXER: 1},
-            engine_overrides={FIXER: engine_params(base_token_time=0.08)},
-        ),
-        vw,
+    topology = Topology(
+        mode="isolated",
+        llm_engines={GENERATOR: 1, FIXER: 1},
+        engine_overrides={FIXER: engine_params(base_token_time=0.08)},
     )
-    est = derive_service_estimates(vw, topo)
+    est = derive_service_estimates(vw, topology.pools(vw))
     assert est[FIXER] == pytest.approx(200 / 5000 + 100 * 0.08)
 
 
