@@ -103,6 +103,7 @@ class EngineState:
         "resident_tokens",
         "decode_epoch",
         "last_advance",
+        "horizon",
     )
 
     def __init__(self, engine_id: int, params: EngineParams, home_pool: str) -> None:
@@ -120,6 +121,9 @@ class EngineState:
         self.resident_tokens = 0  # sum of the resident prefixes' tokens
         self.decode_epoch = 0  # bumped on every decode-batch composition change
         self.last_advance = 0.0
+        # the invariant check's safe horizon (Simulator._check_engine); -1
+        # until the first full check
+        self.horizon = -1.0
 
     @property
     def lent_to(self) -> str | None:
@@ -275,7 +279,7 @@ class EngineState:
         return out
 
     # The recounts below are plain loops: the invariant check runs them for
-    # every engine after every event.  `prefix_tokens` is
+    # every engine an event touched, after the event.  `prefix_tokens` is
     # `resident_prefix_tokens()`, which the caller recounts once for both.
 
     def recomputed_kv_used(self, prefix_tokens: int) -> float:

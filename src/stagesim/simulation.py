@@ -504,13 +504,18 @@ class Simulator:
         touched.clear()
 
     def _check_invariants(self) -> None:
-        """Check every engine and the pools' server counters.  An engine is
-        read at the clock through its segment, never advanced: its counters
-        are recounted at the segment start, where they were last brought
-        forward, and its KV and each decode call's tokens are checked at
-        the clock, where they have grown by `decode_progress`."""
+        """Check every engine and the pools' server counters after an event.
+
+        An engine the event touched (or added) gets the full recount of
+        `_check_engine`.  Any other engine has not changed since its last
+        full check: its counters are as they were, and its KV and decode
+        progress grow linearly from the same segment start.  Its checks can
+        then fail only once the clock passes the safe horizon that check
+        stored, so it is checked by comparing the clock with that horizon,
+        and past it gets the full recount, which decides and raises.  A new
+        engine's horizon is -1, so its first check is a full one."""
         now = self.clock
-        stage_pool = self.stage_pool
+        touched = self._touched
         # [busy, capacity] per LLM pool, recounted from its engines
         counts = {pid: [0, 0] for pid in self._llm_pool_ids}
         for eid, e in self.engines.items():
@@ -518,52 +523,8 @@ class Simulator:
             count[1] += 1
             if e.batch:
                 count[0] += 1
-            cap = e.params.kv_capacity_tokens
-            progress = e.decode_progress(now)
-            kv_used = e.kv_used + e.n_decode * progress  # kv_used_at(now)
-            if e.kv_reserved > cap:
-                raise InternalInvariantViolation(
-                    f"engine {eid}: reserved {e.kv_reserved} exceeds capacity {cap}"
-                )
-            if kv_used > cap + _KV_TOL or kv_used < -_KV_TOL:
-                raise InternalInvariantViolation(
-                    f"engine {eid}: kv_used {kv_used} outside [0, {cap}]"
-                )
-            prefix_tokens = e.resident_prefix_tokens()
-            if e.resident_tokens != prefix_tokens:
-                raise InternalInvariantViolation(
-                    f"engine {eid}: resident_tokens {e.resident_tokens} != recomputed"
-                )
-            recomputed = e.recomputed_kv_used(prefix_tokens)
-            if abs(e.kv_used - recomputed) > _KV_TOL:
-                raise InternalInvariantViolation(
-                    f"engine {eid}: kv_used {e.kv_used} != recomputed {recomputed}"
-                )
-            if e.kv_reserved != e.recomputed_kv_reserved(prefix_tokens):
-                raise InternalInvariantViolation(
-                    f"engine {eid}: kv_reserved {e.kv_reserved} != recomputed"
-                )
-            if len(e.batch) > e.params.max_batch:
-                raise InternalInvariantViolation(f"engine {eid}: batch over max_batch")
-            n_decode = 0
-            for call in e.batch:
-                if call.phase == DECODE:
-                    n_decode += 1
-                    # a call never outruns its own completion event
-                    if call.tokens_emitted + progress > call.target_output_tokens + _KV_TOL:
-                        raise InternalInvariantViolation(
-                            f"engine {eid}: request {call.request_id} decoded past its "
-                            f"{call.target_output_tokens} tokens"
-                        )
-                if stage_pool[call.stage_id] != e.serving_pool:
-                    raise InternalInvariantViolation(
-                        f"engine {eid}: call of stage '{call.stage_id}' in "
-                        f"pool '{e.serving_pool}'"
-                    )
-            if e.n_decode != n_decode:
-                raise InternalInvariantViolation(
-                    f"engine {eid}: n_decode {e.n_decode} != recounted {n_decode}"
-                )
+            if eid in touched or now > e.horizon:
+                self._check_engine(e, now)
         for pool in self.pools.values():
             # a tool pool's slots have nothing to recount them from
             busy, capacity = counts.get(pool.pool_id, (pool.busy, pool.capacity))
@@ -572,6 +533,73 @@ class Simulator:
                     f"pool {pool.pool_id}: busy/capacity {pool.busy}/{pool.capacity}, "
                     f"recounted {busy}/{capacity}"
                 )
+
+    def _check_engine(self, e: EngineState, now: float) -> None:
+        """Recount one engine.  It is read at the clock through its segment,
+        never advanced: its counters are recounted at the segment start,
+        where they were last brought forward, and its KV and each decode
+        call's tokens are checked at the clock, where they have grown by
+        `decode_progress`.  Then store its safe horizon, the last time at
+        which those two checks still pass while nothing touches it."""
+        eid = e.engine_id
+        cap = e.params.kv_capacity_tokens
+        progress = e.decode_progress(now)
+        kv_used = e.kv_used + e.n_decode * progress  # kv_used_at(now)
+        if e.kv_reserved > cap:
+            raise InternalInvariantViolation(
+                f"engine {eid}: reserved {e.kv_reserved} exceeds capacity {cap}"
+            )
+        if kv_used > cap + _KV_TOL or kv_used < -_KV_TOL:
+            raise InternalInvariantViolation(
+                f"engine {eid}: kv_used {kv_used} outside [0, {cap}]"
+            )
+        prefix_tokens = e.resident_prefix_tokens()
+        if e.resident_tokens != prefix_tokens:
+            raise InternalInvariantViolation(
+                f"engine {eid}: resident_tokens {e.resident_tokens} != recomputed"
+            )
+        recomputed = e.recomputed_kv_used(prefix_tokens)
+        if abs(e.kv_used - recomputed) > _KV_TOL:
+            raise InternalInvariantViolation(
+                f"engine {eid}: kv_used {e.kv_used} != recomputed {recomputed}"
+            )
+        if e.kv_reserved != e.recomputed_kv_reserved(prefix_tokens):
+            raise InternalInvariantViolation(
+                f"engine {eid}: kv_reserved {e.kv_reserved} != recomputed"
+            )
+        if len(e.batch) > e.params.max_batch:
+            raise InternalInvariantViolation(f"engine {eid}: batch over max_batch")
+        stage_pool = self.stage_pool
+        n_decode = 0
+        fewest = math.inf  # tokens the closest-to-done decode call may still emit
+        for call in e.batch:
+            if call.phase == DECODE:
+                n_decode += 1
+                # a call never outruns its own completion event
+                if call.tokens_emitted + progress > call.target_output_tokens + _KV_TOL:
+                    raise InternalInvariantViolation(
+                        f"engine {eid}: request {call.request_id} decoded past its "
+                        f"{call.target_output_tokens} tokens"
+                    )
+                left = call.target_output_tokens - call.tokens_emitted
+                if left < fewest:
+                    fewest = left
+            if stage_pool[call.stage_id] != e.serving_pool:
+                raise InternalInvariantViolation(
+                    f"engine {eid}: call of stage '{call.stage_id}' in "
+                    f"pool '{e.serving_pool}'"
+                )
+        if e.n_decode != n_decode:
+            raise InternalInvariantViolation(
+                f"engine {eid}: n_decode {e.n_decode} != recounted {n_decode}"
+            )
+        if not n_decode:
+            e.horizon = math.inf  # nothing at the clock moves
+            return
+        # the progress at which a call would pass its target, or KV its
+        # capacity, as a time, taken a hair early against rounding
+        tokens = min(fewest + _KV_TOL, (cap + _KV_TOL - e.kv_used) / n_decode)
+        e.horizon = e.last_advance + e.params.token_time(n_decode) * tokens * (1.0 - 1e-9)
 
     # ------------------------------------------------------------------
     # event handlers

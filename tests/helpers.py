@@ -299,6 +299,25 @@ def segment_end_kv(rows) -> list[tuple[KvSample, float]]:
     return ends
 
 
+class FullSweepSimulator(ss.Simulator):
+    """A Simulator whose invariant check also runs the full sweep: after the
+    shipped check, `_check_engine` recounts every engine, touched or not.
+    It is the oracle for the shipped check's horizon test, from the same
+    code.
+
+    The full sweep runs only when the shipped check passed, and it raising
+    then is a disagreement: it raises AssertionError with its message."""
+
+    def _check_invariants(self) -> None:
+        super()._check_invariants()
+        now = self.clock
+        for engine in self.engines.values():
+            try:
+                self._check_engine(engine, now)
+            except ss.InternalInvariantViolation as exc:
+                raise AssertionError(f"full sweep at {now}, not the shipped check: {exc}") from exc
+
+
 class SupersededCompletionsReference(ss.Simulator):
     """Reference event loop that processes superseded completions as
     `Simulator.run` did before it skipped them: every popped event advances

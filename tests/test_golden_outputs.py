@@ -20,7 +20,7 @@ import pytest
 
 import stagesim
 import stagesim.cli
-from helpers import run_config_tree
+from helpers import FullSweepSimulator, run_config_tree
 from stagesim.cli import main
 from stagesim.simulation import Simulator
 
@@ -159,21 +159,26 @@ def output_digest(out_dir) -> str:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_output_bytes_are_pinned(tmp_path, monkeypatch, name):
+    # the shipped simulator, and FullSweepSimulator, whose full invariant
+    # sweep must agree with the shipped check on every event and change
+    # nothing
     _, expected, expected_popped, expected_kv_rows = GOLDEN_RUNS[name]
-    popped = []
+    config = golden_config(tmp_path, name)
+    for simulator in (Simulator, FullSweepSimulator):
+        popped = []
 
-    class CountingSimulator(Simulator):
-        def run(self):
-            result = super().run()
-            popped.append(self._seq - len(self._heap))
-            return result
+        class CountingSimulator(simulator):
+            def run(self):
+                result = super().run()
+                popped.append(self._seq - len(self._heap))
+                return result
 
-    monkeypatch.setattr(stagesim.cli, "Simulator", CountingSimulator)
-    out = tmp_path / "out"
-    assert main(["run", str(golden_config(tmp_path, name)), "--seed", "5", "--out", str(out)]) == 0
-    assert popped == [expected_popped]
-    assert len((out / "kv_usage.csv").read_text().splitlines()) - 1 == expected_kv_rows
-    assert output_digest(out) == expected
+        monkeypatch.setattr(stagesim.cli, "Simulator", CountingSimulator)
+        out = tmp_path / simulator.__name__
+        assert main(["run", str(config), "--seed", "5", "--out", str(out)]) == 0
+        assert popped == [expected_popped], simulator
+        assert len((out / "kv_usage.csv").read_text().splitlines()) - 1 == expected_kv_rows, simulator
+        assert output_digest(out) == expected, simulator
 
 
 @pytest.mark.parametrize("hash_seed", ["1", "12345"])

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stagesim as ss
-from helpers import EagerAdvanceReference, engine_params, kv_segments, resample_kv, sim_config
+from helpers import EagerAdvanceReference, FullSweepSimulator, engine_params, kv_segments, resample_kv, sim_config
 from stagesim.reporting import DISPATCH_CSV, REQUESTS_CSV, write_run_outputs
 
 TOL = 1e-6
@@ -26,10 +26,11 @@ TOL = 1e-6
 TIME_TOL = 1e-9
 
 
-def output_bytes(result, name: str) -> bytes:
+def output_bytes(result) -> dict[str, bytes]:
+    """Each output file's bytes, by file name."""
     with tempfile.TemporaryDirectory() as out:
         write_run_outputs(result, out)
-        return (Path(out) / name).read_bytes()
+        return {path.name: path.read_bytes() for path in Path(out).iterdir()}
 
 
 def assert_segments_match_eager_kv(rows, reference: EagerAdvanceReference):
@@ -86,10 +87,17 @@ def test_segment_trace_matches_eager_advance(mode, kind, borrow, autoscale, rate
     want = reference.run()
     sim = ss.Simulator(config)
     got = sim.run()
+    # the full sweep agrees with the shipped check on every event, and
+    # checking more changes nothing
+    oracle = FullSweepSimulator(config)
+    swept = oracle.run()
 
     assert sim._seq - len(sim._heap) == reference._seq - len(reference._heap)
+    assert oracle._seq - len(oracle._heap) == sim._seq - len(sim._heap)
+    got_bytes, want_bytes = output_bytes(got), output_bytes(want)
+    assert output_bytes(swept) == got_bytes
     for name in (REQUESTS_CSV, DISPATCH_CSV):
-        assert output_bytes(got, name) == output_bytes(want, name), name
+        assert got_bytes[name] == want_bytes[name], name
     assert_audits_match(got.audit, want.audit)
     assert got.report.kv_used_mean.keys() == want.report.kv_used_mean.keys()
     for eid, mean in want.report.kv_used_mean.items():

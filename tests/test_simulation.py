@@ -8,9 +8,9 @@ import pytest
 
 import stagesim as ss
 import stagesim.simulation as simulation
-from helpers import RetainingSimulator, engine_params, nl2sql_vw, segment_end_kv, sim_config
+from helpers import FullSweepSimulator, RetainingSimulator, engine_params, nl2sql_vw, segment_end_kv, sim_config
 from stagesim.dists import Distribution
-from stagesim.engines import PendingCall
+from stagesim.engines import EngineState, PendingCall
 from stagesim.rng import RngStream
 from stagesim.scheduling import dispatch_key, holds_foreign_prefix
 from stagesim.simulation import (
@@ -394,6 +394,158 @@ def test_invariant_check_catches_a_call_of_a_stage_the_pool_does_not_serve():
     sim.pools[engine.serving_pool].busy += 1  # as Simulator._place counts it
     with pytest.raises(ss.InternalInvariantViolation, match=f"call of stage '{EXECUTOR}'"):
         sim._check_invariants()
+
+
+class TouchCheckedEngine(EngineState):
+    """An engine that asserts, at every change the invariant check counts on
+    a touch for, that the simulator touched it earlier in the event, and
+    counts the change in its simulator's `changes`."""
+
+    __slots__ = ("sim",)
+
+    def __init__(self, *args) -> None:
+        self.sim = None  # set once the simulator has added it
+        super().__init__(*args)
+
+    def _changed(self, change: str) -> None:
+        sim = self.sim
+        if sim is not None:
+            assert sim._touched.get(self.engine_id) is self, (change, self.engine_id, sim.clock)
+            sim.changes[change] += 1
+
+    def admit(self, call, prefix_tokens, now):
+        self._changed("admit")
+        return super().admit(call, prefix_tokens, now)
+
+    def prefill_finished(self, call) -> None:
+        self._changed("prefill_finished")
+        super().prefill_finished(call)
+
+    def complete_call(self, call) -> None:
+        self._changed("complete_call")
+        super().complete_call(call)
+
+    def evict_idle_prefix(self, stage_id) -> None:
+        self._changed("evict_idle_prefix")
+        super().evict_idle_prefix(stage_id)
+
+    @property
+    def serving_pool(self) -> str:
+        return EngineState.serving_pool.__get__(self)
+
+    @serving_pool.setter
+    def serving_pool(self, pool_id: str) -> None:
+        self._changed("serving_pool")
+        EngineState.serving_pool.__set__(self, pool_id)
+
+
+class TouchContractSimulator(Simulator):
+    def __init__(self, config) -> None:
+        self.changes = Counter()
+        super().__init__(config)
+
+    def _add_engine(self, pool_id, params):
+        engine = super()._add_engine(pool_id, params)
+        engine.sim = self
+        return engine
+
+
+@pytest.mark.parametrize(
+    "mode, engines, params, policy, seed",
+    [
+        ("isolated", (1, 3), engine_params(), ELASTIC_POLICY, 3),  # borrows, returns, scale events
+        ("shared", (1, 1), engine_params(kv_capacity_tokens=3200, max_batch=4), ss.PolicyConfig(), 4),  # evictions
+    ],
+    ids=["isolated-elastic", "shared-evicting"],
+)
+def test_every_engine_change_follows_a_touch(monkeypatch, mode, engines, params, policy, seed):
+    # the premise of the invariant check's horizon test: an engine's
+    # counters change only in an event that touched it first
+    monkeypatch.setattr(simulation, "EngineState", TouchCheckedEngine)
+    cfg = sim_config(mode=mode, engines=engines, params=params, policy=policy, rate=4.0, duration=40.0, seed=seed)
+    sim = TouchContractSimulator(cfg)
+    audit = sim.run().audit
+    changes = {"admit", "prefill_finished", "complete_call"}
+    if mode == "shared":
+        changes.add("evict_idle_prefix")
+    else:
+        assert audit.borrows and audit.returns and audit.scale_events
+        changes.add("serving_pool")
+    assert changes <= {change for change, n in sim.changes.items() if n}, sim.changes
+
+
+def horizon_engine(n_calls: int, kv_capacity: int):
+    """A simulator whose generator engine holds `n_calls` decode calls of 200
+    prompt and 100 output tokens, started at time 0, and has had its full
+    check, with nothing touched since."""
+    sim = Simulator(sim_config(params=engine_params(kv_capacity_tokens=kv_capacity)))
+    pool = sim.pools[sim.stage_pool[GENERATOR]]
+    engine = next(e for e in sim.engines.values() if e.serving_pool == pool.pool_id)
+    prefix = sim.vw.stage(GENERATOR).prefix_tokens
+    for rid in range(n_calls):
+        call = PendingCall(rid, GENERATOR, 0.0, 200, 100)
+        engine.admit(call, prefix, 0.0)
+        engine.prefill_finished(call)
+    pool.busy += 1
+    sim._check_invariants()  # a full check: the engines are new
+    sim._touched.clear()
+    return sim, engine
+
+
+@pytest.mark.parametrize(
+    "n_calls, kv_capacity, message",
+    [
+        # the call would pass its target: at its completion, a hair later
+        (1, 16384, "engine 0: request 0 decoded past its 100 tokens"),
+        # two calls fill the KV exactly: KV passes capacity before either
+        # call passes its target
+        (2, 1000 + 2 * 300, r"engine 0: kv_used .* outside \[0, 1600\]"),
+    ],
+)
+def test_untouched_engine_is_checked_against_its_horizon(n_calls, kv_capacity, message):
+    sim, engine = horizon_engine(n_calls, kv_capacity)
+    horizon = engine.horizon
+    _, completion = engine.next_completion(0.0)
+    assert completion < horizon  # a completion that fires on time is inside it
+    # up to the horizon the shipped check compares the clock with it, and the
+    # full recount agrees that nothing fails
+    sim.clock = math.nextafter(horizon, -math.inf)
+    sim._check_invariants()
+    sim._check_engine(engine, horizon)
+    # past it, the shipped check recounts the engine, and the recount
+    # raises: here, with the completion at `completion` never fired
+    token_time = engine.params.token_time(n_calls)
+    sim.clock = completion + 0.1 if n_calls == 1 else token_time * (100 + 0.75 * simulation._KV_TOL)
+    assert sim.clock > horizon
+    with pytest.raises(ss.InternalInvariantViolation, match=message):
+        sim._check_invariants()
+
+
+def test_untouched_engine_is_trusted_until_its_horizon():
+    # the trade-off of the horizon test: it trusts that only a touch
+    # changes an engine's counters (test_every_engine_change_follows_a_touch).
+    # A change that bypasses every touch, here kv_reserved raised past
+    # capacity by hand on an engine no event touched, trips the full sweep
+    # but not the shipped check, until the engine is touched.
+    sim = FullSweepSimulator(sim_config())
+    engine = sim.engines[0]
+    cap = engine.params.kv_capacity_tokens
+    reserved = f"engine 0: reserved {cap + 1} exceeds capacity {cap}"
+    # run() clears the engines' first touch; a new engine is still recounted
+    sim._touched.clear()
+    engine.kv_reserved = cap + 1
+    with pytest.raises(ss.InternalInvariantViolation, match=reserved):
+        Simulator._check_invariants(sim)
+    engine.kv_reserved = 0
+    Simulator._check_invariants(sim)
+
+    engine.kv_reserved = cap + 1
+    Simulator._check_invariants(sim)  # not caught: the shipped check's blind spot
+    with pytest.raises(AssertionError, match=reserved):
+        sim._check_invariants()
+    sim._touched[engine.engine_id] = engine
+    with pytest.raises(ss.InternalInvariantViolation, match=reserved):
+        Simulator._check_invariants(sim)
 
 
 def test_only_unfinished_requests_keep_rng_streams():
