@@ -21,6 +21,7 @@ cost and does not count toward the decode batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InternalInvariantViolation
@@ -230,12 +231,15 @@ class EngineState:
         completion time under the current batch size."""
         if not self.n_decode:
             return None
-        call = min(
-            (c for c in self.batch if c.phase == DECODE),
-            key=lambda c: (c.remaining_tokens, c.request_id),
-        )
-        t = now + call.remaining_tokens * self.params.token_time(self.n_decode)
-        return call, t
+        call = None
+        fewest = math.inf  # tokens `call` has left
+        for c in self.batch:
+            if c.phase != DECODE:
+                continue
+            left = c.target_output_tokens - c.tokens_emitted
+            if left < fewest or (left == fewest and c.request_id < call.request_id):
+                call, fewest = c, left
+        return call, now + fewest * self.params.token_time(self.n_decode)
 
     def complete_call(self, call: PendingCall) -> None:
         """Release a finished call's tokens and drop it from the batch."""

@@ -11,6 +11,7 @@ loop applies their effects.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .engines import EngineState, PendingCall
@@ -171,11 +172,13 @@ def holds_foreign_prefix(stage_id: str, engines: list[EngineState]) -> bool:
     return False
 
 
-def admission_decision(queue_lengths: list[int], cfg: AdmissionConfig) -> bool:
+def admission_decision(queue_lengths: Iterable[int], cfg: AdmissionConfig) -> bool:
     """True to accept a new workflow arrival.
 
-    A queue already at the cap rejects, so accepted arrivals can never push
-    the entry queue past max_queue_len.
+    `queue_lengths` holds every pool's queue length; it may be a generator,
+    which is not consumed when admission is off.  A queue already at the
+    cap rejects, so accepted arrivals can never push the entry queue past
+    max_queue_len.
     """
     if not cfg.enabled:
         return True

@@ -296,15 +296,17 @@ class PoolRuntime:
         # key None until Simulator._dispatch_pool rebuilds it
         self.heap: list[tuple[tuple[float, ...] | None, PendingCall]] = []
         self.heap_version = -1
-        # set when something a blocked dispatch depends on may have changed;
-        # a blocked pool is skipped until then
+        # set when something a blocked head's placement depends on may have
+        # changed, or a new call became the head; a blocked pool with a
+        # current heap is skipped until then
         self.dirty = False
         # the pool's servers, and those of them in use: tool slots and the
         # slots with a call, or the engines serving an LLM pool (each added
         # by Simulator._add_engine) and those of them with a batch
         self.capacity = 0 if spec.kind == LLM else spec.concurrency
         self.busy = 0
-        # utilization window (shared by the borrower and the autoscaler)
+        # utilization window, read by borrowing only: integrated only for
+        # the pools in Simulator._lendable, and left at 0 in any other
         self.busy_integral = 0.0
         self.capacity_integral = 0.0
         self.prev_utilization = 0.0
@@ -323,9 +325,12 @@ class PoolRuntime:
         return self.prev_utilization
 
     def reset_window(self) -> None:
-        self.prev_utilization = self.utilization()
-        self.busy_integral = 0.0
-        self.capacity_integral = 0.0
+        # a pool that is not integrated, or an empty window, keeps
+        # prev_utilization, which utilization() already reads
+        if self.capacity_integral > 0.0:
+            self.prev_utilization = self.utilization()
+            self.busy_integral = 0.0
+            self.capacity_integral = 0.0
         self.window_dispatches = 0
         self.window_delay_violations = 0
 
@@ -373,6 +378,14 @@ class Simulator:
                 self._llm_pool_ids.append(spec.pool_id)
                 for _ in range(spec.n_engines):
                     self._add_engine(spec.pool_id, spec.engine_params)
+        # the pools whose utilization() borrowing reads, and so the only
+        # ones whose utilization is integrated: every single-stage LLM pool
+        # while borrowing is on, none otherwise
+        self._lendable: list[PoolRuntime] = [
+            pool
+            for pool in self.pools.values()
+            if self.policy.borrow.enabled and pool.spec.kind == LLM and len(pool.spec.stage_ids) == 1
+        ]
 
         means = config.policy.service_estimates
         if means is None:
@@ -454,15 +467,16 @@ class Simulator:
     # clock advancement and accounting
 
     def _advance_clock(self, to_time: float) -> None:
-        """Move the clock and the pools' utilization integrals; engines
-        stay where they were until something touches them."""
+        """Move the clock and the utilization integrals of the pools
+        borrowing reads (`_lendable`); engines stay where they were until
+        something touches them."""
         dt = to_time - self.clock
         if dt < -1e-12:
             raise InternalInvariantViolation("event clock moved backwards")
         if dt <= 0.0:
             self.clock = to_time
             return
-        for pool in self.pools.values():
+        for pool in self._lendable:
             pool.busy_integral += pool.busy * dt
             pool.capacity_integral += pool.capacity * dt
         self.clock = to_time
@@ -611,8 +625,7 @@ class Simulator:
         self._schedule(ev.time + gap, EVENT_ARRIVAL)
 
         counted = ev.time >= self.cfg.warmup
-        queue_lengths = [len(p.heap) for p in self.pools.values()]
-        if not admission_decision(queue_lengths, self.policy.admission):
+        if not admission_decision((len(p.heap) for p in self.pools.values()), self.policy.admission):
             self.rejected += counted
             return
         self.admitted += counted
@@ -630,12 +643,17 @@ class Simulator:
         else:
             call = PendingCall(rid, sid, self.clock)
         pool = self.pools[self.stage_pool[sid]]
+        heap = pool.heap
         if pool.heap_version == self._key_version():
-            heapq.heappush(pool.heap, (self._dispatch_key(call), call))
-        else:  # keyed with the rest when _dispatch_pool rebuilds the heap
-            pool.heap.append((None, call))
-        pool.dirty = True
-        pool.max_queue_len = max(pool.max_queue_len, len(pool.heap))
+            heapq.heappush(heap, (self._dispatch_key(call), call))
+            # a call behind the head changes nothing the head's placement
+            # depends on: only a new head wakes a blocked pool
+            if heap[0][1] is call:
+                pool.dirty = True
+        else:  # keyed with the rest when _dispatch_pool rebuilds the heap;
+            # _dispatch_all offers a stale heap anyway
+            heap.append((None, call))
+        pool.max_queue_len = max(pool.max_queue_len, len(heap))
 
     def _handle_prefill_done(self, ev: Event) -> None:
         engine = self.engines[ev.engine_id]
@@ -759,12 +777,15 @@ class Simulator:
         )
 
     def _dispatch_all(self) -> None:
-        # A pool whose head was blocked stays blocked until it is marked
-        # dirty: its queue grew, capacity it serves on was freed or added
-        # (call or tool completion, borrow, return, scale event), or the
-        # key version changed and may have brought another call to the head.
-        # A full tool pool is left dirty, with its heap as it is, until a
-        # slot frees: whatever its head, it could not be placed.
+        # A pool whose head was blocked is offered again only once it is
+        # dirty or its heap is stale.  It is marked dirty when a call enters
+        # ahead of its head or capacity it serves on is freed or added (call
+        # or tool completion, borrow, return, scale event); its heap goes
+        # stale when the key version changes, which may bring another call
+        # to the head.  A call queued behind the head marks nothing: placing
+        # the head depends only on the pool's servers.  A full tool pool is
+        # skipped, with its heap as it is, until a slot frees: whatever its
+        # head, it could not be placed.
         version = self._key_version()
         for pool in self.pools.values():
             if pool.heap and (pool.dirty or pool.heap_version != version) and not pool.tool_slots_full():
@@ -871,9 +892,7 @@ class Simulator:
 
     def _borrow_views(self) -> list[BorrowPoolView]:
         views = []
-        for pool in self.pools.values():
-            if pool.spec.kind != LLM or len(pool.spec.stage_ids) != 1:
-                continue
+        for pool in self._lendable:
             available = [
                 e for e in self._home_engines(pool.pool_id) if e.lent_to is None
             ]

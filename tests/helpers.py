@@ -10,7 +10,7 @@ import io
 from typing import NamedTuple
 
 import stagesim as ss
-from stagesim.engines import EngineParams
+from stagesim.engines import DECODE, EngineParams
 from stagesim.simulation import (
     EVENT_ARRIVAL,
     EVENT_AUTOSCALE_TICK,
@@ -318,11 +318,52 @@ class FullSweepSimulator(ss.Simulator):
                 raise AssertionError(f"full sweep at {now}, not the shipped check: {exc}") from exc
 
 
-class SupersededCompletionsReference(ss.Simulator):
+class WakeEverySimulator(ss.Simulator):
+    """A Simulator that offers every pool with a queue after every event,
+    as if each had been marked dirty: a superset of every wake rule the
+    simulator has had, the oracle for the one it ships.  A blocked pool it
+    offers but the shipped one skips must stay blocked, so both make the
+    same decisions."""
+
+    def _dispatch_all(self) -> None:
+        for pool in self.pools.values():
+            if pool.heap:
+                pool.dirty = True
+        super()._dispatch_all()
+
+
+class EveryPoolIntegralsReference(ss.Simulator):
+    """Reference clock that integrates every pool's utilization at every
+    processed event, as the simulator did before it integrated only the
+    pools borrowing reads (`Simulator._lendable`)."""
+
+    def _advance_clock(self, to_time: float) -> None:
+        dt = to_time - self.clock
+        if dt > 0.0:
+            for pool in self.pools.values():
+                pool.busy_integral += pool.busy * dt
+                pool.capacity_integral += pool.capacity * dt
+        self.clock = to_time
+
+
+def reference_next_completion(engine, now: float):
+    """`EngineState.next_completion` as a `min` over the decode calls, keyed
+    by (tokens left, request id): the reference for its one-pass pick."""
+    if not engine.n_decode:
+        return None
+    call = min(
+        (c for c in engine.batch if c.phase == DECODE),
+        key=lambda c: (c.remaining_tokens, c.request_id),
+    )
+    return call, now + call.remaining_tokens * engine.params.token_time(engine.n_decode)
+
+
+class SupersededCompletionsReference(EveryPoolIntegralsReference):
     """Reference event loop that processes superseded completions as
     `Simulator.run` did before it skipped them: every popped event advances
     the clock and is followed by a dispatch pass, the invariant check and
-    KV sampling, and a superseded completion's handler does nothing.
+    KV sampling, and a superseded completion's handler does nothing.  It
+    integrates every pool's utilization, as that loop did.
 
     After `run()`, `superseded` counts the superseded completions popped,
     and `processed_times` holds the times of the other events.

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import engine_params
+from helpers import engine_params, reference_next_completion
 from stagesim.dists import Distribution
 from stagesim.engines import (
     DECODE,
@@ -228,6 +228,37 @@ def test_next_completion_tie_breaks_by_request_id():
     first = start_decode(eng, call(rid=3, output=10))
     start_decode(eng, call(rid=9, output=10))
     assert eng.next_completion(0.0)[0] is first
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    calls=st.lists(
+        # (target tokens, tokens emitted, decoding): few values, so that
+        # calls often have the same tokens left
+        st.tuples(st.sampled_from([1, 2, 5, 10]), st.sampled_from([0.0, 0.5, 1.0, 2.25]), st.booleans()),
+        min_size=1,
+        max_size=12,
+    ),
+    order=st.randoms(use_true_random=False),
+    now=st.sampled_from([0.0, 3.5]),
+)
+def test_next_completion_matches_min_over_the_batch(calls, order, now):
+    eng = engine(kv_capacity_tokens=10**6, max_batch=16, batch_slope=0.3)
+    rids = list(range(len(calls)))
+    order.shuffle(rids)  # the batch is not in request id order
+    for rid, (target, emitted, decoding) in zip(rids, calls):
+        c = call(rid=rid, prompt=1, output=target)
+        eng.admit(c, 0, 0.0)
+        if decoding:  # a prefill-phase call is never picked
+            eng.prefill_finished(c)
+            c.tokens_emitted = min(emitted, float(target))
+    want = reference_next_completion(eng, now)
+    got = eng.next_completion(now)
+    if want is None:
+        assert got is None
+    else:
+        assert got[0] is want[0]
+        assert got[1] == want[1]
 
 
 def test_complete_call_releases_tokens():

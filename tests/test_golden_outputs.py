@@ -20,7 +20,7 @@ import pytest
 
 import stagesim
 import stagesim.cli
-from helpers import FullSweepSimulator, run_config_tree
+from helpers import FullSweepSimulator, WakeEverySimulator, run_config_tree
 from stagesim.cli import main
 from stagesim.simulation import Simulator
 
@@ -159,12 +159,13 @@ def output_digest(out_dir) -> str:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_output_bytes_are_pinned(tmp_path, monkeypatch, name):
-    # the shipped simulator, and FullSweepSimulator, whose full invariant
-    # sweep must agree with the shipped check on every event and change
-    # nothing
+    # the shipped simulator; FullSweepSimulator, whose full invariant sweep
+    # must agree with the shipped check on every event and change nothing;
+    # and WakeEverySimulator, which offers every queued pool after every
+    # event and must place nothing the shipped wake rule does not
     _, expected, expected_popped, expected_kv_rows = GOLDEN_RUNS[name]
     config = golden_config(tmp_path, name)
-    for simulator in (Simulator, FullSweepSimulator):
+    for simulator in (Simulator, FullSweepSimulator, WakeEverySimulator):
         popped = []
 
         class CountingSimulator(simulator):

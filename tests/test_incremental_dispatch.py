@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import stagesim as ss
 import stagesim.simulation as simulation
-from helpers import engine_params, nl2sql_vw, reference_select, sim_config, static_heap
+from helpers import WakeEverySimulator, engine_params, nl2sql_vw, reference_select, sim_config, static_heap
 from stagesim.engines import PendingCall
 from stagesim.scheduling import (
     AdmissionConfig,
@@ -26,8 +26,9 @@ from stagesim.scheduling import (
     route_call_with_eviction,
     select_next,
 )
-from stagesim.simulation import Simulator
+from stagesim.simulation import RequestSim, Simulator
 from stagesim.workflow import LLM, is_terminal
+from stagesim.workloads import GENERATOR
 
 # ----------------------------------------------------------------------
 # select_next on generated queues
@@ -102,8 +103,9 @@ class CheckedSimulator(Simulator):
     reference head that could be placed, and after every event that
     `requests` holds exactly the admitted requests that have no
     RequestRecord yet and that each one's stage call is held exactly once;
-    counts the pools a pass skipped, the dirty pools it skipped because all
-    their tool slots were busy, and the events checked."""
+    counts the pools a pass skipped, the pools it would otherwise have
+    offered (dirty, or with a stale heap) but skipped because all their
+    tool slots were busy, and the events checked."""
 
     skipped = 0
     gated = 0
@@ -120,8 +122,11 @@ class CheckedSimulator(Simulator):
 
     def _dispatch_all(self) -> None:
         self.skipped += sum(1 for pool in self.pools.values() if pool.heap)
+        version = self._key_version()
         self.gated += sum(
-            1 for pool in self.pools.values() if pool.heap and pool.dirty and pool.tool_slots_full()
+            1
+            for pool in self.pools.values()
+            if pool.heap and (pool.dirty or pool.heap_version != version) and pool.tool_slots_full()
         )
         super()._dispatch_all()
         for pool in self.pools.values():
@@ -222,8 +227,64 @@ def test_every_dispatch_matches_full_sort(monkeypatch, name):
     if name == "autoscale":
         assert result.audit.scale_events
     if name == "tool_full_online":
-        assert sim.gated > 0, "no dirty tool pool waited on a busy slot"
+        assert sim.gated > 0, "no dirty or stale tool pool waited on a busy slot"
     assert len(checked) >= len(result.traces.dispatches) > 0
     assert any(checked), "no selection ever had a second queued call"
     assert sim.skipped > 0, "no dispatch pass skipped a blocked pool"
     assert sim.conserved >= len(result.traces.requests) > 0
+
+
+@pytest.mark.parametrize("mode", ["isolated", "shared"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_wake_rule_places_what_waking_every_pool_places(mode, seed):
+    # KV-bound engines and slack keys, as in configs/nl2sql_compare.json: a
+    # fixer call can enter ahead of a blocked head and fit where it did not
+    cfg = sim_config(mode=mode, params=COMPARE_ENGINE, rate=2.1, duration=80.0, warmup=10.0, seed=seed)
+    sim, waker = Simulator(cfg), WakeEverySimulator(cfg)
+    got, want = sim.run(), waker.run()
+    assert sim._seq - len(sim._heap) == waker._seq - len(waker._heap)
+    assert (got.report, got.traces, got.audit) == (want.report, want.traces, want.audit)
+
+
+class OfferCountingSimulator(Simulator):
+    """Counts the dispatch passes offered each pool, by pool id."""
+
+    def __init__(self, config) -> None:
+        self.offered: dict[str, int] = {}
+        super().__init__(config)
+
+    def _dispatch_pool(self, pool, version) -> None:
+        self.offered[pool.pool_id] = self.offered.get(pool.pool_id, 0) + 1
+        super()._dispatch_pool(pool, version)
+
+
+def test_only_a_new_head_wakes_a_blocked_pool():
+    # one generator engine that takes one call at a time, under fcfs, where
+    # a call's key is its request id
+    cfg = sim_config(params=engine_params(max_batch=1), policy=ss.PolicyConfig(kind="fcfs"))
+    sim = OfferCountingSimulator(cfg)
+    pool = sim.pools[sim.stage_pool[GENERATOR]]
+
+    def enter(rid: int) -> None:
+        sim.requests[rid] = RequestSim(rid, 0.0, 100.0, GENERATOR)
+        sim._enter_stage(sim.requests[rid])
+
+    def offers() -> int:
+        sim._dispatch_all()
+        return sim.offered.pop(pool.pool_id, 0)
+
+    enter(5)  # no pass has keyed the heap yet: appended unkeyed
+    assert pool.heap == [(None, pool.heap[0][1])] and not pool.dirty
+    assert offers() == 1  # a stale heap is offered anyway, and 5 placed
+    assert not pool.heap and sim.engines[0].batch[0].request_id == 5
+    enter(7)  # the head of an empty queue
+    assert pool.dirty
+    assert offers() == 1  # blocked: the engine is full
+    assert not pool.dirty and [call.request_id for _, call in pool.heap] == [7]
+    enter(9)  # behind the blocked head
+    assert not pool.dirty
+    assert offers() == 0
+    enter(3)  # ahead of it: a new head
+    assert pool.dirty
+    assert offers() == 1
+    assert not pool.dirty and [call.request_id for _, call in sorted(pool.heap)] == [3, 7, 9]

@@ -17,7 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stagesim as ss
-from helpers import EagerAdvanceReference, FullSweepSimulator, engine_params, kv_segments, resample_kv, sim_config
+from helpers import (
+    EagerAdvanceReference,
+    FullSweepSimulator,
+    WakeEverySimulator,
+    engine_params,
+    kv_segments,
+    resample_kv,
+    sim_config,
+)
 from stagesim.reporting import DISPATCH_CSV, REQUESTS_CSV, write_run_outputs
 
 TOL = 1e-6
@@ -91,11 +99,18 @@ def test_segment_trace_matches_eager_advance(mode, kind, borrow, autoscale, rate
     # checking more changes nothing
     oracle = FullSweepSimulator(config)
     swept = oracle.run()
+    # offering every queued pool after every event places nothing the
+    # shipped wake rule does not
+    waker = WakeEverySimulator(config)
+    woken = waker.run()
 
     assert sim._seq - len(sim._heap) == reference._seq - len(reference._heap)
     assert oracle._seq - len(oracle._heap) == sim._seq - len(sim._heap)
+    assert waker._seq - len(waker._heap) == sim._seq - len(sim._heap)
     got_bytes, want_bytes = output_bytes(got), output_bytes(want)
     assert output_bytes(swept) == got_bytes
+    assert output_bytes(woken) == got_bytes
+    assert woken.audit == got.audit
     for name in (REQUESTS_CSV, DISPATCH_CSV):
         assert got_bytes[name] == want_bytes[name], name
     assert_audits_match(got.audit, want.audit)

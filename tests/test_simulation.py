@@ -8,7 +8,15 @@ import pytest
 
 import stagesim as ss
 import stagesim.simulation as simulation
-from helpers import FullSweepSimulator, RetainingSimulator, engine_params, nl2sql_vw, segment_end_kv, sim_config
+from helpers import (
+    EveryPoolIntegralsReference,
+    FullSweepSimulator,
+    RetainingSimulator,
+    engine_params,
+    nl2sql_vw,
+    segment_end_kv,
+    sim_config,
+)
 from stagesim.dists import Distribution
 from stagesim.engines import EngineState, PendingCall
 from stagesim.rng import RngStream
@@ -370,6 +378,71 @@ def test_serving_pool_follows_every_borrow_and_return():
     audit = ServingChecked(cfg).run().audit
     assert audit.borrows and audit.returns and audit.lent_admissions
     assert {decision for _, _, decision in audit.scale_events} == {-1, 1}
+
+
+class WindowRecorder:
+    """Records, after every clock advance, the utilization window of each
+    pool the simulator integrates (`_lendable`)."""
+
+    def __init__(self, config) -> None:
+        self.windows: list = []
+        super().__init__(config)
+
+    def _advance_clock(self, to_time: float) -> None:
+        super()._advance_clock(to_time)
+        self.windows.append(
+            [(p.pool_id, p.busy_integral, p.capacity_integral, p.prev_utilization) for p in self._lendable]
+        )
+
+
+class RecordedSimulator(WindowRecorder, Simulator):
+    pass
+
+
+class RecordedReference(WindowRecorder, EveryPoolIntegralsReference):
+    pass
+
+
+def test_utilization_is_integrated_and_read_only_where_borrowing_reads_it(monkeypatch):
+    # borrowing reads the utilization of single-stage LLM pools only, so
+    # only they integrate it, to the same floats as integrating every pool
+    # at every event; the tool pool and the autoscaler never read it
+    reads: list[tuple[str, float]] = []
+    utilization = simulation.PoolRuntime.utilization
+
+    def recorded_utilization(pool):
+        value = utilization(pool)
+        reads.append((pool.pool_id, value))
+        return value
+
+    monkeypatch.setattr(simulation.PoolRuntime, "utilization", recorded_utilization)
+    cfg = sim_config(engines=(1, 3), policy=ELASTIC_POLICY, rate=4.0, duration=60.0, seed=3)
+    runs = {}
+    for cls in (RecordedSimulator, RecordedReference):
+        reads.clear()
+        sim = cls(cfg)
+        runs[cls] = (sim, sim.run(), list(reads))
+    sim, got, got_reads = runs[RecordedSimulator]
+    reference, want, want_reads = runs[RecordedReference]
+
+    lendable = [p.pool_id for p in sim._lendable]
+    assert lendable == [sim.stage_pool[GENERATOR], sim.stage_pool[FIXER]]
+    assert got.audit.borrows and got.audit.returns and got.audit.scale_events
+    assert got_reads and {pid for pid, _ in got_reads} <= set(lendable)
+    # the same values read, at the same points, as from integrating every pool
+    assert got_reads == [(pid, value) for pid, value in want_reads if pid in lendable]
+    assert sim.windows == reference.windows
+    tool = sim.pools[sim.stage_pool[EXECUTOR]]
+    assert (tool.busy_integral, tool.capacity_integral) == (0.0, 0.0)
+    assert tool.pool_id in {pid for pid, _ in want_reads}  # the reference's window resets read it
+    assert (got.report, got.traces, got.audit) == (want.report, want.traces, want.audit)
+
+
+def test_without_borrowing_no_pool_integrates_utilization():
+    sim = Simulator(sim_config(engines=(1, 3), rate=4.0, duration=30.0, seed=3))
+    sim.run()
+    assert sim._lendable == []
+    assert all((p.busy_integral, p.capacity_integral) == (0.0, 0.0) for p in sim.pools.values())
 
 
 def test_invariant_check_catches_pool_counters_out_of_bounds():

@@ -114,8 +114,13 @@ def run_with_superseded_completions(cls):
     """Engine 0 decodes a call that outlasts the run; the only events due
     before the end are a superseded completion for it (an old epoch) and
     one for an engine that does not exist."""
-    # an arrival rate this low draws its first arrival long after the end
-    sim = cls(sim_config(rate=1e-9, duration=2.0, warmup=0.0))
+    # an arrival rate this low draws its first arrival long after the end;
+    # borrowing makes the LLM pools integrate utilization, and its first
+    # check falls after the end too
+    policy = ss.PolicyConfig(
+        borrow=ss.BorrowConfig(enabled=True), autoscale=ss.AutoscaleConfig(check_interval=10.0)
+    )
+    sim = cls(sim_config(rate=1e-9, duration=2.0, warmup=0.0, policy=policy))
     sim.advances = []
     engine = sim.engines[0]
     (stage,) = sim.pools[engine.serving_pool].spec.stage_ids
@@ -137,6 +142,10 @@ def test_superseded_completion_leaves_clock_integrals_and_kv_trace_untouched():
     # the closing rows
     assert [(clock, to) for clock, to, _ in sim.advances] == [(0.0, 2.0)]
     assert sim.advances[0][2] == [(0.0, 0.0)] * len(sim.pools)
+    # then in one piece: engine 0 kept its pool busy, the other LLM pool
+    # was idle
+    assert sim._lendable[0].pool_id == sim.engines[0].serving_pool
+    assert [(p.busy_integral, p.capacity_integral) for p in sim._lendable] == [(2.0, 2.0), (0.0, 2.0)]
     assert {s.time for s in sim.traces.kv_samples} == {0.0, 2.0}
     assert sim._seq - len(sim._heap) == 2  # both were still popped
 
