@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from dataclasses import replace
 
 from .config import (
@@ -39,7 +40,9 @@ EXIT_RUNTIME = 3
 
 
 def parse_seeds(text: str) -> list[int]:
-    """Accept 'A..B' ranges and comma lists, e.g. '1..10' or '3,5,9'."""
+    """Accept 'A..B' ranges and comma lists, e.g. '1..10' or '3,5,9'.  A
+    seed listed twice is an error: compare keys its reports by cell and
+    seed, so a repeat would count in the CSV but not in the JSON."""
     text = text.strip()
 
     def seed(part: str) -> int:
@@ -57,6 +60,9 @@ def parse_seeds(text: str) -> list[int]:
     seeds = [seed(part) for part in text.split(",") if part.strip()]
     if not seeds:
         raise ConfigError(f"no seeds in '{text}'")
+    repeated = sorted(s for s, n in Counter(seeds).items() if n > 1)
+    if repeated:
+        raise ConfigError(f"seeds {repeated} listed more than once in '{text}'")
     return seeds
 
 

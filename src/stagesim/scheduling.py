@@ -131,11 +131,31 @@ def _route_order(stage_id: str, now: float):
 def route_call(
     call: PendingCall, prefix_tokens: int, engines: list[EngineState], now: float
 ) -> EngineState | None:
-    """The first engine in routing order that can admit the call, or None."""
-    admissible = [e for e in engines if e.can_admit(call, prefix_tokens)]
-    if not admissible:
-        return None
-    return min(admissible, key=_route_order(call.stage_id, now))
+    """The first engine in routing order that can admit the call, or None.
+
+    One pass over `engines` (the simulator passes a pool's list, in id
+    order): warm before cold, then least KV used at `now`, then lowest id.
+    An engine's KV is read only when it could still beat the best so far.
+    """
+    stage_id = call.stage_id
+    best = None
+    best_cold = True
+    best_kv = 0.0
+    for e in engines:
+        if not e.can_admit(call, prefix_tokens):
+            continue
+        cold = stage_id not in e.resident
+        if best is not None and cold and not best_cold:
+            continue
+        kv = e.kv_used_at(now)
+        if (
+            best is None
+            or best_cold > cold
+            or kv < best_kv
+            or (kv == best_kv and e.engine_id < best.engine_id)
+        ):
+            best, best_cold, best_kv = e, cold, kv
+    return best
 
 
 def route_call_with_eviction(
@@ -160,14 +180,23 @@ def route_call_with_eviction(
     return None
 
 
-def holds_foreign_prefix(stage_id: str, engines: list[EngineState]) -> bool:
-    """Whether any engine holds a resident prefix of a stage other than
-    `stage_id`.  When none does and `route_call` found no engine,
-    `route_call_with_eviction` finds none either: it has nothing to evict,
-    and without evictions its KV test is `can_admit`'s."""
+def can_evict_for(stage_id: str, engines: list[EngineState]) -> bool:
+    """Whether some engine with a free batch slot holds an idle prefix of a
+    stage other than `stage_id`: the precondition of
+    `route_call_with_eviction` once `route_call` has found no engine.
+
+    Skipping the fallback when this is false is exact.  The fallback only
+    tries engines with a free slot.  On such an engine, needing no eviction
+    (the call's KV demand within the free KV) is exactly `can_admit`, which
+    `route_call` just refused for every engine; so the fallback can place
+    the call only by evicting, and it evicts only idle prefixes of other
+    stages (`evictable_prefixes`), which no engine with a free slot holds.
+    """
     for engine in engines:
+        if len(engine.batch) >= engine.params.max_batch:
+            continue
         for sid in engine.resident:
-            if sid != stage_id:
+            if sid != stage_id and not engine.active_stage_calls(sid):
                 return True
     return False
 

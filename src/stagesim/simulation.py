@@ -13,10 +13,12 @@ the engine's KV integral and one row to the KV trace.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import heapq
 import math
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import NamedTuple
 
 from .engines import DECODE, EngineState, PendingCall
@@ -32,8 +34,8 @@ from .scheduling import (
     ServiceEstimator,
     admission_decision,
     autoscale_tick,
+    can_evict_for,
     dispatch_key,
-    holds_foreign_prefix,
     route_call,
     route_call_with_eviction,
     select_next,
@@ -286,7 +288,14 @@ class RequestSim:
 
 
 class PoolRuntime:
-    """Mutable per-pool simulation state: queue, servers, and window stats."""
+    """Mutable per-pool simulation state: queue, servers, and window stats.
+
+    An LLM pool keeps the engines it serves in `engines`, in increasing id
+    order: its home engines that are not lent, and the engines lent to it.
+    Routing reads that list and takes ties to the lowest id.  The simulator
+    keeps it where engines are added, retired, lent and returned, and the
+    invariant check walks it.  A tool pool's list stays empty.
+    """
 
     def __init__(self, spec) -> None:
         self.spec = spec
@@ -305,6 +314,7 @@ class PoolRuntime:
         # by Simulator._add_engine) and those of them with a batch
         self.capacity = 0 if spec.kind == LLM else spec.concurrency
         self.busy = 0
+        self.engines: list[EngineState] = []
         # utilization window, read by borrowing only: integrated only for
         # the pools in Simulator._lendable, and left at 0 in any other
         self.busy_integral = 0.0
@@ -359,7 +369,6 @@ class Simulator:
         self._arrivals = RngStream(config.seed, "arrivals")
 
         self.pools: dict[str, PoolRuntime] = {}
-        self._llm_pool_ids: list[str] = []
         self.stage_pool: dict[str, str] = {}
         # _add_engine hands out ids in increasing order and engines are only
         # ever deleted, so iterating self.engines visits them in id order.
@@ -375,7 +384,6 @@ class Simulator:
             for sid in spec.stage_ids:
                 self.stage_pool[sid] = spec.pool_id
             if spec.kind == LLM:
-                self._llm_pool_ids.append(spec.pool_id)
                 for _ in range(spec.n_engines):
                     self._add_engine(spec.pool_id, spec.engine_params)
         # the pools whose utilization() borrowing reads, and so the only
@@ -427,7 +435,9 @@ class Simulator:
         self.engines[engine.engine_id] = engine
         self._kv_integral[engine.engine_id] = 0.0
         self._next_engine_id += 1
-        self.pools[pool_id].capacity += 1
+        pool = self.pools[pool_id]
+        pool.capacity += 1
+        pool.engines.append(engine)  # the highest id yet, so in id order
         self._touched[engine.engine_id] = engine  # its first KV row
         return engine
 
@@ -450,9 +460,6 @@ class Simulator:
 
     def _draw(self, req: RequestSim, label: str) -> float:
         return self._stream(req, label).uniform()
-
-    def _serving_engines(self, pool_id: str) -> list[EngineState]:
-        return [e for e in self.engines.values() if e.serving_pool == pool_id]
 
     def _home_engines(self, pool_id: str) -> list[EngineState]:
         return [e for e in self.engines.values() if e.home_pool == pool_id]
@@ -518,7 +525,12 @@ class Simulator:
         touched.clear()
 
     def _check_invariants(self) -> None:
-        """Check every engine and the pools' server counters after an event.
+        """Check every engine, the pools' engine lists and their server
+        counters after an event.
+
+        The LLM pools' lists must partition `self.engines`, each in strictly
+        increasing id order and holding only engines that serve that pool;
+        a pool's busy count and capacity are recounted from its list.
 
         An engine the event touched (or added) gets the full recount of
         `_check_engine`.  Any other engine has not changed since its last
@@ -530,23 +542,42 @@ class Simulator:
         engine's horizon is -1, so its first check is a full one."""
         now = self.clock
         touched = self._touched
-        # [busy, capacity] per LLM pool, recounted from its engines
-        counts = {pid: [0, 0] for pid in self._llm_pool_ids}
-        for eid, e in self.engines.items():
-            count = counts[e.serving_pool]
-            count[1] += 1
-            if e.batch:
-                count[0] += 1
-            if eid in touched or now > e.horizon:
-                self._check_engine(e, now)
+        engines = self.engines
+        listed = 0
         for pool in self.pools.values():
-            # a tool pool's slots have nothing to recount them from
-            busy, capacity = counts.get(pool.pool_id, (pool.busy, pool.capacity))
+            if pool.spec.kind != LLM:
+                # a tool pool's slots have nothing to recount them from
+                busy, capacity = pool.busy, pool.capacity
+            else:
+                pid = pool.pool_id
+                busy = 0
+                last = -1
+                for e in pool.engines:
+                    eid = e.engine_id
+                    # strictly increasing ids, each a live engine serving
+                    # this pool: no engine is listed twice, in two pools, or
+                    # after it retired
+                    if eid <= last or engines.get(eid) is not e or e.serving_pool != pid:
+                        raise InternalInvariantViolation(
+                            f"pool {pid}: engine list {[x.engine_id for x in pool.engines]} "
+                            f"out of order or not serving it"
+                        )
+                    last = eid
+                    if e.batch:
+                        busy += 1
+                    if eid in touched or now > e.horizon:
+                        self._check_engine(e, now)
+                capacity = len(pool.engines)
+                listed += capacity
             if not (pool.busy == busy and pool.capacity == capacity and 0 <= busy <= capacity):
                 raise InternalInvariantViolation(
                     f"pool {pool.pool_id}: busy/capacity {pool.busy}/{pool.capacity}, "
                     f"recounted {busy}/{capacity}"
                 )
+        if listed != len(engines):  # every engine is listed, and only once
+            raise InternalInvariantViolation(
+                f"pool engine lists hold {listed} engines, {len(engines)} exist"
+            )
 
     def _check_engine(self, e: EngineState, now: float) -> None:
         """Recount one engine.  It is read at the clock through its segment,
@@ -835,7 +866,13 @@ class Simulator:
     def _place(self, pool: PoolRuntime, call: PendingCall, now: float) -> str | None:
         """Start `call` on an engine or tool slot of `pool`; returns the
         engine id for the dispatch record ('' for a tool slot), or None
-        when nothing can take it."""
+        when nothing can take it.
+
+        An LLM call is routed over the pool's engine list, in id order.
+        When no engine can admit it as it is, the eviction fallback runs
+        only under its own precondition, `can_evict_for`: some engine with
+        a free batch slot holds an idle prefix of another stage.  Without
+        one the fallback could only fail too."""
         if pool.spec.kind != LLM:
             if pool.tool_slots_full():
                 return None
@@ -845,11 +882,11 @@ class Simulator:
             self._schedule(now + service, EVENT_TOOL_COMPLETE, request_id=call.request_id)
             return ""
         prefix_tokens = self.vw.stage(call.stage_id).prefix_tokens
-        engines = self._serving_engines(pool.pool_id)
+        engines = pool.engines
         placed = route_call(call, prefix_tokens, engines, now)
         evictions: list[str] = []
         if placed is None:
-            if not holds_foreign_prefix(call.stage_id, engines):
+            if not can_evict_for(call.stage_id, engines):
                 return None  # the fallback could only fail too
             with_evict = route_call_with_eviction(call, prefix_tokens, engines, now)
             if with_evict is None:
@@ -884,10 +921,15 @@ class Simulator:
             home.dirty = borrower.dirty = True
 
     def _set_serving_pool(self, engine: EngineState, pool_id: str) -> None:
-        """Lend an idle engine to `pool_id`, or return it home."""
+        """Lend an idle engine to `pool_id`, or return it home, moving it
+        between the two pools' engine lists, each kept in id order."""
         self._touch(engine)
-        self.pools[engine.serving_pool].capacity -= 1
-        self.pools[pool_id].capacity += 1
+        old = self.pools[engine.serving_pool]
+        old.capacity -= 1
+        old.engines.remove(engine)
+        new = self.pools[pool_id]
+        new.capacity += 1
+        bisect.insort(new.engines, engine, key=attrgetter("engine_id"))
         engine.serving_pool = pool_id
 
     def _borrow_views(self) -> list[BorrowPoolView]:
@@ -951,6 +993,7 @@ class Simulator:
                     victim = idle[-1]
                     self._touch(victim)  # closes its KV trace and integral
                     del self.engines[victim.engine_id]
+                    pool.engines.remove(victim)  # idle at home, so listed here
                     pool.capacity -= 1
                 pool.dirty = True
                 pool.last_scale_time = self.clock

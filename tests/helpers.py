@@ -11,6 +11,7 @@ from typing import NamedTuple
 
 import stagesim as ss
 from stagesim.engines import DECODE, EngineParams
+from stagesim.scheduling import _route_order
 from stagesim.simulation import (
     EVENT_ARRIVAL,
     EVENT_AUTOSCALE_TICK,
@@ -103,6 +104,15 @@ def reference_select(queue, key_fn):
     best_key, call = keyed[0]
     remaining = keyed[1][0] if len(keyed) > 1 else None
     return call, best_key, remaining
+
+
+def reference_route_call(call, prefix_tokens, engines, now):
+    """`route_call` as a `min` over the admissible engines, keyed by the
+    routing order: the reference for its one-pass loop."""
+    admissible = [e for e in engines if e.can_admit(call, prefix_tokens)]
+    if not admissible:
+        return None
+    return min(admissible, key=_route_order(call.stage_id, now))
 
 
 def static_heap(calls, static_key) -> list:
@@ -430,7 +440,7 @@ class EagerAdvanceReference(ss.Simulator):
         if dt <= 0.0:
             self.clock = to_time
             return
-        counts = {pid: [0, 0] for pid in self._llm_pool_ids}  # [busy, serving]
+        counts = {pid: [0, 0] for pid, pool in self.pools.items() if pool.spec.kind == LLM}  # [busy, serving]
         warmup = self.cfg.warmup
         for eid, engine in self.engines.items():
             count = counts[engine.serving_pool]

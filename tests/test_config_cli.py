@@ -197,6 +197,19 @@ def test_parse_seeds_forms():
             parse_seeds(text)
 
 
+def test_repeated_seeds_exit_2(tmp_path, capsys):
+    # comparison.csv would hold a row per copy, comparison.json one report
+    # per cell and seed
+    for text, repeated in [("1,1", "[1]"), ("3,5,3", "[3]")]:
+        with pytest.raises(ConfigError, match=re.escape(f"seeds {repeated} listed more than once")):
+            parse_seeds(text)
+    path = write_config(tmp_path, compare_tree())
+    out = tmp_path / "x"
+    assert main(["compare", path, "--seeds", "1,1", "--out", str(out)]) == 2
+    assert "listed more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_malformed_seeds_exit_2(tmp_path, capsys):
     path = write_config(tmp_path, compare_tree())
     assert main(["compare", path, "--seeds", "1..x", "--out", str(tmp_path / "x")]) == 2

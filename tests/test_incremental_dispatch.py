@@ -88,7 +88,7 @@ def _placeable(sim: Simulator, pool, call) -> bool:
     if pool.spec.kind != LLM:
         return pool.busy < pool.capacity
     prefix = sim.vw.stage(call.stage_id).prefix_tokens
-    engines = sim._serving_engines(pool.pool_id)
+    engines = pool.engines
     return route_call(call, prefix, engines, sim.clock) is not None or (
         route_call_with_eviction(call, prefix, engines, sim.clock) is not None
     )

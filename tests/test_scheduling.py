@@ -3,10 +3,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stagesim as ss
-from helpers import engine_params, nl2sql_vw, sim_config, static_heap
-from stagesim.engines import EngineState, PendingCall
+from helpers import engine_params, nl2sql_vw, reference_route_call, sim_config, static_heap
+from stagesim.engines import DECODE, EngineState, PendingCall
 from stagesim.scheduling import (
     AdmissionConfig,
     AutoscaleConfig,
@@ -16,6 +18,7 @@ from stagesim.scheduling import (
     ServiceEstimator,
     admission_decision,
     autoscale_tick,
+    can_evict_for,
     dispatch_key,
     route_call,
     route_call_with_eviction,
@@ -255,6 +258,74 @@ def test_route_with_eviction_gives_up_when_not_enough():
     eng.admit(done, 100, 0.0)
     eng.complete_call(done)
     assert route_call_with_eviction(PendingCall(1, "gen", 0.0, 200, 200), 0, [eng], 0.0) is None
+
+
+def test_eviction_precondition_needs_an_idle_foreign_prefix_on_a_free_slot():
+    def engine(max_batch, stages, active):
+        eng = EngineState(1, engine_params(kv_capacity_tokens=2000, max_batch=max_batch), "p")
+        for rid, stage in enumerate(stages):
+            call = PendingCall(rid, stage, 0.0, 10, 10)
+            eng.admit(call, 100, 0.0)
+            if stage not in active:
+                eng.complete_call(call)
+        return eng
+
+    assert not can_evict_for("gen", [engine(4, ["gen"], [])])  # only its own prefix
+    assert not can_evict_for("gen", [engine(4, ["fix"], ["fix"])])  # in use
+    assert not can_evict_for("gen", [engine(1, ["fix", "gen"], ["gen"])])  # no free slot
+    assert can_evict_for("gen", [engine(1, ["gen"], ["gen"]), engine(4, ["fix"], [])])
+
+
+# Routing on generated engines: prefixes of three stages, batches of calls
+# in both phases, KV from empty to full, and batch bounds from 1 to 4.
+ROUTE_PREFIX = {"a": 300, "b": 500, "c": 0}
+
+
+@st.composite
+def routing_cases(draw):
+    """(call, prefix tokens, engines in id order, now) for a call routed
+    over a generated pool."""
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    now = rnd.choice([0.0, 0.4, 3.0])
+    engines = []
+    for eid in sorted(rnd.sample(range(12), rnd.randint(1, 4))):
+        params = engine_params(kv_capacity_tokens=rnd.choice([900, 1500, 3000]), max_batch=rnd.randint(1, 4))
+        eng = EngineState(eid, params, "p")
+        t = 0.0
+        for rid in range(rnd.randint(0, 10)):
+            t = min(now, t + rnd.choice([0.0, 0.05, 0.3]))
+            eng.advance_decode(t)
+            decoding = [c for c in eng.batch if c.phase == DECODE]
+            op = rnd.random()
+            if op < 0.4 and decoding:
+                eng.complete_call(rnd.choice(decoding))
+            elif op < 0.5 and eng.resident:
+                stage = rnd.choice(sorted(eng.resident))
+                if not eng.active_stage_calls(stage):
+                    eng.evict_idle_prefix(stage)
+            else:
+                stage = rnd.choice(sorted(ROUTE_PREFIX))
+                call = PendingCall(rid, stage, t, rnd.choice([0, 40, 200]), rnd.choice([10, 100, 400]))
+                if eng.can_admit(call, ROUTE_PREFIX[stage]):
+                    eng.admit(call, ROUTE_PREFIX[stage], t)
+                    if rnd.random() < 0.7:
+                        eng.prefill_finished(call)
+        engines.append(eng)
+    stage = rnd.choice(sorted(ROUTE_PREFIX))
+    call = PendingCall(99, stage, now, rnd.choice([0, 40, 200, 800]), rnd.choice([10, 100, 400]))
+    return call, ROUTE_PREFIX[stage], engines, now
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(routing_cases())
+def test_routing_on_generated_engines(case):
+    call, prefix, engines, now = case
+    placed = route_call(call, prefix, engines, now)
+    assert placed is reference_route_call(call, prefix, engines, now)
+    assert route_call(call, prefix, engines[::-1], now) is placed  # ties go to the lowest id
+    if placed is None and not can_evict_for(call.stage_id, engines):
+        # the skip in Simulator._place is exact
+        assert route_call_with_eviction(call, prefix, engines, now) is None
 
 
 # ----------------------------------------------------------------------

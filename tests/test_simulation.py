@@ -20,7 +20,7 @@ from helpers import (
 from stagesim.dists import Distribution
 from stagesim.engines import EngineState, PendingCall
 from stagesim.rng import RngStream
-from stagesim.scheduling import dispatch_key, holds_foreign_prefix
+from stagesim.scheduling import can_evict_for, dispatch_key
 from stagesim.simulation import (
     EmptySamples,
     Simulator,
@@ -458,6 +458,50 @@ def test_invariant_check_catches_pool_counters_out_of_bounds():
         sim._check_invariants()
 
 
+def _corrupt_duplicate(sim, pool):
+    pool.engines.append(pool.engines[0])
+
+
+def _corrupt_order(sim, pool):
+    pool.engines.reverse()
+
+
+def _corrupt_retired_left_in(sim, pool):
+    del sim.engines[pool.engines[-1].engine_id]  # retired, but still listed
+
+
+def _corrupt_listed_in_two_pools(sim, pool):
+    other = sim.pools[sim.stage_pool[GENERATOR]]
+    other.engines.append(pool.engines[0])
+    other.capacity += 1
+
+
+def _corrupt_missing(sim, pool):
+    pool.engines.pop()
+    pool.capacity -= 1
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_corrupt_duplicate, "out of order or not serving it"),
+        (_corrupt_order, "out of order or not serving it"),
+        (_corrupt_retired_left_in, "out of order or not serving it"),
+        (_corrupt_listed_in_two_pools, "out of order or not serving it"),
+        (_corrupt_missing, "pool engine lists hold 3 engines, 4 exist"),
+    ],
+)
+def test_invariant_check_catches_a_corrupt_pool_engine_list(corrupt, message):
+    # each LLM pool lists the engines serving it, in id order, and routing
+    # reads only that list: the check must see every way it can go wrong
+    sim = Simulator(sim_config(engines=(1, 3)))
+    sim._check_invariants()
+    fixer = sim.pools[sim.stage_pool[FIXER]]
+    assert [e.engine_id for e in fixer.engines] == [1, 2, 3]
+    corrupt(sim, fixer)
+    with pytest.raises(ss.InternalInvariantViolation, match=message):
+        sim._check_invariants()
+
 
 def test_invariant_check_catches_a_call_of_a_stage_the_pool_does_not_serve():
     # the stage rule holds on a shared (multi-stage) pool too
@@ -651,7 +695,7 @@ def test_routing_fallback_early_out_agrees_with_the_fallback(monkeypatch, mode, 
         placed = route_call(call, prefix_tokens, pool_engines, now)
         if placed is None:
             fallback = simulation.route_call_with_eviction(call, prefix_tokens, pool_engines, now)
-            if holds_foreign_prefix(call.stage_id, pool_engines):
+            if can_evict_for(call.stage_id, pool_engines):
                 checked["fallbacks"] += 1
             else:
                 assert fallback is None
