@@ -102,23 +102,26 @@ class AutoscaleConfig:
             raise ValueError("cooldown must be >= 0")
 
 
-def select_next(heap):
-    """Most urgent pending call, read from a pool's heap.
+def select_next(heads):
+    """Most urgent pending call of a pool, read from its class heads.
 
-    `heap` is a heapq list of (dispatch key, call) entries, one per queued
-    call.  Every policy's key stays fixed while its call waits (slack keys
-    by deadline - W, which in exact arithmetic orders calls as the slack
-    deadline - now - W does), so the heap head is the call a full sort of
-    the queue picks and the best waiting key is the smaller of the head's
-    children.
+    `heads` holds a (dispatch key, call) entry for the head of each of the
+    pool's class queues, one queue per (stage, retries used).  Within a
+    class the keys sort as the queue ranks its calls, at every key version:
+    slack keys (deadline - W, E, [-selectivity], request id) take W and E
+    from the class alone, and deadlines never decrease with request id
+    (see `simulation.PoolRuntime`).  So each class head holds its class's
+    least key, and the least key over the heads is the one a full sort of
+    the queue picks.  Keys are unique (each ends in a request id), so calls
+    are never compared.
 
-    Returns (call, key, best_waiting_key) or None on an empty heap; the
-    caller removes the call only after engine admission succeeds.
+    Returns (call, key) or None when there are no heads; the caller removes
+    the call only after engine admission succeeds.
     """
-    if not heap:
+    if not heads:
         return None
-    second = min(heap[1:3], default=None)
-    return heap[0][1], heap[0][0], None if second is None else second[0]
+    key, call = min(heads)
+    return call, key
 
 
 def _route_order(stage_id: str, now: float):

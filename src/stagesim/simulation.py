@@ -290,6 +290,19 @@ class RequestSim:
 class PoolRuntime:
     """Mutable per-pool simulation state: queue, servers, and window stats.
 
+    The queue is one heap per class, (stage, retries used), in `queues`.
+    A slack key, (deadline - W, E, [-selectivity], request id), depends on
+    the service estimates only through W and E, and those depend only on
+    the class.  Deadlines (arrival + SLO) never decrease with request id,
+    because ids are handed out in arrival order; a request built by hand
+    must keep that.  So within one class the keys sort in request-id order
+    at every estimate version, float ties included (rounding is monotone).
+    A class heap is therefore ranked by what no estimate changes: the
+    request id under slack, the key itself under fcfs and las, whose keys
+    never change while a call waits.  `heads` caches each class head's
+    (key, call), valid for key version `key_version`, so a version change
+    re-keys the class heads, never the calls behind them.
+
     An LLM pool keeps the engines it serves in `engines`, in increasing id
     order: its home engines that are not lent, and the engines lent to it.
     Routing reads that list and takes ties to the lowest id.  The simulator
@@ -300,14 +313,18 @@ class PoolRuntime:
     def __init__(self, spec) -> None:
         self.spec = spec
         self.pool_id = spec.pool_id
-        # the queue: (dispatch key, call) per queued call, keys valid for key
-        # version heap_version; a call that enters a stale heap waits with
-        # key None until Simulator._dispatch_pool rebuilds it
-        self.heap: list[tuple[tuple[float, ...] | None, PendingCall]] = []
-        self.heap_version = -1
+        # class -> heap of (rank, call); a class leaves when its heap empties
+        self.queues: dict[tuple[str, int], list[tuple[object, PendingCall]]] = {}
+        # class -> (key, call) of its head, for every class while the heads
+        # are current; a call that becomes a class head while they are stale
+        # is keyed with the others by the next dispatch pass
+        self.heads: dict[tuple[str, int], tuple[tuple[float, ...], PendingCall]] = {}
+        self.key_version = -1
+        self.queue_len = 0  # calls queued over all classes
         # set when something a blocked head's placement depends on may have
-        # changed, or a new call became the head; a blocked pool with a
-        # current heap is skipped until then
+        # changed, or a new call may have become the head; a blocked pool is
+        # skipped until then, or until the key version changes while it
+        # holds two or more classes
         self.dirty = False
         # the pool's servers, and those of them in use: tool slots and the
         # slots with a call, or the engines serving an LLM pool (each added
@@ -656,7 +673,7 @@ class Simulator:
         self._schedule(ev.time + gap, EVENT_ARRIVAL)
 
         counted = ev.time >= self.cfg.warmup
-        if not admission_decision((len(p.heap) for p in self.pools.values()), self.policy.admission):
+        if not admission_decision((p.queue_len for p in self.pools.values()), self.policy.admission):
             self.rejected += counted
             return
         self.admitted += counted
@@ -674,17 +691,31 @@ class Simulator:
         else:
             call = PendingCall(rid, sid, self.clock)
         pool = self.pools[self.stage_pool[sid]]
-        heap = pool.heap
-        if pool.heap_version == self._key_version():
-            heapq.heappush(heap, (self._dispatch_key(call), call))
-            # a call behind the head changes nothing the head's placement
-            # depends on: only a new head wakes a blocked pool
-            if heap[0][1] is call:
-                pool.dirty = True
-        else:  # keyed with the rest when _dispatch_pool rebuilds the heap;
-            # _dispatch_all offers a stale heap anyway
-            heap.append((None, call))
-        pool.max_queue_len = max(pool.max_queue_len, len(heap))
+        cls = (sid, req.retries_used)
+        queues = pool.queues
+        if cls in queues:
+            queue = queues[cls]
+        else:
+            queue = queues[cls] = []
+        # ranked by what no estimate changes: the request id under slack,
+        # the key under fcfs and las (see PoolRuntime)
+        rank = rid if self.policy.kind == "slack" else self._dispatch_key(call)
+        heapq.heappush(queue, (rank, call))
+        queued = pool.queue_len = pool.queue_len + 1
+        if queued > pool.max_queue_len:
+            pool.max_queue_len = queued
+        # a call behind its class head is behind the pool head, and changes
+        # nothing the head's placement depends on: only a new pool head
+        # wakes a blocked pool
+        if queue[0][1] is call:
+            if pool.key_version != self._key_version():
+                pool.dirty = True  # the heads are stale: it may be the head
+            else:
+                key = self._dispatch_key(call)
+                heads = pool.heads
+                if not heads or key < min(heads.values())[0]:
+                    pool.dirty = True
+                heads[cls] = (key, call)
 
     def _handle_prefill_done(self, ev: Event) -> None:
         engine = self.engines[ev.engine_id]
@@ -789,10 +820,10 @@ class Simulator:
         return self.estimator.version if self.policy.kind == "slack" else 0
 
     def _dispatch_key(self, call: PendingCall) -> tuple[float, ...]:
-        """The key the pool heaps order a queued call by, valid for the
-        current key version.  Keys do not change while a call waits: slack
-        keys order by deadline - W, which in exact arithmetic orders calls
-        as deadline - now - W does."""
+        """The key a pool's queue is ordered by, valid for the current key
+        version.  Keys do not change while a call waits: slack keys order
+        by deadline - W, which in exact arithmetic orders calls as
+        deadline - now - W does."""
         kind = self.policy.kind
         req = self.requests[call.request_id]
         if kind != "slack":  # fcfs and las need neither slack nor estimates
@@ -808,38 +839,65 @@ class Simulator:
         )
 
     def _dispatch_all(self) -> None:
-        # A pool whose head was blocked is offered again only once it is
-        # dirty or its heap is stale.  It is marked dirty when a call enters
-        # ahead of its head or capacity it serves on is freed or added (call
-        # or tool completion, borrow, return, scale event); its heap goes
-        # stale when the key version changes, which may bring another call
-        # to the head.  A call queued behind the head marks nothing: placing
-        # the head depends only on the pool's servers.  A full tool pool is
-        # skipped, with its heap as it is, until a slot frees: whatever its
-        # head, it could not be placed.
+        """Offer every pool whose head may have changed or become placeable.
+
+        A pool whose head was blocked is offered again only once it is
+        dirty, or once the key version changes while it holds two or more
+        classes.  It is marked dirty when capacity it serves on is freed or
+        added (call or tool completion, borrow, return, scale event), or
+        when a call becomes its class head and either the heads are stale
+        or its key beats every other head (`_enter_stage`): a call behind
+        its class head is behind the pool head.  A version change can
+        reorder the heads of different classes but never the calls of one
+        class, so a single-class pool keeps its head and is not offered.
+        Placing the head depends only on the pool's servers.  A full tool
+        pool is skipped, with its heads as they are, until a slot frees:
+        whatever its head, it could not be placed."""
         version = self._key_version()
         for pool in self.pools.values():
-            if pool.heap and (pool.dirty or pool.heap_version != version) and not pool.tool_slots_full():
+            if (
+                pool.queue_len
+                and (pool.dirty or (pool.key_version != version and len(pool.queues) > 1))
+                and not pool.tool_slots_full()
+            ):
                 self._dispatch_pool(pool, version)
 
     def _dispatch_pool(self, pool: PoolRuntime, version: int) -> None:
-        # Strictly in key order: if the most urgent call cannot be placed,
-        # the whole queue waits (no overtaking).
+        """Place the pool's calls strictly in key order: if the most urgent
+        call cannot be placed, the whole queue waits (no overtaking).
+
+        Stale heads are re-keyed first: one key per class, at most stages x
+        (retry budget + 1) of them, whatever the queue length.  The pool
+        head is the class head with the least key (`select_next`).  After
+        its pop, its class's next call is keyed as the new class head, and
+        the best waiting key is the least head key: the least key still
+        queued, since each class's least is its head."""
         now = self.clock
-        if pool.heap_version != version:
-            key = self._dispatch_key
-            pool.heap = [(key(call), call) for _, call in pool.heap]
-            heapq.heapify(pool.heap)
-            pool.heap_version = version
+        queues, heads = pool.queues, pool.heads
+        if pool.key_version != version:
+            for cls, queue in queues.items():
+                head = queue[0][1]
+                heads[cls] = (self._dispatch_key(head), head)
+            pool.key_version = version
         pool.dirty = False
         remaining = self._remaining_table()
-        while pool.heap:
-            call, key, best_waiting = select_next(pool.heap)
+        while heads:
+            call, call_key = select_next(heads.values())
             engine_label = self._place(pool, call, now)
             if engine_label is None:
                 break  # blocked until marked dirty
-            heapq.heappop(pool.heap)
             req = self.requests[call.request_id]
+            cls = (call.stage_id, req.retries_used)
+            queue = queues[cls]
+            heapq.heappop(queue)
+            pool.queue_len -= 1
+            if queue:
+                head = queue[0][1]
+                entry = heads[cls] = (self._dispatch_key(head), head)
+                best_waiting = (entry if len(heads) == 1 else min(heads.values()))[0]
+            else:
+                del queues[cls], heads[cls]
+                best_waiting = min(heads.values())[0] if heads else None
             req.dispatch_time = now
             delay = now - call.enqueue_time
             self.traces.dispatches.append(
@@ -847,12 +905,12 @@ class Simulator:
                     time=now,
                     pool=pool.pool_id,
                     request_id=call.request_id,
-                    slack=req.deadline - now - remaining[(call.stage_id, req.retries_used)],
+                    slack=req.deadline - now - remaining[cls],
                     expected_service=self.estimator.estimate(call.stage_id),
                     engine=engine_label,
                     stage_id=call.stage_id,
                     queue_delay=delay,
-                    key=key,
+                    key=call_key,
                     best_waiting_key=best_waiting,
                 )
             )
@@ -948,7 +1006,7 @@ class Simulator:
                 BorrowPoolView(
                     pool_id=pool.pool_id,
                     utilization=pool.utilization(),
-                    queue_len=len(pool.heap),
+                    queue_len=pool.queue_len,
                     idle_engines=idle,
                     prefix_tokens=self.vw.stage(pool.spec.stage_ids[0]).prefix_tokens,
                 )
@@ -1077,7 +1135,7 @@ class Simulator:
                 for eid in sorted(self._kv_integral)
             },
             max_queue_len={p.pool_id: p.max_queue_len for p in self.pools.values()},
-            end_queue_len={p.pool_id: len(p.heap) for p in self.pools.values()},
+            end_queue_len={p.pool_id: p.queue_len for p in self.pools.values()},
             seed=self.cfg.seed,
             duration=duration,
             warmup=warmup,

@@ -115,13 +115,6 @@ def reference_route_call(call, prefix_tokens, engines, now):
     return min(admissible, key=_route_order(call.stage_id, now))
 
 
-def static_heap(calls, static_key) -> list:
-    """A pool heap of (static key, call) entries, as the simulator keeps."""
-    heap = [(static_key(call), call) for call in calls]
-    heapq.heapify(heap)
-    return heap
-
-
 def expected_fixer_invocations(p_fail: float, budget: int) -> float:
     """Expected number of fix-loop entries when each attempt fails with
     probability p_fail independently and at most `budget` fixes happen; a
@@ -337,7 +330,7 @@ class WakeEverySimulator(ss.Simulator):
 
     def _dispatch_all(self) -> None:
         for pool in self.pools.values():
-            if pool.heap:
+            if pool.queue_len:
                 pool.dirty = True
         super()._dispatch_all()
 

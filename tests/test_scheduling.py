@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stagesim as ss
-from helpers import engine_params, nl2sql_vw, reference_route_call, sim_config, static_heap
+from helpers import engine_params, nl2sql_vw, reference_route_call, sim_config
 from stagesim.engines import DECODE, EngineState, PendingCall
 from stagesim.scheduling import (
     AdmissionConfig,
@@ -119,25 +119,25 @@ def test_simulator_key_gates_selectivity():
 
 def test_select_next_empty_queue():
     assert select_next([]) is None
+    assert select_next({}.values()) is None
 
 
 def test_select_next_most_urgent_first():
-    queue = [PendingCall(0, "gen", 0.0), PendingCall(1, "gen", 0.0)]
-    slacks = {0: 1.0, 1: -3.0}
-    heap = static_heap(queue, lambda c: (slacks[c.request_id], float(c.request_id)))
-    call, key, remaining = select_next(heap)
+    # the heads of two class queues, as (key, call)
+    heads = {
+        (GENERATOR, 0): ((1.0, 0.0), PendingCall(0, GENERATOR, 0.0)),
+        (FIXER, 1): ((-3.0, 1.0), PendingCall(1, FIXER, 0.0)),
+    }
+    call, key = select_next(heads.values())
     assert call.request_id == 1
     assert key == (-3.0, 1.0)
-    assert remaining == (1.0, 0.0)
-    assert len(heap) == 2  # selection never removes
+    assert len(heads) == 2  # selection never removes
 
 
 def test_select_next_singleton():
-    queue = [PendingCall(4, "gen", 0.0)]
-    call, key, remaining = select_next(static_heap(queue, lambda c: (float(c.request_id),)))
+    call, key = select_next([((4.0,), PendingCall(4, "gen", 0.0))])
     assert call.request_id == 4
     assert key == (4.0,)
-    assert remaining is None
 
 
 # ----------------------------------------------------------------------
