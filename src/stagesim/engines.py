@@ -39,8 +39,32 @@ class PrefixInUse(InternalInvariantViolation):
     """Attempted to evict a stage prefix while its calls are in flight."""
 
 
+class _TokenTimes(dict):
+    """Batch size -> `params.token_time(size)`, each size filled on its
+    first read.  It and its params refer to each other, a cycle the cyclic
+    GC frees; a config builds a few params, never one per event or engine."""
+
+    __slots__ = ("params",)
+
+    def __init__(self, params: EngineParams) -> None:
+        super().__init__()
+        self.params = params
+
+    def __missing__(self, batch_size: int) -> float:
+        t = self[batch_size] = self.params.token_time(batch_size)
+        return t
+
+
 @dataclass(frozen=True)
 class EngineParams:
+    """An engine's capacity and speed.
+
+    `token_times[b]` is `token_time(b)`, the one formula, computed once per
+    batch size on its first read and kept: decode reads it on every touch.
+    It holds only the sizes read so far, so a `max_batch` of 10**9 costs
+    nothing up front, and it is an attribute, not a field: equality,
+    hashing, `replace` and the config keys see the five fields only."""
+
     kv_capacity_tokens: int
     prefill_rate: float  # tokens / second
     base_token_time: float  # seconds per token at batch size 1
@@ -59,15 +83,19 @@ class EngineParams:
             raise ValueError("batch_slope must be >= 0")
         if not self.max_batch >= 1:
             raise ValueError("max_batch must be >= 1")
+        object.__setattr__(self, "token_times", _TokenTimes(self))
 
     def token_time(self, batch_size: int) -> float:
         """Per-token seconds at the given decode batch size."""
         return self.base_token_time * (1.0 + self.batch_slope * (batch_size - 1))
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class PendingCall:
-    """A stage call, from its pool queue until it leaves its engine's batch."""
+    """A stage call, from its pool queue until it leaves its engine's batch.
+
+    It compares by identity: two calls with equal fields are still two
+    calls, and `EngineState.complete_call` removes the very object."""
 
     request_id: int
     stage_id: str
@@ -147,7 +175,7 @@ class EngineState:
         b = self.n_decode
         if not b:
             return 0.0
-        return (now - self.last_advance) / self.params.token_time(b)
+        return (now - self.last_advance) / self.params.token_times[b]
 
     def kv_used_at(self, now: float) -> float:
         """`kv_used` at `now`, read without advancing the engine."""
@@ -156,7 +184,7 @@ class EngineState:
     def kv_slope(self) -> float:
         """Tokens per second `kv_used` grows by until the batch changes."""
         b = self.n_decode
-        return b / self.params.token_time(b) if b else 0.0
+        return b / self.params.token_times[b] if b else 0.0
 
     def free_kv(self) -> int:
         return self.params.kv_capacity_tokens - self.kv_reserved
@@ -215,7 +243,7 @@ class EngineState:
         b = self.n_decode
         if b == 0:
             return
-        per_call = dt / self.params.token_time(b)
+        per_call = dt / self.params.token_times[b]
         kv_used = self.kv_used
         for call in self.batch:
             if call.phase != DECODE:
@@ -239,7 +267,7 @@ class EngineState:
             left = c.target_output_tokens - c.tokens_emitted
             if left < fewest or (left == fewest and c.request_id < call.request_id):
                 call, fewest = c, left
-        return call, now + fewest * self.params.token_time(self.n_decode)
+        return call, now + fewest * self.params.token_times[self.n_decode]
 
     def complete_call(self, call: PendingCall) -> None:
         """Release a finished call's tokens and drop it from the batch."""

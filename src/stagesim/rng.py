@@ -9,19 +9,25 @@ actually changed.
 
 from __future__ import annotations
 
-import hashlib
+import struct
+from hashlib import sha256
 
 _U64 = 2**64
+_first_u64 = struct.Struct(">Q").unpack_from  # the first 8 bytes, big-endian
 
 
 def stream_uniform(seed: int, label: str, index: int) -> float:
     """Uniform draw in (0, 1] addressed by (seed, label, index)."""
-    digest = hashlib.sha256(f"{seed}|{label}|{index}".encode()).digest()
-    return (int.from_bytes(digest[:8], "big") + 1) / _U64
+    return RngStream(seed, label, index).uniform()
 
 
 class RngStream:
-    """A named uniform stream; the draw counter is its only mutable state."""
+    """A named uniform stream; the draw counter is its only mutable state.
+
+    Draw `index` is `(u + 1) / 2**64`, where `u` is the first 8 bytes,
+    read big-endian, of the sha256 digest of the UTF-8 text
+    `f"{seed}|{label}|{index}"`: a value in (0, 1].  `uniform` is the one
+    implementation of that formula; `stream_uniform` draws through it."""
 
     __slots__ = ("seed", "label", "index")
 
@@ -31,9 +37,9 @@ class RngStream:
         self.index = start
 
     def uniform(self) -> float:
-        u = stream_uniform(self.seed, self.label, self.index)
-        self.index += 1
-        return u
+        index = self.index
+        self.index = index + 1
+        return (_first_u64(sha256(f"{self.seed}|{self.label}|{index}".encode()).digest())[0] + 1) / _U64
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngStream(seed={self.seed}, label={self.label!r}, index={self.index})"

@@ -403,6 +403,15 @@ class Simulator:
             if spec.kind == LLM:
                 for _ in range(spec.n_engines):
                     self._add_engine(spec.pool_id, spec.engine_params)
+        # the pool kinds, split once: the invariant check walks each list
+        self._llm_pools = [pool for pool in self.pools.values() if pool.spec.kind == LLM]
+        self._tool_pools = [pool for pool in self.pools.values() if pool.spec.kind != LLM]
+        # stage -> draw kind -> the label of the request stream it draws
+        # from (`_stream`), built once
+        self._draw_labels = {
+            sid: {kind: f"{kind}:{sid}" for kind in ("prompt", "output", "tool", "outcome")}
+            for sid in self.vw.stage_ids
+        }
         # the pools whose utilization() borrowing reads, and so the only
         # ones whose utilization is integrated: every single-stage LLM pool
         # while borrowing is on, none otherwise
@@ -469,7 +478,8 @@ class Simulator:
         heapq.heappush(self._heap, Event(time, self._seq, kind, engine_id, request_id, epoch))
 
     def _stream(self, req: RequestSim, label: str) -> RngStream:
-        """The request's own stream `req:{rid}:{label}`."""
+        """The request's own stream `req:{rid}:{label}`, where `label` is a
+        `_draw_labels` entry."""
         stream = req.streams.get(label)
         if stream is None:
             stream = req.streams[label] = RngStream(self.cfg.seed, f"req:{req.request_id}:{label}")
@@ -545,9 +555,11 @@ class Simulator:
         """Check every engine, the pools' engine lists and their server
         counters after an event.
 
-        The LLM pools' lists must partition `self.engines`, each in strictly
-        increasing id order and holding only engines that serve that pool;
-        a pool's busy count and capacity are recounted from its list.
+        A tool pool's busy slots must lie within its slots, which have
+        nothing to recount them from.  The LLM pools' lists must partition
+        `self.engines`, each in strictly increasing id order and holding
+        only engines that serve that pool; an LLM pool's busy count and
+        capacity are recounted from its list.
 
         An engine the event touched (or added) gets the full recount of
         `_check_engine`.  Any other engine has not changed since its last
@@ -560,32 +572,33 @@ class Simulator:
         now = self.clock
         touched = self._touched
         engines = self.engines
+        for pool in self._tool_pools:
+            if not 0 <= pool.busy <= pool.capacity:
+                raise InternalInvariantViolation(
+                    f"pool {pool.pool_id}: busy/capacity {pool.busy}/{pool.capacity} out of bounds"
+                )
         listed = 0
-        for pool in self.pools.values():
-            if pool.spec.kind != LLM:
-                # a tool pool's slots have nothing to recount them from
-                busy, capacity = pool.busy, pool.capacity
-            else:
-                pid = pool.pool_id
-                busy = 0
-                last = -1
-                for e in pool.engines:
-                    eid = e.engine_id
-                    # strictly increasing ids, each a live engine serving
-                    # this pool: no engine is listed twice, in two pools, or
-                    # after it retired
-                    if eid <= last or engines.get(eid) is not e or e.serving_pool != pid:
-                        raise InternalInvariantViolation(
-                            f"pool {pid}: engine list {[x.engine_id for x in pool.engines]} "
-                            f"out of order or not serving it"
-                        )
-                    last = eid
-                    if e.batch:
-                        busy += 1
-                    if eid in touched or now > e.horizon:
-                        self._check_engine(e, now)
-                capacity = len(pool.engines)
-                listed += capacity
+        for pool in self._llm_pools:
+            pid = pool.pool_id
+            busy = 0
+            last = -1
+            for e in pool.engines:
+                eid = e.engine_id
+                # strictly increasing ids, each a live engine serving this
+                # pool: no engine is listed twice, in two pools, or after it
+                # retired
+                if eid <= last or engines.get(eid) is not e or e.serving_pool != pid:
+                    raise InternalInvariantViolation(
+                        f"pool {pid}: engine list {[x.engine_id for x in pool.engines]} "
+                        f"out of order or not serving it"
+                    )
+                last = eid
+                if e.batch:
+                    busy += 1
+                if eid in touched or now > e.horizon:
+                    self._check_engine(e, now)
+            capacity = len(pool.engines)
+            listed += capacity
             if not (pool.busy == busy and pool.capacity == capacity and 0 <= busy <= capacity):
                 raise InternalInvariantViolation(
                     f"pool {pool.pool_id}: busy/capacity {pool.busy}/{pool.capacity}, "
@@ -661,7 +674,7 @@ class Simulator:
         # the progress at which a call would pass its target, or KV its
         # capacity, as a time, taken a hair early against rounding
         tokens = min(fewest + _KV_TOL, (cap + _KV_TOL - e.kv_used) / n_decode)
-        e.horizon = e.last_advance + e.params.token_time(n_decode) * tokens * (1.0 - 1e-9)
+        e.horizon = e.last_advance + e.params.token_times[n_decode] * tokens * (1.0 - 1e-9)
 
     # ------------------------------------------------------------------
     # event handlers
@@ -685,8 +698,9 @@ class Simulator:
         stage = self.vw.stage(sid)
         rid = req.request_id
         if stage.kind == LLM:
-            prompt = stage.prompt_tokens.sample_int(self._draw(req, f"prompt:{sid}"))
-            output = stage.output_tokens.sample_int(self._draw(req, f"output:{sid}"))
+            labels = self._draw_labels[sid]
+            prompt = stage.prompt_tokens.sample_int(self._draw(req, labels["prompt"]))
+            output = stage.output_tokens.sample_int(self._draw(req, labels["output"]))
             call = PendingCall(rid, sid, self.clock, prompt, output)
         else:
             call = PendingCall(rid, sid, self.clock)
@@ -791,7 +805,7 @@ class Simulator:
         if len(stage.outcomes) == 1:
             label = stage.outcomes[0].label
         else:
-            label = self._pick_outcome(stage, self._draw(req, f"outcome:{sid}"))
+            label = self._pick_outcome(stage, self._draw(req, self._draw_labels[sid]["outcome"]))
         req.current_stage, req.retries_used = next_step(sid, req.retries_used, label, self.vw)
         if not is_terminal(req.current_stage):
             self._enter_stage(req)
@@ -935,7 +949,7 @@ class Simulator:
             if pool.tool_slots_full():
                 return None
             pool.busy += 1
-            stream = self._stream(self.requests[call.request_id], f"tool:{call.stage_id}")
+            stream = self._stream(self.requests[call.request_id], self._draw_labels[call.stage_id]["tool"])
             service = self.vw.stage(call.stage_id).service_time.sample(stream.uniform())
             self._schedule(now + service, EVENT_TOOL_COMPLETE, request_id=call.request_id)
             return ""

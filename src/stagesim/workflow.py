@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .dists import Distribution
 
@@ -96,6 +97,9 @@ class WorkflowSpec:
 class ValidatedWorkflow:
     """Validated handle over a WorkflowSpec plus derived graph facts.
 
+    `outcome_table` maps (stage, outcome label) to (next stage or
+    terminal, whether that edge is a loop edge), compiled once here for
+    `next_step`, which reads it instead of scanning the stage's outcomes.
     Immutable after construction; safe to share across simulations.
     """
 
@@ -110,6 +114,12 @@ class ValidatedWorkflow:
         self._stages = stages
         self._loop_edges = loop_edges
         self._selectivity = selectivity
+        self.outcome_table: dict[tuple[str, str], tuple[str, bool]] = {
+            (st.stage_id, out.label): (out.next, (st.stage_id, out.next) in loop_edges)
+            for st in spec.stages
+            for out in st.outcomes
+        }
+        # after the table: compiling the plan calls next_step
         self.remaining_work_plan = _compile_remaining_work(self)
 
     @property
@@ -313,17 +323,24 @@ def next_step(stage_id: str, retries_used: int, outcome: str, vw: ValidatedWorkf
     Taking a loop edge consumes one retry; once the budget is spent the
     request goes to Failure instead of re-entering the loop.
     """
-    if is_terminal(stage_id):
-        raise ValueError("next_step called on a terminal request")
-    chosen = next((o for o in vw.stage(stage_id).outcomes if o.label == outcome), None)
-    if chosen is None:
-        raise UnknownOutcome(f"stage '{stage_id}' has no outcome '{outcome}'")
-    target = chosen.next
-    if not vw.is_loop_edge(stage_id, target):  # a terminal is never a loop edge's target
+    try:
+        target, loop_edge = vw.outcome_table[stage_id, outcome]
+    except KeyError:
+        _no_next_step(stage_id, outcome, vw)
+    if not loop_edge:  # a terminal is never a loop edge's target
         return target, retries_used
     if retries_used >= vw.retry_budget:
         return FAILURE, retries_used
     return target, retries_used + 1
+
+
+def _no_next_step(stage_id: str, outcome: str, vw: ValidatedWorkflow) -> NoReturn:
+    """Raise why `outcome_table` has no (stage_id, outcome) entry."""
+    if is_terminal(stage_id):
+        raise ValueError("next_step called on a terminal request") from None
+    if stage_id not in vw.stage_ids:
+        raise KeyError(stage_id) from None
+    raise UnknownOutcome(f"stage '{stage_id}' has no outcome '{outcome}'") from None
 
 
 def _compile_remaining_work(vw: ValidatedWorkflow) -> tuple:

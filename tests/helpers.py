@@ -20,7 +20,7 @@ from stagesim.simulation import (
     KvSample,
     RunResult,
 )
-from stagesim.workflow import LLM, TERMINALS, is_terminal
+from stagesim.workflow import FAILURE, LLM, TERMINALS, UnknownOutcome, is_terminal
 from stagesim.workloads import (
     DEFAULT_ENGINE_PARAMS,
     EXECUTOR,
@@ -75,6 +75,36 @@ def sim_config(
         warmup=warmup,
         seed=seed,
     )
+
+
+# stage ids with a comma, a quote and a space, as inline workflow JSON
+QUOTED_LLM = 'write, "v1" sql'
+QUOTED_TOOL = 'run "it", now'
+QUOTED_WORKFLOW = {
+    "name": "quoted",
+    "entry_stage": QUOTED_LLM,
+    "retry_budget": 1,
+    "slo_seconds": 6.0,
+    "stages": [
+        {
+            "stage_id": QUOTED_LLM,
+            "kind": "llm",
+            "prefix_tokens": 400,
+            "prompt_tokens": {"kind": "uniform", "low": 50, "high": 300},
+            "output_tokens": {"kind": "uniform", "low": 20, "high": 120},
+            "outcomes": [{"label": "ok", "prob": 1.0, "next": QUOTED_TOOL}],
+        },
+        {
+            "stage_id": QUOTED_TOOL,
+            "kind": "tool",
+            "service_time": {"kind": "uniform", "low": 0.2, "high": 1.5},
+            "outcomes": [
+                {"label": "ok", "prob": 0.7, "next": "Success"},
+                {"label": "retry", "prob": 0.3, "next": QUOTED_LLM},
+            ],
+        },
+    ],
+}
 
 
 def run_config_tree(**kw) -> dict:
@@ -161,6 +191,24 @@ def reference_remaining_work(vw, service_estimates) -> dict:
         for retries in range(budget + 1):
             value(stage_id, retries)
     return memo
+
+
+def reference_next_step(stage_id: str, retries_used: int, outcome: str, vw) -> tuple[str, int]:
+    """Reference for `stagesim.next_step`: a scan of the stage's outcomes
+    for the label, then the loop-edge test, where `next_step` reads the
+    workflow's compiled outcome table.  It must return the same step, or
+    raise the same exception."""
+    if is_terminal(stage_id):
+        raise ValueError("next_step called on a terminal request")
+    chosen = next((o for o in vw.stage(stage_id).outcomes if o.label == outcome), None)
+    if chosen is None:
+        raise UnknownOutcome(f"stage '{stage_id}' has no outcome '{outcome}'")
+    target = chosen.next
+    if not vw.is_loop_edge(stage_id, target):
+        return target, retries_used
+    if retries_used >= vw.retry_budget:
+        return FAILURE, retries_used
+    return target, retries_used + 1
 
 
 def _f9(x: float) -> str:

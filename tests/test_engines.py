@@ -1,14 +1,18 @@
+import dataclasses
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import engine_params, reference_next_completion
+from helpers import engine_params, reference_next_completion, sim_config
+from stagesim import run
 from stagesim.dists import Distribution
 from stagesim.engines import (
     DECODE,
     AdmitWithoutCapacity,
+    EngineParams,
     EngineState,
     PendingCall,
     PrefixInUse,
@@ -198,6 +202,54 @@ def test_token_time_interference_monotone():
     assert {flat.token_time(b) for b in range(1, 9)} == {0.02}
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    base=st.floats(min_value=1e-6, max_value=10.0, allow_subnormal=False),
+    slope=st.floats(min_value=0.0, max_value=100.0, allow_subnormal=False),
+    max_batch=st.integers(min_value=1, max_value=64),
+)
+def test_token_time_cache_gives_the_formula_bit_for_bit(base, slope, max_batch):
+    params = engine_params(base_token_time=base, batch_slope=slope, max_batch=max_batch)
+    for b in range(1, max_batch + 1):
+        assert params.token_times[b].hex() == params.token_time(b).hex()
+    # filled on first use and kept, not recomputed
+    assert sorted(params.token_times) == list(range(1, max_batch + 1))
+    first = params.token_times[1]
+    assert params.token_times[1] is first
+
+
+def test_token_time_cache_is_not_a_field():
+    params = engine_params()
+    filled = dataclasses.replace(params)
+    filled.token_times[3]
+    assert [f.name for f in dataclasses.fields(EngineParams)] == [
+        "kv_capacity_tokens",
+        "prefill_rate",
+        "base_token_time",
+        "batch_slope",
+        "max_batch",
+    ]
+    assert filled == params and hash(filled) == hash(params)
+    assert "token_times" not in repr(filled)
+    assert len(params.token_times) == 0  # a replace builds its own cache
+
+
+def test_a_huge_max_batch_costs_nothing_up_front():
+    # a config may set max_batch to 10**9: the cache holds only the batch
+    # sizes a run reads, never a slot per possible size
+    tracemalloc.start()
+    try:
+        params = engine_params(max_batch=10**9)
+        built = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built < 10_000
+    assert len(params.token_times) == 0
+    report = run(sim_config(params=params, rate=2.0, duration=20.0)).report
+    assert report.completed > 0
+    assert 0 < len(params.token_times) <= max(params.token_times) <= 64
+
+
 def test_next_completion_single():
     eng = engine(base_token_time=0.05, batch_slope=0.2)
     c = start_decode(eng, call(output=10))
@@ -269,6 +321,17 @@ def test_complete_call_releases_tokens():
     assert eng.kv_used == 1000  # only the prefix remains
     assert eng.kv_reserved == 1000
     assert eng.batch == []
+
+
+def test_complete_call_removes_that_very_call():
+    # calls compare by identity: completing the second of two calls with
+    # equal fields removes it, not the first
+    eng = engine()
+    first = start_decode(eng, call(rid=4, prompt=10, output=10))
+    second = start_decode(eng, call(rid=4, prompt=10, output=10))
+    eng.advance_decode(10.0)
+    eng.complete_call(second)
+    assert len(eng.batch) == 1 and eng.batch[0] is first
 
 
 def test_accounting_recompute_matches():

@@ -20,39 +20,14 @@ import pytest
 
 import stagesim
 import stagesim.cli
-from helpers import FullSweepSimulator, WakeEverySimulator, run_config_tree
+from helpers import QUOTED_LLM, QUOTED_WORKFLOW, FullSweepSimulator, WakeEverySimulator, run_config_tree
 from stagesim.cli import main
 from stagesim.simulation import Simulator
 
 OUTPUT_FILES = ("summary.json", "kv_usage.csv", "dispatch.csv", "requests.csv")
-
-QUOTED_LLM = 'write, "v1" sql'
-QUOTED_TOOL = 'run "it", now'
-QUOTED_WORKFLOW = {
-    "name": "quoted",
-    "entry_stage": QUOTED_LLM,
-    "retry_budget": 1,
-    "slo_seconds": 6.0,
-    "stages": [
-        {
-            "stage_id": QUOTED_LLM,
-            "kind": "llm",
-            "prefix_tokens": 400,
-            "prompt_tokens": {"kind": "uniform", "low": 50, "high": 300},
-            "output_tokens": {"kind": "uniform", "low": 20, "high": 120},
-            "outcomes": [{"label": "ok", "prob": 1.0, "next": QUOTED_TOOL}],
-        },
-        {
-            "stage_id": QUOTED_TOOL,
-            "kind": "tool",
-            "service_time": {"kind": "uniform", "low": 0.2, "high": 1.5},
-            "outcomes": [
-                {"label": "ok", "prob": 0.7, "next": "Success"},
-                {"label": "retry", "prob": 0.3, "next": QUOTED_LLM},
-            ],
-        },
-    ],
-}
+COMPARE_FILES = ("comparison.csv", "comparison.json")
+COMPARE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "nl2sql_compare.json"
+COMPARE_ARGS = ["compare", str(COMPARE_CONFIG), "--seeds", "1..2"]
 
 # name -> (config overlay, sha256 over OUTPUT_FILES, popped events, kv_usage.csv rows)
 GOLDEN_RUNS = {
@@ -149,9 +124,9 @@ def golden_config(tmp_path, name):
     return config
 
 
-def output_digest(out_dir) -> str:
+def output_digest(out_dir, files=OUTPUT_FILES) -> str:
     digest = hashlib.sha256()
-    for name in OUTPUT_FILES:
+    for name in files:
         digest.update(name.encode())
         digest.update((out_dir / name).read_bytes())
     return digest.hexdigest()
@@ -182,19 +157,46 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch, name):
         assert output_digest(out) == expected, simulator
 
 
-@pytest.mark.parametrize("hash_seed", ["1", "12345"])
-def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path, hash_seed):
-    # str hashing, and with it set and dict-of-set iteration order, varies
-    # with PYTHONHASHSEED; the pinned bytes must not
-    config = golden_config(tmp_path, "elastic")
-    out = tmp_path / "out"
+def cli_under_hash_seed(argv: list[str], hash_seed: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter with PYTHONHASHSEED set: str hashing,
+    and with it set and dict-of-set iteration order, varies with it; the
+    pinned bytes must not."""
     src = str(Path(stagesim.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-m", "stagesim.cli", "run", str(config), "--seed", "5", "--out", str(out)],
-        env=env,
-        capture_output=True,
-        text=True,
+        [sys.executable, "-m", "stagesim.cli", *argv], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "12345"])
+def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path, hash_seed):
+    config = golden_config(tmp_path, "elastic")
+    out = tmp_path / "out"
+    cli_under_hash_seed(["run", str(config), "--seed", "5", "--out", str(out)], hash_seed)
     assert output_digest(out) == GOLDEN_RUNS["elastic"][1]
+
+
+# The headline command on its shipped config, two seeds: sha256 over
+# COMPARE_FILES, and sha256 of stdout with its `wrote …` line masked.
+COMPARE_DIGEST = "909838cdc3c8f7e8aeac12922e0ca47c181c716f6b6881d7501831da367a9f60"
+COMPARE_STDOUT_DIGEST = "c2be11f9512944330aef835dce0d4cdf4fcaa1e64831a1a7b5096bf1af08962e"
+
+
+def compare_stdout_digest(stdout: str) -> str:
+    lines = ["wrote <out>" if line.startswith("wrote ") else line for line in stdout.splitlines()]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_compare_bytes_are_pinned(tmp_path, capsys):
+    assert main([*COMPARE_ARGS, "--out", str(tmp_path)]) == 0
+    assert output_digest(tmp_path, COMPARE_FILES) == COMPARE_DIGEST
+    assert compare_stdout_digest(capsys.readouterr().out) == COMPARE_STDOUT_DIGEST
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "12345"])
+def test_compare_bytes_do_not_depend_on_the_hash_seed(tmp_path, hash_seed):
+    proc = cli_under_hash_seed([*COMPARE_ARGS, "--out", str(tmp_path)], hash_seed)
+    assert output_digest(tmp_path, COMPARE_FILES) == COMPARE_DIGEST
+    assert compare_stdout_digest(proc.stdout) == COMPARE_STDOUT_DIGEST

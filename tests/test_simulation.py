@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import math
 import weakref
 from collections import Counter
@@ -7,6 +8,7 @@ from collections import Counter
 import pytest
 
 import stagesim as ss
+import stagesim.cli
 import stagesim.simulation as simulation
 from helpers import (
     EveryPoolIntegralsReference,
@@ -14,6 +16,7 @@ from helpers import (
     RetainingSimulator,
     engine_params,
     nl2sql_vw,
+    run_config_tree,
     segment_end_kv,
     sim_config,
 )
@@ -511,6 +514,22 @@ def test_invariant_check_catches_a_call_of_a_stage_the_pool_does_not_serve():
     sim.pools[engine.serving_pool].busy += 1  # as Simulator._place counts it
     with pytest.raises(ss.InternalInvariantViolation, match=f"call of stage '{EXECUTOR}'"):
         sim._check_invariants()
+
+
+def test_a_decode_count_past_max_batch_is_an_invariant_violation(tmp_path, monkeypatch, capsys):
+    # the token-time cache must not turn a corrupt engine into a crash
+    # (exit 1): the next check reports it, exit 3
+    class CorruptingSimulator(Simulator):
+        def _dispatch_all(self) -> None:
+            super()._dispatch_all()
+            for engine in self._touched.values():  # each gets a full check
+                engine.n_decode = engine.params.max_batch + 1
+
+    monkeypatch.setattr(stagesim.cli, "Simulator", CorruptingSimulator)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(run_config_tree()))
+    assert stagesim.cli.main(["run", str(config), "--out", str(tmp_path / "out")]) == 3
+    assert "InternalInvariantViolation" in capsys.readouterr().err
 
 
 class TouchCheckedEngine(EngineState):

@@ -6,13 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import expected_fixer_invocations, nl2sql_vw, reference_remaining_work
+from helpers import (
+    QUOTED_LLM,
+    QUOTED_WORKFLOW,
+    expected_fixer_invocations,
+    nl2sql_vw,
+    reference_next_step,
+    reference_remaining_work,
+    run_config_tree,
+)
 from stagesim.config import build_sim_config
 from stagesim.dists import Distribution
 from stagesim.workflow import (
     FAILURE,
     LLM,
     SUCCESS,
+    TERMINALS,
     TOOL,
     DanglingTransition,
     InvalidStage,
@@ -246,6 +255,76 @@ def test_retries_never_exceed_budget():
             labels = [o.label for o in vw.stage(stage_id).outcomes if o.prob > 0]
             stage_id, retries = next_step(stage_id, retries, rng.choice(labels), vw)
             assert retries <= vw.retry_budget
+
+
+def inline_vw(workflow: dict, llm_stage: str):
+    tree = run_config_tree(workflow={"inline": workflow}, topology={"mode": "shared", "llm_engines": {llm_stage: 1}})
+    return build_sim_config(tree).workflow
+
+
+# an inline workflow whose LLM stage loops on itself, with a label that
+# is another stage's label too
+SELF_LOOP_WORKFLOW = {
+    "name": "self_loop",
+    "entry_stage": "draft",
+    "retry_budget": 2,
+    "slo_seconds": 10.0,
+    "stages": [
+        {
+            "stage_id": "draft",
+            "kind": "llm",
+            "prompt_tokens": {"kind": "constant", "value": 10},
+            "output_tokens": {"kind": "constant", "value": 10},
+            "outcomes": [
+                {"label": "again", "prob": 0.4, "next": "draft"},
+                {"label": "ok", "prob": 0.6, "next": "check"},
+            ],
+        },
+        {
+            "stage_id": "check",
+            "kind": "tool",
+            "service_time": {"kind": "constant", "value": 0.5},
+            "outcomes": [
+                {"label": "ok", "prob": 0.5, "next": "Success"},
+                {"label": "bad", "prob": 0.5, "next": "Failure"},
+            ],
+        },
+    ],
+}
+
+NEXT_STEP_WORKFLOWS = {
+    "nl2sql": nl2sql_vw,
+    "quoted": lambda: inline_vw(QUOTED_WORKFLOW, QUOTED_LLM),
+    "self_loop": lambda: inline_vw(SELF_LOOP_WORKFLOW, "draft"),
+}
+
+
+def step_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (KeyError, ValueError) as exc:  # UnknownOutcome is a KeyError
+        return type(exc), exc.args
+
+
+@pytest.mark.parametrize("name", sorted(NEXT_STEP_WORKFLOWS))
+def test_next_step_matches_the_outcome_scan(name):
+    # every stage, retries value and label, the labels of other stages and
+    # an unknown one included; then the terminals and an unknown stage
+    vw = NEXT_STEP_WORKFLOWS[name]()
+    labels = sorted({o.label for sid in vw.stage_ids for o in vw.stage(sid).outcomes} | {"no such label"})
+    loops = 0
+    for stage_id in (*vw.stage_ids, *TERMINALS, "no such stage"):
+        for retries in range(vw.retry_budget + 1):
+            for label in labels:
+                want = step_or_error(reference_next_step, stage_id, retries, label, vw)
+                assert step_or_error(next_step, stage_id, retries, label, vw) == want
+                loops += want[1] == retries + 1
+    assert loops  # some loop edge was taken
+    for stage_id, error in ((SUCCESS, ValueError), (FAILURE, ValueError), ("no such stage", KeyError)):
+        with pytest.raises(error):
+            next_step(stage_id, 0, labels[0], vw)
+    with pytest.raises(UnknownOutcome):
+        next_step(vw.entry_stage, 0, "no such label", vw)
 
 
 # ----------------------------------------------------------------------
