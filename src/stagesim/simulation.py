@@ -326,9 +326,9 @@ class PoolRuntime:
         # skipped until then, or until the key version changes while it
         # holds two or more classes
         self.dirty = False
-        # the pool's servers, and those of them in use: tool slots and the
-        # slots with a call, or the engines serving an LLM pool (each added
-        # by Simulator._add_engine) and those of them with a batch
+        # the servers in use: the tool slots with a call, or the engines of
+        # `engines` with a batch; an LLM pool's servers are `engines`, so
+        # `capacity` counts a tool pool's slots only
         self.capacity = 0 if spec.kind == LLM else spec.concurrency
         self.busy = 0
         self.engines: list[EngineState] = []
@@ -461,9 +461,7 @@ class Simulator:
         self.engines[engine.engine_id] = engine
         self._kv_integral[engine.engine_id] = 0.0
         self._next_engine_id += 1
-        pool = self.pools[pool_id]
-        pool.capacity += 1
-        pool.engines.append(engine)  # the highest id yet, so in id order
+        self.pools[pool_id].engines.append(engine)  # the highest id yet, so in id order
         self._touched[engine.engine_id] = engine  # its first KV row
         return engine
 
@@ -510,9 +508,9 @@ class Simulator:
         if dt <= 0.0:
             self.clock = to_time
             return
-        for pool in self._lendable:
+        for pool in self._lendable:  # LLM pools: the servers are the engines
             pool.busy_integral += pool.busy * dt
-            pool.capacity_integral += pool.capacity * dt
+            pool.capacity_integral += len(pool.engines) * dt
         self.clock = to_time
 
     def _touch(self, engine: EngineState) -> None:
@@ -558,8 +556,8 @@ class Simulator:
         A tool pool's busy slots must lie within its slots, which have
         nothing to recount them from.  The LLM pools' lists must partition
         `self.engines`, each in strictly increasing id order and holding
-        only engines that serve that pool; an LLM pool's busy count and
-        capacity are recounted from its list.
+        only engines that serve that pool; an LLM pool's busy count is
+        recounted from its list.
 
         An engine the event touched (or added) gets the full recount of
         `_check_engine`.  Any other engine has not changed since its last
@@ -597,12 +595,10 @@ class Simulator:
                     busy += 1
                 if eid in touched or now > e.horizon:
                     self._check_engine(e, now)
-            capacity = len(pool.engines)
-            listed += capacity
-            if not (pool.busy == busy and pool.capacity == capacity and 0 <= busy <= capacity):
+            listed += len(pool.engines)
+            if pool.busy != busy:
                 raise InternalInvariantViolation(
-                    f"pool {pool.pool_id}: busy/capacity {pool.busy}/{pool.capacity}, "
-                    f"recounted {busy}/{capacity}"
+                    f"pool {pid}: busy/capacity {pool.busy}/{len(pool.engines)}, recounted {busy}"
                 )
         if listed != len(engines):  # every engine is listed, and only once
             raise InternalInvariantViolation(
@@ -996,12 +992,8 @@ class Simulator:
         """Lend an idle engine to `pool_id`, or return it home, moving it
         between the two pools' engine lists, each kept in id order."""
         self._touch(engine)
-        old = self.pools[engine.serving_pool]
-        old.capacity -= 1
-        old.engines.remove(engine)
-        new = self.pools[pool_id]
-        new.capacity += 1
-        bisect.insort(new.engines, engine, key=attrgetter("engine_id"))
+        self.pools[engine.serving_pool].engines.remove(engine)
+        bisect.insort(self.pools[pool_id].engines, engine, key=attrgetter("engine_id"))
         engine.serving_pool = pool_id
 
     def _borrow_views(self) -> list[BorrowPoolView]:
@@ -1066,7 +1058,6 @@ class Simulator:
                     self._touch(victim)  # closes its KV trace and integral
                     del self.engines[victim.engine_id]
                     pool.engines.remove(victim)  # idle at home, so listed here
-                    pool.capacity -= 1
                 pool.dirty = True
                 pool.last_scale_time = self.clock
                 self.audit.scale_events.append((self.clock, pool.pool_id, decision))

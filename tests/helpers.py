@@ -9,6 +9,8 @@ import heapq
 import io
 from typing import NamedTuple
 
+import pytest
+
 import stagesim as ss
 from stagesim.engines import DECODE, EngineParams
 from stagesim.scheduling import _route_order
@@ -17,6 +19,7 @@ from stagesim.simulation import (
     EVENT_AUTOSCALE_TICK,
     EVENT_BORROW_CHECK,
     EVENT_CALL_COMPLETE,
+    DispatchRecord,
     KvSample,
     RunResult,
 )
@@ -125,8 +128,10 @@ def run_config_tree(**kw) -> dict:
 def reference_select(queue, key_fn):
     """Reference dispatch selection: key every queued call and sort.
 
-    Returns (call, key, best_remaining_key), or None on an empty queue, as
-    `stagesim.scheduling.select_next` must for the same calls and keys.
+    Returns (call, key, best_remaining_key), or None on an empty queue.
+    `stagesim.scheduling.select_next` over the queue's class heads must
+    return the same (call, key); best_remaining_key is the least key left
+    once the call is gone, a dispatch record's best waiting key.
     """
     if not queue:
         return None
@@ -350,53 +355,6 @@ def segment_end_kv(rows) -> list[tuple[KvSample, float]]:
     return ends
 
 
-class FullSweepSimulator(ss.Simulator):
-    """A Simulator whose invariant check also runs the full sweep: after the
-    shipped check, `_check_engine` recounts every engine, touched or not.
-    It is the oracle for the shipped check's horizon test, from the same
-    code.
-
-    The full sweep runs only when the shipped check passed, and it raising
-    then is a disagreement: it raises AssertionError with its message."""
-
-    def _check_invariants(self) -> None:
-        super()._check_invariants()
-        now = self.clock
-        for engine in self.engines.values():
-            try:
-                self._check_engine(engine, now)
-            except ss.InternalInvariantViolation as exc:
-                raise AssertionError(f"full sweep at {now}, not the shipped check: {exc}") from exc
-
-
-class WakeEverySimulator(ss.Simulator):
-    """A Simulator that offers every pool with a queue after every event,
-    as if each had been marked dirty: a superset of every wake rule the
-    simulator has had, the oracle for the one it ships.  A blocked pool it
-    offers but the shipped one skips must stay blocked, so both make the
-    same decisions."""
-
-    def _dispatch_all(self) -> None:
-        for pool in self.pools.values():
-            if pool.queue_len:
-                pool.dirty = True
-        super()._dispatch_all()
-
-
-class EveryPoolIntegralsReference(ss.Simulator):
-    """Reference clock that integrates every pool's utilization at every
-    processed event, as the simulator did before it integrated only the
-    pools borrowing reads (`Simulator._lendable`)."""
-
-    def _advance_clock(self, to_time: float) -> None:
-        dt = to_time - self.clock
-        if dt > 0.0:
-            for pool in self.pools.values():
-                pool.busy_integral += pool.busy * dt
-                pool.capacity_integral += pool.capacity * dt
-        self.clock = to_time
-
-
 def reference_next_completion(engine, now: float):
     """`EngineState.next_completion` as a `min` over the decode calls, keyed
     by (tokens left, request id): the reference for its one-pass pick."""
@@ -409,47 +367,153 @@ def reference_next_completion(engine, now: float):
     return call, now + call.remaining_tokens * engine.params.token_time(engine.n_decode)
 
 
-class SupersededCompletionsReference(EveryPoolIntegralsReference):
-    """Reference event loop that processes superseded completions as
-    `Simulator.run` did before it skipped them: every popped event advances
-    the clock and is followed by a dispatch pass, the invariant check and
-    KV sampling, and a superseded completion's handler does nothing.  It
-    integrates every pool's utilization, as that loop did.
+class NaiveSimulator(ss.Simulator):
+    """The simulator with every fast path replaced by its slow, obvious
+    rule, all at once: the one differential oracle for `Simulator`
+    (`assert_same_run`).  It keeps the shipped event handlers, `_place`,
+    `_dispatch_key`, `_touch` and `_check_engine`, and replaces
 
-    After `run()`, `superseded` counts the superseded completions popped,
-    and `processed_times` holds the times of the other events.
+    - the clock: every engine is advanced, and every pool's utilization
+      integrated from a recount of its servers, at every event;
+    - the invariant check: a full recount of every engine and every pool
+      after every event, with no horizon;
+    - dispatch: every pool with a queue is offered after every event, and
+      each placement takes the least key over every queued call
+      (`reference_select`), so `PoolRuntime.heads`, `key_version` and
+      `dirty` go unused;
+    - superseded completions: popped and processed as no-ops, each with
+      the clock advance, dispatch pass, check and sampling of any event;
+    - the completion pick: `reference_next_completion`.
+
+    A new fast path adds its naive rule here.  After `run()`,
+    `kv_at_events[(engine id, t)]` holds every live engine's (pool, KV,
+    resident prefix tokens) after the last event at each time t, and at
+    the start and the end; `superseded`, `evictions` and `most_classes`
+    count superseded completions, evicted prefixes and the most classes a
+    selection ranged over.
     """
 
-    def run(self) -> RunResult:
-        self.superseded = 0
-        self.processed_times: list[float] = []
-        duration = self.cfg.duration
-        first = ss.sample_interarrival(self._arrivals, self.cfg.arrival_rate)
-        if first <= duration:
-            self._schedule(first, EVENT_ARRIVAL)
-        interval = self.policy.autoscale.check_interval
-        if self.policy.autoscale.enabled and interval <= duration:
-            self._schedule(interval, EVENT_AUTOSCALE_TICK)
-        if self.policy.borrow.enabled and interval <= duration:
-            self._schedule(interval, EVENT_BORROW_CHECK)
+    def __init__(self, config: ss.SimConfig) -> None:
+        self.kv_at_events: dict[tuple[int, float], tuple[str, float, int]] = {}
+        self.superseded = self.evictions = self.most_classes = 0
+        self._resident: dict[int, set[str]] = {}  # each engine's prefixes at the last event
+        super().__init__(config)
 
+    def _serving(self, pool) -> list:
+        """The engines serving a pool, in id order."""
+        return [e for e in self.engines.values() if e.serving_pool == pool.pool_id]
+
+    def _servers(self, pool) -> tuple[int, int]:
+        """A pool's busy servers and all its servers, recounted: the engines
+        serving an LLM pool and those with a batch, or a tool pool's slots."""
+        if pool.spec.kind != LLM:
+            return pool.busy, pool.capacity
+        serving = self._serving(pool)
+        return sum(1 for e in serving if e.batch), len(serving)
+
+    def _advance_clock(self, to_time: float) -> None:
+        dt = to_time - self.clock
+        if dt > 0.0:
+            warmup = self.cfg.warmup
+            for eid, engine in self.engines.items():
+                t0, kv0 = engine.last_advance, engine.kv_used
+                engine.advance_decode(to_time)
+                start = max(warmup, t0)
+                if start < to_time:  # the KV trapezoid after warmup
+                    kv1 = engine.kv_used
+                    kv_start = kv0 + (kv1 - kv0) * (start - t0) / (to_time - t0)
+                    self._kv_integral[eid] += 0.5 * (kv_start + kv1) * (to_time - start)
+            for pool in self.pools.values():
+                busy, servers = self._servers(pool)
+                pool.busy_integral += busy * dt
+                pool.capacity_integral += servers * dt
+        self.clock = to_time
+
+    def _check_invariants(self) -> None:
+        for pool in self.pools.values():
+            if pool.spec.kind == LLM and pool.engines != self._serving(pool):
+                raise ss.InternalInvariantViolation(f"pool {pool.pool_id}: engine list differs from a recount")
+            busy, servers = self._servers(pool)
+            if not (pool.busy == busy and 0 <= busy <= servers):
+                raise ss.InternalInvariantViolation(f"pool {pool.pool_id}: busy {pool.busy}, recounted {busy}")
+        for engine in self.engines.values():
+            self._check_engine(engine, self.clock)
+
+    def _emit_kv_samples(self) -> None:
+        self._touched.clear()
+        for eid, engine in self.engines.items():
+            resident = set(engine.resident)
+            self.evictions += len(self._resident.get(eid, set()) - resident)
+            self._resident[eid] = resident
+            self.kv_at_events[(eid, self.clock)] = (engine.serving_pool, engine.kv_used, engine.resident_tokens)
+
+    def _reschedule_completion(self, engine) -> None:
+        nxt = reference_next_completion(engine, self.clock)
+        if nxt is not None:
+            call, when = nxt
+            self._schedule(when, EVENT_CALL_COMPLETE, engine.engine_id, call.request_id, engine.decode_epoch)
+
+    def _dispatch_all(self) -> None:
+        now = self.clock
+        for pool in self.pools.values():
+            while pool.queue_len:
+                queued = [call for queue in pool.queues.values() for _, call in queue]
+                call, key, best_waiting = reference_select(queued, self._dispatch_key)
+                self.most_classes = max(self.most_classes, len(pool.queues))
+                engine_label = self._place(pool, call, now)
+                if engine_label is None:
+                    break  # no overtaking
+                req = self.requests[call.request_id]
+                cls = (call.stage_id, req.retries_used)
+                queue = pool.queues[cls]
+                queue.remove(next(entry for entry in queue if entry[1] is call))
+                heapq.heapify(queue)  # still a heap for `_enter_stage` to push onto
+                if not queue:
+                    del pool.queues[cls]
+                pool.queue_len -= 1
+                req.dispatch_time = now
+                delay = now - call.enqueue_time
+                self.traces.dispatches.append(
+                    DispatchRecord(
+                        now,
+                        pool.pool_id,
+                        call.request_id,
+                        req.deadline - now - self._remaining_table()[cls],
+                        self.estimator.estimate(call.stage_id),
+                        engine_label,
+                        call.stage_id,
+                        delay,
+                        key,
+                        best_waiting,
+                    )
+                )
+                pool.window_dispatches += 1
+                if delay > self.policy.autoscale.queue_delay_slo:
+                    pool.window_delay_violations += 1
+                if now >= self.cfg.warmup:
+                    pool.delay_sum += delay
+                    pool.delay_count += 1
+
+    def run(self) -> RunResult:
+        duration = self.cfg.duration
+        self._schedule(ss.sample_interarrival(self._arrivals, self.cfg.arrival_rate), EVENT_ARRIVAL)
+        interval = self.policy.autoscale.check_interval
+        if self.policy.autoscale.enabled:
+            self._schedule(interval, EVENT_AUTOSCALE_TICK)
+        if self.policy.borrow.enabled:
+            self._schedule(interval, EVENT_BORROW_CHECK)
         self._emit_kv_samples()
-        while self._heap and self._heap[0][0] <= duration:
+        while self._heap and self._heap[0].time <= duration:
             ev = heapq.heappop(self._heap)
-            engine = self.engines.get(ev.engine_id)
-            superseded = ev.kind == EVENT_CALL_COMPLETE and (
-                engine is None or ev.epoch != engine.decode_epoch
-            )
             self._advance_clock(ev.time)
-            if superseded:
-                self.superseded += 1
+            engine = self.engines.get(ev.engine_id)
+            if ev.kind == EVENT_CALL_COMPLETE and (engine is None or ev.epoch != engine.decode_epoch):
+                self.superseded += 1  # its engine's batch changed, or the engine retired
             else:
-                self.processed_times.append(ev.time)
                 self._handlers[ev.kind](self, ev)
             self._dispatch_all()
             self._check_invariants()
             self._emit_kv_samples()
-
         self._advance_clock(duration)
         for engine in self.engines.values():
             self._touch(engine)
@@ -457,61 +521,59 @@ class SupersededCompletionsReference(EveryPoolIntegralsReference):
         return RunResult(self._build_report(), self.traces, self.audit)
 
 
-class EagerAdvanceReference(ss.Simulator):
-    """Reference clock that advances every engine at every processed event,
-    as the simulator did before engines were advanced only when touched:
-    each engine's decode progress and KV integral move in every
-    `_advance_clock`, and the pool utilization integrals count busy and
-    serving engines in the same sweep.
+# the tolerances of `assert_same_run`: completion times come from decode
+# split into other segments, so an event may fall an ulp or so away
+TIME_TOL = 1e-9
+KV_TOL = 1e-6
 
-    `kv_samples` then holds the former trace, a row per engine whose KV,
-    pool or resident prefix tokens changed, and after `run()`
-    `kv_at_events[(engine id, t)]` is every live engine's (pool, KV,
-    resident prefix tokens) after the last event at each time t, and at
-    the start and the end of the run.
-    """
 
-    def __init__(self, config: ss.SimConfig) -> None:
-        self.kv_at_events: dict[tuple[int, float], tuple[str, float, int]] = {}
-        self._last_kv_sample: dict[int, tuple] = {}
-        super().__init__(config)
+def _approx(value):
+    return pytest.approx(value, rel=TIME_TOL, abs=TIME_TOL)
 
-    def _advance_clock(self, to_time: float) -> None:
-        dt = to_time - self.clock
-        if dt <= 0.0:
-            self.clock = to_time
-            return
-        counts = {pid: [0, 0] for pid, pool in self.pools.items() if pool.spec.kind == LLM}  # [busy, serving]
-        warmup = self.cfg.warmup
-        for eid, engine in self.engines.items():
-            count = counts[engine.serving_pool]
-            count[1] += 1
-            if engine.batch:
-                count[0] += 1
-            t0 = engine.last_advance
-            kv0 = engine.kv_used
-            engine.advance_decode(to_time)
-            start = max(warmup, t0)
-            if start < to_time:
-                kv1 = engine.kv_used
-                kv_start = kv0 + (kv1 - kv0) * (start - t0) / (to_time - t0)
-                self._kv_integral[eid] += 0.5 * (kv_start + kv1) * (to_time - start)
-        for pool in self.pools.values():
-            if pool.spec.kind == LLM:
-                busy, cap = counts[pool.pool_id]
-            else:
-                busy, cap = pool.busy, pool.capacity
-            pool.busy_integral += busy * dt
-            pool.capacity_integral += cap * dt
-        self.clock = to_time
 
-    def _emit_kv_samples(self) -> None:
-        self._touched.clear()
-        for eid, engine in self.engines.items():
-            current = (engine.serving_pool, engine.kv_used, engine.resident_tokens)
-            self.kv_at_events[(eid, self.clock)] = current
-            if self._last_kv_sample.get(eid) != current:
-                self._last_kv_sample[eid] = current
-                self.traces.kv_samples.append(
-                    KvSample(self.clock, current[0], eid, current[1], engine.kv_slope(), current[2])
-                )
+def _assert_same_records(got, want, what: str) -> None:
+    """The same records in the same order, field by field: text, counts
+    and flags equal, times, slack, estimates and keys within TIME_TOL."""
+    assert len(got) == len(want), what
+    for g, w in zip(got, want):
+        assert all(a == _approx(b) for a, b in zip(g, w)), (what, g, w)
+
+
+def assert_same_run(config: ss.SimConfig) -> tuple[ss.Simulator, NaiveSimulator]:
+    """Run `config` through `Simulator` and `NaiveSimulator` and require the
+    same run; returns both simulators, run.
+
+    Both pop the same events and make the same decisions: the requests
+    (request, outcome, retries, stage calls), dispatches (pool, request,
+    stage, engine), borrows, returns and scale events in the same order,
+    with times, slack, estimates and keys within TIME_TOL, and the same
+    lent admissions; `summary.json` agrees within TIME_TOL, relative or
+    absolute.  The shipped KV segments, resampled at every event, give the
+    naive KV of every live engine within KV_TOL, and cover no engine the
+    naive run lacks except at the engine's own last row."""
+    naive = NaiveSimulator(config)
+    want = naive.run()
+    sim = ss.Simulator(config)
+    got = sim.run()
+    assert sim._seq - len(sim._heap) == naive._seq - len(naive._heap), "popped events"
+    _assert_same_records(got.traces.requests, want.traces.requests, "requests")
+    _assert_same_records(got.traces.dispatches, want.traces.dispatches, "dispatches")
+    for name in ("borrows", "returns", "scale_events"):
+        _assert_same_records(getattr(got.audit, name), getattr(want.audit, name), name)
+    assert got.audit.lent_admissions == want.audit.lent_admissions
+    summary, naive_summary = got.report.to_dict(), want.report.to_dict()
+    assert summary.keys() == naive_summary.keys()
+    for name, value in naive_summary.items():
+        assert summary[name] == _approx(value), name
+
+    times = sorted({t for _, t in naive.kv_at_events})
+    resampled = resample_kv(got.traces.kv_samples, times, TIME_TOL)
+    for at, (pool, kv, resident) in naive.kv_at_events.items():
+        assert at in resampled, at
+        row = resampled[at]
+        assert (row.pool, row.resident_prefix_tokens) == (pool, resident), at
+        assert row.kv_used == pytest.approx(kv, abs=KV_TOL), at
+    last_row = {row.engine_id: row.time for row in got.traces.kv_samples}
+    extra = set(resampled) - set(naive.kv_at_events)
+    assert all(abs(t - last_row[eid]) <= TIME_TOL for eid, t in extra), sorted(extra)
+    return sim, naive

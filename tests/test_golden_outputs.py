@@ -20,8 +20,9 @@ import pytest
 
 import stagesim
 import stagesim.cli
-from helpers import QUOTED_LLM, QUOTED_WORKFLOW, FullSweepSimulator, WakeEverySimulator, run_config_tree
+from helpers import QUOTED_LLM, QUOTED_WORKFLOW, assert_same_run, run_config_tree
 from stagesim.cli import main
+from stagesim.config import build_sim_config, load_config_file
 from stagesim.simulation import Simulator
 
 OUTPUT_FILES = ("summary.json", "kv_usage.csv", "dispatch.csv", "requests.csv")
@@ -134,27 +135,25 @@ def output_digest(out_dir, files=OUTPUT_FILES) -> str:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_output_bytes_are_pinned(tmp_path, monkeypatch, name):
-    # the shipped simulator; FullSweepSimulator, whose full invariant sweep
-    # must agree with the shipped check on every event and change nothing;
-    # and WakeEverySimulator, which offers every queued pool after every
-    # event and must place nothing the shipped wake rule does not
+    # the shipped simulator's bytes, and the same run as NaiveSimulator's,
+    # which runs every fast path the slow way
     _, expected, expected_popped, expected_kv_rows = GOLDEN_RUNS[name]
     config = golden_config(tmp_path, name)
-    for simulator in (Simulator, FullSweepSimulator, WakeEverySimulator):
-        popped = []
+    popped = []
 
-        class CountingSimulator(simulator):
-            def run(self):
-                result = super().run()
-                popped.append(self._seq - len(self._heap))
-                return result
+    class CountingSimulator(Simulator):
+        def run(self):
+            result = super().run()
+            popped.append(self._seq - len(self._heap))
+            return result
 
-        monkeypatch.setattr(stagesim.cli, "Simulator", CountingSimulator)
-        out = tmp_path / simulator.__name__
-        assert main(["run", str(config), "--seed", "5", "--out", str(out)]) == 0
-        assert popped == [expected_popped], simulator
-        assert len((out / "kv_usage.csv").read_text().splitlines()) - 1 == expected_kv_rows, simulator
-        assert output_digest(out) == expected, simulator
+    monkeypatch.setattr(stagesim.cli, "Simulator", CountingSimulator)
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--seed", "5", "--out", str(out)]) == 0
+    assert popped == [expected_popped]
+    assert len((out / "kv_usage.csv").read_text().splitlines()) - 1 == expected_kv_rows
+    assert output_digest(out) == expected
+    assert_same_run(build_sim_config(load_config_file(config), seed_override=5))
 
 
 def cli_under_hash_seed(argv: list[str], hash_seed: str) -> subprocess.CompletedProcess:

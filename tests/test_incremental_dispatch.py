@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import stagesim as ss
 import stagesim.cli
 import stagesim.simulation as simulation
-from helpers import WakeEverySimulator, engine_params, nl2sql_vw, reference_select, sim_config
+from helpers import assert_same_run, engine_params, nl2sql_vw, reference_select, sim_config
 from stagesim.engines import PendingCall
 from stagesim.reporting import replay_dispatch_audit
 from stagesim.scheduling import (
@@ -358,12 +358,10 @@ def test_every_dispatch_matches_full_sort(monkeypatch, name):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_wake_rule_places_what_waking_every_pool_places(mode, seed):
     # KV-bound engines and slack keys, as in configs/nl2sql_compare.json: a
-    # fixer call can enter ahead of a blocked head and fit where it did not
+    # fixer call can enter ahead of a blocked head and fit where it did not;
+    # NaiveSimulator offers every queued pool after every event
     cfg = sim_config(mode=mode, params=COMPARE_ENGINE, rate=2.1, duration=80.0, warmup=10.0, seed=seed)
-    sim, waker = Simulator(cfg), WakeEverySimulator(cfg)
-    got, want = sim.run(), waker.run()
-    assert sim._seq - len(sim._heap) == waker._seq - len(waker._heap)
-    assert (got.report, got.traces, got.audit) == (want.report, want.traces, want.audit)
+    assert_same_run(cfg)
 
 
 class OfferCountingSimulator(Simulator):

@@ -11,9 +11,9 @@ import stagesim as ss
 import stagesim.cli
 import stagesim.simulation as simulation
 from helpers import (
-    EveryPoolIntegralsReference,
-    FullSweepSimulator,
+    NaiveSimulator,
     RetainingSimulator,
+    assert_same_run,
     engine_params,
     nl2sql_vw,
     run_config_tree,
@@ -383,62 +383,36 @@ def test_serving_pool_follows_every_borrow_and_return():
     assert {decision for _, _, decision in audit.scale_events} == {-1, 1}
 
 
-class WindowRecorder:
-    """Records, after every clock advance, the utilization window of each
-    pool the simulator integrates (`_lendable`)."""
-
-    def __init__(self, config) -> None:
-        self.windows: list = []
-        super().__init__(config)
-
-    def _advance_clock(self, to_time: float) -> None:
-        super()._advance_clock(to_time)
-        self.windows.append(
-            [(p.pool_id, p.busy_integral, p.capacity_integral, p.prev_utilization) for p in self._lendable]
-        )
-
-
-class RecordedSimulator(WindowRecorder, Simulator):
-    pass
-
-
-class RecordedReference(WindowRecorder, EveryPoolIntegralsReference):
-    pass
-
-
 def test_utilization_is_integrated_and_read_only_where_borrowing_reads_it(monkeypatch):
     # borrowing reads the utilization of single-stage LLM pools only, so
-    # only they integrate it, to the same floats as integrating every pool
-    # at every event; the tool pool and the autoscaler never read it
-    reads: list[tuple[str, float]] = []
+    # only they integrate it, to the values NaiveSimulator reads from
+    # integrating every pool at every event; the tool pool and the
+    # autoscaler never read it
+    reads: list[tuple[object, float]] = []
     utilization = simulation.PoolRuntime.utilization
 
     def recorded_utilization(pool):
         value = utilization(pool)
-        reads.append((pool.pool_id, value))
+        reads.append((pool, value))
         return value
 
     monkeypatch.setattr(simulation.PoolRuntime, "utilization", recorded_utilization)
     cfg = sim_config(engines=(1, 3), policy=ELASTIC_POLICY, rate=4.0, duration=60.0, seed=3)
-    runs = {}
-    for cls in (RecordedSimulator, RecordedReference):
-        reads.clear()
-        sim = cls(cfg)
-        runs[cls] = (sim, sim.run(), list(reads))
-    sim, got, got_reads = runs[RecordedSimulator]
-    reference, want, want_reads = runs[RecordedReference]
+    sim, naive = assert_same_run(cfg)
+    got = [(pool.pool_id, value) for pool, value in reads if pool is sim.pools[pool.pool_id]]
+    want = [(pool.pool_id, value) for pool, value in reads if pool is naive.pools[pool.pool_id]]
 
     lendable = [p.pool_id for p in sim._lendable]
     assert lendable == [sim.stage_pool[GENERATOR], sim.stage_pool[FIXER]]
-    assert got.audit.borrows and got.audit.returns and got.audit.scale_events
-    assert got_reads and {pid for pid, _ in got_reads} <= set(lendable)
+    assert naive.audit.borrows and naive.audit.returns and naive.audit.scale_events
+    assert got and {pid for pid, _ in got} <= set(lendable)
     # the same values read, at the same points, as from integrating every pool
-    assert got_reads == [(pid, value) for pid, value in want_reads if pid in lendable]
-    assert sim.windows == reference.windows
+    want_lendable = [(pid, value) for pid, value in want if pid in lendable]
+    assert [pid for pid, _ in got] == [pid for pid, _ in want_lendable]
+    assert [value for _, value in got] == pytest.approx([value for _, value in want_lendable], rel=1e-9, abs=1e-9)
     tool = sim.pools[sim.stage_pool[EXECUTOR]]
     assert (tool.busy_integral, tool.capacity_integral) == (0.0, 0.0)
-    assert tool.pool_id in {pid for pid, _ in want_reads}  # the reference's window resets read it
-    assert (got.report, got.traces, got.audit) == (want.report, want.traces, want.audit)
+    assert tool.pool_id in {pid for pid, _ in want}  # the naive window resets read it
 
 
 def test_without_borrowing_no_pool_integrates_utilization():
@@ -449,11 +423,12 @@ def test_without_borrowing_no_pool_integrates_utilization():
 
 
 def test_invariant_check_catches_pool_counters_out_of_bounds():
-    # an LLM pool's counters are recounted from its engines; a tool pool's
-    # busy slots must lie within its slots
+    # an LLM pool's busy engines are recounted from its engine list; a tool
+    # pool's busy slots must lie within its slots
     sim = Simulator(sim_config())
     for pool in sim.pools.values():
-        for busy in (-1, pool.capacity + 1):
+        servers = len(pool.engines) if pool.spec.kind == LLM else pool.capacity
+        for busy in (-1, servers + 1):
             pool.busy = busy
             with pytest.raises(ss.InternalInvariantViolation, match=f"pool {pool.pool_id}: busy/capacity"):
                 sim._check_invariants()
@@ -476,12 +451,10 @@ def _corrupt_retired_left_in(sim, pool):
 def _corrupt_listed_in_two_pools(sim, pool):
     other = sim.pools[sim.stage_pool[GENERATOR]]
     other.engines.append(pool.engines[0])
-    other.capacity += 1
 
 
 def _corrupt_missing(sim, pool):
     pool.engines.pop()
-    pool.capacity -= 1
 
 
 @pytest.mark.parametrize(
@@ -661,9 +634,9 @@ def test_untouched_engine_is_trusted_until_its_horizon():
     # the trade-off of the horizon test: it trusts that only a touch
     # changes an engine's counters (test_every_engine_change_follows_a_touch).
     # A change that bypasses every touch, here kv_reserved raised past
-    # capacity by hand on an engine no event touched, trips the full sweep
-    # but not the shipped check, until the engine is touched.
-    sim = FullSweepSimulator(sim_config())
+    # capacity by hand on an engine no event touched, trips the naive full
+    # recount but not the shipped check, until the engine is touched.
+    sim = NaiveSimulator(sim_config())
     engine = sim.engines[0]
     cap = engine.params.kv_capacity_tokens
     reserved = f"engine 0: reserved {cap + 1} exceeds capacity {cap}"
@@ -677,7 +650,7 @@ def test_untouched_engine_is_trusted_until_its_horizon():
 
     engine.kv_reserved = cap + 1
     Simulator._check_invariants(sim)  # not caught: the shipped check's blind spot
-    with pytest.raises(AssertionError, match=reserved):
+    with pytest.raises(ss.InternalInvariantViolation, match=reserved):
         sim._check_invariants()
     sim._touched[engine.engine_id] = engine
     with pytest.raises(ss.InternalInvariantViolation, match=reserved):
