@@ -146,9 +146,13 @@ def load_config_file(path: str | Path) -> dict:
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     try:
-        tree = json.loads(p.read_text())
+        tree = json.loads(p.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {p} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError(f"config file {p} nests JSON too deeply") from None
     return _typed(tree, dict, str(p))
 
 

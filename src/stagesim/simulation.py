@@ -326,9 +326,9 @@ class PoolRuntime:
         # skipped until then, or until the key version changes while it
         # holds two or more classes
         self.dirty = False
-        # the servers in use: the tool slots with a call, or the engines of
-        # `engines` with a batch; an LLM pool's servers are `engines`, so
-        # `capacity` counts a tool pool's slots only
+        # a tool pool's slots and the slots with a call; an LLM pool's
+        # servers are `engines` and its busy servers those with a batch, so
+        # both count tool slots only
         self.capacity = 0 if spec.kind == LLM else spec.concurrency
         self.busy = 0
         self.engines: list[EngineState] = []
@@ -509,7 +509,11 @@ class Simulator:
             self.clock = to_time
             return
         for pool in self._lendable:  # LLM pools: the servers are the engines
-            pool.busy_integral += pool.busy * dt
+            busy = 0
+            for e in pool.engines:
+                if e.batch:
+                    busy += 1
+            pool.busy_integral += busy * dt
             pool.capacity_integral += len(pool.engines) * dt
         self.clock = to_time
 
@@ -550,14 +554,13 @@ class Simulator:
         touched.clear()
 
     def _check_invariants(self) -> None:
-        """Check every engine, the pools' engine lists and their server
-        counters after an event.
+        """Check every engine, the LLM pools' engine lists and the tool
+        pools' slot counters after an event.
 
         A tool pool's busy slots must lie within its slots, which have
         nothing to recount them from.  The LLM pools' lists must partition
         `self.engines`, each in strictly increasing id order and holding
-        only engines that serve that pool; an LLM pool's busy count is
-        recounted from its list.
+        only engines that serve that pool.
 
         An engine the event touched (or added) gets the full recount of
         `_check_engine`.  Any other engine has not changed since its last
@@ -578,7 +581,6 @@ class Simulator:
         listed = 0
         for pool in self._llm_pools:
             pid = pool.pool_id
-            busy = 0
             last = -1
             for e in pool.engines:
                 eid = e.engine_id
@@ -591,15 +593,9 @@ class Simulator:
                         f"out of order or not serving it"
                     )
                 last = eid
-                if e.batch:
-                    busy += 1
                 if eid in touched or now > e.horizon:
                     self._check_engine(e, now)
             listed += len(pool.engines)
-            if pool.busy != busy:
-                raise InternalInvariantViolation(
-                    f"pool {pid}: busy/capacity {pool.busy}/{len(pool.engines)}, recounted {busy}"
-                )
         if listed != len(engines):  # every engine is listed, and only once
             raise InternalInvariantViolation(
                 f"pool engine lists hold {listed} engines, {len(engines)} exist"
@@ -743,10 +739,7 @@ class Simulator:
                 f"completion fired with {call.remaining_tokens} tokens left"
             )
         engine.complete_call(call)
-        pool = self.pools[engine.serving_pool]
-        pool.dirty = True
-        if not engine.batch:
-            pool.busy -= 1
+        self.pools[engine.serving_pool].dirty = True
         self._reschedule_completion(engine)
         if engine.lent_to is not None and not engine.batch:
             self._maybe_return(engine)
@@ -961,8 +954,6 @@ class Simulator:
                 return None
             placed, evictions = with_evict
         self._touch(placed)
-        if not placed.batch:
-            pool.busy += 1
         for evict_sid in evictions:
             placed.evict_idle_prefix(evict_sid)
         prefill_done = placed.admit(call, prefix_tokens, now)

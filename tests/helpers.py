@@ -7,13 +7,14 @@ import csv
 import dataclasses
 import heapq
 import io
+from collections import Counter
 from typing import NamedTuple
 
 import pytest
 
 import stagesim as ss
 from stagesim.engines import DECODE, EngineParams
-from stagesim.scheduling import _route_order
+from stagesim.scheduling import _route_order, can_evict_for, route_call_with_eviction
 from stagesim.simulation import (
     EVENT_ARRIVAL,
     EVENT_AUTOSCALE_TICK,
@@ -370,17 +371,22 @@ def reference_next_completion(engine, now: float):
 class NaiveSimulator(ss.Simulator):
     """The simulator with every fast path replaced by its slow, obvious
     rule, all at once: the one differential oracle for `Simulator`
-    (`assert_same_run`).  It keeps the shipped event handlers, `_place`,
-    `_dispatch_key`, `_touch` and `_check_engine`, and replaces
+    (`assert_same_run`), and the one whole-run checker.  It keeps the
+    shipped event handlers, `_place`, `_dispatch_key`, `_touch` and
+    `_check_engine`, and replaces
 
     - the clock: every engine is advanced, and every pool's utilization
       integrated from a recount of its servers, at every event;
-    - the invariant check: a full recount of every engine and every pool
-      after every event, with no horizon;
+    - the invariant check: a full recount after every event, with no
+      horizon, of every engine, of the engines' id order, of each LLM
+      pool's engine list, of what holds each live request's stage call
+      (`_check_calls`) and of whom each engine serves (`_check_lending`);
     - dispatch: every pool with a queue is offered after every event, and
       each placement takes the least key over every queued call
       (`reference_select`), so `PoolRuntime.heads`, `key_version` and
       `dirty` go unused;
+    - the routing early-out: wherever `_place` finds no engine for an LLM
+      call, the eviction fallback over the pool's list must find none too;
     - superseded completions: popped and processed as no-ops, each with
       the clock advance, dispatch pass, check and sampling of any event;
     - the completion pick: `reference_next_completion`.
@@ -388,15 +394,21 @@ class NaiveSimulator(ss.Simulator):
     A new fast path adds its naive rule here.  After `run()`,
     `kv_at_events[(engine id, t)]` holds every live engine's (pool, KV,
     resident prefix tokens) after the last event at each time t, and at
-    the start and the end; `superseded`, `evictions` and `most_classes`
-    count superseded completions, evicted prefixes and the most classes a
-    selection ranged over.
+    the start and the end.  The counters say what the run saw:
+    `superseded` completions, `evictions` of prefixes, the `most_classes`
+    a selection ranged over, `blocked` pool heads, `full_tool_pools` with
+    calls queued at a dispatch pass, and `skipped_fallbacks`, failed routes
+    whose fallback the early-out skipped.
     """
 
     def __init__(self, config: ss.SimConfig) -> None:
         self.kv_at_events: dict[tuple[int, float], tuple[str, float, int]] = {}
         self.superseded = self.evictions = self.most_classes = 0
+        self.blocked = self.full_tool_pools = self.skipped_fallbacks = 0
         self._resident: dict[int, set[str]] = {}  # each engine's prefixes at the last event
+        self._finished: set[int] = set()  # the requests with a RequestRecord
+        self._audited = (0, 0)  # the borrows and returns `_lent` is from
+        self._lent: dict[int, str] = {}  # each lent engine's borrower
         super().__init__(config)
 
     def _serving(self, pool) -> list:
@@ -430,14 +442,62 @@ class NaiveSimulator(ss.Simulator):
         self.clock = to_time
 
     def _check_invariants(self) -> None:
+        assert list(self.engines) == sorted(self.engines), "engines out of id order"
         for pool in self.pools.values():
             if pool.spec.kind == LLM and pool.engines != self._serving(pool):
                 raise ss.InternalInvariantViolation(f"pool {pool.pool_id}: engine list differs from a recount")
-            busy, servers = self._servers(pool)
-            if not (pool.busy == busy and 0 <= busy <= servers):
-                raise ss.InternalInvariantViolation(f"pool {pool.pool_id}: busy {pool.busy}, recounted {busy}")
+        self._check_calls()
+        self._check_lending()
         for engine in self.engines.values():
             self._check_engine(engine, self.clock)
+
+    def _check_calls(self) -> None:
+        """`requests` holds the live requests: none terminal, none with a
+        RequestRecord.  Each one's stage call is held exactly once: queued
+        in its stage's pool, in the class heap of its (stage, retries), in
+        an engine's batch, or else in a busy slot of its stage's tool pool,
+        so that a tool pool's busy count is recounted.  A pool's class
+        heaps are non-empty and their sizes add up to its `queue_len`."""
+        records = self.traces.requests
+        self._finished.update(rec.request_id for rec in records[len(self._finished) :])
+        assert len(self._finished) == len(records), "a request recorded twice"
+        requests = self.requests
+        assert self._finished.isdisjoint(requests), "a finished request is still live"
+        held = []  # the request of each queued or running call
+        for pool in self.pools.values():
+            for (sid, retries), queue in pool.queues.items():
+                assert queue and self.stage_pool[sid] == pool.pool_id, (pool.pool_id, sid, retries)
+                for _, call in queue:
+                    req = requests[call.request_id]
+                    assert call.stage_id == req.current_stage == sid and req.retries_used == retries
+                    held.append(call.request_id)
+            assert sum(map(len, pool.queues.values())) == pool.queue_len, pool.pool_id
+        for engine in self.engines.values():
+            for call in engine.batch:
+                assert requests[call.request_id].current_stage == call.stage_id
+                held.append(call.request_id)
+        running = set(held)
+        assert len(running) == len(held), f"a stage call held twice at {self.clock}"
+        in_slots = Counter()
+        for rid, req in requests.items():
+            assert not is_terminal(req.current_stage), rid
+            if rid not in running:
+                in_slots[self.stage_pool[req.current_stage]] += 1
+        for pool in self.pools.values():  # an LLM pool's busy and capacity stay 0
+            assert pool.busy == in_slots[pool.pool_id] <= pool.capacity, (pool.pool_id, pool.busy)
+
+    def _check_lending(self) -> None:
+        """Each engine serves the borrower of its last borrow while that
+        borrow is unreturned, and its home pool otherwise."""
+        audit = self.audit
+        if self._audited != (len(audit.borrows), len(audit.returns)):
+            self._audited = (len(audit.borrows), len(audit.returns))
+            lent = Counter(eid for _, eid, _, _ in audit.borrows)
+            lent.subtract(eid for _, eid, _ in audit.returns)
+            borrower = {eid: pool for _, eid, _, pool in audit.borrows}
+            self._lent = {eid: borrower[eid] for eid, n in lent.items() if n}
+        serving = {eid: e.serving_pool for eid, e in self.engines.items() if e.serving_pool != e.home_pool}
+        assert serving == self._lent, (serving, self._lent)
 
     def _emit_kv_samples(self) -> None:
         self._touched.clear()
@@ -453,15 +513,27 @@ class NaiveSimulator(ss.Simulator):
             call, when = nxt
             self._schedule(when, EVENT_CALL_COMPLETE, engine.engine_id, call.request_id, engine.decode_epoch)
 
+    def _place(self, pool, call, now: float) -> str | None:
+        label = super()._place(pool, call, now)
+        if label is None and pool.spec.kind == LLM:
+            engines = pool.engines
+            prefix_tokens = self.vw.stage(call.stage_id).prefix_tokens
+            assert route_call_with_eviction(call, prefix_tokens, engines, now) is None, "fallback skipped"
+            self.skipped_fallbacks += not can_evict_for(call.stage_id, engines)
+        return label
+
     def _dispatch_all(self) -> None:
         now = self.clock
-        for pool in self.pools.values():
+        pools = self.pools.values()
+        self.full_tool_pools += sum(1 for pool in pools if pool.queue_len and pool.tool_slots_full())
+        for pool in pools:
             while pool.queue_len:
                 queued = [call for queue in pool.queues.values() for _, call in queue]
                 call, key, best_waiting = reference_select(queued, self._dispatch_key)
                 self.most_classes = max(self.most_classes, len(pool.queues))
                 engine_label = self._place(pool, call, now)
                 if engine_label is None:
+                    self.blocked += 1
                     break  # no overtaking
                 req = self.requests[call.request_id]
                 cls = (call.stage_id, req.retries_used)

@@ -236,6 +236,22 @@ def test_validate_missing_file(tmp_path):
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe{}", "is not UTF-8"),
+        (b"[" * 100_000 + b"]" * 100_000, "nests JSON too deeply"),
+    ],
+    ids=["not_utf8", "nested_100000_deep"],
+)
+def test_unreadable_config_file_exits_2(tmp_path, capsys, content, message):
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    assert main(["validate", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: ") and f"config file {config} {message}" in err, err
+
+
 def inline_tree(edit):
     tree = bad_mass_tree()
     edit(tree["workflow"]["inline"])

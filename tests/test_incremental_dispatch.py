@@ -1,10 +1,14 @@
-"""The class-queue dispatcher against the full-sort reference selection.
+"""The class-queue dispatcher: its lemmas, its wake rule and its costs.
 
 A pool queues its calls in one heap per class, (stage, retries used),
 ranked by what no estimate changes, and `select_next` picks the least key
 over the class heads; the simulator skips pools whose blocked head cannot
-have changed.  Both must make exactly the choices that keying and sorting
-every queued call at every event makes.
+have changed.  Here: the lemmas the class heaps rest on, checked on
+generated keys against the full-sort `reference_select`; the wake rule on
+runs where a new head unblocks a queue; which pools a pass offers and which
+keys it computes; and that the keys computed grow linearly with run
+length.  That every dispatch of a run makes the full sort's choice is
+`assert_same_run`'s check, on every run of tests/test_naive_reference.py.
 """
 
 import heapq
@@ -19,21 +23,11 @@ from hypothesis import strategies as st
 
 import stagesim as ss
 import stagesim.cli
-import stagesim.simulation as simulation
-from helpers import assert_same_run, engine_params, nl2sql_vw, reference_select, sim_config
+from helpers import assert_same_run, engine_params, reference_select, sim_config
 from stagesim.engines import PendingCall
 from stagesim.reporting import replay_dispatch_audit
-from stagesim.scheduling import (
-    AdmissionConfig,
-    AutoscaleConfig,
-    BorrowConfig,
-    dispatch_key,
-    route_call,
-    route_call_with_eviction,
-    select_next,
-)
+from stagesim.scheduling import dispatch_key, select_next
 from stagesim.simulation import RequestSim, Simulator
-from stagesim.workflow import LLM, is_terminal
 from stagesim.workloads import EXECUTOR, FIXER, GENERATOR
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -165,193 +159,12 @@ def test_time_invariant_heap_selection_matches_full_sort(case):
 
 
 # ----------------------------------------------------------------------
-# every dispatch of a simulation
-
-
-def _placeable(sim: Simulator, pool, call) -> bool:
-    if pool.spec.kind != LLM:
-        return pool.busy < pool.capacity
-    prefix = sim.vw.stage(call.stage_id).prefix_tokens
-    engines = pool.engines
-    return route_call(call, prefix, engines, sim.clock) is not None or (
-        route_call_with_eviction(call, prefix, engines, sim.clock) is not None
-    )
-
-
-class CheckedSimulator(Simulator):
-    """Asserts, after every dispatch pass, that no queued pool has a
-    reference head that could be placed, and after every event that
-    `requests` holds exactly the admitted requests that have no
-    RequestRecord yet, that each one's stage call is held exactly once, and
-    that each pool's class queues hold only calls of their class, with
-    current cached head keys; counts the pools a pass skipped, the pools it
-    would otherwise have offered (dirty, or stale with two or more classes)
-    but skipped because all their tool slots were busy, and the events
-    checked.  `placed` records, per placed call, the reference selection it
-    was placed from."""
-
-    skipped = 0
-    gated = 0
-    conserved = 0
-
-    def __init__(self, config) -> None:
-        self.unfinished: set[int] = set()  # admitted, no RequestRecord yet
-        self.recorded = 0  # RequestRecords already taken out of unfinished
-        self.selected = None  # the reference selection of the last select_next
-        self.placed: list = []
-        super().__init__(config)
-
-    def _enter_stage(self, req) -> None:
-        self.unfinished.add(req.request_id)
-        super()._enter_stage(req)
-
-    def _dispatch_all(self) -> None:
-        self.skipped += sum(1 for pool in self.pools.values() if pool.queue_len)
-        version = self._key_version()
-        self.gated += sum(
-            1
-            for pool in self.pools.values()
-            if pool.queue_len
-            and (pool.dirty or (pool.key_version != version and len(pool.queues) > 1))
-            and pool.tool_slots_full()
-        )
-        super()._dispatch_all()
-        for pool in self.pools.values():
-            if pool.queue_len:
-                head = reference_select(queued_calls(pool), self._dispatch_key)[0]
-                assert not _placeable(self, pool, head), f"{pool.pool_id} left placeable at {self.clock}"
-
-    def _place(self, pool, call, now):
-        label = super()._place(pool, call, now)
-        if label is not None:
-            assert self.selected[0] is call
-            self.placed.append(self.selected)
-        return label
-
-    def _check_invariants(self) -> None:
-        # A live request's one stage call waits in its pool's queue, runs in
-        # an engine's batch, or holds a tool slot.
-        super()._check_invariants()
-        held = 0
-        version = self._key_version()
-        for pool in self.pools.values():
-            queued = queued_calls(pool)
-            rids = {call.request_id for call in queued}
-            assert len(rids) == len(queued) == pool.queue_len, f"{pool.pool_id} holds a request twice"
-            assert all(self.stage_pool[call.stage_id] == pool.pool_id for call in queued)
-            for (sid, retries), queue in pool.queues.items():
-                assert queue, f"{pool.pool_id} keeps an empty class"
-                for _, call in queue:
-                    assert (call.stage_id, self.requests[call.request_id].retries_used) == (sid, retries)
-            if pool.key_version == version:  # current heads: one per class, keyed now
-                assert pool.heads.keys() == pool.queues.keys()
-                for cls, (key, call) in pool.heads.items():
-                    assert call is pool.queues[cls][0][1] and key == self._dispatch_key(call)
-            held += len(queued)
-            if pool.spec.kind != LLM:  # an LLM pool's busy counts engines, not calls
-                held += pool.busy
-        held += sum(len(engine.batch) for engine in self.engines.values())
-        live = len(self.requests)
-        assert held == live, f"{held} stage calls held for {live} live requests at {self.clock}"
-        records = self.traces.requests
-        self.unfinished.difference_update(rec.request_id for rec in records[self.recorded :])
-        self.recorded = len(records)
-        assert self.requests.keys() == self.unfinished, f"requests is not the live map at {self.clock}"
-        assert not any(is_terminal(req.current_stage) for req in self.requests.values())
-        self.conserved += 1
-
-    def _dispatch_pool(self, pool, version) -> None:
-        self.skipped -= 1
-        super()._dispatch_pool(pool, version)
+# the wake rule and what a dispatch pass costs
 
 
 # KV-bound engines, as in configs/nl2sql_compare.json: which call heads a
 # queue decides whether it can be placed
 COMPARE_ENGINE = engine_params(kv_capacity_tokens=3200, prefill_rate=2000.0, max_batch=12)
-
-BORROW = ss.PolicyConfig(
-    online_estimates=True, borrow=BorrowConfig(enabled=True, util_low=0.4, util_high=0.6)
-)
-
-POLICIES = {
-    "fcfs": dict(policy=ss.PolicyConfig(kind="fcfs")),
-    "las": dict(policy=ss.PolicyConfig(kind="las")),
-    "slack": dict(policy=ss.PolicyConfig(kind="slack")),
-    "slack_selectivity_online": dict(
-        policy=ss.PolicyConfig(kind="slack", use_selectivity=True, online_estimates=True)
-    ),
-    "shared_admission": dict(
-        mode="shared",
-        policy=ss.PolicyConfig(admission=AdmissionConfig(enabled=True, max_queue_len=15)),
-    ),
-    "borrow_online": dict(rate=2.5, seed=5, engines=(1, 3), params=COMPARE_ENGINE, policy=BORROW),
-    "borrow_return_online": dict(rate=2.5, seed=5, engines=(2, 3), params=COMPARE_ENGINE, policy=BORROW),
-    # a version change alone reorders the shared queue and unblocks it
-    "shared_online": dict(
-        vw=nl2sql_vw(p_fail=0.8),
-        mode="shared",
-        engines=(1, 2),
-        rate=2.0,
-        seed=6,
-        params=COMPARE_ENGINE,
-        policy=ss.PolicyConfig(online_estimates=True),
-    ),
-    "autoscale": dict(
-        engines=(1, 2),
-        policy=ss.PolicyConfig(autoscale=AutoscaleConfig(enabled=True, max_engines=4)),
-    ),
-    # the executor queue waits on its one slot while online estimates
-    # change its keys: the full pool is skipped, not re-keyed
-    "tool_full_online": dict(tool_concurrency=1, policy=ss.PolicyConfig(online_estimates=True)),
-    # the generator queue grows without bound and the fixer and executor
-    # queues span several retry classes while the estimates change
-    "overload_online": dict(rate=4.0, policy=ss.PolicyConfig(online_estimates=True)),
-}
-
-
-@pytest.mark.parametrize("name", sorted(POLICIES))
-def test_every_dispatch_matches_full_sort(monkeypatch, name):
-    cfg = sim_config(**{"rate": 3.0, "duration": 60.0, "warmup": 0.0, "seed": 4, **POLICIES[name]})
-    sim = CheckedSimulator(cfg)
-    checked = []
-    classes = []
-
-    def checked_select_next(heads):
-        got = select_next(heads)
-        # a non-empty pool's heads (every call waits in one pool only)
-        (pool,) = [pool for pool in sim.pools.values() if pool.queue_len and heads.mapping == pool.heads]
-        # the heads are current: one per class, each keyed now
-        assert pool.key_version == sim._key_version() and pool.heads.keys() == pool.queues.keys()
-        assert all(call is pool.queues[cls][0][1] for cls, (_, call) in pool.heads.items())
-        assert all(key == sim._dispatch_key(call) for key, call in heads)
-        want = reference_select(queued_calls(pool), sim._dispatch_key)
-        assert got[0] is want[0]
-        assert got[1] == want[1]
-        sim.selected = want
-        checked.append(want[2] is not None)
-        classes.append(len(heads))
-        return got
-
-    monkeypatch.setattr(simulation, "select_next", checked_select_next)
-    result = sim.run()
-    # each dispatch record's best waiting key is the reference's second key
-    # over the queue its call was selected from
-    records = result.traces.dispatches
-    assert len(records) == len(sim.placed)
-    for rec, (call, key, best_waiting) in zip(records, sim.placed):
-        assert (rec.request_id, rec.key, rec.best_waiting_key) == (call.request_id, key, best_waiting)
-    if name.startswith("borrow"):
-        assert result.audit.borrows and result.audit.returns
-    if name == "autoscale":
-        assert result.audit.scale_events
-    if name == "tool_full_online":
-        assert sim.gated > 0, "no dirty or stale tool pool waited on a busy slot"
-    if name == "overload_online":
-        assert max(classes) >= 3, "no selection was over three or more classes"
-    assert len(checked) >= len(records) > 0
-    assert any(checked), "no selection ever had a second queued call"
-    assert sim.skipped > 0, "no dispatch pass skipped a blocked pool"
-    assert sim.conserved >= len(result.traces.requests) > 0
 
 
 @pytest.mark.parametrize("mode", ["isolated", "shared"])

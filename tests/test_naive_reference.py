@@ -3,13 +3,16 @@
 `NaiveSimulator` (tests/helpers.py) runs each rule the simulator speeds up
 the slow, obvious way: every engine advanced and every pool integrated at
 every event, a full recount after every event, every queued pool offered
-with a full sort of its queue, superseded completions processed, and the
-completion pick as a `min`.  `assert_same_run` requires both to make the
-same decisions, so a fault that shows only where two fast paths interact
-fails here.  The generated set below crosses the topology, the policy and
-each mechanism on and off, and a coverage test requires that the naive
-runs saw every mechanism act, so the comparison cannot pass by having
-nothing to compare.
+with a full sort of its queue, the eviction fallback run wherever routing
+fails, superseded completions processed, and the completion pick as a
+`min`.  Its recount also checks what the shipped check trusts: that each
+live request's stage call is held exactly once, the shape of each pool's
+class queues, the engines' id order and whom each engine serves.
+`assert_same_run` requires both to make the same decisions, so a fault
+that shows only where two fast paths interact fails here.  The generated
+set below crosses the topology, the policy and each mechanism on and off,
+and a coverage test requires that the naive runs saw every mechanism act,
+so the comparison cannot pass by having nothing to compare.
 """
 
 import functools
@@ -43,7 +46,7 @@ def generated_configs() -> dict[str, ss.SimConfig]:
     """Each topology and policy kind with one block of mixes, so that each
     kind sees all eight mixes over the two topologies and, in each, each
     flag on and off twice; the two settings alternate.  32 runs of 30 s,
-    and one more."""
+    and four more."""
     configs = {}
     for m, mode in enumerate(("isolated", "shared")):
         for k, kind in enumerate(KINDS):
@@ -82,6 +85,33 @@ def generated_configs() -> dict[str, ss.SimConfig]:
         warmup=2.0,
         seed=7,
     )
+    # one executor slot that stays full while online estimates change the
+    # keys queued behind it
+    configs["isolated-slack-online-tool1-seed4"] = sim_config(
+        policy=ss.PolicyConfig(online_estimates=True),
+        tool_concurrency=1,
+        rate=3.0,
+        duration=30.0,
+        warmup=2.0,
+        seed=4,
+    )
+    # KV-bound engines that borrow and return under online estimates
+    configs["isolated-slack-online-borrow-seed5"] = sim_config(
+        engines=(2, 3),
+        params=engine_params(kv_capacity_tokens=3200, prefill_rate=2000.0, max_batch=12),
+        policy=ss.PolicyConfig(
+            online_estimates=True, borrow=ss.BorrowConfig(enabled=True, util_low=0.4, util_high=0.6)
+        ),
+        rate=2.5,
+        duration=30.0,
+        warmup=2.0,
+        seed=5,
+    )
+    # a generator queue that grows without bound while every completion
+    # changes the estimates
+    configs["isolated-slack-online-overload-seed4"] = sim_config(
+        policy=ss.PolicyConfig(online_estimates=True), rate=4.0, duration=30.0, warmup=2.0, seed=4
+    )
     return configs
 
 
@@ -103,6 +133,9 @@ def seen(name: str) -> dict[str, int]:
         "admission reject": naive.rejected,
         "superseded completion": naive.superseded,
         "selection over three or more classes": int(naive.most_classes >= 3),
+        "blocked pool head": naive.blocked,
+        "full tool pool with calls queued": naive.full_tool_pools,
+        "failed route whose fallback the early-out skipped": naive.skipped_fallbacks,
     }
 
 

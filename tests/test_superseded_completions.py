@@ -15,7 +15,7 @@ import pytest
 import stagesim as ss
 from helpers import NaiveSimulator, resample_kv, sim_config
 from stagesim.engines import PendingCall
-from stagesim.simulation import EVENT_CALL_COMPLETE
+from stagesim.simulation import EVENT_CALL_COMPLETE, RequestSim
 
 
 class ClockRecorder:
@@ -49,10 +49,10 @@ def run_with_superseded_completions(cls):
     sim.advances = []
     engine = sim.engines[0]
     (stage,) = sim.pools[engine.serving_pool].spec.stage_ids
+    sim.requests[0] = RequestSim(0, 0.0, 100.0, stage)
     call = PendingCall(0, stage, 0.0, 100, 1000)
     engine.admit(call, sim.vw.stage(stage).prefix_tokens, 0.0)
     engine.prefill_finished(call)
-    sim.pools[engine.serving_pool].busy += 1  # as Simulator._place counts it
     sim._reschedule_completion(engine)  # 20 s of decode: after the end
     sim._schedule(1.0, EVENT_CALL_COMPLETE, engine_id=0, request_id=0, epoch=engine.decode_epoch - 1)
     sim._schedule(1.5, EVENT_CALL_COMPLETE, engine_id=99, request_id=0, epoch=0)
