@@ -287,12 +287,16 @@ class EngineState:
             self.kv_used = float(self.resident_tokens + sum(c.prompt_tokens for c in self.batch))
         self.decode_epoch += 1
 
-    def active_stage_calls(self, stage_id: str) -> int:
-        return sum(1 for c in self.batch if c.stage_id == stage_id)
+    def has_active_calls(self, stage_id: str) -> bool:
+        """Whether a call of the stage is in the batch: its prefix is in use."""
+        for c in self.batch:
+            if c.stage_id == stage_id:
+                return True
+        return False
 
     def evict_idle_prefix(self, stage_id: str) -> None:
         """Drop a resident prefix; no-op when absent, error when in use."""
-        if self.active_stage_calls(stage_id):
+        if self.has_active_calls(stage_id):
             raise PrefixInUse(f"stage '{stage_id}' has active calls on engine {self.engine_id}")
         prefix = self.resident.pop(stage_id, None)
         if prefix is not None:
@@ -305,7 +309,7 @@ class EngineState:
         out = [
             (p.last_used, sid, p.tokens)
             for sid, p in self.resident.items()
-            if sid != keep_stage and self.active_stage_calls(sid) == 0
+            if sid != keep_stage and not self.has_active_calls(sid)
         ]
         out.sort()
         return out

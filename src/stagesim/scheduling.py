@@ -199,7 +199,7 @@ def can_evict_for(stage_id: str, engines: list[EngineState]) -> bool:
         if len(engine.batch) >= engine.params.max_batch:
             continue
         for sid in engine.resident:
-            if sid != stage_id and not engine.active_stage_calls(sid):
+            if sid != stage_id and not engine.has_active_calls(sid):
                 return True
     return False
 

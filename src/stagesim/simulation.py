@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import bisect
 import functools
-import heapq
 import math
 from dataclasses import dataclass, field, fields
+from heapq import heappop, heappush
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -86,7 +86,8 @@ def sample_interarrival(stream: RngStream, rate: float) -> float:
 
 
 class Event(NamedTuple):
-    """A scheduled event; the heap orders events as tuples, by (time, seq)."""
+    """A scheduled event; the heap orders events as tuples, by (time, seq).
+    `_schedule` builds it positionally, like the trace records below."""
 
     time: float
     seq: int
@@ -155,6 +156,11 @@ class SimConfig:
 
 # Trace records are NamedTuples: the loop builds one per sample, dispatch
 # and finished request, and a tuple is cheaper to build than a dataclass.
+# The loop builds them, and each `Event`, positionally as
+# `_new(Cls, (every field, in declaration order))`: the instance is the
+# same NamedTuple, but the call skips namedtuple's generated `__new__`, a
+# Python-level function that costs about as much again as the tuple.
+_new = tuple.__new__
 
 
 class KvSample(NamedTuple):
@@ -406,8 +412,12 @@ class Simulator:
         # the pool kinds, split once: the invariant check walks each list
         self._llm_pools = [pool for pool in self.pools.values() if pool.spec.kind == LLM]
         self._tool_pools = [pool for pool in self.pools.values() if pool.spec.kind != LLM]
+        # per-config facts the loop reads on every event, resolved once
+        self._slack = self.policy.kind == "slack"
+        self._slo = self.vw.slo_seconds
+        self._stages = {sid: self.vw.stage(sid) for sid in self.vw.stage_ids}
         # stage -> draw kind -> the label of the request stream it draws
-        # from (`_stream`), built once
+        # from (`_draw`), built once
         self._draw_labels = {
             sid: {kind: f"{kind}:{sid}" for kind in ("prompt", "output", "tool", "outcome")}
             for sid in self.vw.stage_ids
@@ -472,19 +482,16 @@ class Simulator:
             raise InternalInvariantViolation(
                 f"event '{kind}' scheduled at {time} before clock {self.clock}"
             )
-        self._seq += 1
-        heapq.heappush(self._heap, Event(time, self._seq, kind, engine_id, request_id, epoch))
+        seq = self._seq = self._seq + 1
+        heappush(self._heap, _new(Event, (time, seq, kind, engine_id, request_id, epoch)))
 
-    def _stream(self, req: RequestSim, label: str) -> RngStream:
-        """The request's own stream `req:{rid}:{label}`, where `label` is a
-        `_draw_labels` entry."""
+    def _draw(self, req: RequestSim, label: str) -> float:
+        """The next uniform of the request's own stream `req:{rid}:{label}`,
+        where `label` is a `_draw_labels` entry."""
         stream = req.streams.get(label)
         if stream is None:
             stream = req.streams[label] = RngStream(self.cfg.seed, f"req:{req.request_id}:{label}")
-        return stream
-
-    def _draw(self, req: RequestSim, label: str) -> float:
-        return self._stream(req, label).uniform()
+        return stream.uniform()
 
     def _home_engines(self, pool_id: str) -> list[EngineState]:
         return [e for e in self.engines.values() if e.home_pool == pool_id]
@@ -550,7 +557,8 @@ class Simulator:
         now = self.clock
         for eid in sorted(touched):
             e = touched[eid]
-            samples.append(KvSample(now, e.serving_pool, eid, e.kv_used, e.kv_slope(), e.resident_tokens))
+            row = (now, e.serving_pool, eid, e.kv_used, e.kv_slope(), e.resident_tokens)
+            samples.append(_new(KvSample, row))
         touched.clear()
 
     def _check_invariants(self) -> None:
@@ -682,12 +690,12 @@ class Simulator:
             self.rejected += counted
             return
         self.admitted += counted
-        req = self.requests[rid] = RequestSim(rid, ev.time, ev.time + self.vw.slo_seconds, self.vw.entry_stage)
+        req = self.requests[rid] = RequestSim(rid, ev.time, ev.time + self._slo, self.vw.entry_stage)
         self._enter_stage(req)
 
     def _enter_stage(self, req: RequestSim) -> None:
         sid = req.current_stage
-        stage = self.vw.stage(sid)
+        stage = self._stages[sid]
         rid = req.request_id
         if stage.kind == LLM:
             labels = self._draw_labels[sid]
@@ -705,8 +713,8 @@ class Simulator:
             queue = queues[cls] = []
         # ranked by what no estimate changes: the request id under slack,
         # the key under fcfs and las (see PoolRuntime)
-        rank = rid if self.policy.kind == "slack" else self._dispatch_key(call)
-        heapq.heappush(queue, (rank, call))
+        rank = rid if self._slack else self._dispatch_key(call)
+        heappush(queue, (rank, call))
         queued = pool.queue_len = pool.queue_len + 1
         if queued > pool.max_queue_len:
             pool.max_queue_len = queued
@@ -790,7 +798,7 @@ class Simulator:
         req.attained += end - start
         req.n_stage_calls += 1
         self.estimator.observe(sid, end - start)
-        stage = self.vw.stage(sid)
+        stage = self._stages[sid]
         if len(stage.outcomes) == 1:
             label = stage.outcomes[0].label
         else:
@@ -800,19 +808,13 @@ class Simulator:
             self._enter_stage(req)
             return
         del self.requests[req.request_id]
-        latency = end - req.arrival_time
-        self.traces.requests.append(
-            RequestRecord(
-                request_id=req.request_id,
-                arrival=req.arrival_time,
-                done=end,
-                outcome=req.current_stage,
-                latency=latency,
-                violated_slo=latency > self.vw.slo_seconds,
-                retries_used=req.retries_used,
-                n_stage_calls=req.n_stage_calls,
-            )
+        arrival = req.arrival_time
+        latency = end - arrival
+        row = (
+            req.request_id, arrival, end, req.current_stage,
+            latency, latency > self._slo, req.retries_used, req.n_stage_calls,
         )
+        self.traces.requests.append(_new(RequestRecord, row))
 
     # ------------------------------------------------------------------
     # dispatch
@@ -820,7 +822,7 @@ class Simulator:
     def _key_version(self) -> int:
         """Changes whenever the static dispatch keys of queued calls do:
         only slack keys depend on the service estimates."""
-        return self.estimator.version if self.policy.kind == "slack" else 0
+        return self.estimator.version if self._slack else 0
 
     def _dispatch_key(self, call: PendingCall) -> tuple[float, ...]:
         """The key a pool's queue is ordered by, valid for the current key
@@ -829,7 +831,7 @@ class Simulator:
         deadline - now - W does."""
         kind = self.policy.kind
         req = self.requests[call.request_id]
-        if kind != "slack":  # fcfs and las need neither slack nor estimates
+        if not self._slack:  # fcfs and las need neither slack nor estimates
             return dispatch_key(kind, call.request_id, req.attained)
         sid = call.stage_id
         return dispatch_key(
@@ -892,7 +894,7 @@ class Simulator:
             req = self.requests[call.request_id]
             cls = (call.stage_id, req.retries_used)
             queue = queues[cls]
-            heapq.heappop(queue)
+            heappop(queue)
             pool.queue_len -= 1
             if queue:
                 head = queue[0][1]
@@ -903,20 +905,12 @@ class Simulator:
                 best_waiting = min(heads.values())[0] if heads else None
             req.dispatch_time = now
             delay = now - call.enqueue_time
-            self.traces.dispatches.append(
-                DispatchRecord(
-                    time=now,
-                    pool=pool.pool_id,
-                    request_id=call.request_id,
-                    slack=req.deadline - now - remaining[cls],
-                    expected_service=self.estimator.estimate(call.stage_id),
-                    engine=engine_label,
-                    stage_id=call.stage_id,
-                    queue_delay=delay,
-                    key=call_key,
-                    best_waiting_key=best_waiting,
-                )
+            sid = call.stage_id
+            row = (
+                now, pool.pool_id, call.request_id, req.deadline - now - remaining[cls],
+                self.estimator.estimate(sid), engine_label, sid, delay, call_key, best_waiting,
             )
+            self.traces.dispatches.append(_new(DispatchRecord, row))
             pool.window_dispatches += 1
             if delay > self.policy.autoscale.queue_delay_slo:
                 pool.window_delay_violations += 1
@@ -938,11 +932,11 @@ class Simulator:
             if pool.tool_slots_full():
                 return None
             pool.busy += 1
-            stream = self._stream(self.requests[call.request_id], self._draw_labels[call.stage_id]["tool"])
-            service = self.vw.stage(call.stage_id).service_time.sample(stream.uniform())
+            u = self._draw(self.requests[call.request_id], self._draw_labels[call.stage_id]["tool"])
+            service = self._stages[call.stage_id].service_time.sample(u)
             self._schedule(now + service, EVENT_TOOL_COMPLETE, request_id=call.request_id)
             return ""
-        prefix_tokens = self.vw.stage(call.stage_id).prefix_tokens
+        prefix_tokens = self._stages[call.stage_id].prefix_tokens
         engines = pool.engines
         placed = route_call(call, prefix_tokens, engines, now)
         evictions: list[str] = []
@@ -1005,7 +999,7 @@ class Simulator:
                     utilization=pool.utilization(),
                     queue_len=pool.queue_len,
                     idle_engines=idle,
-                    prefix_tokens=self.vw.stage(pool.spec.stage_ids[0]).prefix_tokens,
+                    prefix_tokens=self._stages[pool.spec.stage_ids[0]].prefix_tokens,
                 )
             )
         return views
@@ -1069,22 +1063,28 @@ class Simulator:
 
         self._emit_kv_samples()  # each engine's first row, at time 0
         engines = self.engines
+        # Bound here, per run, not at import: the per-event methods are
+        # looked up on the instance once, after any wrapper was installed.
+        heap, handlers = self._heap, self._handlers
+        advance, dispatch = self._advance_clock, self._dispatch_all
+        check, emit = self._check_invariants, self._emit_kv_samples
         # the one place the horizon applies: events past it are scheduled
         # like any other, but never popped
-        while self._heap and self._heap[0][0] <= duration:
-            ev = heapq.heappop(self._heap)
-            if ev.kind == EVENT_CALL_COMPLETE:
+        while heap and heap[0][0] <= duration:
+            ev = heappop(heap)
+            kind = ev.kind
+            if kind == EVENT_CALL_COMPLETE:
                 engine = engines.get(ev.engine_id)
                 if engine is None or ev.epoch != engine.decode_epoch:
                     # superseded: the engine's decode batch changed (or the
                     # engine retired) since it was scheduled, so it changes
                     # no state and the clock does not move to it
                     continue
-            self._advance_clock(ev.time)
-            self._handlers[ev.kind](self, ev)
-            self._dispatch_all()
-            self._check_invariants()
-            self._emit_kv_samples()
+            advance(ev.time)
+            handlers[kind](self, ev)
+            dispatch()
+            check()
+            emit()
 
         self._advance_clock(duration)
         for engine in engines.values():  # a closing row per live engine

@@ -114,6 +114,7 @@ class ValidatedWorkflow:
         self._stages = stages
         self._loop_edges = loop_edges
         self._selectivity = selectivity
+        self.stage_ids: tuple[str, ...] = tuple(st.stage_id for st in spec.stages)
         self.outcome_table: dict[tuple[str, str], tuple[str, bool]] = {
             (st.stage_id, out.label): (out.next, (st.stage_id, out.next) in loop_edges)
             for st in spec.stages
@@ -137,10 +138,6 @@ class ValidatedWorkflow:
     @property
     def slo_seconds(self) -> float:
         return self.spec.slo_seconds
-
-    @property
-    def stage_ids(self) -> tuple[str, ...]:
-        return tuple(s.stage_id for s in self.spec.stages)
 
     @property
     def loop_edges(self) -> frozenset[tuple[str, str]]:

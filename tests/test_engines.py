@@ -435,7 +435,7 @@ def test_counters_match_recounts_after_every_operation(steps):
         elif op == "complete":
             if eng.batch:
                 eng.complete_call(eng.batch[x % len(eng.batch)])
-        elif not eng.active_stage_calls(stage):
+        elif not eng.has_active_calls(stage):
             eng.evict_idle_prefix(stage)
         assert eng.decode_batch_size() == sum(1 for c in eng.batch if c.phase == DECODE)
         assert eng.resident_tokens == sum(p.tokens for p in eng.resident.values())

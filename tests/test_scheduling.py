@@ -301,7 +301,7 @@ def routing_cases(draw):
                 eng.complete_call(rnd.choice(decoding))
             elif op < 0.5 and eng.resident:
                 stage = rnd.choice(sorted(eng.resident))
-                if not eng.active_stage_calls(stage):
+                if not eng.has_active_calls(stage):
                     eng.evict_idle_prefix(stage)
             else:
                 stage = rnd.choice(sorted(ROUTE_PREFIX))

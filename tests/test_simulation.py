@@ -222,6 +222,60 @@ def test_trace_times_non_decreasing():
         assert series == sorted(series)
 
 
+class RecordContractSimulator(Simulator):
+    """A contract check on the loop's positionally built tuples: at every
+    KV sampling, every heap entry is an `Event` whose ids fit its kind, and
+    each new row is a `KvSample` of the pool its engine serves then."""
+
+    def _emit_kv_samples(self) -> None:
+        for ev in self._heap:
+            assert type(ev) is simulation.Event and ev.kind in self._handlers, ev
+            assert ev.time >= self.clock and 0 < ev.seq <= self._seq, ev
+            completes = ev.kind == simulation.EVENT_CALL_COMPLETE
+            on_engine = completes or ev.kind == simulation.EVENT_PREFILL_DONE
+            assert (ev.engine_id >= 0) == on_engine and (ev.epoch >= 0) == completes, ev
+            assert (ev.request_id >= 0) == (on_engine or ev.kind == simulation.EVENT_TOOL_COMPLETE), ev
+        serving = {eid: e.serving_pool for eid, e in self._touched.items()}
+        n = len(self.traces.kv_samples)
+        super()._emit_kv_samples()
+        for row in self.traces.kv_samples[n:]:
+            assert type(row) is simulation.KvSample and row.time == self.clock, row
+            assert row.pool == serving[row.engine_id] and row.kv_used >= 0.0, row
+
+
+def test_trace_records_are_their_namedtuples_with_consistent_fields():
+    # The loop builds every record positionally: each field must land in
+    # its own slot, on a run with tool and LLM pools and lent engines.
+    policy = ss.PolicyConfig(
+        borrow=ss.BorrowConfig(enabled=True), autoscale=ss.AutoscaleConfig(enabled=True, max_engines=8)
+    )
+    cfg = sim_config(nl2sql_vw(slo_seconds=10.0), engines=(1, 3), policy=policy, rate=4.0, duration=40.0, seed=3)
+    sim = RecordContractSimulator(cfg)
+    result = sim.run()
+    slo = sim.vw.slo_seconds
+    dispatches, requests = result.traces.dispatches, result.traces.requests
+    assert dispatches and requests and result.audit.borrows
+    lent = {(eid, borrower) for _, eid, _, borrower in result.audit.borrows}
+    assert any((row.engine_id, row.pool) in lent for row in result.traces.kv_samples)
+    for rec in dispatches:
+        assert type(rec) is simulation.DispatchRecord
+        assert sim.stage_pool[rec.stage_id] == rec.pool and rec.queue_delay >= 0.0
+        tool = sim.pools[rec.pool].spec.kind != LLM
+        assert (rec.engine == "") == tool and (tool or rec.engine.isdigit()), rec
+        # the slack key is (deadline - W, E, request id); slack is taken at dispatch
+        assert rec.expected_service == sim.estimator.estimate(rec.stage_id) == rec.key[1]
+        assert rec.slack == pytest.approx(rec.key[0] - rec.time, abs=1e-9)
+        assert rec.key[2] == rec.request_id
+        assert rec.best_waiting_key is None or rec.key < rec.best_waiting_key
+    assert {rec.engine == "" for rec in dispatches} == {True, False}
+    for rec in requests:
+        assert type(rec) is simulation.RequestRecord
+        assert rec.latency == rec.done - rec.arrival and rec.violated_slo == (rec.latency > slo)
+        assert is_terminal(rec.outcome) and 0 <= rec.retries_used <= sim.vw.retry_budget
+        assert type(rec.request_id) is int and rec.retries_used < rec.n_stage_calls
+    assert any(rec.violated_slo for rec in requests) and not all(rec.violated_slo for rec in requests)
+
+
 def test_kv_samples_respect_capacity():
     params = engine_params(kv_capacity_tokens=3200, max_batch=12)
     cfg = sim_config(params=params, rate=2.5, duration=40.0, warmup=5.0, seed=8, mode="shared")
