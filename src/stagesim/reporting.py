@@ -1,7 +1,7 @@
 """Byte-stable output files and the comparison aggregation.
 
-All floats print with 9 decimal places and every row order is fixed, so
-two runs of the same config produce identical bytes.
+All floats print with 9 decimal places, every row order is fixed and every
+file is UTF-8, so two runs of the same config produce identical bytes.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def write_run_outputs(result: RunResult, out_dir: str | Path) -> dict[str, Path]
     out.mkdir(parents=True, exist_ok=True)
     paths = {"summary": out / SUMMARY_JSON}
     paths["summary"].write_text(
-        json.dumps(result.report.to_dict(), indent=2, sort_keys=True) + "\n"
+        json.dumps(result.report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     traces = result.traces
     for name, file_name, header, records, line in (
@@ -101,7 +101,7 @@ def write_run_outputs(result: RunResult, out_dir: str | Path) -> dict[str, Path]
         ("requests", REQUESTS_CSV, REQUESTS_HEADER, traces.requests, request_line),
     ):
         paths[name] = out / file_name
-        with paths[name].open("w") as handle:
+        with paths[name].open("w", encoding="utf-8") as handle:
             handle.write(header)
             handle.writelines(map(line, records))
     return paths
@@ -111,7 +111,7 @@ def replay_dispatch_audit(path: str | Path) -> list[str]:
     """Re-check from dispatch.csv that every dispatched call carried the
     minimal key among its queue at dispatch time; returns violations."""
     violations: list[str] = []
-    with Path(path).open() as handle:
+    with Path(path).open(encoding="utf-8") as handle:
         for row in csv.DictReader(handle):
             best_waiting = row["best_waiting_key"]
             if not best_waiting:
@@ -184,14 +184,16 @@ def write_comparison_outputs(results: list[CellResult], summary: dict, out_dir: 
     paths = {"csv": out / COMPARISON_CSV, "json": out / COMPARISON_JSON}
 
     reports = {}
-    with paths["csv"].open("w") as handle:
+    with paths["csv"].open("w", encoding="utf-8") as handle:
         handle.write(COMPARISON_HEADER)
         for res in results:
             report = reports[f"{res.cell}:{res.seed}"] = res.report.to_dict()
             handle.writelines(
                 comparison_line(res.cell, res.seed, metric, report[metric]) for metric in SCALAR_METRICS
             )
-    paths["json"].write_text(json.dumps(summary | {"reports": reports}, indent=2, sort_keys=True) + "\n")
+    paths["json"].write_text(
+        json.dumps(summary | {"reports": reports}, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
     return paths
 
 

@@ -291,6 +291,7 @@ class RequestSim:
     attained: float = 0.0
     dispatch_time: float = 0.0
     streams: dict[str, RngStream] = field(default_factory=dict)
+    counted: bool = True  # arrived at or after warmup: in the report's cohort
 
 
 class PoolRuntime:
@@ -444,9 +445,11 @@ class Simulator:
         # RequestRecord is all that outlives it
         self.requests: dict[int, RequestSim] = {}
         self._next_rid = 0
-        # arrivals at or after warmup, the ones the report counts
-        self.admitted = 0
-        self.rejected = 0
+        # the report's tally of the cohort, requests arriving at or after
+        # warmup: admissions, rejections and, as each request ends, its
+        # outcome, with one latency per success
+        self.admitted = self.rejected = self.failed = self.violations = 0
+        self.latencies: list[float] = []
         self.traces = TraceBundle()
         self.audit = AuditLog()
 
@@ -690,7 +693,7 @@ class Simulator:
             self.rejected += counted
             return
         self.admitted += counted
-        req = self.requests[rid] = RequestSim(rid, ev.time, ev.time + self._slo, self.vw.entry_stage)
+        req = self.requests[rid] = RequestSim(rid, ev.time, ev.time + self._slo, self.vw.entry_stage, counted=counted)
         self._enter_stage(req)
 
     def _enter_stage(self, req: RequestSim) -> None:
@@ -810,11 +813,18 @@ class Simulator:
         del self.requests[req.request_id]
         arrival = req.arrival_time
         latency = end - arrival
+        violated = latency > self._slo
         row = (
             req.request_id, arrival, end, req.current_stage,
-            latency, latency > self._slo, req.retries_used, req.n_stage_calls,
+            latency, violated, req.retries_used, req.n_stage_calls,
         )
         self.traces.requests.append(_new(RequestRecord, row))
+        if req.counted:
+            self.violations += violated
+            if req.current_stage == SUCCESS:
+                self.latencies.append(latency)
+            else:
+                self.failed += 1
 
     # ------------------------------------------------------------------
     # dispatch
@@ -1093,35 +1103,23 @@ class Simulator:
         return RunResult(self._build_report(), self.traces, self.audit)
 
     def _build_report(self) -> MetricsReport:
-        warmup = self.cfg.warmup
-        duration = self.cfg.duration
-        window = duration - warmup
-        # outcomes from the records requests.csv is written from
-        completed = failed = violations = 0
-        latencies: list[float] = []
-        for rec in self.traces.requests:
-            if rec.arrival < warmup:
-                continue  # simulated, excluded from metrics
-            if rec.violated_slo:
-                violations += 1
-            if rec.outcome == SUCCESS:
-                completed += 1
-                latencies.append(rec.latency)
-            else:
-                failed += 1
-        in_flight = sum(1 for req in self.requests.values() if req.arrival_time >= warmup)
+        cfg, latencies = self.cfg, self.latencies
+        window = cfg.duration - cfg.warmup
+        completed, failed = len(latencies), self.failed
         finished = completed + failed
         return MetricsReport(
             arrivals_admitted=self.admitted,
             completed=completed,
             failed_budget=failed,
             rejected=self.rejected,
-            in_flight_at_end=in_flight,
+            # counted from the live requests, apart from the tally, so that
+            # conservation compares three counts kept apart
+            in_flight_at_end=sum(req.counted for req in self.requests.values()),
             latency_p50=percentile(latencies, 50) if latencies else 0.0,
             latency_p95=percentile(latencies, 95) if latencies else 0.0,
             latency_p99=percentile(latencies, 99) if latencies else 0.0,
             throughput=completed / window if window > 0 else 0.0,
-            slo_violation_rate=violations / finished if finished else 0.0,
+            slo_violation_rate=self.violations / finished if finished else 0.0,
             queue_delay_mean={
                 p.pool_id: (p.delay_sum / p.delay_count if p.delay_count else 0.0)
                 for p in self.pools.values()
@@ -1132,10 +1130,10 @@ class Simulator:
             },
             max_queue_len={p.pool_id: p.max_queue_len for p in self.pools.values()},
             end_queue_len={p.pool_id: p.queue_len for p in self.pools.values()},
-            seed=self.cfg.seed,
-            duration=duration,
-            warmup=warmup,
-            arrival_rate=self.cfg.arrival_rate,
+            seed=cfg.seed,
+            duration=cfg.duration,
+            warmup=cfg.warmup,
+            arrival_rate=cfg.arrival_rate,
         )
 
 

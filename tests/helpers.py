@@ -24,7 +24,7 @@ from stagesim.simulation import (
     KvSample,
     RunResult,
 )
-from stagesim.workflow import FAILURE, LLM, TERMINALS, UnknownOutcome, is_terminal
+from stagesim.workflow import FAILURE, LLM, SUCCESS, TERMINALS, UnknownOutcome, is_terminal
 from stagesim.workloads import (
     DEFAULT_ENGINE_PARAMS,
     EXECUTOR,
@@ -389,7 +389,10 @@ class NaiveSimulator(ss.Simulator):
       call, the eviction fallback over the pool's list must find none too;
     - superseded completions: popped and processed as no-ops, each with
       the clock advance, dispatch pass, check and sampling of any event;
-    - the completion pick: `reference_next_completion`.
+    - the completion pick: `reference_next_completion`;
+    - the report's request tally: a recount of the cohort, the requests
+      arriving at or after warmup, from the full record list and, for
+      `in_flight_at_end`, from the live requests' arrival times.
 
     A new fast path adds its naive rule here.  After `run()`,
     `kv_at_events[(engine id, t)]` holds every live engine's (pool, KV,
@@ -591,6 +594,24 @@ class NaiveSimulator(ss.Simulator):
             self._touch(engine)
         self._emit_kv_samples()
         return RunResult(self._build_report(), self.traces, self.audit)
+
+    def _build_report(self) -> ss.MetricsReport:
+        warmup = self.cfg.warmup
+        cohort = [rec for rec in self.traces.requests if rec.arrival >= warmup]
+        latencies = [rec.latency for rec in cohort if rec.outcome == SUCCESS]
+        violations = sum(1 for rec in cohort if rec.violated_slo)
+        window = self.cfg.duration - warmup
+        return dataclasses.replace(
+            super()._build_report(),
+            completed=len(latencies),
+            failed_budget=len(cohort) - len(latencies),
+            in_flight_at_end=sum(1 for req in self.requests.values() if req.arrival_time >= warmup),
+            latency_p50=ss.percentile(latencies, 50) if latencies else 0.0,
+            latency_p95=ss.percentile(latencies, 95) if latencies else 0.0,
+            latency_p99=ss.percentile(latencies, 99) if latencies else 0.0,
+            throughput=len(latencies) / window,
+            slo_violation_rate=violations / len(cohort) if cohort else 0.0,
+        )
 
 
 # the tolerances of `assert_same_run`: completion times come from decode

@@ -120,7 +120,7 @@ def test_inline_workflow_parses():
 
 
 def test_readme_config_example_parses():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Config files\n", 1)[1]
     example = re.search(r"```json\n(.*?)\n```", section, re.DOTALL).group(1)
     config = build_sim_config(json.loads(example))
@@ -130,7 +130,7 @@ def test_readme_config_example_parses():
 
 def test_readme_library_example_runs(tmp_path):
     root = Path(__file__).resolve().parents[1]
-    section = (root / "README.md").read_text().split("\n## Library use\n", 1)[1]
+    section = (root / "README.md").read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
     example = re.search(r"```python\n(.*?)\n```", section, re.DOTALL).group(1)
     proc = subprocess.run(
         [sys.executable, "-c", example],

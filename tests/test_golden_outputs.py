@@ -156,12 +156,11 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch, name):
     assert_same_run(build_sim_config(load_config_file(config), seed_override=5))
 
 
-def cli_under_hash_seed(argv: list[str], hash_seed: str) -> subprocess.CompletedProcess:
-    """The CLI in a fresh interpreter with PYTHONHASHSEED set: str hashing,
-    and with it set and dict-of-set iteration order, varies with it; the
-    pinned bytes must not."""
+def cli_in_fresh_interpreter(argv: list[str], **env: str) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter with `env` added to its environment;
+    it must exit 0."""
     src = str(Path(stagesim.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+    env = {**os.environ, **env, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-m", "stagesim.cli", *argv], env=env, capture_output=True, text=True
     )
@@ -169,12 +168,45 @@ def cli_under_hash_seed(argv: list[str], hash_seed: str) -> subprocess.Completed
     return proc
 
 
+# PYTHONHASHSEED: str hashing, and with it set and dict-of-set iteration
+# order, varies with it; the pinned bytes must not
 @pytest.mark.parametrize("hash_seed", ["1", "12345"])
 def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path, hash_seed):
     config = golden_config(tmp_path, "elastic")
     out = tmp_path / "out"
-    cli_under_hash_seed(["run", str(config), "--seed", "5", "--out", str(out)], hash_seed)
+    cli_in_fresh_interpreter(["run", str(config), "--seed", "5", "--out", str(out)], PYTHONHASHSEED=hash_seed)
     assert output_digest(out) == GOLDEN_RUNS["elastic"][1]
+
+
+def test_output_bytes_do_not_depend_on_the_locale(tmp_path):
+    # a stage id that is not ASCII, written by an interpreter whose default
+    # encoding is ASCII, must give the bytes of this process's run: UTF-8
+    stage = "génér"
+    workflow = {
+        "name": "accented",
+        "entry_stage": stage,
+        "retry_budget": 0,
+        "slo_seconds": 10.0,
+        "stages": [
+            {
+                "stage_id": stage,
+                "kind": "llm",
+                "prompt_tokens": {"kind": "constant", "value": 100},
+                "output_tokens": {"kind": "constant", "value": 20},
+                "outcomes": [{"label": "ok", "prob": 1.0, "next": "Success"}],
+            }
+        ],
+    }
+    topology = {"mode": "isolated", "llm_engines": {stage: 1}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(run_config_tree(workflow={"inline": workflow}, topology=topology)))
+    here, ascii_locale = tmp_path / "here", tmp_path / "ascii"
+    assert main(["run", str(config), "--out", str(here)]) == 0
+    assert stage.encode() in (here / "dispatch.csv").read_bytes()
+    cli_in_fresh_interpreter(
+        ["run", str(config), "--out", str(ascii_locale)], LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0"
+    )
+    assert output_digest(ascii_locale) == output_digest(here)
 
 
 # The headline command on its shipped config, two seeds: sha256 over
@@ -196,6 +228,6 @@ def test_compare_bytes_are_pinned(tmp_path, capsys):
 
 @pytest.mark.parametrize("hash_seed", ["1", "12345"])
 def test_compare_bytes_do_not_depend_on_the_hash_seed(tmp_path, hash_seed):
-    proc = cli_under_hash_seed([*COMPARE_ARGS, "--out", str(tmp_path)], hash_seed)
+    proc = cli_in_fresh_interpreter([*COMPARE_ARGS, "--out", str(tmp_path)], PYTHONHASHSEED=hash_seed)
     assert output_digest(tmp_path, COMPARE_FILES) == COMPARE_DIGEST
     assert compare_stdout_digest(proc.stdout) == COMPARE_STDOUT_DIGEST

@@ -36,9 +36,11 @@ BLOCKS = (
     ((), ("online", "borrow"), ("autoscale", "admission"), FLAGS),
     (("online", "autoscale"), ("borrow", "autoscale"), ("online", "admission"), ("borrow", "admission")),
 )
-# two (engines, rate) settings on KV-bound engines, as in
-# configs/nl2sql_compare.json: prefixes compete for KV, queues build up
-SETTINGS = (((1, 2), 3.0), ((2, 2), 4.0))
+# two (engines, rate, SLO seconds) settings on KV-bound engines, as in
+# configs/nl2sql_compare.json: prefixes compete for KV, queues build up.
+# No latency in a 30 s run after a 2 s warmup reaches the 30 s SLO, so the
+# second setting's 10 s SLO is the one under which requests violate it.
+SETTINGS = (((1, 2), 3.0, 30.0), ((2, 2), 4.0, 10.0))
 PARAMS = engine_params(kv_capacity_tokens=3200, max_batch=6)
 
 
@@ -51,7 +53,7 @@ def generated_configs() -> dict[str, ss.SimConfig]:
     for m, mode in enumerate(("isolated", "shared")):
         for k, kind in enumerate(KINDS):
             for j, on in enumerate(BLOCKS[(m + k) % 2]):
-                engines, rate = SETTINGS[j % 2]
+                engines, rate, slo = SETTINGS[j % 2]
                 policy = ss.PolicyConfig(
                     **KINDS[kind],
                     online_estimates="online" in on,
@@ -62,6 +64,7 @@ def generated_configs() -> dict[str, ss.SimConfig]:
                 seed = len(configs) + 1
                 name = "-".join((mode, kind, *on, f"seed{seed}"))
                 configs[name] = sim_config(
+                    vw=nl2sql_vw(slo_seconds=slo),
                     mode=mode,
                     engines=engines,
                     params=PARAMS,
@@ -122,8 +125,12 @@ GENERATED = generated_configs()
 def seen(name: str) -> dict[str, int]:
     """What the naive run of generated config `name` saw, once it matched
     the shipped run."""
-    _, naive = assert_same_run(GENERATED[name])
+    config = GENERATED[name]
+    _, naive = assert_same_run(config)
     audit = naive.audit
+    violated = Counter(
+        rec.outcome == ss.SUCCESS for rec in naive.traces.requests if rec.violated_slo and rec.arrival >= config.warmup
+    )
     return {
         "borrow": len(audit.borrows),
         "return": len(audit.returns),
@@ -136,6 +143,8 @@ def seen(name: str) -> dict[str, int]:
         "blocked pool head": naive.blocked,
         "full tool pool with calls queued": naive.full_tool_pools,
         "failed route whose fallback the early-out skipped": naive.skipped_fallbacks,
+        "SLO violation by a completed request": violated[True],
+        "SLO violation by a failed request": violated[False],
     }
 
 
