@@ -152,6 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # stdout is UTF-8 like every output file, whatever the locale: a cell
+    # or directory name that is not ASCII prints as in a UTF-8 run, and
+    # argument bytes the locale could not decode print as they were given
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

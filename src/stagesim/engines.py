@@ -17,6 +17,12 @@ Decoding is continuous-batching style: all decode-phase calls on an
 engine share the batch, and per-token latency grows linearly with batch
 size, t(b) = t0 * (1 + alpha * (b - 1)).  Prefill is a non-batched linear
 cost and does not count toward the decode batch.
+
+An engine checks itself (`check`): `kv_reserved` within capacity;
+`kv_used_at(now)` within [0, capacity]; `resident_tokens`, `kv_used` and
+`kv_reserved` equal to their recounts from the prefixes and the batch; at
+most `max_batch` calls; no decode call past its target at `now`; every
+call of a stage its pool serves; `n_decode` equal to the decode calls.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .errors import InternalInvariantViolation
 
 PREFILL = "prefill"
 DECODE = "decode"
+_KV_TOL = 1e-6  # tokens of float residue the KV checks forgive
 
 
 class AdmitWithoutCapacity(InternalInvariantViolation):
@@ -150,9 +157,7 @@ class EngineState:
         self.resident_tokens = 0  # sum of the resident prefixes' tokens
         self.decode_epoch = 0  # bumped on every decode-batch composition change
         self.last_advance = 0.0
-        # the invariant check's safe horizon (Simulator._check_engine); -1
-        # until the first full check
-        self.horizon = -1.0
+        self.horizon = -1.0  # until when `check` passes untouched; -1: unchecked
 
     @property
     def lent_to(self) -> str | None:
@@ -168,6 +173,7 @@ class EngineState:
         return tokens
 
     def decode_batch_size(self) -> int:
+        # only perfbench/tracer.py's `decoding` hook calls it; ROADMAP item 1 deletes it
         return self.n_decode
 
     def decode_progress(self, now: float) -> float:
@@ -287,6 +293,12 @@ class EngineState:
             self.kv_used = float(self.resident_tokens + sum(c.prompt_tokens for c in self.batch))
         self.decode_epoch += 1
 
+    def find_call(self, request_id: int) -> PendingCall:
+        for call in self.batch:
+            if call.request_id == request_id:
+                return call
+        raise InternalInvariantViolation(f"request {request_id} not in engine {self.engine_id} batch")
+
     def has_active_calls(self, stage_id: str) -> bool:
         """Whether a call of the stage is in the batch: its prefix is in use."""
         for c in self.batch:
@@ -314,9 +326,76 @@ class EngineState:
         out.sort()
         return out
 
-    # The recounts below are plain loops: the invariant check runs them for
-    # every engine an event touched, after the event.  `prefix_tokens` is
-    # `resident_prefix_tokens()`, which the caller recounts once for both.
+    def check(self, now: float, stages: tuple[str, ...]) -> None:
+        """Recount the engine, which serves a pool of `stages`.  It is read
+        at `now` through its segment, never advanced: its counters are
+        recounted at the segment start, where they were last brought
+        forward, and its KV and each decode call's tokens are checked at
+        `now`, where they have grown by `decode_progress`.  Then store its
+        safe horizon, the last time at which those two checks still pass
+        while nothing touches it."""
+        eid = self.engine_id
+        cap = self.params.kv_capacity_tokens
+        progress = self.decode_progress(now)
+        kv_used = self.kv_used + self.n_decode * progress  # kv_used_at(now)
+        if self.kv_reserved > cap:
+            raise InternalInvariantViolation(
+                f"engine {eid}: reserved {self.kv_reserved} exceeds capacity {cap}"
+            )
+        if kv_used > cap + _KV_TOL or kv_used < -_KV_TOL:
+            raise InternalInvariantViolation(
+                f"engine {eid}: kv_used {kv_used} outside [0, {cap}]"
+            )
+        prefix_tokens = self.resident_prefix_tokens()
+        if self.resident_tokens != prefix_tokens:
+            raise InternalInvariantViolation(
+                f"engine {eid}: resident_tokens {self.resident_tokens} != recomputed"
+            )
+        recomputed = self.recomputed_kv_used(prefix_tokens)
+        if abs(self.kv_used - recomputed) > _KV_TOL:
+            raise InternalInvariantViolation(
+                f"engine {eid}: kv_used {self.kv_used} != recomputed {recomputed}"
+            )
+        if self.kv_reserved != self.recomputed_kv_reserved(prefix_tokens):
+            raise InternalInvariantViolation(
+                f"engine {eid}: kv_reserved {self.kv_reserved} != recomputed"
+            )
+        if len(self.batch) > self.params.max_batch:
+            raise InternalInvariantViolation(f"engine {eid}: batch over max_batch")
+        n_decode = 0
+        fewest = math.inf  # tokens the closest-to-done decode call may still emit
+        for call in self.batch:
+            if call.phase == DECODE:
+                n_decode += 1
+                # a call never outruns its own completion event
+                if call.tokens_emitted + progress > call.target_output_tokens + _KV_TOL:
+                    raise InternalInvariantViolation(
+                        f"engine {eid}: request {call.request_id} decoded past its "
+                        f"{call.target_output_tokens} tokens"
+                    )
+                left = call.target_output_tokens - call.tokens_emitted
+                if left < fewest:
+                    fewest = left
+            if call.stage_id not in stages:
+                raise InternalInvariantViolation(
+                    f"engine {eid}: call of stage '{call.stage_id}' in "
+                    f"pool '{self.serving_pool}'"
+                )
+        if self.n_decode != n_decode:
+            raise InternalInvariantViolation(
+                f"engine {eid}: n_decode {self.n_decode} != recounted {n_decode}"
+            )
+        if not n_decode:
+            self.horizon = math.inf  # nothing at the clock moves
+            return
+        # the progress at which a call would pass its target, or KV its
+        # capacity, as a time, taken a hair early against rounding
+        tokens = min(fewest + _KV_TOL, (cap + _KV_TOL - self.kv_used) / n_decode)
+        self.horizon = self.last_advance + self.params.token_times[n_decode] * tokens * (1.0 - 1e-9)
+
+    # The recounts below are plain loops: `check` runs them for every
+    # engine an event touched, after the event.  `prefix_tokens` is
+    # `resident_prefix_tokens()`, which `check` recounts once for both.
 
     def recomputed_kv_used(self, prefix_tokens: int) -> float:
         """Recount of `kv_used`, at `last_advance`."""

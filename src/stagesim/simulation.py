@@ -21,7 +21,7 @@ from heapq import heappop, heappush
 from operator import attrgetter
 from typing import NamedTuple
 
-from .engines import DECODE, EngineState, PendingCall
+from .engines import _KV_TOL, EngineState, PendingCall
 from .errors import ConfigError, InternalInvariantViolation
 from .rng import RngStream
 from .scheduling import (
@@ -59,8 +59,6 @@ EVENT_CALL_COMPLETE = "call_complete"
 EVENT_TOOL_COMPLETE = "tool_complete"
 EVENT_AUTOSCALE_TICK = "autoscale_tick"
 EVENT_BORROW_CHECK = "borrow_check"
-
-_KV_TOL = 1e-6
 
 
 class EmptySamples(ValueError):
@@ -574,13 +572,14 @@ class Simulator:
         only engines that serve that pool.
 
         An engine the event touched (or added) gets the full recount of
-        `_check_engine`.  Any other engine has not changed since its last
-        full check: its counters are as they were, and its KV and decode
-        progress grow linearly from the same segment start.  Its checks can
-        then fail only once the clock passes the safe horizon that check
-        stored, so it is checked by comparing the clock with that horizon,
-        and past it gets the full recount, which decides and raises.  A new
-        engine's horizon is -1, so its first check is a full one."""
+        `EngineState.check`.  Any other engine has not changed since its
+        last full check: its counters are as they were, and its KV and
+        decode progress grow linearly from the same segment start.  Its
+        checks can then fail only once the clock passes the safe horizon
+        that check stored, so it is checked by comparing the clock with
+        that horizon, and past it gets the full recount, which decides and
+        raises.  A new engine's horizon is -1, so its first check is a full
+        one."""
         now = self.clock
         touched = self._touched
         engines = self.engines
@@ -592,6 +591,7 @@ class Simulator:
         listed = 0
         for pool in self._llm_pools:
             pid = pool.pool_id
+            stages = pool.spec.stage_ids
             last = -1
             for e in pool.engines:
                 eid = e.engine_id
@@ -605,79 +605,12 @@ class Simulator:
                     )
                 last = eid
                 if eid in touched or now > e.horizon:
-                    self._check_engine(e, now)
+                    e.check(now, stages)
             listed += len(pool.engines)
         if listed != len(engines):  # every engine is listed, and only once
             raise InternalInvariantViolation(
                 f"pool engine lists hold {listed} engines, {len(engines)} exist"
             )
-
-    def _check_engine(self, e: EngineState, now: float) -> None:
-        """Recount one engine.  It is read at the clock through its segment,
-        never advanced: its counters are recounted at the segment start,
-        where they were last brought forward, and its KV and each decode
-        call's tokens are checked at the clock, where they have grown by
-        `decode_progress`.  Then store its safe horizon, the last time at
-        which those two checks still pass while nothing touches it."""
-        eid = e.engine_id
-        cap = e.params.kv_capacity_tokens
-        progress = e.decode_progress(now)
-        kv_used = e.kv_used + e.n_decode * progress  # kv_used_at(now)
-        if e.kv_reserved > cap:
-            raise InternalInvariantViolation(
-                f"engine {eid}: reserved {e.kv_reserved} exceeds capacity {cap}"
-            )
-        if kv_used > cap + _KV_TOL or kv_used < -_KV_TOL:
-            raise InternalInvariantViolation(
-                f"engine {eid}: kv_used {kv_used} outside [0, {cap}]"
-            )
-        prefix_tokens = e.resident_prefix_tokens()
-        if e.resident_tokens != prefix_tokens:
-            raise InternalInvariantViolation(
-                f"engine {eid}: resident_tokens {e.resident_tokens} != recomputed"
-            )
-        recomputed = e.recomputed_kv_used(prefix_tokens)
-        if abs(e.kv_used - recomputed) > _KV_TOL:
-            raise InternalInvariantViolation(
-                f"engine {eid}: kv_used {e.kv_used} != recomputed {recomputed}"
-            )
-        if e.kv_reserved != e.recomputed_kv_reserved(prefix_tokens):
-            raise InternalInvariantViolation(
-                f"engine {eid}: kv_reserved {e.kv_reserved} != recomputed"
-            )
-        if len(e.batch) > e.params.max_batch:
-            raise InternalInvariantViolation(f"engine {eid}: batch over max_batch")
-        stage_pool = self.stage_pool
-        n_decode = 0
-        fewest = math.inf  # tokens the closest-to-done decode call may still emit
-        for call in e.batch:
-            if call.phase == DECODE:
-                n_decode += 1
-                # a call never outruns its own completion event
-                if call.tokens_emitted + progress > call.target_output_tokens + _KV_TOL:
-                    raise InternalInvariantViolation(
-                        f"engine {eid}: request {call.request_id} decoded past its "
-                        f"{call.target_output_tokens} tokens"
-                    )
-                left = call.target_output_tokens - call.tokens_emitted
-                if left < fewest:
-                    fewest = left
-            if stage_pool[call.stage_id] != e.serving_pool:
-                raise InternalInvariantViolation(
-                    f"engine {eid}: call of stage '{call.stage_id}' in "
-                    f"pool '{e.serving_pool}'"
-                )
-        if e.n_decode != n_decode:
-            raise InternalInvariantViolation(
-                f"engine {eid}: n_decode {e.n_decode} != recounted {n_decode}"
-            )
-        if not n_decode:
-            e.horizon = math.inf  # nothing at the clock moves
-            return
-        # the progress at which a call would pass its target, or KV its
-        # capacity, as a time, taken a hair early against rounding
-        tokens = min(fewest + _KV_TOL, (cap + _KV_TOL - e.kv_used) / n_decode)
-        e.horizon = e.last_advance + e.params.token_times[n_decode] * tokens * (1.0 - 1e-9)
 
     # ------------------------------------------------------------------
     # event handlers
@@ -736,14 +669,14 @@ class Simulator:
 
     def _handle_prefill_done(self, ev: Event) -> None:
         engine = self.engines[ev.engine_id]
-        call = self._find_call(engine, ev.request_id)
+        call = engine.find_call(ev.request_id)
         self._touch(engine)
         engine.prefill_finished(call)
         self._reschedule_completion(engine)
 
     def _handle_call_complete(self, ev: Event) -> None:
         engine = self.engines[ev.engine_id]  # run() skipped it if superseded
-        call = self._find_call(engine, ev.request_id)
+        call = engine.find_call(ev.request_id)
         self._touch(engine)
         if call.remaining_tokens > _KV_TOL:
             raise InternalInvariantViolation(
@@ -763,14 +696,6 @@ class Simulator:
         pool.busy -= 1
         pool.dirty = True
         self._finish_stage(req, sid)
-
-    def _find_call(self, engine: EngineState, request_id: int) -> PendingCall:
-        for call in engine.batch:
-            if call.request_id == request_id:
-                return call
-        raise InternalInvariantViolation(
-            f"request {request_id} not in engine {engine.engine_id} batch"
-        )
 
     def _reschedule_completion(self, engine: EngineState) -> None:
         nxt = engine.next_completion(self.clock)

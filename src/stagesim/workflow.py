@@ -234,20 +234,24 @@ def _reachable(adj: dict[str, set[str]], start: str) -> set[str]:
     return seen
 
 
+def _cycle_groups(adj: dict[str, set[str]]) -> dict[str, frozenset[str]]:
+    """Each stage's group of mutually reachable stages when it lies on a
+    cycle (a self-loop included), else an empty set."""
+    reach = {sid: _reachable(adj, sid) for sid in adj}
+    groups: dict[str, frozenset[str]] = {}
+    for sid in adj:
+        members = frozenset(v for v in reach[sid] if sid in reach[v])
+        groups[sid] = members if len(members) > 1 or sid in adj[sid] else frozenset()
+    return groups
+
+
 def _loop_edges(spec: WorkflowSpec, stages: dict[str, StageSpec], adj: dict[str, set[str]]) -> frozenset[tuple[str, str]]:
     # Group mutually reachable stages, pick each group's externally entered
     # stage as the loop header, and charge the retry budget on the header's
     # edges back into the group.  Removing those edges must break every cycle.
     order = [s.stage_id for s in spec.stages]
-    reach = {sid: _reachable(adj, sid) for sid in stages}
-    component: dict[str, frozenset[str]] = {}
-    for sid in order:
-        members = frozenset(v for v in reach[sid] if sid in reach[v])
-        cyclic = len(members) > 1 or sid in adj[sid]
-        component[sid] = members if cyclic else frozenset()
-
     loop_edges: set[tuple[str, str]] = set()
-    for members in {c for c in component.values() if c}:
+    for members in {c for c in _cycle_groups(adj).values() if c}:
         header = None
         for sid in order:
             if sid not in members:
@@ -265,26 +269,9 @@ def _loop_edges(spec: WorkflowSpec, stages: dict[str, StageSpec], adj: dict[str,
                 loop_edges.add((header, dst))
 
     remaining = {sid: {d for d in adj[sid] if (sid, d) not in loop_edges} for sid in stages}
-    if _has_cycle(remaining):
+    if any(_cycle_groups(remaining).values()):
         raise UnboundedCycle("transition graph has a cycle not gated by the retry budget")
     return frozenset(loop_edges)
-
-
-def _has_cycle(adj: dict[str, set[str]]) -> bool:
-    indegree = {sid: 0 for sid in adj}
-    for targets in adj.values():
-        for dst in targets:
-            indegree[dst] += 1
-    ready = [sid for sid, deg in indegree.items() if deg == 0]
-    seen = 0
-    while ready:
-        node = ready.pop()
-        seen += 1
-        for dst in adj[node]:
-            indegree[dst] -= 1
-            if indegree[dst] == 0:
-                ready.append(dst)
-    return seen != len(adj)
 
 
 def validate_workflow(spec: WorkflowSpec) -> ValidatedWorkflow:

@@ -373,7 +373,7 @@ class NaiveSimulator(ss.Simulator):
     rule, all at once: the one differential oracle for `Simulator`
     (`assert_same_run`), and the one whole-run checker.  It keeps the
     shipped event handlers, `_place`, `_dispatch_key`, `_touch` and
-    `_check_engine`, and replaces
+    `EngineState.check`, and replaces
 
     - the clock: every engine is advanced, and every pool's utilization
       integrated from a recount of its servers, at every event;
@@ -452,7 +452,7 @@ class NaiveSimulator(ss.Simulator):
         self._check_calls()
         self._check_lending()
         for engine in self.engines.values():
-            self._check_engine(engine, self.clock)
+            engine.check(self.clock, self.pools[engine.serving_pool].spec.stage_ids)
 
     def _check_calls(self) -> None:
         """`requests` holds the live requests: none terminal, none with a

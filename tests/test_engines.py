@@ -1,12 +1,13 @@
 import dataclasses
 import random
+import re
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import engine_params, reference_next_completion, sim_config
+from helpers import GENERATOR, engine_params, reference_next_completion, sim_config
 from stagesim import run
 from stagesim.dists import Distribution
 from stagesim.engines import (
@@ -17,8 +18,9 @@ from stagesim.engines import (
     PendingCall,
     PrefixInUse,
 )
-from stagesim.errors import ConfigError
+from stagesim.errors import ConfigError, InternalInvariantViolation
 from stagesim.rng import RngStream
+from stagesim.simulation import EVENT_CALL_COMPLETE, Event, Simulator
 from stagesim.workloads import Topology
 
 
@@ -441,6 +443,59 @@ def test_counters_match_recounts_after_every_operation(steps):
         assert eng.resident_tokens == sum(p.tokens for p in eng.resident.values())
         assert eng.kv_reserved == eng.recomputed_kv_reserved(eng.resident_prefix_tokens())
         assert eng.kv_used == pytest.approx(eng.recomputed_kv_used(eng.resident_prefix_tokens()), abs=1e-6)
+        eng.check(now, tuple(PREFIXES))
+
+
+def checked_engine() -> EngineState:
+    """A 1000-token engine at time 0.5 whose 300-token prefix serves a
+    decoding call (100 prompt tokens, 2 of 50 emitted) and a prefilling
+    one (100 prompt, 50 output): kv_used 502.0, kv_reserved 600."""
+    eng = engine(kv_capacity_tokens=1000, max_batch=2, base_token_time=0.25)
+    start_decode(eng, call(rid=0, prompt=100, output=50), prefix=300)
+    eng.admit(call(rid=1, prompt=100, output=50), 300, 0.0)
+    eng.advance_decode(0.5)
+    return eng
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda e: setattr(e, "kv_reserved", 1001), "engine 0: reserved 1001 exceeds capacity 1000"),
+        (lambda e: setattr(e, "kv_used", -1.0), "engine 0: kv_used -1.0 outside [0, 1000]"),
+        (lambda e: setattr(e, "resident_tokens", 301), "engine 0: resident_tokens 301 != recomputed"),
+        (lambda e: setattr(e, "kv_used", 503.0), "engine 0: kv_used 503.0 != recomputed 502.0"),
+        (lambda e: setattr(e, "kv_reserved", 601), "engine 0: kv_reserved 601 != recomputed"),
+        (lambda e: e.batch.append(call(rid=2)), "engine 0: batch over max_batch"),
+        # 50 tokens since the segment start at -12.0, on top of the 2 emitted
+        (lambda e: setattr(e, "last_advance", -12.0), "engine 0: request 0 decoded past its 50 tokens"),
+        (lambda e: setattr(e.batch[1], "stage_id", "fix"), "engine 0: call of stage 'fix' in pool 'pool:x'"),
+        (lambda e: setattr(e, "n_decode", 2), "engine 0: n_decode 2 != recounted 1"),
+    ],
+    ids=["reserved", "kv-range", "resident", "kv-used", "kv-reserved", "max-batch", "outrun", "stage", "n-decode"],
+)
+def test_check_raises_on_each_corrupt_field(corrupt, message):
+    eng = checked_engine()
+    eng.check(0.5, ("gen",))
+    assert eng.horizon == 0.5 + 0.25 * (48 + 1e-6) * (1.0 - 1e-9)  # the decoding call's 48 tokens left
+    corrupt(eng)
+    with pytest.raises(InternalInvariantViolation, match=f"^{re.escape(message)}$"):
+        eng.check(0.5, ("gen",))
+
+
+def test_find_call_raises_for_a_request_not_in_the_batch():
+    eng = checked_engine()
+    assert eng.find_call(1) is eng.batch[1]
+    with pytest.raises(InternalInvariantViolation, match=r"^request 7 not in engine 0 batch$"):
+        eng.find_call(7)
+
+
+def test_a_completion_with_tokens_left_is_an_invariant_violation():
+    sim = Simulator(sim_config())
+    eng = sim.engines[0]
+    start_decode(eng, call(rid=0, stage=GENERATOR, prompt=200, output=100), prefix=0)
+    ev = Event(0.0, 0, EVENT_CALL_COMPLETE, eng.engine_id, 0, eng.decode_epoch)
+    with pytest.raises(InternalInvariantViolation, match=r"^completion fired with 100\.0 tokens left$"):
+        sim._handle_call_complete(ev)
 
 
 def test_state_objects_reject_unknown_attributes():

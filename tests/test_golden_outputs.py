@@ -156,13 +156,14 @@ def test_output_bytes_are_pinned(tmp_path, monkeypatch, name):
     assert_same_run(build_sim_config(load_config_file(config), seed_override=5))
 
 
-def cli_in_fresh_interpreter(argv: list[str], **env: str) -> subprocess.CompletedProcess:
+def cli_in_fresh_interpreter(argv: list[str | bytes], **env: str) -> subprocess.CompletedProcess:
     """The CLI in a fresh interpreter with `env` added to its environment;
-    it must exit 0."""
+    it must exit 0.  Its output is read as UTF-8, whatever this process's
+    locale."""
     src = str(Path(stagesim.__file__).resolve().parent.parent)
     env = {**os.environ, **env, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-m", "stagesim.cli", *argv], env=env, capture_output=True, text=True
+        [sys.executable, "-m", "stagesim.cli", *argv], env=env, capture_output=True, encoding="utf-8"
     )
     assert proc.returncode == 0, proc.stderr
     return proc
@@ -224,6 +225,21 @@ def test_compare_bytes_are_pinned(tmp_path, capsys):
     assert main([*COMPARE_ARGS, "--out", str(tmp_path)]) == 0
     assert output_digest(tmp_path, COMPARE_FILES) == COMPARE_DIGEST
     assert compare_stdout_digest(capsys.readouterr().out) == COMPARE_STDOUT_DIGEST
+
+
+def test_stdout_does_not_depend_on_the_locale(tmp_path):
+    # a cell name and an output directory that are not ASCII, printed by an
+    # interpreter whose default encoding is ASCII: the bytes of a UTF-8 run
+    tree = json.loads(COMPARE_CONFIG.read_text(encoding="utf-8"))
+    tree["cells"][0]["name"] = "isolé"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(tree), encoding="utf-8")
+    # the directory as UTF-8 bytes, which this process's locale may not encode
+    argv = ["compare", str(config), "--seeds", "1", "--out", os.fsencode(tmp_path) + "/sortie_é".encode()]
+    utf8 = cli_in_fresh_interpreter(argv, PYTHONUTF8="1")
+    assert "isolé" in utf8.stdout and "sortie_é" in utf8.stdout
+    ascii_locale = cli_in_fresh_interpreter(argv, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    assert ascii_locale.stdout == utf8.stdout
 
 
 @pytest.mark.parametrize("hash_seed", ["1", "12345"])

@@ -629,7 +629,7 @@ def test_untouched_engine_is_checked_against_its_horizon(n_calls, kv_capacity, m
     # full recount agrees that nothing fails
     sim.clock = math.nextafter(horizon, -math.inf)
     sim._check_invariants()
-    sim._check_engine(engine, horizon)
+    engine.check(horizon, sim.pools[engine.serving_pool].spec.stage_ids)
     # past it, the shipped check recounts the engine, and the recount
     # raises: here, with the completion at `completion` never fired
     token_time = engine.params.token_time(n_calls)

@@ -126,6 +126,33 @@ def test_unbounded_cycle():
         validate_workflow(bad)
 
 
+@pytest.mark.parametrize(
+    "stages",
+    [
+        # c -> d -> e -> c inside the group {b, c, d, e} avoids its header b
+        [
+            llm_stage("a", [Outcome("go", 1.0, "b")]),
+            llm_stage("b", [Outcome("go", 0.5, "c"), Outcome("out", 0.5, SUCCESS)]),
+            llm_stage("c", [Outcome("go", 1.0, "d")]),
+            llm_stage("d", [Outcome("go", 0.5, "e"), Outcome("home", 0.5, "b")]),
+            llm_stage("e", [Outcome("back", 1.0, "c")]),
+        ],
+        # a self-loop on c, which is in the group {b, c} but is not its
+        # header b
+        [
+            llm_stage("a", [Outcome("go", 1.0, "b")]),
+            tool_stage("b", [Outcome("ok", 0.5, SUCCESS), Outcome("retry", 0.5, "c")]),
+            llm_stage("c", [Outcome("again", 0.5, "c"), Outcome("fixed", 0.5, "b")]),
+        ],
+    ],
+    ids=["cycle-off-header", "self-loop-off-header"],
+)
+def test_cycle_that_avoids_the_header_is_unbounded(stages):
+    # the retry budget is charged on the header's edges only
+    with pytest.raises(UnboundedCycle):
+        validate_workflow(make_spec(stages))
+
+
 def gated_cycle_spec():
     return make_spec(
         [
