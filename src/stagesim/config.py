@@ -21,14 +21,7 @@ from .engines import EngineParams
 from .errors import ConfigError
 from .simulation import PolicyConfig, SimConfig
 from .workflow import ValidatedWorkflow, WorkflowSpec, validate_workflow
-from .workloads import (
-    DEFAULT_ENGINE_PARAMS,
-    FIXER,
-    GENERATOR,
-    Nl2SqlParams,
-    Topology,
-    build_nl2sql,
-)
+from .workloads import DEFAULT_ENGINE_PARAMS, Nl2SqlParams, Topology, build_nl2sql
 
 # Config keys that are not dataclass fields, by section, with their JSON
 # types; `dict` and `list` values are checked further down.
@@ -46,11 +39,6 @@ _ARRIVAL_FIELDS = {"rate": float}
 _COMPARE_FIELDS = {"base": dict, "cells": list}
 _CELL_FIELDS = {"name": str, "overrides": dict}
 _WORKFLOW_FIELDS = {"preset": str, "params": dict, "inline": dict}
-
-TOPOLOGY_PRESETS = {
-    "nl2sql-isolated": {"mode": "isolated", "llm_engines": {GENERATOR: 1, FIXER: 1}},
-    "nl2sql-shared": {"mode": "shared", "llm_engines": {GENERATOR: 1, FIXER: 1}},
-}
 
 _TYPE_NAMES = {
     bool: "true or false",
@@ -174,16 +162,10 @@ def _parse_workflow(obj, path: str) -> ValidatedWorkflow:
 
 
 def _parse_topology(obj, path: str) -> Topology:
-    """The topology section: a Topology from its fields, over the
-    named `preset`'s fields if one is given.  `engine_params` patches
-    DEFAULT_ENGINE_PARAMS, and each of `engine_overrides` patches
+    """The topology section: a Topology from its fields.  `engine_params`
+    patches DEFAULT_ENGINE_PARAMS, and each of `engine_overrides` patches
     `engine_params`."""
     obj = dict(_typed(obj, dict, path))
-    if "preset" in obj:
-        preset_name = _typed(obj.pop("preset"), str, f"{path}.preset")
-        if preset_name not in TOPOLOGY_PRESETS:
-            raise ConfigError(f"unknown topology preset '{preset_name}'")
-        obj = TOPOLOGY_PRESETS[preset_name] | obj
     params_path, overrides_path = f"{path}.engine_params", f"{path}.engine_overrides"
     params = _build(EngineParams, obj.pop("engine_params", {}), params_path, DEFAULT_ENGINE_PARAMS)
     overrides = {

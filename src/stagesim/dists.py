@@ -59,6 +59,8 @@ class Distribution:
         elif self.kind == "geometric":
             if not 0.0 < self.p <= 1.0:
                 raise DistributionError("geometric needs 0 < p <= 1")
+            if 1.0 - self.p == 1.0:  # _geometric divides by log(1 - p)
+                raise DistributionError("geometric needs p > 2**-54, else 1 - p rounds to 1")
             if self.cap < 1:
                 raise DistributionError("geometric needs cap >= 1")
         elif self.kind == "empirical":

@@ -54,14 +54,11 @@ def _default_executor_service() -> Distribution:
 class Nl2SqlParams:
     """Desk-scale defaults; every field is config-overridable.
 
-    `p_fail` splits into `p_syntax_err` and `p_empty_result`: a split field
-    left as None is the rest of `p_fail` when the other is given, and half
-    of it when neither is.
+    `p_fail` is the executor's failure probability; its two failure
+    outcomes, a syntax error and an empty result, each have half of it.
     """
 
     p_fail: float = 0.5
-    p_syntax_err: float | None = None
-    p_empty_result: float | None = None
     retry_budget: int = 3
     slo_seconds: float = 30.0
     generator_prefix_tokens: int = 1000
@@ -73,22 +70,15 @@ class Nl2SqlParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_fail <= 1.0:
             raise ConfigError("p_fail must be in [0, 1]")
-        if self.p_syntax_err is None:
-            rest = self.p_fail / 2.0 if self.p_empty_result is None else self.p_fail - self.p_empty_result
-            object.__setattr__(self, "p_syntax_err", rest)
-        if self.p_empty_result is None:
-            object.__setattr__(self, "p_empty_result", self.p_fail - self.p_syntax_err)
-        if self.p_syntax_err < 0.0 or self.p_empty_result < 0.0:
-            raise ConfigError("failure split probabilities must be >= 0")
-        if abs(self.p_syntax_err + self.p_empty_result - self.p_fail) > 1e-9:
-            raise ConfigError("failure split must sum to p_fail")
         if self.retry_budget < 0:
             raise ConfigError("retry_budget must be >= 0")
 
 
 def build_nl2sql(params: Nl2SqlParams | None = None) -> WorkflowSpec:
     """Generator -> executor -> {success, syntax_err, empty_result} with a
-    fixer loop back into the executor, bounded by the retry budget."""
+    fixer loop back into the executor, bounded by the retry budget.  The
+    two failure outcomes stay separate edges: the remaining-work estimate
+    adds one term per outcome, and one merged term can round differently."""
     p = params or Nl2SqlParams()
     stages = (
         StageSpec(
@@ -105,8 +95,8 @@ def build_nl2sql(params: Nl2SqlParams | None = None) -> WorkflowSpec:
             service_time=p.executor_service_time,
             outcomes=(
                 Outcome("success", 1.0 - p.p_fail, SUCCESS),
-                Outcome("syntax_err", p.p_syntax_err, FIXER),
-                Outcome("empty_result", p.p_empty_result, FIXER),
+                Outcome("syntax_err", p.p_fail / 2.0, FIXER),
+                Outcome("empty_result", p.p_fail / 2.0, FIXER),
             ),
         ),
         StageSpec(
@@ -175,6 +165,8 @@ class Topology:
         groups += [(TOOL, s.stage_id, (s.stage_id,)) for s in vw.spec.stages if s.kind == TOOL]
         pools: list[PoolSpec] = []
         for kind, name, stage_ids in groups:
+            if any(pool.pool_id == f"pool:{name}" for pool in pools):  # a tool stage named "llm", shared mode
+                raise ConfigError(f"'topology': stage '{name}' would get the shared LLM pool's id 'pool:{name}'")
             n_engines = sum(self.llm_engines.get(sid, 0) for sid in stage_ids)
             if kind == LLM and n_engines < 1:
                 raise ConfigError(f"'topology': pool 'pool:{name}' needs >= 1 engine")

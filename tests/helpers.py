@@ -115,7 +115,7 @@ def run_config_tree(**kw) -> dict:
     """A minimal valid run-config JSON tree for CLI tests."""
     tree = {
         "workflow": {"preset": "nl2sql"},
-        "topology": {"preset": "nl2sql-isolated"},
+        "topology": {"mode": "isolated", "llm_engines": {"sql_generator": 1, "sql_fixer": 1}},
         "policy": {"kind": "slack"},
         "arrivals": {"rate": 1.0},
         "duration": 20.0,

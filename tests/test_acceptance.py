@@ -113,7 +113,8 @@ def test_ac3_determinism(tmp_path):
     with criterion("AC-3", "identical config+seed produces byte-identical summary.json and CSVs"):
         config_path = tmp_path / "run.json"
         config_path.write_text(
-            '{"workflow": {"preset": "nl2sql"}, "topology": {"preset": "nl2sql-isolated"},'
+            '{"workflow": {"preset": "nl2sql"},'
+            ' "topology": {"mode": "isolated", "llm_engines": {"sql_generator": 1, "sql_fixer": 1}},'
             ' "policy": {"kind": "slack"}, "arrivals": {"rate": 2.0},'
             ' "duration": 25.0, "warmup": 2.0, "seed": 42}'
         )

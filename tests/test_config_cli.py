@@ -34,7 +34,7 @@ def compare_tree(rate=1.0, duration=20.0):
     return {
         "base": {
             "workflow": {"preset": "nl2sql"},
-            "topology": {"preset": "nl2sql-isolated"},
+            "topology": {"mode": "isolated", "llm_engines": TWO_ENGINES},
             "policy": {"kind": "slack"},
             "arrivals": {"rate": rate},
             "duration": duration,
@@ -42,7 +42,7 @@ def compare_tree(rate=1.0, duration=20.0):
         },
         "cells": [
             {"name": "isolated", "overrides": {}},
-            {"name": "shared", "overrides": {"topology": {"preset": "nl2sql-shared"}}},
+            {"name": "shared", "overrides": {"topology": {"mode": "shared"}}},
         ],
     }
 
@@ -86,7 +86,7 @@ def test_build_sim_config_roundtrip():
 def test_unknown_keys_rejected():
     for tree in (
         run_config_tree(bogus=1),
-        run_config_tree(topology={"preset": "nl2sql-isolated", "gpus": 8}),
+        run_config_tree(topology={"mode": "isolated", "llm_engines": TWO_ENGINES, "gpus": 8}),
         run_config_tree(policy={"kind": "slack", "priority": "high"}),
     ):
         with pytest.raises(ConfigError):
@@ -146,8 +146,6 @@ def test_readme_library_example_runs(tmp_path):
 def test_unknown_preset_rejected():
     with pytest.raises(ConfigError):
         build_sim_config(run_config_tree(workflow={"preset": "nl2sql2"}))
-    with pytest.raises(ConfigError):
-        build_sim_config(run_config_tree(topology={"preset": "nl2sql-hybrid"}))
 
 
 def test_compare_cells_merge():
@@ -162,9 +160,6 @@ def test_shared_pool_sums_the_stage_engine_counts():
     config = build_sim_config(run_config_tree(topology={"mode": "shared", "llm_engines": engines}))
     (llm_pool,) = (p for p in config.pools if p.kind == LLM)
     assert llm_pool.n_engines == sum(engines.values())
-    # the two presets differ only in mode
-    flipped = build_sim_config(run_config_tree(topology={"preset": "nl2sql-isolated", "mode": "shared"}))
-    assert flipped.topology == build_sim_config(run_config_tree(topology={"preset": "nl2sql-shared"})).topology
 
 
 def test_compare_needs_two_cells():
@@ -276,7 +271,7 @@ def nl2sql_param(name: str, value, key: str = "") -> tuple[dict, str]:
         (run_config_tree(duration="60"), "config.duration"),
         (run_config_tree(duration=10.0, warmup=10.0), "config.duration"),
         (
-            run_config_tree(topology={"preset": "nl2sql-isolated", "llm_engines": {"sql_generator": "two"}}),
+            run_config_tree(topology={"mode": "isolated", "llm_engines": {"sql_generator": "two"}}),
             "topology.llm_engines.sql_generator",
         ),
         (run_config_tree(policy={"use_selectivity": "false"}), "policy.use_selectivity"),
@@ -288,17 +283,17 @@ def nl2sql_param(name: str, value, key: str = "") -> tuple[dict, str]:
             run_config_tree(policy={"service_estimates": ESTIMATES | {FIXER: -1.0}}),
             f"policy.service_estimates.{FIXER}",
         ),
-        (run_config_tree(topology={"preset": "nl2sql-isolated", "tool_concurrency": 0}), "topology"),
+        (run_config_tree(topology={"mode": "isolated", "llm_engines": TWO_ENGINES, "tool_concurrency": 0}), "topology"),
         (
-            run_config_tree(topology={"preset": "nl2sql-isolated", "llm_engines": TWO_ENGINES | {"sql_fixr": 5}}),
+            run_config_tree(topology={"mode": "isolated", "llm_engines": TWO_ENGINES | {"sql_fixr": 5}}),
             "topology",
         ),
         (
-            run_config_tree(topology={"preset": "nl2sql-isolated", "llm_engines": TWO_ENGINES | {EXECUTOR: 3}}),
+            run_config_tree(topology={"mode": "isolated", "llm_engines": TWO_ENGINES | {EXECUTOR: 3}}),
             "topology",
         ),
         (
-            run_config_tree(topology={"preset": "nl2sql-isolated", "llm_engines_total": 7}),
+            run_config_tree(topology={"mode": "isolated", "llm_engines": TWO_ENGINES, "llm_engines_total": 7}),
             "topology.llm_engines_total",
         ),
         (
@@ -321,6 +316,7 @@ def nl2sql_param(name: str, value, key: str = "") -> tuple[dict, str]:
         nl2sql_param("executor_service_time", {"kind": "empirical", "values": {"0.2": 1}}, ".values"),
         nl2sql_param("output_tokens", {"kind": "geometric", "p": 0.5, "cap": 99.9}, ".cap"),
         nl2sql_param("output_tokens", {"kind": "geometric", "p": 0.5, "cap": "99"}, ".cap"),
+        nl2sql_param("output_tokens", {"kind": "geometric", "p": 1e-17, "cap": 50}),
         nl2sql_param("prompt_tokens", {"kind": "uniform", "low": 100, "high": 300, "p": 0.5}),
         nl2sql_param("prompt_tokens", {"kind": "uniform", "low": 100}),
         nl2sql_param("prompt_tokens", {"low": 100, "high": 300}),
@@ -356,6 +352,7 @@ def nl2sql_param(name: str, value, key: str = "") -> tuple[dict, str]:
         "dist_values_mapping",
         "dist_cap_fraction",
         "dist_cap_string",
+        "dist_geometric_p_too_small",
         "dist_parameter_of_another_kind",
         "dist_missing_parameter",
         "dist_without_kind",
@@ -384,7 +381,7 @@ def config_text(raw: str, **tree) -> str:
 
 
 def with_engine_params(**params) -> dict:
-    return {"topology": {"preset": "nl2sql-isolated", "engine_params": params}}
+    return {"topology": {"mode": "isolated", "llm_engines": TWO_ENGINES, "engine_params": params}}
 
 
 # Raw config text, and the path its error must name: the NaN, Infinity and
@@ -508,7 +505,7 @@ def test_run_zero_duration(tmp_path, capsys):
 def test_kv_budget_too_small_for_any_call_exits_2(tmp_path, capsys):
     # a generator call needs up to 1000 + 300 + 150 = 1450 tokens
     tree = run_config_tree(
-        topology={"preset": "nl2sql-isolated", "engine_params": {"kv_capacity_tokens": 1200}}
+        topology={"mode": "isolated", "llm_engines": TWO_ENGINES, "engine_params": {"kv_capacity_tokens": 1200}}
     )
     path = write_config(tmp_path, tree)
     assert main(["validate", path]) == 2
@@ -519,10 +516,39 @@ def test_kv_budget_too_small_for_any_call_exits_2(tmp_path, capsys):
 
 def test_engine_override_for_non_llm_stage_rejected(tmp_path, capsys):
     for stage in ("nope", "sql_executor"):
-        topology = {"preset": "nl2sql-isolated", "engine_overrides": {stage: {"max_batch": 2}}}
+        topology = {"mode": "isolated", "llm_engines": TWO_ENGINES, "engine_overrides": {stage: {"max_batch": 2}}}
         path = write_config(tmp_path, run_config_tree(topology=topology))
         assert main(["validate", path]) == 2
         assert f"ConfigError: 'topology': engine override for '{stage}'" in capsys.readouterr().err
+
+
+def test_tool_stage_with_the_shared_pools_id_rejected(tmp_path, capsys):
+    # the shared LLM pool is "pool:llm", the id a tool stage "llm" would get
+    tokens = {"kind": "constant", "value": 10}
+    stages = [
+        {
+            "stage_id": "a",
+            "kind": "llm",
+            "prompt_tokens": tokens,
+            "output_tokens": tokens,
+            "outcomes": [{"label": "sql", "prob": 1.0, "next": "llm"}],
+        },
+        {
+            "stage_id": "llm",
+            "kind": "tool",
+            "service_time": {"kind": "constant", "value": 0.1},
+            "outcomes": [{"label": "done", "prob": 1.0, "next": "Success"}],
+        },
+    ]
+    tree = inline_tree(lambda wf: wf.update(stages=stages))
+    tree["topology"]["mode"] = "shared"
+    with pytest.raises(ConfigError, match="stage 'llm'"):
+        build_sim_config(tree)
+    assert main(["validate", write_config(tmp_path, tree)]) == 2
+    assert "ConfigError: 'topology': stage 'llm'" in capsys.readouterr().err
+    # isolated mode names each LLM pool after its own stage
+    tree["topology"]["mode"] = "isolated"
+    assert [pool.pool_id for pool in build_sim_config(tree).pools] == ["pool:a", "pool:llm"]
 
 
 def test_run_invalid_config_exits_before_simulating(tmp_path):
@@ -557,7 +583,7 @@ def test_run_admission_past_capacity_exits_3(tmp_path, monkeypatch, capsys):
         return engines[0]
 
     monkeypatch.setattr(simulation, "route_call", first_engine)
-    tree = run_config_tree(topology={"preset": "nl2sql-isolated", "engine_params": {"max_batch": 1}})
+    tree = run_config_tree(topology={"mode": "isolated", "llm_engines": TWO_ENGINES, "engine_params": {"max_batch": 1}})
     assert main(["run", write_config(tmp_path, tree), "--out", str(tmp_path / "o")]) == 3
     assert "cannot admit request" in capsys.readouterr().err
 
@@ -590,7 +616,7 @@ def test_compare_single_seed_min_equals_max(tmp_path):
 def unequal_engine_totals_tree():
     tree = compare_tree()
     tree["cells"][1]["overrides"] = {
-        "topology": {"preset": "nl2sql-shared", "llm_engines": {GENERATOR: 2, FIXER: 1}}
+        "topology": {"mode": "shared", "llm_engines": {GENERATOR: 2, FIXER: 1}}
     }
     return tree
 

@@ -46,6 +46,9 @@ def test_geometric_inversion_boundaries():
     # tiny u lands deep in the tail, clipped by the cap
     assert d.sample_int(1e-12) == 10
     assert Distribution.geometric(1.0, cap=5).sample_int(0.2) == 1
+    # the smallest p whose 1 - p is below 1: the inversion divides by a
+    # tiny log(1 - p), not by 0
+    assert Distribution.geometric(math.nextafter(2.0**-54, 1.0), cap=50).sample_int(0.5) == 50
 
 
 def test_geometric_mean_matches_enumeration():
@@ -114,6 +117,8 @@ def test_constructor_takes_exactly_the_kinds_parameters(build):
         lambda: Distribution.uniform(0, math.inf),
         lambda: Distribution.uniform(-math.inf, 0),
         lambda: Distribution.empirical([1.0, math.inf]),
+        lambda: Distribution.geometric(2.0**-54, 50),  # 1 - p rounds to 1
+        lambda: Distribution.geometric(1e-17, 50),
     ],
 )
 def test_invalid_parameters(build):

@@ -52,7 +52,7 @@ GOLDEN_RUNS = {
     ),
     "shared_borrow_autoscale": (
         {
-            "topology": {"preset": "nl2sql-shared", "llm_engines": {"sql_generator": 2, "sql_fixer": 1}},
+            "topology": {"mode": "shared", "llm_engines": {"sql_generator": 2, "sql_fixer": 1}},
             "policy": {
                 "kind": "slack",
                 "use_selectivity": True,
@@ -76,7 +76,7 @@ GOLDEN_RUNS = {
     # estimates rebuild the remaining-work table on every completion
     "elastic": (
         {
-            "topology": {"preset": "nl2sql-isolated", "llm_engines": {"sql_generator": 1, "sql_fixer": 3}},
+            "topology": {"mode": "isolated", "llm_engines": {"sql_generator": 1, "sql_fixer": 3}},
             "policy": {
                 "kind": "slack",
                 "online_estimates": True,

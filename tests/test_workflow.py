@@ -169,6 +169,17 @@ def self_loop_spec():
     )
 
 
+def uneven_failures_spec():
+    """The gated cycle with two loop edges of unequal mass into the fixer."""
+    return make_spec(
+        [
+            llm_stage("a", [Outcome("go", 1.0, "b")]),
+            tool_stage("b", [Outcome("ok", 0.55, SUCCESS), Outcome("err", 0.1, "c"), Outcome("empty", 0.35, "c")]),
+            llm_stage("c", [Outcome("fixed", 1.0, "b")]),
+        ],
+    )
+
+
 def test_budget_gated_cycle_is_accepted():
     vw = validate_workflow(gated_cycle_spec())
     assert vw.loop_edges == frozenset({("b", "c")})
@@ -495,7 +506,7 @@ PLAN_WORKFLOWS = {
     "nl2sql_no_failures": lambda: nl2sql_vw(p_fail=0.0),
     # two loop edges of different mass into the fixer: their terms must be
     # added in outcome order
-    "nl2sql_uneven_failures": lambda: nl2sql_vw(p_fail=0.45, p_syntax_err=0.1),
+    "nl2sql_uneven_failures": lambda: validate_workflow(uneven_failures_spec()),
     "gated_cycle": lambda: validate_workflow(gated_cycle_spec()),
     "self_loop": lambda: validate_workflow(self_loop_spec()),
 }

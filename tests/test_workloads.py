@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import stagesim as ss
@@ -6,7 +8,7 @@ from stagesim.config import build_sim_config
 from stagesim.dists import Distribution
 from stagesim.errors import ConfigError
 from stagesim.scheduling import POLICY_KINDS, dispatch_key
-from stagesim.workflow import FAILURE, LLM, TOOL, validate_workflow
+from stagesim.workflow import FAILURE, LLM, SUCCESS, TOOL, validate_workflow
 from stagesim.workloads import (
     EXECUTOR,
     FIXER,
@@ -31,28 +33,28 @@ def test_default_spec_shape():
     assert vw.loop_edges == frozenset({(EXECUTOR, FIXER)})
 
 
-def test_failure_split_must_sum_to_p_fail():
-    with pytest.raises(ConfigError):
-        Nl2SqlParams(p_fail=0.5, p_syntax_err=0.4, p_empty_result=0.2)
+def test_each_failure_outcome_has_half_of_p_fail():
+    p_fail = 0.3
+    executor = build_nl2sql(Nl2SqlParams(p_fail=p_fail)).stages[1]
+    assert executor.stage_id == EXECUTOR
+    assert [(o.label, o.prob, o.next) for o in executor.outcomes] == [
+        ("success", 1.0 - p_fail, SUCCESS),
+        ("syntax_err", p_fail / 2, FIXER),
+        ("empty_result", p_fail / 2, FIXER),
+    ]
+    # the config builds the same workflow; neither a failure split nor a
+    # topology preset is a config key
+    def params_tree(**params):
+        return run_config_tree(workflow={"preset": "nl2sql", "params": params})
 
-
-def nl2sql_tree_spec(params):
-    return build_sim_config(run_config_tree(workflow={"preset": "nl2sql", "params": params})).workflow.spec
-
-
-def test_failure_split_defaults_to_the_rest_of_p_fail():
-    # the library and the config split p_fail by one rule: half each when
-    # neither split is given, the rest of p_fail when one is
-    halves = Nl2SqlParams(p_fail=0.3)
-    assert halves.p_syntax_err == halves.p_empty_result == 0.3 / 2
-    assert build_nl2sql(halves) == nl2sql_tree_spec({"p_fail": 0.3})
-    rest = Nl2SqlParams(p_fail=0.3, p_syntax_err=0.1)
-    assert rest.p_empty_result == 0.3 - 0.1
-    assert build_nl2sql(rest) == nl2sql_tree_spec({"p_fail": 0.3, "p_syntax_err": 0.1})
-    assert Nl2SqlParams(p_empty_result=0.4).p_syntax_err == 0.5 - 0.4
-    assert Nl2SqlParams() == Nl2SqlParams(p_syntax_err=0.25, p_empty_result=0.25)
-    with pytest.raises(ConfigError):
-        Nl2SqlParams(p_fail=0.3, p_syntax_err=0.4)
+    assert build_sim_config(params_tree(p_fail=p_fail)).workflow.spec == build_nl2sql(Nl2SqlParams(p_fail=p_fail))
+    for key, tree in (
+        ("topology.preset", run_config_tree(topology={"preset": "nl2sql-isolated"})),
+        ("workflow.params.p_syntax_err", params_tree(p_syntax_err=0.1)),
+        ("workflow.params.p_empty_result", params_tree(p_empty_result=0.1)),
+    ):
+        with pytest.raises(ConfigError, match=f"^unknown key '{re.escape(key)}'$"):
+            build_sim_config(tree)
 
 
 def test_p_fail_zero_never_reaches_fixer():
