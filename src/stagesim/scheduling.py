@@ -290,8 +290,9 @@ def autoscale_tick(
 class ServiceEstimator:
     """Per-stage mean service-time estimates.
 
-    Static config means by default; with online=True the estimates track an
-    exponentially weighted mean of observed stage service times.
+    The given means stay fixed by default; with online=True the estimates
+    track an exponentially weighted mean of observed stage service times,
+    each observation weighted `alpha`.
     """
 
     def __init__(self, means: dict[str, float], online: bool = False, alpha: float = 0.2) -> None:

@@ -100,8 +100,6 @@ class PolicyConfig:
     kind: str = "slack"  # fcfs | las | slack
     use_selectivity: bool = False
     online_estimates: bool = False
-    ewma_alpha: float = 0.2
-    service_estimates: dict[str, float] | None = None
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     borrow: BorrowConfig = field(default_factory=BorrowConfig)
     autoscale: AutoscaleConfig = field(default_factory=AutoscaleConfig)
@@ -130,20 +128,6 @@ class SimConfig:
             raise ConfigError("'config.duration' must be > 'config.warmup'")
         if self.policy.kind not in POLICY_KINDS:
             raise ConfigError(f"'policy.kind': unknown policy kind '{self.policy.kind}'")
-        if not 0.0 < self.policy.ewma_alpha <= 1.0:
-            raise ConfigError("'policy.ewma_alpha' must be in (0, 1]")
-        stage_ids = self.workflow.stage_ids
-        estimates = self.policy.service_estimates  # None: the Simulator derives them
-        if estimates is not None:
-            missing = [sid for sid in stage_ids if sid not in estimates]
-            unknown = sorted(set(estimates) - set(stage_ids))
-            if missing or unknown:
-                raise ConfigError(
-                    f"'policy.service_estimates' missing stages {missing}, unknown stages {unknown}"
-                )
-            for sid, value in estimates.items():
-                if not (math.isfinite(value) and value >= 0.0):
-                    raise ConfigError(f"'policy.service_estimates.{sid}' must be finite and >= 0")
         self.pools  # laying the pools out checks the topology against the workflow
 
     @functools.cached_property
@@ -430,11 +414,8 @@ class Simulator:
             if self.policy.borrow.enabled and pool.spec.kind == LLM and len(pool.spec.stage_ids) == 1
         ]
 
-        means = config.policy.service_estimates
-        if means is None:
-            means = derive_service_estimates(self.vw, config.pools)
         self.estimator = ServiceEstimator(
-            means, online=config.policy.online_estimates, alpha=config.policy.ewma_alpha
+            derive_service_estimates(self.vw, config.pools), online=config.policy.online_estimates
         )
         self._work_table: dict[tuple[str, int], float] = {}
         self._work_version = -1

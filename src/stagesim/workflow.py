@@ -286,18 +286,38 @@ def validate_workflow(spec: WorkflowSpec) -> ValidatedWorkflow:
     unreachable = [sid for sid in stages if sid not in reachable]
     if unreachable:
         raise UnreachableStage(f"stages not reachable from entry: {unreachable}")
-    success_reachable = any(
-        out.next == SUCCESS for sid in reachable for out in stages[sid].outcomes
-    )
-    if not success_reachable:
-        raise UnreachableTerminal("terminal Success is not reachable from the entry stage")
 
     loop_edges = _loop_edges(spec, stages, adj)
     selectivity = {
         sid: sum(o.prob for o in st.outcomes if is_terminal(o.next))
         for sid, st in stages.items()
     }
-    return ValidatedWorkflow(spec, stages, loop_edges, selectivity)
+    vw = ValidatedWorkflow(spec, stages, loop_edges, selectivity)
+    if not _success_reachable(vw):
+        raise UnreachableTerminal("terminal Success is not reachable from the entry stage")
+    return vw
+
+
+def _success_reachable(vw: ValidatedWorkflow) -> bool:
+    """Whether a request can end in Success: a search from (entry stage,
+    0 retries) through outcomes of positive probability, each applied as
+    `next_step` applies it, so a loop edge past the budget leads to
+    Failure."""
+    start = (vw.entry_stage, 0)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        stage_id, retries = frontier.pop()
+        for out in vw.stage(stage_id).outcomes:
+            if out.prob == 0.0:
+                continue
+            nxt = next_step(stage_id, retries, out.label, vw)
+            if nxt[0] == SUCCESS:
+                return True
+            if nxt[0] != FAILURE and nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return False
 
 
 def next_step(stage_id: str, retries_used: int, outcome: str, vw: ValidatedWorkflow) -> tuple[str, int]:

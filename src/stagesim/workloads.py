@@ -38,18 +38,6 @@ DEFAULT_ENGINE_PARAMS = EngineParams(
 DEFAULT_TOOL_CONCURRENCY = 4
 
 
-def _default_prompt() -> Distribution:
-    return Distribution.uniform(100, 300)
-
-
-def _default_output() -> Distribution:
-    return Distribution.uniform(50, 150)
-
-
-def _default_executor_service() -> Distribution:
-    return Distribution.uniform(0.1, 0.4)
-
-
 @dataclass(frozen=True)
 class Nl2SqlParams:
     """Desk-scale defaults; every field is config-overridable.
@@ -63,9 +51,9 @@ class Nl2SqlParams:
     slo_seconds: float = 30.0
     generator_prefix_tokens: int = 1000
     fixer_prefix_tokens: int = 1000
-    prompt_tokens: Distribution = field(default_factory=_default_prompt)
-    output_tokens: Distribution = field(default_factory=_default_output)
-    executor_service_time: Distribution = field(default_factory=_default_executor_service)
+    prompt_tokens: Distribution = Distribution.uniform(100, 300)
+    output_tokens: Distribution = Distribution.uniform(50, 150)
+    executor_service_time: Distribution = Distribution.uniform(0.1, 0.4)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_fail <= 1.0:

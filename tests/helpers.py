@@ -164,6 +164,20 @@ def expected_fixer_invocations(p_fail: float, budget: int) -> float:
     return p_fail * (1.0 - p_fail**budget) / (1.0 - p_fail)
 
 
+def enum_fixer_invocations(p: float, budget: int) -> float:
+    """Oracle for `expected_fixer_invocations`: exhaustive tree sum over
+    attempt outcome sequences."""
+
+    def walk(fixes_done: int, prob: float) -> float:
+        # one execution attempt: succeeds with 1-p, else a fix happens
+        # (if budget remains) and we recurse
+        if fixes_done == budget:
+            return 0.0
+        return prob * p * 1.0 + walk(fixes_done + 1, prob * p)
+
+    return walk(0, 1.0)
+
+
 def reference_remaining_work(vw, service_estimates) -> dict:
     """Reference remaining-work table: the memoised recursion over
     (stage, retries_used) that `stagesim.expected_remaining_work` replaces

@@ -6,13 +6,13 @@ on success).  AC-5 is defined last: it audits every run the suite produced.
 
 from contextlib import contextmanager
 
-import numpy as np
 import pytest
 
 import stagesim as ss
 from helpers import (
     RetainingSimulator,
     engine_params,
+    enum_fixer_invocations,
     expected_fixer_invocations,
     nl2sql_vw,
     segment_end_kv,
@@ -130,14 +130,12 @@ def test_ac3_determinism(tmp_path):
 
 
 def test_ac4_retry_expectation_oracles():
-    with criterion("AC-4", "closed forms match Monte Carlo (1%) and exhaustive enumeration (1e-9)"):
-        rng = np.random.default_rng(11)
+    with criterion("AC-4", "closed forms match exhaustive enumeration (1e-12, 1e-9)"):
         for p in (0.1, 0.5, 0.9):
             for budget in (1, 3, 5):
-                fails = rng.random((100_000, budget)) < p
-                mc = np.cumprod(fails, axis=1).sum(axis=1).mean()
                 exact = expected_fixer_invocations(p, budget)
-                assert abs(mc - exact) / exact <= 0.01, (p, budget, mc, exact)
+                oracle = enum_fixer_invocations(p, budget)
+                assert abs(exact - oracle) <= 1e-12, (p, budget, exact, oracle)
 
         vw = nl2sql_vw()
         estimates = {GENERATOR: 2.04, EXECUTOR: 0.25, FIXER: 2.04}

@@ -88,6 +88,8 @@ def test_unknown_keys_rejected():
         run_config_tree(bogus=1),
         run_config_tree(topology={"mode": "isolated", "llm_engines": TWO_ENGINES, "gpus": 8}),
         run_config_tree(policy={"kind": "slack", "priority": "high"}),
+        # estimates are derived or measured online, never configured
+        run_config_tree(policy={"service_estimates": ESTIMATES}),
     ):
         with pytest.raises(ConfigError):
             build_sim_config(tree)
@@ -263,6 +265,36 @@ def nl2sql_param(name: str, value, key: str = "") -> tuple[dict, str]:
     return run_config_tree(**with_nl2sql_params(**{name: value})), f"workflow.params.{name}{key}"
 
 
+def no_success_trees() -> list[dict]:
+    """Run configs under which no request can succeed: an inline workflow
+    with Success only behind a zero-probability outcome, one with Success
+    only past a loop edge and no retry budget (the loop edge is a -> b, so
+    every request fails at a), and nl2sql whose executor always fails."""
+    llm = bad_mass_tree()
+    llm["workflow"]["inline"]["stages"][0]["outcomes"] = [
+        {"label": "ok", "prob": 0.0, "next": "Success"},
+        {"label": "bad", "prob": 1.0, "next": "Failure"},
+    ]
+    tool = {"kind": "tool", "service_time": {"kind": "constant", "value": 0.5}}
+    loop = bad_mass_tree() | {"topology": {"mode": "isolated", "llm_engines": {}}}
+    loop["workflow"]["inline"]["stages"] = [
+        tool | {"stage_id": "a", "outcomes": [{"label": "go", "prob": 1.0, "next": "b"}]},
+        tool | {
+            "stage_id": "b",
+            "outcomes": [{"label": "again", "prob": 0.5, "next": "a"}, {"label": "ok", "prob": 0.5, "next": "Success"}],
+        },
+    ]
+    return [llm, loop, run_config_tree(**with_nl2sql_params(p_fail=1.0))]
+
+
+@pytest.mark.parametrize(
+    "tree", no_success_trees(), ids=["zero_prob_success", "loop_without_budget", "nl2sql_always_fails"]
+)
+def test_validate_rejects_a_workflow_that_never_succeeds(tmp_path, capsys, tree):
+    assert main(["validate", write_config(tmp_path, tree)]) == 2
+    assert "UnreachableTerminal" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "tree, path",
     [
@@ -276,13 +308,12 @@ def nl2sql_param(name: str, value, key: str = "") -> tuple[dict, str]:
         ),
         (run_config_tree(policy={"use_selectivity": "false"}), "policy.use_selectivity"),
         (run_config_tree(policy={"admission": {"enabled": 1}}), "policy.admission.enabled"),
-        (run_config_tree(policy={"service_estimates": {"sql_fixer": "1"}}), "policy.service_estimates.sql_fixer"),
+        # estimates are derived or measured, never configured: the key is
+        # unknown, whatever it holds
+        (run_config_tree(policy={"service_estimates": {"sql_fixer": "1"}}), "policy.service_estimates"),
         (run_config_tree(policy={"service_estimates": {GENERATOR: 1.0}}), "policy.service_estimates"),
         (run_config_tree(policy={"service_estimates": ESTIMATES | {"typo": 3.0}}), "policy.service_estimates"),
-        (
-            run_config_tree(policy={"service_estimates": ESTIMATES | {FIXER: -1.0}}),
-            f"policy.service_estimates.{FIXER}",
-        ),
+        (run_config_tree(policy={"service_estimates": ESTIMATES | {FIXER: -1.0}}), "policy.service_estimates"),
         (run_config_tree(topology={"mode": "isolated", "llm_engines": TWO_ENGINES, "tool_concurrency": 0}), "topology"),
         (
             run_config_tree(topology={"mode": "isolated", "llm_engines": TWO_ENGINES | {"sql_fixr": 5}}),
@@ -303,7 +334,7 @@ def nl2sql_param(name: str, value, key: str = "") -> tuple[dict, str]:
         (run_config_tree(warmup=-1.0), "config.warmup"),
         (run_config_tree(arrivals={"rate": 0.0}), "arrivals.rate"),
         (run_config_tree(policy={"kind": "edf"}), "policy.kind"),
-        (run_config_tree(policy={"ewma_alpha": 0.0}), "policy.ewma_alpha"),
+        (run_config_tree(policy={"ewma_alpha": 0.2}), "policy.ewma_alpha"),  # the weight is fixed
         (inline_tree(lambda wf: wf.update(stages=5)), "workflow.inline.stages"),
         (inline_tree(lambda wf: wf["stages"][0].pop("stage_id")), "workflow.inline.stages[0]"),
         (

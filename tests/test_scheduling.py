@@ -44,8 +44,8 @@ def slack_key(slack, service, request_id, selectivity=None):
 def simulator_key(vw, estimates, req, use_selectivity=False):
     """The dispatch key the Simulator computes for `req`'s queued call:
     under slack it orders by deadline - W, the slack at time 0."""
-    policy = ss.PolicyConfig(service_estimates=estimates, use_selectivity=use_selectivity)
-    sim = Simulator(sim_config(vw=vw, policy=policy))
+    sim = Simulator(sim_config(vw=vw, policy=ss.PolicyConfig(use_selectivity=use_selectivity)))
+    sim.estimator = ServiceEstimator(estimates)
     sim.requests[req.request_id] = req
     call = PendingCall(req.request_id, req.current_stage, 0.0)
     return sim._dispatch_key(call)

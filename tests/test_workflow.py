@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import (
     QUOTED_LLM,
     QUOTED_WORKFLOW,
+    enum_fixer_invocations,
     expected_fixer_invocations,
     nl2sql_vw,
     reference_next_step,
@@ -38,7 +39,7 @@ from stagesim.workflow import (
     next_step,
     validate_workflow,
 )
-from stagesim.workloads import EXECUTOR, FIXER, GENERATOR, build_nl2sql
+from stagesim.workloads import EXECUTOR, FIXER, GENERATOR, Nl2SqlParams, build_nl2sql
 
 PROMPT = Distribution.constant(100)
 OUTPUT = Distribution.constant(50)
@@ -98,6 +99,20 @@ def test_unreachable_success():
     bad = make_spec([llm_stage("a", [Outcome("x", 1.0, FAILURE)])])
     with pytest.raises(UnreachableTerminal):
         validate_workflow(bad)
+
+
+def test_success_must_be_reachable_as_requests_move():
+    # an edge to Success is not enough: no request takes a zero-probability
+    # outcome, nor a loop edge once the retry budget is spent
+    never = make_spec([llm_stage("a", [Outcome("ok", 0.0, SUCCESS), Outcome("bad", 1.0, FAILURE)])])
+    loop = [
+        tool_stage("a", [Outcome("go", 1.0, "b")]),
+        tool_stage("b", [Outcome("again", 0.5, "a"), Outcome("ok", 0.5, SUCCESS)]),
+    ]
+    assert validate_workflow(make_spec(loop, budget=1)).loop_edges == frozenset({("a", "b")})
+    for spec in (never, make_spec(loop, budget=0), build_nl2sql(Nl2SqlParams(p_fail=1.0))):
+        with pytest.raises(UnreachableTerminal):
+            validate_workflow(spec)
 
 
 def test_unreachable_stage():
@@ -367,19 +382,6 @@ def test_next_step_matches_the_outcome_scan(name):
 
 # ----------------------------------------------------------------------
 # expected_fixer_invocations
-
-
-def enum_fixer_invocations(p: float, budget: int) -> float:
-    """Oracle: exhaustive tree sum over attempt outcome sequences."""
-
-    def walk(fixes_done: int, prob: float) -> float:
-        # one execution attempt: succeeds with 1-p, else a fix happens
-        # (if budget remains) and we recurse
-        if fixes_done == budget:
-            return 0.0
-        return prob * p * 1.0 + walk(fixes_done + 1, prob * p)
-
-    return walk(0, 1.0)
 
 
 def test_never_fails():
