@@ -66,12 +66,26 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def _run_config(tree: dict, seed: int | None = None) -> SimConfig:
+    """Build a run config, with a notice on stderr when borrowing is on but
+    can never act: it pairs two different lendable pools.  Not an error;
+    the run is the same as with borrowing off."""
+    config = build_sim_config(tree, seed_override=seed)
+    if config.policy.borrow.enabled and sum(pool.lendable for pool in config.pools) < 2:
+        print(
+            "notice: 'policy.borrow.enabled' has no effect: borrowing lends engines "
+            "between single-stage LLM pools, and this topology has fewer than two",
+            file=sys.stderr,
+        )
+    return config
+
+
 def cmd_validate(args) -> int:
     tree = load_config_file(args.config)
     if is_compare_config(tree):
         print(f"ok: {len(_compare_configs(tree))} cells valid")
     else:
-        build_sim_config(tree)
+        _run_config(tree)
         print("ok")
     return EXIT_OK
 
@@ -80,7 +94,7 @@ def cmd_run(args) -> int:
     tree = load_config_file(args.config)
     if is_compare_config(tree):
         raise ConfigError("this is a compare config; use the 'compare' subcommand")
-    config = build_sim_config(tree, seed_override=args.seed)
+    config = _run_config(tree, args.seed)
     out_dir = args.out or tree.get("out_dir") or "out"
     result = Simulator(config).run()
     paths = write_run_outputs(result, out_dir)

@@ -144,5 +144,8 @@ class Distribution:
         if self.kind == "geometric":
             if self.p >= 1.0:
                 return 1.0
-            return (1.0 - (1.0 - self.p) ** self.cap) / self.p
+            # (1 - (1 - p)**cap) / p, in a form that keeps its precision
+            # for tiny p; rounding can still land an ulp outside [1, cap]
+            mean = -math.expm1(self.cap * math.log1p(-self.p)) / self.p
+            return min(float(self.cap), max(1.0, mean))
         return sum(self.values) / len(self.values)

@@ -20,30 +20,21 @@ POLICY_KINDS = ("fcfs", "las", "slack")
 
 
 def dispatch_key(
-    kind: str,
-    request_id: int,
-    attained_service: float = 0.0,
-    slack: float = 0.0,
-    expected_service: float = 0.0,
-    selectivity: float | None = None,
+    kind: str, request_id: int, attained_service: float = 0.0, slack: float = 0.0
 ) -> tuple[float, ...]:
     """Dispatch ordering tuple for a queued call; the smallest goes first.
 
     fcfs orders by arrival; las (least attained service) favors the
     workflow that has received the least service so far, then arrival;
-    slack orders by ascending slack, then ascending expected stage
-    service, then (when a selectivity is given) descending selectivity,
-    then arrival.  Inputs the kind does not order by may be left out.
-    The simulator passes slack at time 0, deadline - W, so no key changes
-    while its call waits.
+    slack orders by ascending slack, then arrival.  Inputs the kind does
+    not order by may be left out.  The simulator passes slack at time 0,
+    deadline - W, so no key changes while its call waits.
     """
     if kind == "fcfs":
         return (float(request_id),)
     if kind == "las":
         return (attained_service, float(request_id))
-    if selectivity is None:
-        return (slack, expected_service, float(request_id))
-    return (slack, expected_service, -selectivity, float(request_id))
+    return (slack, float(request_id))
 
 
 @dataclass(frozen=True)
@@ -108,8 +99,8 @@ def select_next(heads):
     `heads` holds a (dispatch key, call) entry for the head of each of the
     pool's class queues, one queue per (stage, retries used).  Within a
     class the keys sort as the queue ranks its calls, at every key version:
-    slack keys (deadline - W, E, [-selectivity], request id) take W and E
-    from the class alone, and deadlines never decrease with request id
+    slack keys (deadline - W, request id) take W from the class alone, and
+    deadlines never decrease with request id
     (see `simulation.PoolRuntime`).  So each class head holds its class's
     least key, and the least key over the heads is the one a full sort of
     the queue picks.  Keys are unique (each ends in a request id), so calls

@@ -98,7 +98,6 @@ class Event(NamedTuple):
 @dataclass(frozen=True)
 class PolicyConfig:
     kind: str = "slack"  # fcfs | las | slack
-    use_selectivity: bool = False
     online_estimates: bool = False
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     borrow: BorrowConfig = field(default_factory=BorrowConfig)
@@ -280,12 +279,12 @@ class PoolRuntime:
     """Mutable per-pool simulation state: queue, servers, and window stats.
 
     The queue is one heap per class, (stage, retries used), in `queues`.
-    A slack key, (deadline - W, E, [-selectivity], request id), depends on
-    the service estimates only through W and E, and those depend only on
-    the class.  Deadlines (arrival + SLO) never decrease with request id,
-    because ids are handed out in arrival order; a request built by hand
-    must keep that.  So within one class the keys sort in request-id order
-    at every estimate version, float ties included (rounding is monotone).
+    A slack key, (deadline - W, request id), depends on the service
+    estimates only through W, and W depends only on the class.  Deadlines
+    (arrival + SLO) never decrease with request id, because ids are handed
+    out in arrival order; a request built by hand must keep that.  So
+    within one class the keys sort in request-id order at every estimate
+    version, float ties included (rounding is monotone).
     A class heap is therefore ranked by what no estimate changes: the
     request id under slack, the key itself under fcfs and las, whose keys
     never change while a call waits.  `heads` caches each class head's
@@ -406,12 +405,10 @@ class Simulator:
             for sid in self.vw.stage_ids
         }
         # the pools whose utilization() borrowing reads, and so the only
-        # ones whose utilization is integrated: every single-stage LLM pool
-        # while borrowing is on, none otherwise
+        # ones whose utilization is integrated: every lendable pool while
+        # borrowing is on, none otherwise
         self._lendable: list[PoolRuntime] = [
-            pool
-            for pool in self.pools.values()
-            if self.policy.borrow.enabled and pool.spec.kind == LLM and len(pool.spec.stage_ids) == 1
+            pool for pool in self.pools.values() if self.policy.borrow.enabled and pool.spec.lendable
         ]
 
         self.estimator = ServiceEstimator(
@@ -745,19 +742,11 @@ class Simulator:
         version.  Keys do not change while a call waits: slack keys order
         by deadline - W, which in exact arithmetic orders calls as
         deadline - now - W does."""
-        kind = self.policy.kind
         req = self.requests[call.request_id]
-        if not self._slack:  # fcfs and las need neither slack nor estimates
-            return dispatch_key(kind, call.request_id, req.attained)
-        sid = call.stage_id
-        return dispatch_key(
-            kind,
-            call.request_id,
-            req.attained,
-            req.deadline - self._remaining_table()[(sid, req.retries_used)],
-            self.estimator.estimate(sid),
-            self.vw.selectivity(sid) if self.policy.use_selectivity else None,
-        )
+        if not self._slack:  # fcfs and las need no slack
+            return dispatch_key(self.policy.kind, call.request_id, req.attained)
+        slack = req.deadline - self._remaining_table()[(call.stage_id, req.retries_used)]
+        return dispatch_key("slack", call.request_id, slack=slack)
 
     def _dispatch_all(self) -> None:
         """Offer every pool whose head may have changed or become placeable.

@@ -108,12 +108,10 @@ class ValidatedWorkflow:
         spec: WorkflowSpec,
         stages: dict[str, StageSpec],
         loop_edges: frozenset[tuple[str, str]],
-        selectivity: dict[str, float],
     ) -> None:
         self.spec = spec
         self._stages = stages
         self._loop_edges = loop_edges
-        self._selectivity = selectivity
         self.stage_ids: tuple[str, ...] = tuple(st.stage_id for st in spec.stages)
         self.outcome_table: dict[tuple[str, str], tuple[str, bool]] = {
             (st.stage_id, out.label): (out.next, (st.stage_id, out.next) in loop_edges)
@@ -148,10 +146,6 @@ class ValidatedWorkflow:
 
     def is_loop_edge(self, src: str, dst: str) -> bool:
         return (src, dst) in self._loop_edges
-
-    def selectivity(self, stage_id: str) -> float:
-        """Probability that this stage's outcome ends the workflow."""
-        return self._selectivity[stage_id]
 
 
 def _check_non_negative(st: StageSpec, name: str, whole: bool = False) -> None:
@@ -287,12 +281,7 @@ def validate_workflow(spec: WorkflowSpec) -> ValidatedWorkflow:
     if unreachable:
         raise UnreachableStage(f"stages not reachable from entry: {unreachable}")
 
-    loop_edges = _loop_edges(spec, stages, adj)
-    selectivity = {
-        sid: sum(o.prob for o in st.outcomes if is_terminal(o.next))
-        for sid, st in stages.items()
-    }
-    vw = ValidatedWorkflow(spec, stages, loop_edges, selectivity)
+    vw = ValidatedWorkflow(spec, stages, _loop_edges(spec, stages, adj))
     if not _success_reachable(vw):
         raise UnreachableTerminal("terminal Success is not reachable from the entry stage")
     return vw

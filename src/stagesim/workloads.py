@@ -114,6 +114,12 @@ class PoolSpec:
     engine_params: EngineParams | None = None
     concurrency: int = 0  # tool slots
 
+    @property
+    def lendable(self) -> bool:
+        """Whether borrowing may lend this pool's engines or lend to it:
+        only a single-stage LLM pool, whose one prefix a lent engine plants."""
+        return self.kind == LLM and len(self.stage_ids) == 1
+
 
 @dataclass(frozen=True)
 class Topology:

@@ -223,6 +223,30 @@ def test_validate_ok(tmp_path, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name, inert", [("nl2sql_shared", True), ("nl2sql_isolated", False)])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_notice_when_borrowing_can_never_act(tmp_path, capsys, name, inert, command):
+    # borrowing lends between two single-stage LLM pools; the shared pool
+    # serves both LLM stages, so it has none.  A notice, not an error, and
+    # the run writes what it writes with borrowing off
+    def stderr(tree, label):
+        argv = [command, write_config(tmp_path, tree, f"{label}.json")]
+        if command == "run":
+            argv += ["--out", str(tmp_path / label)]
+        assert main(argv) == 0
+        return capsys.readouterr().err
+
+    tree = json.loads((Path(__file__).resolve().parents[1] / "configs" / f"{name}.json").read_text())
+    tree["duration"] = 20.0
+    assert "notice" not in stderr(tree, "off")
+    tree["policy"]["borrow"] = {"enabled": True}
+    err = stderr(tree, "on")
+    assert ("notice: 'policy.borrow.enabled' has no effect" in err) == inert, err
+    if command == "run" and inert:
+        for file in ("summary.json", "kv_usage.csv", "dispatch.csv", "requests.csv"):
+            assert (tmp_path / "on" / file).read_bytes() == (tmp_path / "off" / file).read_bytes(), file
+
+
 def test_validate_names_probability_mass_error(tmp_path, capsys):
     path = write_config(tmp_path, bad_mass_tree())
     assert main(["validate", path]) == 2
@@ -306,7 +330,7 @@ def test_validate_rejects_a_workflow_that_never_succeeds(tmp_path, capsys, tree)
             run_config_tree(topology={"mode": "isolated", "llm_engines": {"sql_generator": "two"}}),
             "topology.llm_engines.sql_generator",
         ),
-        (run_config_tree(policy={"use_selectivity": "false"}), "policy.use_selectivity"),
+        (run_config_tree(policy={"online_estimates": "false"}), "policy.online_estimates"),
         (run_config_tree(policy={"admission": {"enabled": 1}}), "policy.admission.enabled"),
         # estimates are derived or measured, never configured: the key is
         # unknown, whatever it holds
@@ -352,6 +376,8 @@ def test_validate_rejects_a_workflow_that_never_succeeds(tmp_path, capsys, tree)
         nl2sql_param("prompt_tokens", {"kind": "uniform", "low": 100}),
         nl2sql_param("prompt_tokens", {"low": 100, "high": 300}),
         nl2sql_param("prompt_tokens", "uniform"),
+        # the slack key has no selectivity term: the key is unknown
+        (run_config_tree(policy={"use_selectivity": True}), "policy.use_selectivity"),
     ],
     ids=[
         "rate",
@@ -388,6 +414,7 @@ def test_validate_rejects_a_workflow_that_never_succeeds(tmp_path, capsys, tree)
         "dist_missing_parameter",
         "dist_without_kind",
         "dist_not_mapping",
+        "use_selectivity_removed",
     ],
 )
 @pytest.mark.parametrize("command", ["validate", "run"])

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import run_config_tree
 from stagesim.config import build_sim_config
@@ -57,6 +59,39 @@ def test_geometric_mean_matches_enumeration():
     # oracle: E[min(G, cap)] from the geometric pmf directly
     expected = sum(k * (1 - p) ** (k - 1) * p for k in range(1, cap)) + cap * (1 - p) ** (cap - 1)
     assert d.mean() == pytest.approx(expected, abs=1e-12)
+
+
+# the smallest geometric p the constructor accepts, and a few just above it
+TINY_P = [math.nextafter(2.0**-54, 1.0), 2.0**-53, 2e-16, 1e-15, 1e-12]
+WHOLE = st.integers(-1000, 10**6).map(float)
+
+
+@st.composite
+def distributions(draw):
+    """Every kind, with whole-valued parameters where a kind takes a value,
+    since max_int bounds sample_int; geometric p down to its smallest."""
+    kind = draw(st.sampled_from(["constant", "uniform", "geometric", "empirical"]))
+    if kind == "constant":
+        return Distribution.constant(draw(WHOLE))
+    if kind == "uniform":
+        low, high = sorted((draw(WHOLE), draw(WHOLE)))
+        return Distribution.uniform(low, high)
+    if kind == "empirical":
+        return Distribution.empirical(draw(st.lists(WHOLE, min_size=1, max_size=8)))
+    p = draw(st.one_of(st.sampled_from(TINY_P), st.floats(TINY_P[0], 1.0)))
+    return Distribution.geometric(p, draw(st.integers(1, 10**9)))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(distributions())
+def test_mean_lies_within_the_support(d):
+    assert d.min_value() <= d.mean() <= d.max_int()
+
+
+def test_geometric_mean_of_a_tiny_p_stays_within_its_cap():
+    # 1 - (1 - p)**cap loses every digit for p near 2**-54
+    assert Distribution.geometric(2e-16, 1000).mean() == pytest.approx(1000.0)
+    assert Distribution.geometric(TINY_P[0], 50).mean() == pytest.approx(50.0)
 
 
 def test_geometric_sampling_frequency():

@@ -46,7 +46,7 @@ GOLDEN_RUNS = {
     ),
     "slack": (
         {"policy": {"kind": "slack"}},
-        "feb2e380265be18040d3a8746d4c1556148a15b8c3656b1c5bf3c4ed208dc176",
+        "96f527cf51e5ecdacd2741b888e9b48c52f6cfd1572d4cd95e0d2d7bc938a2d3",
         535,
         270,
     ),
@@ -55,20 +55,19 @@ GOLDEN_RUNS = {
             "topology": {"mode": "shared", "llm_engines": {"sql_generator": 2, "sql_fixer": 1}},
             "policy": {
                 "kind": "slack",
-                "use_selectivity": True,
                 "online_estimates": True,
                 "borrow": {"enabled": True},
                 "autoscale": {"enabled": True, "max_engines": 4},
             },
         },
-        "3fed945b1799109202ed306fffc5d1ee61255ba37635cdf1167fdd05af1e7fcc",
+        "08046e1015209c6a37c62f4f5823406f4ea8559290f63f8fa79c24ca0ef9bb44",
         608,
         311,
     ),
     # the generator queue grows to about 110 calls: dispatch from long queues
     "overload": (
         {"arrivals": {"rate": 4.0}, "duration": 60.0},
-        "55ef57c31c9a751d32070eda423a11c9bc621679d2da5687b105a38af8feeb2a",
+        "8bd05008e02a18053cf3f7e542e3b3352360f7b955650583f6dec2ada89f52c8",
         1240,
         581,
     ),
@@ -86,7 +85,7 @@ GOLDEN_RUNS = {
             "arrivals": {"rate": 4.0},
             "duration": 60.0,
         },
-        "d8432da6e3618d14b351a36343749a48938b3787975d6c108ad5edf7a815499f",
+        "a7571e7a4117d16a5188bc5c055367b9cdee2d8fe7545675e6c75cd5e82db8b4",
         2080,
         1170,
     ),
@@ -98,7 +97,7 @@ GOLDEN_RUNS = {
             "arrivals": {"rate": 4.0},
             "warmup": 10.0,
         },
-        "97917f6d997404d590421c650ef20bd61175aa8d0f9eae1a571c1e420eab6e41",
+        "32b09d26f9568b3d99874fe0dba63541c2d43b86c7abdc3a08a37e41d6442221",
         585,
         264,
     ),
@@ -109,7 +108,7 @@ GOLDEN_RUNS = {
             "workflow": {"inline": QUOTED_WORKFLOW},
             "topology": {"mode": "isolated", "llm_engines": {QUOTED_LLM: 2}, "tool_concurrency": 2},
         },
-        "1d35427f63d6af7b3026710588c00924ed43b10ec5773c7f0d23145812ce1365",
+        "ccd0c40f27df7d03b56cb30959f6631108f397c737c9fbd78d3a1fc085d24cde",
         413,
         287,
     ),

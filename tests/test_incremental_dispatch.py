@@ -74,19 +74,14 @@ def las_keys(draw):
 @st.composite
 def slack_keys(draw):
     """slack keys and classes by request id, built as the simulator builds
-    them: up to four classes, each with its own W, E and (or not)
-    selectivity, and deadlines that never decrease with request id, mostly
-    equal or a few ulps apart.  Some deadline steps are the difference of
-    two classes' W, so keys of different classes often tie on deadline - W."""
+    them: up to four classes, each with its own W, and deadlines that
+    never decrease with request id, mostly equal or a few ulps apart.
+    Some deadline steps are the difference of two classes' W, so keys of
+    different classes often tie on deadline - W."""
     base = draw(st.sampled_from([7.25, 1e3 + 0.1, 86400.3, 2.0**40 / 3])) + draw(st.floats(-50.0, 50.0))
     rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
-    with_selectivity = rnd.random() < 0.5
-    classes = [
-        (
-            rnd.choice([0.0, 0.1, 1.0 / 3, 2.5, 7.7, 40.0, rnd.uniform(0.0, 100.0)]),
-            rnd.choice([0.5, 1.0, rnd.uniform(0.0, 3.0)]),
-            rnd.choice([0.2, 0.5]) if with_selectivity else None,
-        )
+    works = [
+        rnd.choice([0.0, 0.1, 1.0 / 3, 2.5, 7.7, 40.0, rnd.uniform(0.0, 100.0)])
         for _ in range(rnd.randint(1, 4))
     ]
     deadline = base
@@ -96,14 +91,12 @@ def slack_keys(draw):
         if step < 0.3:
             deadline = _ulps(deadline, rnd.randint(1, 3))
         elif step < 0.5:
-            (w1, _, _), (w2, _, _) = rnd.choice(classes), rnd.choice(classes)
-            deadline += abs(w1 - w2)
+            deadline += abs(rnd.choice(works) - rnd.choice(works))
         elif step < 0.6:
             deadline += rnd.uniform(0.0, 5.0)
         # else the same deadline as the request before
-        cls = rnd.randrange(len(classes))
-        work, service, selectivity = classes[cls]
-        keys[rid] = (cls, dispatch_key("slack", rid, 0.0, deadline - work, service, selectivity))
+        cls = rnd.randrange(len(works))
+        keys[rid] = (cls, dispatch_key("slack", rid, slack=deadline - works[cls]))
     return keys
 
 

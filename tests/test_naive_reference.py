@@ -23,12 +23,9 @@ import pytest
 import stagesim as ss
 from helpers import assert_same_run, engine_params, nl2sql_vw, sim_config
 
-KINDS = {
-    "fcfs": dict(kind="fcfs"),
-    "las": dict(kind="las"),
-    "slack": dict(kind="slack"),
-    "slack_sel": dict(kind="slack", use_selectivity=True),
-}
+# slack twice, with the two blocks of mixes below, so that it sees all
+# eight mixes in each topology; config names stay unique by their seeds
+KINDS = ("fcfs", "las", "slack", "slack")
 FLAGS = ("online", "borrow", "autoscale", "admission")
 # the eight on/off mixes of FLAGS with an even number on, in two blocks of
 # four in which each flag is on twice
@@ -55,7 +52,7 @@ def generated_configs() -> dict[str, ss.SimConfig]:
             for j, on in enumerate(BLOCKS[(m + k) % 2]):
                 engines, rate, slo = SETTINGS[j % 2]
                 policy = ss.PolicyConfig(
-                    **KINDS[kind],
+                    kind=kind,
                     online_estimates="online" in on,
                     borrow=ss.BorrowConfig(enabled="borrow" in on),
                     autoscale=ss.AutoscaleConfig(enabled="autoscale" in on, max_engines=4),

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import stagesim as ss
 from helpers import engine_params, nl2sql_vw, reference_route_call, sim_config
 from stagesim.engines import DECODE, EngineState, PendingCall
 from stagesim.scheduling import (
@@ -37,14 +36,14 @@ EST = {GENERATOR: 2.0, EXECUTOR: 1.0, FIXER: 1.0}
 # dispatch keys
 
 
-def slack_key(slack, service, request_id, selectivity=None):
-    return dispatch_key("slack", request_id, 0.0, slack, service, selectivity)
+def slack_key(slack, request_id):
+    return dispatch_key("slack", request_id, slack=slack)
 
 
-def simulator_key(vw, estimates, req, use_selectivity=False):
+def simulator_key(vw, estimates, req):
     """The dispatch key the Simulator computes for `req`'s queued call:
     under slack it orders by deadline - W, the slack at time 0."""
-    sim = Simulator(sim_config(vw=vw, policy=ss.PolicyConfig(use_selectivity=use_selectivity)))
+    sim = Simulator(sim_config(vw=vw))
     sim.estimator = ServiceEstimator(estimates)
     sim.requests[req.request_id] = req
     call = PendingCall(req.request_id, req.current_stage, 0.0)
@@ -68,27 +67,29 @@ def test_slack_zero_and_negative():
 
 
 def test_more_urgent_slack_orders_first():
-    assert slack_key(2.0, 1.0, 5) < slack_key(5.0, 0.1, 1)
-
-
-def test_equal_slack_shorter_service_first():
-    assert slack_key(2.0, 0.5, 5) < slack_key(2.0, 1.0, 1)
+    assert slack_key(2.0, 5) < slack_key(5.0, 1)
 
 
 def test_full_tie_lower_arrival_first():
-    assert slack_key(2.0, 1.0, 1) < slack_key(2.0, 1.0, 2)
+    assert slack_key(2.0, 1) < slack_key(2.0, 2)
 
 
-def test_selectivity_orders_descending_when_enabled():
-    assert slack_key(2.0, 1.0, 7, selectivity=0.9) < slack_key(2.0, 1.0, 1, selectivity=0.2)
+def test_equal_deadline_minus_work_orders_by_request_id():
+    # two classes whose deadline - W tie exactly: W is 3 s at the
+    # generator (2 + 1) and 1 s at the executor, with nothing after it.
+    # The lower request id goes first, although its stage takes longer:
+    # the key holds no expected-service term
+    vw = nl2sql_vw(p_fail=0.0)
+    generator = simulator_key(vw, EST, RequestSim(3, 0.0, 12.0, GENERATOR))
+    executor = simulator_key(vw, EST, RequestSim(7, 0.0, 10.0, EXECUTOR))
+    assert generator == (9.0, 3.0)
+    assert executor == (9.0, 7.0)
+    assert generator < executor
 
 
 def test_keys_form_strict_total_order():
     rng = random.Random(0)
-    keys = [
-        slack_key(rng.choice([-1.0, 0.0, 2.5, 2.5, 7.0]), rng.choice([0.5, 1.0, 1.0]), i)
-        for i in range(300)
-    ]
+    keys = [slack_key(rng.choice([-1.0, 0.0, 2.5, 2.5, 7.0]), i) for i in range(300)]
     # antisymmetry: distinct arrival_seq means no two keys compare equal
     assert len(set(keys)) == len(keys)
     ordered = sorted(keys)
@@ -99,18 +100,6 @@ def test_keys_form_strict_total_order():
         a, b, c = rng.sample(keys, 3)
         if a < b and b < c:
             assert a < c
-
-
-def test_simulator_key_gates_selectivity():
-    vw = nl2sql_vw(p_fail=0.4)
-    req = RequestSim(3, 0.0, 30.0, EXECUTOR)
-    plain = simulator_key(vw, EST, req)
-    assert len(plain) == 3  # (slack, service, arrival): no selectivity term
-    gated = simulator_key(vw, EST, req, use_selectivity=True)
-    assert gated[2] == pytest.approx(-0.6)
-    assert gated[-1] == 3.0
-    assert gated[1] == EST[EXECUTOR]
-    assert gated[0] == plain[0]
 
 
 # ----------------------------------------------------------------------

@@ -262,10 +262,10 @@ def test_trace_records_are_their_namedtuples_with_consistent_fields():
         assert sim.stage_pool[rec.stage_id] == rec.pool and rec.queue_delay >= 0.0
         tool = sim.pools[rec.pool].spec.kind != LLM
         assert (rec.engine == "") == tool and (tool or rec.engine.isdigit()), rec
-        # the slack key is (deadline - W, E, request id); slack is taken at dispatch
-        assert rec.expected_service == sim.estimator.estimate(rec.stage_id) == rec.key[1]
+        # the slack key is (deadline - W, request id); slack is taken at dispatch
+        assert rec.expected_service == sim.estimator.estimate(rec.stage_id)
         assert rec.slack == pytest.approx(rec.key[0] - rec.time, abs=1e-9)
-        assert rec.key[2] == rec.request_id
+        assert rec.key[1:] == (rec.request_id,)
         assert rec.best_waiting_key is None or rec.key < rec.best_waiting_key
     assert {rec.engine == "" for rec in dispatches} == {True, False}
     for rec in requests:
@@ -305,9 +305,8 @@ def test_warmup_requests_simulated_but_excluded():
         ss.PolicyConfig(kind="fcfs"),
         ss.PolicyConfig(kind="las"),
         ss.PolicyConfig(kind="slack"),
-        ss.PolicyConfig(kind="slack", use_selectivity=True),
     ],
-    ids=["fcfs", "las", "slack", "slack_selectivity"],
+    ids=["fcfs", "las", "slack"],
 )
 def test_recorded_keys_match_dispatch_key(policy):
     # Replays each request's finished stages up to each of its dispatches
@@ -328,11 +327,7 @@ def test_recorded_keys_match_dispatch_key(policy):
         assert stage_id == rec.stage_id
         remaining = expected_remaining_work(vw, estimates)[(stage_id, retries)]
         # the key orders by deadline - W; the slack column is taken at dispatch
-        selectivity = vw.selectivity(rec.stage_id) if policy.use_selectivity else None
-        expected = dispatch_key(
-            policy.kind, rec.request_id, attained, deadline - remaining, estimates[rec.stage_id], selectivity
-        )
-        assert rec.key == expected
+        assert rec.key == dispatch_key(policy.kind, rec.request_id, attained, deadline - remaining)
         assert rec.slack == deadline - rec.time - remaining
         contended += rec.best_waiting_key is not None
     assert contended > 0, "run never had queue contention"

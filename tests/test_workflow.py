@@ -494,13 +494,6 @@ def test_missing_estimate():
         expected_remaining_work(vw, {GENERATOR: 1.0})
 
 
-def test_selectivity_is_terminal_outcome_mass():
-    vw = nl2sql_vw(p_fail=0.3)
-    assert vw.selectivity(EXECUTOR) == pytest.approx(0.7)
-    assert vw.selectivity(GENERATOR) == 0.0
-    assert vw.selectivity(FIXER) == 0.0
-
-
 PLAN_WORKFLOWS = {
     "nl2sql": lambda: nl2sql_vw(),
     "nl2sql_budget_0": lambda: nl2sql_vw(retry_budget=0),

@@ -133,20 +133,19 @@ def test_engine_overrides_only_isolated():
 
 
 def test_fcfs_orders_by_arrival():
-    assert dispatch_key("fcfs", 3, 9.0, 0.0, 1.0) < dispatch_key("fcfs", 7, 0.0, -5.0, 0.1)
+    assert dispatch_key("fcfs", 3, 9.0, 0.0) < dispatch_key("fcfs", 7, 0.0, -5.0)
 
 
 def test_las_orders_by_attained_service():
-    assert dispatch_key("las", 9, 0.2, 5.0, 1.0) < dispatch_key("las", 1, 1.5, -5.0, 0.1)
+    assert dispatch_key("las", 9, 0.2, 5.0) < dispatch_key("las", 1, 1.5, -5.0)
 
 
 def test_las_tie_breaks_by_arrival():
-    assert dispatch_key("las", 1, 0.5, 5.0, 1.0) < dispatch_key("las", 2, 0.5, -5.0, 0.1)
+    assert dispatch_key("las", 1, 0.5, 5.0) < dispatch_key("las", 2, 0.5, -5.0)
 
 
 def test_slack_policy_delegates_to_priority_key():
-    assert dispatch_key("slack", 4, 9.0, 1.0, 0.5) == (1.0, 0.5, 4.0)
-    assert dispatch_key("slack", 4, 9.0, 1.0, 0.5, selectivity=0.25) == (1.0, 0.5, -0.25, 4.0)
+    assert dispatch_key("slack", 4, 9.0, 1.0) == (1.0, 4.0)
 
 
 def test_unknown_policy_kind_rejected():
