@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .engines import _KV_TOL, EngineState, PendingCall
 from .errors import ConfigError, InternalInvariantViolation
-from .rng import RngStream
+from .rng import RngStream, draw, stream_prefix
 from .scheduling import (
     AdmissionConfig,
     AutoscaleConfig,
@@ -78,8 +78,8 @@ def percentile(samples: list[float], q: float) -> float:
 
 def sample_interarrival(stream: RngStream, rate: float) -> float:
     """Exponential interarrival gap via inverse CDF, -ln(u)/rate."""
-    if rate <= 0:
-        raise ValueError("arrival rate must be positive")
+    if not 0 < rate < math.inf:  # written so that NaN fails
+        raise ValueError("arrival rate must be positive and finite")
     return -math.log(stream.uniform()) / rate
 
 
@@ -261,7 +261,10 @@ class RunResult:
 @dataclass(slots=True)
 class RequestSim:
     """A live request: its place in the workflow graph (a terminal once it
-    ends), the service it has had, and its own RNG streams."""
+    ends), the service it has had, and its own RNG streams: `streams` maps
+    each `Simulator._draw_labels` entry the request has drawn from to the
+    number of draws made, and `draw_prefix`, built at its first draw, is
+    the bytes `f"{seed}|req:{request_id}:"` those draws start with."""
 
     request_id: int
     arrival_time: float
@@ -271,7 +274,8 @@ class RequestSim:
     n_stage_calls: int = 0
     attained: float = 0.0
     dispatch_time: float = 0.0
-    streams: dict[str, RngStream] = field(default_factory=dict)
+    streams: dict[bytes, int] = field(default_factory=dict)
+    draw_prefix: bytes = b""
     counted: bool = True  # arrived at or after warmup: in the report's cohort
 
 
@@ -398,10 +402,12 @@ class Simulator:
         self._slack = self.policy.kind == "slack"
         self._slo = self.vw.slo_seconds
         self._stages = {sid: self.vw.stage(sid) for sid in self.vw.stage_ids}
-        # stage -> draw kind -> the label of the request stream it draws
-        # from (`_draw`), built once
+        # the bytes every request draw starts with, and stage -> draw kind
+        # -> the UTF-8 label of the request stream it draws from (`_draw`),
+        # built once
+        self._request_head = stream_prefix(config.seed, "req:")
         self._draw_labels = {
-            sid: {kind: f"{kind}:{sid}" for kind in ("prompt", "output", "tool", "outcome")}
+            sid: {kind: f"{kind}:{sid}".encode() for kind in ("prompt", "output", "tool", "outcome")}
             for sid in self.vw.stage_ids
         }
         # the pools whose utilization() borrowing reads, and so the only
@@ -457,20 +463,23 @@ class Simulator:
     def _schedule(
         self, time: float, kind: str, engine_id: int = -1, request_id: int = -1, epoch: int = -1
     ) -> None:
-        if time < self.clock - 1e-12:
+        if not time >= self.clock - 1e-12:  # written so that NaN fails
             raise InternalInvariantViolation(
                 f"event '{kind}' scheduled at {time} before clock {self.clock}"
             )
         seq = self._seq = self._seq + 1
         heappush(self._heap, _new(Event, (time, seq, kind, engine_id, request_id, epoch)))
 
-    def _draw(self, req: RequestSim, label: str) -> float:
+    def _draw(self, req: RequestSim, label: bytes) -> float:
         """The next uniform of the request's own stream `req:{rid}:{label}`,
         where `label` is a `_draw_labels` entry."""
-        stream = req.streams.get(label)
-        if stream is None:
-            stream = req.streams[label] = RngStream(self.cfg.seed, f"req:{req.request_id}:{label}")
-        return stream.uniform()
+        prefix = req.draw_prefix
+        if not prefix:
+            prefix = req.draw_prefix = b"%b%d:" % (self._request_head, req.request_id)
+        streams = req.streams
+        index = streams.get(label, 0)
+        streams[label] = index + 1
+        return draw(prefix, label, index)
 
     def _home_engines(self, pool_id: str) -> list[EngineState]:
         return [e for e in self.engines.values() if e.home_pool == pool_id]

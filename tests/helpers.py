@@ -14,6 +14,7 @@ import pytest
 
 import stagesim as ss
 from stagesim.engines import DECODE, EngineParams
+from stagesim.rng import RngStream
 from stagesim.scheduling import _route_order, can_evict_for, route_call_with_eviction
 from stagesim.simulation import (
     EVENT_ARRIVAL,
@@ -404,6 +405,9 @@ class NaiveSimulator(ss.Simulator):
     - superseded completions: popped and processed as no-ops, each with
       the clock advance, dispatch pass, check and sampling of any event;
     - the completion pick: `reference_next_completion`;
+    - request draws: one `RngStream(seed, f"req:{rid}:{label}")` per
+      request and label, in place of the counters in `RequestSim.streams`
+      and the preformatted bytes `_draw` hashes;
     - the report's request tally: a recount of the cohort, the requests
       arriving at or after warmup, from the full record list and, for
       `in_flight_at_end`, from the live requests' arrival times.
@@ -426,7 +430,15 @@ class NaiveSimulator(ss.Simulator):
         self._finished: set[int] = set()  # the requests with a RequestRecord
         self._audited = (0, 0)  # the borrows and returns `_lent` is from
         self._lent: dict[int, str] = {}  # each lent engine's borrower
+        self._request_streams: dict[tuple[int, bytes], RngStream] = {}  # by request and label
         super().__init__(config)
+
+    def _draw(self, req, label: bytes) -> float:
+        key = (req.request_id, label)
+        stream = self._request_streams.get(key)
+        if stream is None:
+            stream = self._request_streams[key] = RngStream(self.cfg.seed, f"req:{req.request_id}:{label.decode()}")
+        return stream.uniform()
 
     def _serving(self, pool) -> list:
         """The engines serving a pool, in id order."""

@@ -106,6 +106,14 @@ def test_interarrival_requires_positive_rate():
         sample_interarrival(_StubStream(0.5), 0.0)
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+def test_interarrival_requires_finite_rate(rate):
+    # a NaN rate would give a NaN gap, an infinite one a 0.0 gap that never
+    # moves the clock
+    with pytest.raises(ValueError):
+        sample_interarrival(_StubStream(0.5), rate)
+
+
 # ----------------------------------------------------------------------
 # whole-run behavior
 
@@ -662,7 +670,7 @@ def test_untouched_engine_is_trusted_until_its_horizon():
 
 
 def test_only_unfinished_requests_keep_rng_streams():
-    sim = Simulator(sim_config(policy=ELASTIC_POLICY, rate=4.0, duration=40.0, seed=2))
+    sim = RetainingSimulator(sim_config(policy=ELASTIC_POLICY, rate=4.0, duration=40.0, seed=2))
     result = sim.run()
     assert len(result.traces.requests) > 50
     assert sim.requests, "the run should end with requests in flight"
@@ -671,8 +679,17 @@ def test_only_unfinished_requests_keep_rng_streams():
         assert rid not in finished
         assert not is_terminal(req.current_stage)
         assert req.streams
-        for label, stream in req.streams.items():
-            assert stream.label == f"req:{rid}:{label}"
+        entered = {rec.stage_id for rec in sim.finished_stages.get(rid, ())} | {req.current_stage}
+        labels = {label for sid in entered for label in sim._draw_labels[sid].values()}
+        for label, count in req.streams.items():
+            assert label in labels and count >= 1, (rid, label, count)
+
+
+def test_schedule_rejects_a_nan_time():
+    sim = Simulator(sim_config(seed=1))
+    with pytest.raises(ss.InternalInvariantViolation, match="before clock"):
+        sim._schedule(math.nan, simulation.EVENT_ARRIVAL)
+    assert not sim._heap
 
 
 def test_zero_duration_run_is_empty():
