@@ -225,10 +225,10 @@ def try_borrow(
     """Match the busiest starved pool with an idle engine elsewhere.
 
     Returns (engine_id, lender_pool, borrower_pool); None when no pairing
-    clears the utilization hysteresis and free-memory guard.
+    clears the utilization hysteresis and free-memory guard.  A borrower is
+    above `util_high` and a lender below `util_low`, so never the same
+    pool.  The caller gates on `cfg.enabled`.
     """
-    if not cfg.enabled:
-        return None
     borrowers = sorted(
         (v for v in views if v.utilization > cfg.util_high),
         key=lambda v: (-v.queue_len, v.pool_id),
@@ -240,8 +240,6 @@ def try_borrow(
     for borrower in borrowers:
         need = cfg.min_free_kv_tokens + borrower.prefix_tokens
         for lender in lenders:
-            if lender.pool_id == borrower.pool_id:
-                continue
             fitting = [eid for eid, free in lender.idle_engines if free >= need]
             if fitting:
                 return min(fitting), lender.pool_id, borrower.pool_id
@@ -262,9 +260,8 @@ def autoscale_tick(
     idle_engine_available: bool,
     last_scale_time: float,
 ) -> int:
-    """Per-pool scale decision: +1, -1, or 0."""
-    if not cfg.enabled:
-        return 0
+    """Per-pool scale decision: +1, -1, or 0.  The caller gates on
+    `cfg.enabled`."""
     if now - last_scale_time < cfg.cooldown:
         return 0
     if violation_fraction > cfg.scale_out_threshold and n_engines < cfg.max_engines:

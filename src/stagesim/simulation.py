@@ -318,18 +318,18 @@ class PoolRuntime:
         # skipped until then, or until the key version changes while it
         # holds two or more classes
         self.dirty = False
-        # a tool pool's slots and the slots with a call; an LLM pool's
-        # servers are `engines` and its busy servers those with a batch, so
-        # both count tool slots only
+        # the servers autoscaling counts, a tool pool's slots or the engines
+        # an LLM pool is home to (lent or not, kept by _add_engine and
+        # scale-in); and a tool pool's slots with a call
         self.capacity = 0 if spec.kind == LLM else spec.concurrency
         self.busy = 0
         self.engines: list[EngineState] = []
-        # utilization window, read by borrowing only: integrated only for
-        # the pools in Simulator._lendable, and left at 0 in any other
+        # the borrow check's window: integrated and reset only for the pools
+        # in Simulator._lendable, and left at 0 in any other
         self.busy_integral = 0.0
         self.capacity_integral = 0.0
         self.prev_utilization = 0.0
-        # autoscale window
+        # the autoscale tick's window
         self.window_dispatches = 0
         self.window_delay_violations = 0
         self.last_scale_time = NEVER_SCALED
@@ -343,15 +343,13 @@ class PoolRuntime:
             return min(1.0, self.busy_integral / self.capacity_integral)
         return self.prev_utilization
 
-    def reset_window(self) -> None:
-        # a pool that is not integrated, or an empty window, keeps
-        # prev_utilization, which utilization() already reads
+    def reset_utilization_window(self) -> None:
+        # an empty window keeps prev_utilization, which utilization()
+        # already reads
         if self.capacity_integral > 0.0:
             self.prev_utilization = self.utilization()
             self.busy_integral = 0.0
             self.capacity_integral = 0.0
-        self.window_dispatches = 0
-        self.window_delay_violations = 0
 
     def tool_slots_full(self) -> bool:
         """A tool pool with every slot busy: none of its queued calls can
@@ -456,7 +454,9 @@ class Simulator:
         self.engines[engine.engine_id] = engine
         self._kv_integral[engine.engine_id] = 0.0
         self._next_engine_id += 1
-        self.pools[pool_id].engines.append(engine)  # the highest id yet, so in id order
+        pool = self.pools[pool_id]
+        pool.engines.append(engine)  # the highest id yet, so in id order
+        pool.capacity += 1
         self._touched[engine.engine_id] = engine  # its first KV row
         return engine
 
@@ -480,9 +480,6 @@ class Simulator:
         index = streams.get(label, 0)
         streams[label] = index + 1
         return draw(prefix, label, index)
-
-    def _home_engines(self, pool_id: str) -> list[EngineState]:
-        return [e for e in self.engines.values() if e.home_pool == pool_id]
 
     def _remaining_table(self) -> dict[tuple[str, int], float]:
         if self._work_version != self.estimator.version:
@@ -555,8 +552,8 @@ class Simulator:
 
         A tool pool's busy slots must lie within its slots, which have
         nothing to recount them from.  The LLM pools' lists must partition
-        `self.engines`, each in strictly increasing id order and holding
-        only engines that serve that pool.
+        `self.engines`, each in strictly increasing id order, holding only
+        engines that serve that pool and at least one whose home it is.
 
         An engine the event touched (or added) gets the full recount of
         `EngineState.check`.  Any other engine has not changed since its
@@ -580,6 +577,7 @@ class Simulator:
             pid = pool.pool_id
             stages = pool.spec.stage_ids
             last = -1
+            own = False
             for e in pool.engines:
                 eid = e.engine_id
                 # strictly increasing ids, each a live engine serving this
@@ -591,8 +589,12 @@ class Simulator:
                         f"out of order or not serving it"
                     )
                 last = eid
+                if e.home_pool == pid:
+                    own = True
                 if eid in touched or now > e.horizon:
                     e.check(now, stages)
+            if not own:
+                raise InternalInvariantViolation(f"pool {pid}: no engine of its own serves it")
             listed += len(pool.engines)
         if listed != len(engines):  # every engine is listed, and only once
             raise InternalInvariantViolation(
@@ -895,24 +897,24 @@ class Simulator:
         bisect.insort(self.pools[pool_id].engines, engine, key=attrgetter("engine_id"))
         engine.serving_pool = pool_id
 
+    def _spare_engines(self, pool: PoolRuntime) -> list[EngineState]:
+        """The engines an LLM pool can give up, to a borrower or to
+        scale-in: its idle engines at home (home, serving it, no batch), in
+        id order, and none while it has only one engine at home, so that it
+        never goes without an engine of its own."""
+        pid = pool.pool_id
+        home = [e for e in pool.engines if e.home_pool == pid]
+        return [e for e in home if not e.batch] if len(home) > 1 else []
+
     def _borrow_views(self) -> list[BorrowPoolView]:
         views = []
         for pool in self._lendable:
-            available = [
-                e for e in self._home_engines(pool.pool_id) if e.lent_to is None
-            ]
-            # a pool never lends its last engine, lest it starve itself
-            idle = tuple(
-                (e.engine_id, e.free_kv())
-                for e in available
-                if not e.batch and len(available) > 1
-            )
             views.append(
                 BorrowPoolView(
                     pool_id=pool.pool_id,
                     utilization=pool.utilization(),
                     queue_len=pool.queue_len,
-                    idle_engines=idle,
+                    idle_engines=tuple((e.engine_id, e.free_kv()) for e in self._spare_engines(pool)),
                     prefix_tokens=self._stages[pool.spec.stage_ids[0]].prefix_tokens,
                 )
             )
@@ -930,37 +932,36 @@ class Simulator:
             self._set_serving_pool(self.engines[engine_id], borrower)
             self.audit.borrows.append((self.clock, engine_id, lender, borrower))
             self.pools[lender].dirty = self.pools[borrower].dirty = True
-        if not self.policy.autoscale.enabled:
-            for pool in self.pools.values():
-                pool.reset_window()
+        for pool in self._lendable:
+            pool.reset_utilization_window()
         self._schedule(ev.time + self.policy.autoscale.check_interval, EVENT_BORROW_CHECK)
 
     def _handle_autoscale_tick(self, ev: Event) -> None:
         cfg = self.policy.autoscale
         for pool in self.pools.values():
             if pool.spec.kind == LLM:
-                home = self._home_engines(pool.pool_id)
-                idle = [e for e in home if e.lent_to is None and not e.batch]
-                n, any_idle = len(home), bool(idle)
+                spare = self._spare_engines(pool)
+                any_idle = bool(spare)
             else:
-                n, any_idle = pool.capacity, pool.busy < pool.capacity
+                any_idle = pool.busy < pool.capacity
             decision = autoscale_tick(
-                cfg, self.clock, n, pool.violation_fraction(), any_idle, pool.last_scale_time
+                cfg, self.clock, pool.capacity, pool.violation_fraction(), any_idle, pool.last_scale_time
             )
             if decision:
                 if pool.spec.kind != LLM:
                     pool.capacity += decision
                 elif decision > 0:
                     self._add_engine(pool.pool_id, pool.spec.engine_params)  # cold start
-                else:  # the highest id, since self.engines is in id order
-                    victim = idle[-1]
+                else:  # the highest id of the pool's spare engines
+                    victim = spare[-1]
                     self._touch(victim)  # closes its KV trace and integral
                     del self.engines[victim.engine_id]
-                    pool.engines.remove(victim)  # idle at home, so listed here
+                    pool.engines.remove(victim)
+                    pool.capacity -= 1
                 pool.dirty = True
                 pool.last_scale_time = self.clock
                 self.audit.scale_events.append((self.clock, pool.pool_id, decision))
-            pool.reset_window()
+            pool.window_dispatches = pool.window_delay_violations = 0
         self._schedule(ev.time + cfg.check_interval, EVENT_AUTOSCALE_TICK)
 
     # ------------------------------------------------------------------

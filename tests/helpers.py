@@ -396,6 +396,10 @@ class NaiveSimulator(ss.Simulator):
       horizon, of every engine, of the engines' id order, of each LLM
       pool's engine list, of what holds each live request's stage call
       (`_check_calls`) and of whom each engine serves (`_check_lending`);
+    - the engines an LLM pool owns: recounted from `self.engines` against
+      its `capacity`, and at least one of them serving it, from
+      `_serving(pool)`, so that lending and scale-in never leave a pool
+      without an engine of its own;
     - dispatch: every pool with a queue is offered after every event, and
       each placement takes the least key over every queued call
       (`reference_select`), so `PoolRuntime.heads`, `key_version` and
@@ -473,8 +477,14 @@ class NaiveSimulator(ss.Simulator):
     def _check_invariants(self) -> None:
         assert list(self.engines) == sorted(self.engines), "engines out of id order"
         for pool in self.pools.values():
-            if pool.spec.kind == LLM and pool.engines != self._serving(pool):
-                raise ss.InternalInvariantViolation(f"pool {pool.pool_id}: engine list differs from a recount")
+            if pool.spec.kind != LLM:
+                continue
+            pid, serving = pool.pool_id, self._serving(pool)
+            if pool.engines != serving:
+                raise ss.InternalInvariantViolation(f"pool {pid}: engine list differs from a recount")
+            assert pool.capacity == sum(e.home_pool == pid for e in self.engines.values()), pid
+            if not any(e.home_pool == pid for e in serving):
+                raise ss.InternalInvariantViolation(f"pool {pid}: no engine of its own serves it")
         self._check_calls()
         self._check_lending()
         for engine in self.engines.values():

@@ -25,7 +25,7 @@ from stagesim.scheduling import (
     should_return_borrowed,
     try_borrow,
 )
-from stagesim.simulation import RequestSim, Simulator
+from stagesim.simulation import EVENT_AUTOSCALE_TICK, EVENT_BORROW_CHECK, PolicyConfig, RequestSim, Simulator
 from stagesim.workflow import Outcome, WorkflowSpec, validate_workflow
 from stagesim.workloads import EXECUTOR, FIXER, GENERATOR, Nl2SqlParams, build_nl2sql
 
@@ -384,9 +384,26 @@ def test_borrow_prefers_longest_queue():
     assert try_borrow(views, BORROW)[2] == "other"
 
 
-def test_borrow_disabled():
-    views = [_view("gen", 0.0, idle=[(1, 5000)]), _view("fix", 0.95, queue=10)]
-    assert try_borrow(views, BorrowConfig(enabled=False)) is None
+def scheduled_kinds(monkeypatch, borrow: bool, autoscale: bool) -> set[str]:
+    """The kinds of every event a run schedules: `try_borrow` and
+    `autoscale_tick` do not read `enabled`, so the run must not schedule
+    the loop of a mechanism that is off."""
+    kinds = set()
+    schedule = Simulator._schedule
+
+    def recorded(sim, time, kind, *args, **kwargs):
+        kinds.add(kind)
+        schedule(sim, time, kind, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "_schedule", recorded)
+    policy = PolicyConfig(borrow=BorrowConfig(enabled=borrow), autoscale=AutoscaleConfig(enabled=autoscale))
+    Simulator(sim_config(engines=(1, 3), policy=policy, rate=4.0, duration=20.0, seed=2)).run()
+    return kinds
+
+
+def test_borrow_disabled(monkeypatch):
+    kinds = scheduled_kinds(monkeypatch, borrow=False, autoscale=True)
+    assert EVENT_AUTOSCALE_TICK in kinds and EVENT_BORROW_CHECK not in kinds
 
 
 def test_borrow_config_invariants():
@@ -446,9 +463,9 @@ def test_no_scale_in_without_idle_engine():
     assert autoscale_tick(SCALE, 10.0, 2, 0.0, False, NEVER_SCALED) == 0
 
 
-def test_disabled_never_scales():
-    cfg = AutoscaleConfig(enabled=False)
-    assert autoscale_tick(cfg, 10.0, 2, 1.0, True, NEVER_SCALED) == 0
+def test_disabled_never_scales(monkeypatch):
+    kinds = scheduled_kinds(monkeypatch, borrow=True, autoscale=False)
+    assert EVENT_BORROW_CHECK in kinds and EVENT_AUTOSCALE_TICK not in kinds
 
 
 def test_autoscale_config_invariants():

@@ -4,6 +4,7 @@ import json
 import math
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ from helpers import (
     segment_end_kv,
     sim_config,
 )
+from stagesim.config import build_sim_config
 from stagesim.dists import Distribution
 from stagesim.engines import EngineState, PendingCall
 from stagesim.rng import RngStream
@@ -403,7 +405,7 @@ def test_utilization_is_integrated_and_read_only_where_borrowing_reads_it(monkey
     # borrowing reads the utilization of single-stage LLM pools only, so
     # only they integrate it, to the values NaiveSimulator reads from
     # integrating every pool at every event; the tool pool and the
-    # autoscaler never read it
+    # autoscaler never read it, and each loop resets only its own window
     reads: list[tuple[object, float]] = []
     utilization = simulation.PoolRuntime.utilization
 
@@ -428,7 +430,7 @@ def test_utilization_is_integrated_and_read_only_where_borrowing_reads_it(monkey
     assert [value for _, value in got] == pytest.approx([value for _, value in want_lendable], rel=1e-9, abs=1e-9)
     tool = sim.pools[sim.stage_pool[EXECUTOR]]
     assert (tool.busy_integral, tool.capacity_integral) == (0.0, 0.0)
-    assert tool.pool_id in {pid for pid, _ in want}  # the naive window resets read it
+    assert tool.pool_id not in {pool.pool_id for pool, _ in reads}  # in neither run
 
 
 def test_without_borrowing_no_pool_integrates_utilization():
@@ -436,6 +438,56 @@ def test_without_borrowing_no_pool_integrates_utilization():
     sim.run()
     assert sim._lendable == []
     assert all((p.busy_integral, p.capacity_integral) == (0.0, 0.0) for p in sim.pools.values())
+
+
+def lend_and_scale_in_config(seed: int) -> ss.SimConfig:
+    """The base of configs/nl2sql_compare.json with `p_fail` 0.1, 1
+    generator and 3 fixer engines at 4.0/s, borrowing on and autoscaling
+    with a 1 s cooldown: a 10 s run in which the fixer pool lends engines
+    to the generator pool while it scales in."""
+    tree = json.loads((Path(__file__).resolve().parents[1] / "configs" / "nl2sql_compare.json").read_text())["base"]
+    tree["workflow"]["params"] = {"p_fail": 0.1}
+    tree["topology"]["llm_engines"] = {GENERATOR: 1, FIXER: 3}
+    tree["policy"] = {"kind": "slack", "borrow": {"enabled": True}, "autoscale": {"enabled": True, "cooldown": 1.0}}
+    tree["arrivals"]["rate"] = 4.0
+    tree.update(duration=10.0, warmup=1.0, seed=seed)
+    return build_sim_config(tree)
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_lending_and_scale_in_leave_each_pool_an_engine_of_its_own(seed):
+    # the fixer pool lends engines to the generator pool and scales in; it
+    # must keep an engine at home, else its calls wait to the end of the
+    # run while the report counts them only as in flight
+    sim, naive = assert_same_run(lend_and_scale_in_config(seed))
+    assert sim.audit.borrows and any(delta < 0 for _, _, delta in sim.audit.scale_events)
+
+
+def _busy_fixer_engine(sim):
+    sim.engines[1].admit(PendingCall(0, FIXER, 0.0, 100, 50), sim._stages[FIXER].prefix_tokens, 0.0)
+
+
+def _lend_fixer_engine(sim):
+    sim._set_serving_pool(sim.engines[2], sim.stage_pool[GENERATOR])
+
+
+@pytest.mark.parametrize(
+    "change, stage, spare",
+    [
+        (None, GENERATOR, []),  # one engine at home, idle
+        (None, FIXER, [1, 2]),  # two at home, both idle
+        (_busy_fixer_engine, FIXER, [2]),  # two at home, one busy: the idle one
+        (_lend_fixer_engine, GENERATOR, []),  # one at home plus one borrowed in
+        (_lend_fixer_engine, FIXER, []),  # two at home, one of them lent away
+    ],
+)
+def test_spare_engines_are_idle_at_home_and_never_the_last_one(change, stage, spare):
+    # the one rule for the engines a pool can give up, to a borrower or to
+    # scale-in
+    sim = Simulator(sim_config(engines=(1, 2)))
+    if change is not None:
+        change(sim)
+    assert [e.engine_id for e in sim._spare_engines(sim.pools[sim.stage_pool[stage]])] == spare
 
 
 def test_invariant_check_catches_pool_counters_out_of_bounds():
@@ -471,6 +523,11 @@ def _corrupt_missing(sim, pool):
     pool.engines.pop()
 
 
+def _corrupt_all_lent(sim, pool):
+    for engine in list(pool.engines):
+        sim._set_serving_pool(engine, sim.stage_pool[GENERATOR])
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -479,6 +536,7 @@ def _corrupt_missing(sim, pool):
         (_corrupt_retired_left_in, "out of order or not serving it"),
         (_corrupt_listed_in_two_pools, "out of order or not serving it"),
         (_corrupt_missing, "pool engine lists hold 3 engines, 4 exist"),
+        (_corrupt_all_lent, "no engine of its own serves it"),
     ],
 )
 def test_invariant_check_catches_a_corrupt_pool_engine_list(corrupt, message):
