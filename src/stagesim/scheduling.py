@@ -280,15 +280,14 @@ class ServiceEstimator:
 
     The given means stay fixed by default; with online=True the estimates
     track an exponentially weighted mean of observed stage service times,
-    each observation weighted `alpha`.
+    each observation weighted `WEIGHT`.
     """
 
-    def __init__(self, means: dict[str, float], online: bool = False, alpha: float = 0.2) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
+    WEIGHT = 0.2
+
+    def __init__(self, means: dict[str, float], online: bool = False) -> None:
         self._means = dict(means)
         self.online = online
-        self.alpha = alpha
         self.version = 0  # bumped on every update, for caching derived tables
 
     def estimates(self) -> dict[str, float]:
@@ -301,7 +300,8 @@ class ServiceEstimator:
         if not self.online:
             return
         prev = self._means[stage_id]
-        self._means[stage_id] = self.alpha * seconds + (1.0 - self.alpha) * prev
+        w = self.WEIGHT
+        self._means[stage_id] = w * seconds + (1.0 - w) * prev
         self.version += 1
 
 

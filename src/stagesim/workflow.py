@@ -100,6 +100,8 @@ class ValidatedWorkflow:
     `outcome_table` maps (stage, outcome label) to (next stage or
     terminal, whether that edge is a loop edge), compiled once here for
     `next_step`, which reads it instead of scanning the stage's outcomes.
+    `remaining_work_plan` and `success_reachable` come from one walk of
+    the states a request can occupy (`_compile_remaining_work`).
     Immutable after construction; safe to share across simulations.
     """
 
@@ -119,7 +121,7 @@ class ValidatedWorkflow:
             for out in st.outcomes
         }
         # after the table: compiling the plan calls next_step
-        self.remaining_work_plan = _compile_remaining_work(self)
+        self.remaining_work_plan, self.success_reachable = _compile_remaining_work(self)
 
     @property
     def name(self) -> str:
@@ -282,31 +284,9 @@ def validate_workflow(spec: WorkflowSpec) -> ValidatedWorkflow:
         raise UnreachableStage(f"stages not reachable from entry: {unreachable}")
 
     vw = ValidatedWorkflow(spec, stages, _loop_edges(spec, stages, adj))
-    if not _success_reachable(vw):
+    if not vw.success_reachable:
         raise UnreachableTerminal("terminal Success is not reachable from the entry stage")
     return vw
-
-
-def _success_reachable(vw: ValidatedWorkflow) -> bool:
-    """Whether a request can end in Success: a search from (entry stage,
-    0 retries) through outcomes of positive probability, each applied as
-    `next_step` applies it, so a loop edge past the budget leads to
-    Failure."""
-    start = (vw.entry_stage, 0)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        stage_id, retries = frontier.pop()
-        for out in vw.stage(stage_id).outcomes:
-            if out.prob == 0.0:
-                continue
-            nxt = next_step(stage_id, retries, out.label, vw)
-            if nxt[0] == SUCCESS:
-                return True
-            if nxt[0] != FAILURE and nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return False
 
 
 def next_step(stage_id: str, retries_used: int, outcome: str, vw: ValidatedWorkflow) -> tuple[str, int]:
@@ -336,66 +316,66 @@ def _no_next_step(stage_id: str, outcome: str, vw: ValidatedWorkflow) -> NoRetur
     raise UnknownOutcome(f"stage '{stage_id}' has no outcome '{outcome}'") from None
 
 
-def _compile_remaining_work(vw: ValidatedWorkflow) -> tuple:
-    """The remaining-work dynamic program over (stage, retries_used) as a
-    flat plan: one `(key, stage or None at a terminal, ((probability,
-    dependency key), ...))` entry per key, whose expected remaining work is
-    the stage's service plus each probability times its dependency's.  An
-    outcome's dependency is where `next_step` sends it; a terminal one and
-    a zero-probability outcome add no term.
+def _compile_remaining_work(vw: ValidatedWorkflow) -> tuple[tuple, bool]:
+    """Walk the states a request can occupy and return the remaining-work
+    plan and whether any of them reaches Success.
 
-    Entries come in the order a memoised depth-first recursion finishes
-    them, which puts every dependency first; finite because every cycle
-    passes a loop edge, which strictly increases retries_used up to the
-    budget.
+    The walk is an iterative depth-first search from (entry stage, 0
+    retries) through outcomes of positive probability, each applied with
+    `next_step`, so a loop edge past the budget leads to Failure.  The plan
+    has one `(key, ((probability, dependency key), ...))` entry per
+    (stage, retries_used) state it reaches, whose expected remaining work
+    is the stage's service plus each probability times its dependency's;
+    an outcome that ends in a terminal adds no term.  Entries come in the
+    order a recursion would finish them, which puts every dependency
+    first.  The states form a DAG, so the walk ends and a state on the
+    stack is never reached again before it finishes: every cycle passes a
+    loop edge, which strictly increases retries_used up to the budget.
     """
-    budget = vw.retry_budget
     plan = []
-    seen: set[tuple[str, int]] = set()
-
-    def visit(stage_id: str, retries: int) -> None:
-        key = (stage_id, retries)
-        if key in seen:
-            return
-        if is_terminal(stage_id):
-            seen.add(key)
-            plan.append((key, None, ()))
-            return
-        terms = []
-        for out in vw.stage(stage_id).outcomes:
-            dep = next_step(stage_id, retries, out.label, vw)
-            if out.prob == 0.0 or is_terminal(dep[0]):
+    success = False
+    done: set[tuple[str, int]] = set()
+    start = (vw.entry_stage, 0)
+    # each frame: the state, the iterator over its outcomes left to apply,
+    # and the terms gathered so far
+    stack = [(start, iter(vw.stage(start[0]).outcomes), [])]
+    while stack:
+        key, outcomes, terms = stack[-1]
+        for out in outcomes:
+            if out.prob == 0.0:
                 continue
-            visit(*dep)
+            dep = next_step(*key, out.label, vw)
+            if is_terminal(dep[0]):
+                success = success or dep[0] == SUCCESS
+                continue
             terms.append((out.prob, dep))
-        seen.add(key)
-        plan.append((key, stage_id, tuple(terms)))
-
-    for stage_id in (*vw.stage_ids, *TERMINALS):
-        for retries in range(budget + 1):
-            visit(stage_id, retries)
-    return tuple(plan)
+            if dep not in done:
+                stack.append((dep, iter(vw.stage(dep[0]).outcomes), []))
+                break
+        else:
+            stack.pop()
+            done.add(key)
+            plan.append((key, tuple(terms)))
+    return tuple(plan), success
 
 
 def expected_remaining_work(
     vw: ValidatedWorkflow, service_estimates: dict[str, float]
 ) -> dict[tuple[str, int], float]:
-    """Exact expected remaining service time from every request position.
+    """Exact expected remaining service time from every state a request
+    can occupy.
 
-    Maps (current stage, retries_used), for every stage and terminal and
-    every retries_used in 0..retry_budget, to the expected service still
-    ahead (0.0 at a terminal): the workflow's compiled plan evaluated for
-    these estimates.
+    Maps each (current stage, retries_used) the workflow's plan walked,
+    and no terminal, to the expected service still ahead: the plan
+    evaluated for these estimates.  The simulator reads it only at the
+    state of a queued or dispatched call, which is always one of these.
     """
     for sid in vw.stage_ids:
         if sid not in service_estimates:
             raise MissingEstimate(sid)
     table: dict[tuple[str, int], float] = {}
-    for key, stage_id, terms in vw.remaining_work_plan:
-        if stage_id is None:
-            table[key] = 0.0
-            continue
-        total = service_estimates[stage_id]
+    for key, terms in vw.remaining_work_plan:
+        total = service_estimates[key[0]]
         for prob, dep in terms:
             total += prob * table[dep]
         table[key] = total

@@ -25,7 +25,7 @@ from stagesim.simulation import (
     KvSample,
     RunResult,
 )
-from stagesim.workflow import FAILURE, LLM, SUCCESS, TERMINALS, UnknownOutcome, is_terminal
+from stagesim.workflow import FAILURE, LLM, SUCCESS, UnknownOutcome, is_terminal
 from stagesim.workloads import (
     DEFAULT_ENGINE_PARAMS,
     EXECUTOR,
@@ -180,10 +180,10 @@ def enum_fixer_invocations(p: float, budget: int) -> float:
 
 
 def reference_remaining_work(vw, service_estimates) -> dict:
-    """Reference remaining-work table: the memoised recursion over
-    (stage, retries_used) that `stagesim.expected_remaining_work` replaces
-    with a compiled plan, which must give the same floats in the same key
-    order."""
+    """Reference remaining-work table: the memoised recursion from (entry
+    stage, 0 retries) over (stage, retries_used) that
+    `stagesim.expected_remaining_work` replaces with a compiled plan, which
+    must give the same floats for the same keys in the same order."""
     budget = vw.retry_budget
     memo: dict[tuple[str, int], float] = {}
 
@@ -191,9 +191,6 @@ def reference_remaining_work(vw, service_estimates) -> dict:
         key = (stage_id, retries)
         if key in memo:
             return memo[key]
-        if is_terminal(stage_id):
-            memo[key] = 0.0
-            return 0.0
         stage = vw.stage(stage_id)
         total = service_estimates[stage_id]
         for out in stage.outcomes:
@@ -208,10 +205,38 @@ def reference_remaining_work(vw, service_estimates) -> dict:
         memo[key] = total
         return total
 
-    for stage_id in (*vw.stage_ids, *TERMINALS):
-        for retries in range(budget + 1):
-            value(stage_id, retries)
+    value(vw.entry_stage, 0)
     return memo
+
+
+def occupiable_states(vw) -> set[tuple[str, int]]:
+    """The (stage, retries_used) states a request can occupy: a search from
+    (entry stage, 0) through outcomes of positive probability, each applied
+    with `reference_next_step`."""
+    start = (vw.entry_stage, 0)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        stage_id, retries = frontier.pop()
+        for out in vw.stage(stage_id).outcomes:
+            if out.prob == 0.0:
+                continue
+            nxt = reference_next_step(stage_id, retries, out.label, vw)
+            if not is_terminal(nxt[0]) and nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+def reference_success_reachable(vw) -> bool:
+    """Reference for the Success check of `validate_workflow`: whether an
+    outcome of positive probability leads some occupiable state to
+    Success."""
+    return any(
+        out.prob > 0.0 and reference_next_step(stage_id, retries, out.label, vw)[0] == SUCCESS
+        for stage_id, retries in occupiable_states(vw)
+        for out in vw.stage(stage_id).outcomes
+    )
 
 
 def reference_next_step(stage_id: str, retries_used: int, outcome: str, vw) -> tuple[str, int]:

@@ -15,6 +15,7 @@ from helpers import (
     enum_fixer_invocations,
     expected_fixer_invocations,
     nl2sql_vw,
+    occupiable_states,
     segment_end_kv,
     sim_config,
 )
@@ -166,9 +167,10 @@ def test_ac4_retry_expectation_oracles():
             return total
 
         table = expected_remaining_work(vw, estimates)
-        for sid in vw.stage_ids:
-            for retries in range(vw.retry_budget + 1):
-                assert abs(table[(sid, retries)] - enumerate_paths(sid, retries)) <= 1e-9
+        # the table maps exactly the states a request can occupy
+        assert set(table) == occupiable_states(vw)
+        for (sid, retries), work in table.items():
+            assert abs(work - enumerate_paths(sid, retries)) <= 1e-9
 
 
 # ----------------------------------------------------------------------

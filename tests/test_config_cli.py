@@ -319,6 +319,12 @@ def test_validate_rejects_a_workflow_that_never_succeeds(tmp_path, capsys, tree)
     assert "UnreachableTerminal" in capsys.readouterr().err
 
 
+def test_validate_accepts_a_large_retry_budget(tmp_path):
+    # the remaining-work walk is iterative, so a budget deeper than the
+    # interpreter's recursion limit validates
+    assert main(["validate", write_config(tmp_path, run_config_tree(**with_nl2sql_params(retry_budget=2000)))]) == 0
+
+
 @pytest.mark.parametrize(
     "tree, path",
     [

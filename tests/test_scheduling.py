@@ -528,9 +528,10 @@ def test_static_estimates_ignore_observations():
 
 
 def test_online_estimates_track_ewma():
-    est = ServiceEstimator({"a": 1.0}, online=True, alpha=0.5)
+    # each observation weighted 0.2
+    est = ServiceEstimator({"a": 1.0}, online=True)
     est.observe("a", 3.0)
-    assert est.estimate("a") == pytest.approx(2.0)
+    assert est.estimate("a") == pytest.approx(1.4)
     est.observe("a", 2.0)
-    assert est.estimate("a") == pytest.approx(2.0)
+    assert est.estimate("a") == pytest.approx(1.52)
     assert est.version == 2

@@ -12,8 +12,10 @@ from helpers import (
     enum_fixer_invocations,
     expected_fixer_invocations,
     nl2sql_vw,
+    occupiable_states,
     reference_next_step,
     reference_remaining_work,
+    reference_success_reachable,
     run_config_tree,
 )
 from stagesim.config import build_sim_config
@@ -34,7 +36,10 @@ from stagesim.workflow import (
     UnknownOutcome,
     UnreachableStage,
     UnreachableTerminal,
+    ValidatedWorkflow,
     WorkflowSpec,
+    _adjacency,
+    _loop_edges,
     expected_remaining_work,
     next_step,
     validate_workflow,
@@ -95,24 +100,38 @@ def test_dangling_transition():
         validate_workflow(bad)
 
 
+def loop_stages():
+    """Success only past the loop edge a -> b."""
+    return [
+        tool_stage("a", [Outcome("go", 1.0, "b")]),
+        tool_stage("b", [Outcome("again", 0.5, "a"), Outcome("ok", 0.5, SUCCESS)]),
+    ]
+
+
+def no_success_specs():
+    """Specs under which no request can succeed: only Failure is reachable;
+    Success only behind a zero-probability outcome; Success only past a loop
+    edge with no retry budget; nl2sql whose executor always fails."""
+    return {
+        "only_failure": make_spec([llm_stage("a", [Outcome("x", 1.0, FAILURE)])]),
+        "zero_prob_success": make_spec([llm_stage("a", [Outcome("ok", 0.0, SUCCESS), Outcome("bad", 1.0, FAILURE)])]),
+        "loop_without_budget": make_spec(loop_stages(), budget=0),
+        "nl2sql_always_fails": build_nl2sql(Nl2SqlParams(p_fail=1.0)),
+    }
+
+
 def test_unreachable_success():
-    bad = make_spec([llm_stage("a", [Outcome("x", 1.0, FAILURE)])])
     with pytest.raises(UnreachableTerminal):
-        validate_workflow(bad)
+        validate_workflow(no_success_specs()["only_failure"])
 
 
 def test_success_must_be_reachable_as_requests_move():
     # an edge to Success is not enough: no request takes a zero-probability
     # outcome, nor a loop edge once the retry budget is spent
-    never = make_spec([llm_stage("a", [Outcome("ok", 0.0, SUCCESS), Outcome("bad", 1.0, FAILURE)])])
-    loop = [
-        tool_stage("a", [Outcome("go", 1.0, "b")]),
-        tool_stage("b", [Outcome("again", 0.5, "a"), Outcome("ok", 0.5, SUCCESS)]),
-    ]
-    assert validate_workflow(make_spec(loop, budget=1)).loop_edges == frozenset({("a", "b")})
-    for spec in (never, make_spec(loop, budget=0), build_nl2sql(Nl2SqlParams(p_fail=1.0))):
+    assert validate_workflow(make_spec(loop_stages(), budget=1)).loop_edges == frozenset({("a", "b")})
+    for name in ("zero_prob_success", "loop_without_budget", "nl2sql_always_fails"):
         with pytest.raises(UnreachableTerminal):
-            validate_workflow(spec)
+            validate_workflow(no_success_specs()[name])
 
 
 def test_unreachable_stage():
@@ -458,13 +477,6 @@ def enum_remaining_work(vw, stage_id, retries, estimates):
 EST = {GENERATOR: 2.0, EXECUTOR: 1.0, FIXER: 1.0}
 
 
-def test_terminal_state_has_no_work():
-    vw = nl2sql_vw()
-    table = expected_remaining_work(vw, EST)
-    for retries in range(vw.retry_budget + 1):
-        assert table[(SUCCESS, retries)] == table[(FAILURE, retries)] == 0.0
-
-
 def test_no_loop_mass():
     vw = nl2sql_vw(p_fail=0.0)
     assert expected_remaining_work(vw, {GENERATOR: 2.0, EXECUTOR: 1.0, FIXER: 1.0})[(EXECUTOR, 0)] == 1.0
@@ -480,12 +492,23 @@ def test_generator_with_one_retry():
 def test_matches_enumeration_on_default_workflow():
     vw = nl2sql_vw()
     table = expected_remaining_work(vw, EST)
-    positions = {(sid, r) for sid in (*vw.stage_ids, SUCCESS, FAILURE) for r in range(vw.retry_budget + 1)}
-    assert set(table) == positions
-    for sid in vw.stage_ids:
-        for retries in range(vw.retry_budget + 1):
-            want = enum_remaining_work(vw, sid, retries, EST)
-            assert table[(sid, retries)] == pytest.approx(want, abs=1e-9)
+    # exactly the states a request can occupy: no terminal, and no state
+    # such as (FIXER, 0) or (GENERATOR, 1) that no request reaches
+    occupiable = {(GENERATOR, 0), *((EXECUTOR, r) for r in range(4)), *((FIXER, r) for r in range(1, 4))}
+    assert set(table) == occupiable_states(vw) == occupiable
+    for (sid, retries), work in table.items():
+        assert work == pytest.approx(enum_remaining_work(vw, sid, retries, EST), abs=1e-9)
+
+
+def test_large_retry_budget():
+    # the walk is iterative: a recursion over the states would overflow the
+    # interpreter's stack here
+    vw = nl2sql_vw(p_fail=0.9, retry_budget=2000)
+    table = expected_remaining_work(vw, EST)
+    assert len(table) == 4002  # generator 0, executor 0..2000, fixer 1..2000
+    fixes = expected_fixer_invocations(0.9, 2000)
+    want = EST[GENERATOR] + EST[EXECUTOR] * (1.0 + fixes) + EST[FIXER] * fixes
+    assert table[(GENERATOR, 0)] == pytest.approx(want, rel=1e-9)
 
 
 def test_missing_estimate():
@@ -516,6 +539,33 @@ def test_compiled_plan_matches_memo_recursion_exactly(name, values):
     # the same floats, for the same keys, in the same order
     want = reference_remaining_work(vw, estimates)
     assert list(expected_remaining_work(vw, estimates).items()) == list(want.items())
+
+
+def unchecked_workflow(spec):
+    """The handle `validate_workflow` builds for `spec`, without raising
+    when Success is unreachable."""
+    stages = {st.stage_id: st for st in spec.stages}
+    return ValidatedWorkflow(spec, stages, _loop_edges(spec, stages, _adjacency(stages)))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        *no_success_specs().values(),
+        make_spec(loop_stages(), budget=1),
+        *(make_vw().spec for make_vw in PLAN_WORKFLOWS.values()),
+    ],
+    ids=[*no_success_specs(), "loop_with_budget", *PLAN_WORKFLOWS],
+)
+def test_success_verdict_matches_reference_search(spec):
+    vw = unchecked_workflow(spec)
+    want = reference_success_reachable(vw)
+    assert vw.success_reachable == want
+    if want:
+        validate_workflow(spec)
+    else:
+        with pytest.raises(UnreachableTerminal):
+            validate_workflow(spec)
 
 
 def to_config(value):
